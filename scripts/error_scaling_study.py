@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from entbase.protocol import PhaseSettings, derive_seed, run_observation
-from entbase.qcore import AstroVisibility, XState, wrap_phase
+from entbase.protocol import PhaseSettings, derive_seed, replicate_rmse
+from entbase.qcore import AstroVisibility, XState
 
 SETTINGS = PhaseSettings(0.0, 0.5 * math.pi)
 
@@ -25,13 +25,8 @@ def resource(conc, xi):
 
 
 def rmse(v, x, n, replicates, seed, tag):
-    errs_a, errs_p = [], []
-    for k in range(replicates):
-        est = run_observation(v, x, SETTINGS, n, derive_seed(seed, tag, k))
-        errs_a.append(est.V_a_hat - v.V_a)
-        errs_p.append(wrap_phase(est.V_p_hat - v.V_p))
-    return (math.sqrt(float(np.mean(np.square(errs_a)))),
-            math.sqrt(float(np.mean(np.square(errs_p)))))
+    rng = np.random.default_rng(derive_seed(seed, tag))
+    return replicate_rmse(v, x, SETTINGS, n, replicates, rng)
 
 
 def main():

@@ -4,8 +4,9 @@ Verbs: ``run <config>`` (single observation, writes visibility.csv,
 intensity.csv and summary.json), ``sweep <config> --param --values``
 (one CSV row per swept value), ``validate [--fast]`` (invariant suite).
 Exit codes: 0 success, 1 invalid config (message names the offending
-key), 2 runtime failure (message names the error). ENTBASE_THREADS caps
-per-baseline parallelism; outputs are byte-identical at any thread count.
+key), 2 runtime failure (message names the error). ENTBASE_THREADS is
+still accepted and validated, but runs are serial and outputs do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .config import (
     parse_config,
 )
 from .imaging import observe_and_image, true_visibility
-from .protocol import derive_seed, run_observation
+# run_observation is unused here but stays bound: the benchmark tracer rebinds it by name
+from .protocol import derive_seed, replicate_rmse, run_observation  # noqa: F401
 from .qcore import AstroVisibility, concurrence_subspace, subspace_weight, wrap_phase
 
 __all__ = ["main"]
@@ -107,11 +109,11 @@ def _emit_gnuplot(outdir: Path, kind: str):
 
 def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     cfg = load_config(config_path)
-    threads = _thread_count()
+    _thread_count()  # validated only: the pipeline is serial
     report = observe_and_image(
         sky=cfg.sky, plan=cfg.plan, resource_factory=cfg.channel.resource_factory(),
         settings=cfg.settings, n_per_setting=cfg.n_per_setting, seed=cfg.seed,
-        rates=cfg.rates, theta_grid=cfg.theta_grid, threads=threads,
+        rates=cfg.rates, theta_grid=cfg.theta_grid,
         rate_norm_fn=cfg.channel.rate_norm_fn())
 
     outdir = Path(cfg.output_dir)
@@ -221,14 +223,9 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
         if mc_replicates > 0:
             v_c = true_visibility(cfg.sky, b_eval)
             v = AstroVisibility(abs(v_c), cmath.phase(v_c))
-            errs_a, errs_p = [], []
-            for k in range(mc_replicates):
-                est = run_observation(v, resource, cfg.settings, cfg.n_per_setting,
-                                      derive_seed(cfg.seed, row_index, k))
-                errs_a.append(est.V_a_hat - v.V_a)
-                errs_p.append(wrap_phase(est.V_p_hat - v.V_p))
-            rmse_va = math.sqrt(float(np.mean(np.square(errs_a))))
-            rmse_vp = math.sqrt(float(np.mean(np.square(errs_p))))
+            rng = np.random.default_rng(derive_seed(cfg.seed, row_index))
+            rmse_va, rmse_vp = replicate_rmse(v, resource, cfg.settings, cfg.n_per_setting,
+                                              mc_replicates, rng)
         rows.append([value, xi, conc, r_norm, ln_r,
                      ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf,
                      rmse_va, rmse_vp])
@@ -250,9 +247,12 @@ def cmd_validate(fast: bool = False) -> int:
 
 def _parse_values(raw: str):
     try:
-        return [float(v) for v in raw.split(",") if v.strip() != ""]
+        values = [float(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError("sweep.values", f"not a comma-separated number list: {raw!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("sweep.values", f"values must be finite: {raw!r}")
+    return values
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,7 @@ from .channels import (
     xstate_depolarizing,
 )
 from .imaging import BaselinePlan, SkyModel, default_theta_grid
-from .protocol import PhaseSettings
+from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
            "SWEEPABLE_CHANNEL_PARAMS"]
@@ -56,11 +56,21 @@ def _require_keys(obj: dict, context: str, required: tuple, optional: tuple = ()
             raise ConfigError(f"{context}.{key}" if context else key, "missing required key")
 
 
+def _is_finite_number(val) -> bool:
+    """The one rule for numeric config values: a finite int or float, not a bool."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def _number(obj: dict, context: str, key: str, default=None):
     if key not in obj:
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+    if not _is_finite_number(val):
         raise ConfigError(f"{context}.{key}" if context else key, "expected a finite number")
     return float(val)
 
@@ -187,8 +197,8 @@ def _parse_channel(obj) -> ChannelConfig:
         prev = -math.inf
         rows = []
         for i, (b, r) in enumerate(table):
-            if not isinstance(b, (int, float)) or not isinstance(r, (int, float)):
-                raise ConfigError(f"{ctx}.table", f"row {i} is not numeric")
+            if not (_is_finite_number(b) and _is_finite_number(r)):
+                raise ConfigError(f"{ctx}.table[{i}]", "expected a pair of finite numbers")
             if b <= prev:
                 raise ConfigError(f"{ctx}.table", "baselines must be strictly increasing")
             if not (0.0 <= r <= 0.5):
@@ -224,8 +234,11 @@ def _parse_sky(obj) -> tuple:
 def _parse_baselines(obj) -> BaselinePlan:
     ctx = "baselines"
     if isinstance(obj, list):
-        if not obj or any(not isinstance(b, (int, float)) for b in obj):
+        if not obj:
             raise ConfigError(ctx, "expected a nonempty list of numbers")
+        for i, b in enumerate(obj):
+            if not _is_finite_number(b):
+                raise ConfigError(f"{ctx}[{i}]", "expected a finite number")
         try:
             return BaselinePlan(tuple(float(b) for b in obj))
         except ValueError as exc:
@@ -279,8 +292,8 @@ def parse_config(obj: dict) -> ScenarioConfig:
         settings = PhaseSettings(0.0, 0.5 * math.pi)
 
     n_per_setting = _integer(obj, "", "N_per_setting", 100_000)
-    if n_per_setting < 1:
-        raise ConfigError("N_per_setting", "must be a positive integer")
+    if not 1 <= n_per_setting <= MAX_TRIALS:
+        raise ConfigError("N_per_setting", f"must be an integer in [1, {MAX_TRIALS}]")
 
     if "rates" in obj:
         rt = obj["rates"]

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import RateModel
+# module-level names on purpose: the benchmark tracer rebinds them to time the protocol layer
 from .protocol import PhaseSettings, derive_seed, run_observation
 from .qcore import AstroVisibility, concurrence_subspace, subspace_weight
 
@@ -265,15 +265,15 @@ LOW_CONFIDENCE_DVP = 0.5 * math.pi
 
 def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
                       settings: PhaseSettings, n_per_setting: int, seed: int,
-                      rates: RateModel, theta_grid=None, threads: int = 1,
+                      rates: RateModel, theta_grid=None,
                       rate_norm_fn=None) -> ObservationReport:
     """Full pipeline: per-baseline protocol runs, then dirty-map reconstruction.
 
     resource_factory maps a baseline to the XState supplied by the network
     at that separation. Per-baseline seeds derive from the master seed by
-    index, so results are independent of execution order and of the
-    thread count. rate_norm_fn optionally overrides the default
-    coincidence fraction xi/2 (e.g. a tabulated repeater-chain rate).
+    index, so results are independent of execution order. rate_norm_fn
+    optionally overrides the default coincidence fraction xi/2 (e.g. a
+    tabulated repeater-chain rate).
     """
     if theta_grid is None:
         theta_grid = default_theta_grid(sky, plan.B_m)
@@ -292,11 +292,7 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
         return v_c, x, xi, conc, est
 
     jobs = list(enumerate(plan.baselines))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(observe_one, jobs))
-    else:
-        results = [observe_one(job) for job in jobs]
+    results = [observe_one(job) for job in jobs]
 
     v_true, estimates, samples_exact, samples_est = [], [], [], []
     xis, concs, rate_norms, rate_abss = [], [], [], []

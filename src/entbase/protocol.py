@@ -4,7 +4,8 @@ Coincidence statistics between the beam-splitter detectors at the two
 telescopes (closed form and a 16-dimensional projector oracle), seeded
 binomial click sampling, inversion of two phase settings into a complex
 visibility estimate, and one-sigma error propagation with the associated
-resource scaling laws.
+resource scaling laws. ``run_replicates`` runs many independent
+replicates of one observation as array maths on a single generator.
 """
 
 from __future__ import annotations
@@ -42,13 +43,17 @@ __all__ = [
     "propagate_errors",
     "raw_probabilities",
     "raw_probabilities_oracle",
+    "replicate_rmse",
     "run_observation",
+    "run_replicates",
     "sample_counts",
     "scaling_laws",
     "solve_visibility",
 ]
 
 MIN_PHASE_SEPARATION = 1e-6
+MAX_TRIALS = int(np.iinfo(np.int64).max)  # largest N numpy's binomial sampler accepts
+REPLICATE_CHUNK = 1 << 13  # replicates per run_replicates call in replicate_rmse
 
 
 class ZeroConcurrenceError(ValueError):
@@ -94,7 +99,11 @@ class DetectionCounts:
 
 @dataclass(frozen=True)
 class VisibilityEstimate:
-    """Point estimates with one-sigma errors plus the resource figures used."""
+    """Point estimates with one-sigma errors plus the resource figures used.
+
+    From run_replicates the four estimate fields are (K,) arrays, one entry
+    per replicate.
+    """
 
     V_a_hat: float
     V_p_hat: float
@@ -380,3 +389,102 @@ def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     dv_a, dv_p = propagate_errors(dps[0], dps[1], N_per_setting, effective, conc)
     return VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
                               N_used=N_per_setting, C_used=conc, xi_used=xi)
+
+
+def _wrap_phases(phi: np.ndarray) -> np.ndarray:
+    """wrap_phase for arrays of angles in [-3 pi, 3 pi]; exact there (one 2 pi shift)."""
+    two_pi = 2.0 * math.pi
+    phi = np.where(phi > math.pi, phi - two_pi, phi)
+    return np.where(phi <= -math.pi, phi + two_pi, phi)
+
+
+def _invert_batch(dp1: np.ndarray, dp2: np.ndarray, N: int, ph: PhaseSettings,
+                  C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """solve_visibility and propagate_errors applied elementwise to fringe arrays.
+
+    Returns (V_a, V_p, dV_a, dV_p); the same formulas and branch choices as
+    the scalar functions, including the first setting winning a tie. Needs
+    C > 0; PhaseSettings already rejects degenerate settings.
+    """
+    det = math.sin(ph.w2 - ph.w1)
+    sqrt_n = math.sqrt(N)
+
+    def fringe_error(dp):
+        p_smooth = (N * (0.5 * (1.0 + dp)) + 1.0) / (N + 2.0)
+        return 2.0 * np.sqrt(p_smooth * (1.0 - p_smooth)) / sqrt_n
+
+    d1, d2 = fringe_error(dp1), fringe_error(dp2)
+    c = (dp1 * math.sin(ph.w2) - dp2 * math.sin(ph.w1)) / det
+    s = (dp2 * math.cos(ph.w1) - dp1 * math.cos(ph.w2)) / det
+    amp = np.hypot(c, s)
+    v_p = np.arctan2(s, c)
+    v_p_hat = np.where(amp == 0.0, 0.0, _wrap_phases(v_p))
+    amp_sq = c * c + s * s
+    dead = amp_sq == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dv_p = np.minimum(math.pi, np.hypot(dp2 * d1, dp1 * d2) / (amp_sq * abs(det)))
+        # amplitude error at the setting where the fringe is best conditioned
+        # (both fringes zero: at the conventional phase 0, with dV_p = pi)
+        phase = np.where(dead, 0.0, v_p)
+        cos1, cos2 = np.cos(phase - ph.w1), np.cos(phase - ph.w2)
+        first = np.abs(cos1) >= np.abs(cos2)
+        dp_b = np.where(first, dp1, dp2)
+        d_b = np.where(first, d1, d2)
+        cosw = np.where(first, cos1, cos2)
+        sinw = np.sin(phase - np.where(first, ph.w1, ph.w2))
+        d_dp = 1.0 / (C * cosw)
+        d_vp = dp_b * sinw / (C * cosw * cosw)
+        dv_a = np.where(dead, d_b / (C * np.abs(cosw)), np.hypot(d_dp * d_b, d_vp * dv_p))
+    return amp / C, v_p_hat, dv_a, np.where(dead, math.pi, dv_p)
+
+
+def run_replicates(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
+                   N_per_setting: int, replicates: int,
+                   rng: np.random.Generator) -> VisibilityEstimate:
+    """run_observation repeated `replicates` times as one array computation.
+
+    Both settings' postselected p_c are computed once; the click counts of
+    every replicate come from one rng.binomial draw of shape
+    (replicates, 2), consumed row by row, so splitting a run into
+    consecutive calls on the same generator reproduces it exactly. The
+    estimate fields of the result are (replicates,) arrays.
+    """
+    if N_per_setting < 1:
+        raise ValueError("need at least one trial")
+    xi = subspace_weight(x)
+    conc = concurrence_subspace(x)  # raises DegenerateResourceError when xi = 0
+    if conc <= 0.0:
+        raise ZeroConcurrenceError("resource concurrence is zero")
+    effective = PhaseSettings(x.w_p + ph.w1, x.w_p + ph.w2)
+    p_cs = []
+    for offset in (ph.w1, ph.w2):
+        q_c, q_ac = raw_probabilities(v_true, x.with_phase_offset(offset))
+        p_c, _ = postselect(q_c, q_ac)
+        if not (0.0 <= p_c <= 1.0):
+            raise ValueError(f"p_c = {p_c} outside [0, 1]")
+        p_cs.append(p_c)
+    n_c = rng.binomial(N_per_setting, p_cs, size=(replicates, 2))
+    dp = ((N_per_setting - n_c) - n_c) / N_per_setting  # (n_ac - n_c) / N, no int64 overflow
+    v_a, v_p, dv_a, dv_p = _invert_batch(dp[:, 0], dp[:, 1], N_per_setting, effective, conc)
+    return VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
+                              N_used=N_per_setting, C_used=conc, xi_used=xi)
+
+
+def replicate_rmse(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
+                   N_per_setting: int, replicates: int,
+                   rng: np.random.Generator) -> tuple[float, float]:
+    """Root-mean-square errors of (V_a_hat, V_p_hat) over Monte Carlo replicates.
+
+    Replicates are drawn REPLICATE_CHUNK at a time from rng, so memory
+    stays flat however many are asked for; phase errors are wrapped to
+    (-pi, pi].
+    """
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    sq_a = sq_p = 0.0
+    for start in range(0, replicates, REPLICATE_CHUNK):
+        est = run_replicates(v_true, x, ph, N_per_setting,
+                             min(REPLICATE_CHUNK, replicates - start), rng)
+        sq_a += float(np.sum(np.square(est.V_a_hat - v_true.V_a)))
+        sq_p += float(np.sum(np.square(_wrap_phases(est.V_p_hat - v_true.V_p))))
+    return math.sqrt(sq_a / replicates), math.sqrt(sq_p / replicates)

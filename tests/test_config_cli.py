@@ -181,6 +181,18 @@ class TestSweepCommand:
         slope = float(np.polyfit(np.log10(ns), np.log10(rmse), 1)[0])
         assert abs(slope + 0.5) <= 0.05
 
+    def test_mc_replicates_byte_identical_for_a_seed(self, tmp_path):
+        outputs = []
+        for run in ("a", "b"):
+            cfg = base_config(channel={"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2},
+                              output_dir=str(tmp_path / run))
+            assert main(["sweep", write_config(tmp_path, cfg), "--param", "N",
+                         "--values", "1000,5000", "--mc-replicates", "50"]) == 0
+            outputs.append((tmp_path / run / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = outputs[0].decode().strip().splitlines()[1:]
+        assert all(float(r.split(",")[6]) > 0.0 for r in rows)
+
     def test_custom_rate_table(self, tmp_path):
         table = [[0.0, 0.5], [10.0, 0.4], [20.0, 0.35]]
         cfg = base_config(channel={"kind": "custom_rate", "table": table},
@@ -205,6 +217,35 @@ class TestSweepCommand:
                      "--values", "0.2,1.5"])
         assert code == 1
         assert "mu_L" in capsys.readouterr().err
+
+
+class TestMalformedNumbersExit1:
+    """Non-finite, boolean and out-of-range numbers are config errors naming their key."""
+
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(baselines=[1.0, math.nan, 5.0]), "baselines[1]"),
+        (dict(baselines=[1.0, 2.0, math.inf]), "baselines[2]"),
+        (dict(channel={"kind": "custom_rate", "table": [[0.0, 0.5], [math.nan, 0.3]]}),
+         "channel.table[1]"),
+        (dict(channel={"kind": "custom_rate", "table": [[0.0, 0.5], [10.0, True]]}),
+         "channel.table[1]"),
+        (dict(N_per_setting=2 ** 63), "N_per_setting"),
+    ], ids=["nan-baseline", "inf-baseline", "nan-table", "bool-table", "huge-N"])
+    def test_run(self, tmp_path, capsys, overrides, key):
+        cfg = base_config(output_dir=str(tmp_path / "out"), **overrides)
+        assert main(["run", write_config(tmp_path, cfg)]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, values, key", [
+        ("B", "10,nan", "sweep.values"),
+        ("N", "1000,1e20", "N_per_setting"),
+    ], ids=["nan-value", "huge-N"])
+    def test_sweep(self, tmp_path, capsys, param, values, key):
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        code = main(["sweep", write_config(tmp_path, cfg), "--param", param,
+                     "--values", values, "--mc-replicates", "5"])
+        assert code == 1
+        assert key in capsys.readouterr().err
 
 
 class TestValidateCommand:

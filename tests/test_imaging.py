@@ -234,16 +234,6 @@ class TestObserveAndImage:
             expected = math.log(RateModel(0.8, 1e6).max_rate) - b / (2 * l0)
             assert abs(math.log(r) - expected) <= 1e-12
 
-    def test_threads_do_not_change_results(self):
-        sky = two_source_sky()
-        plan = BaselinePlan.linear(40.0, 8)
-        kwargs = dict(settings=SETTINGS, n_per_setting=2000, seed=3, rates=RATES)
-        serial = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(), **kwargs)
-        pooled = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
-                                   threads=4, **kwargs)
-        assert serial.estimates == pooled.estimates
-        assert np.array_equal(serial.intensity_est, pooled.intensity_est)
-
     def test_single_trial_flags_low_confidence(self):
         sky = two_source_sky()
         plan = BaselinePlan.linear(30.0, 4)

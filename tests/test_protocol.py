@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbase.channels import ideal_bell_xstate, xstate_dephasing
+from entbase import protocol
 from entbase.protocol import (
     DegeneratePhasesError,
     DetectionCounts,
@@ -22,7 +23,9 @@ from entbase.protocol import (
     propagate_errors,
     raw_probabilities,
     raw_probabilities_oracle,
+    replicate_rmse,
     run_observation,
+    run_replicates,
     sample_counts,
     scaling_laws,
     solve_visibility,
@@ -388,3 +391,106 @@ class TestRunObservation:
         assert -math.pi < est.V_p_hat <= math.pi
         assert est.dV_a >= 0.0 and est.dV_p >= 0.0
         assert est.N_used == 50000 and est.C_used == 1.0 and est.xi_used == 1.0
+
+
+def scalar_inversion(dp1, dp2, n, ph, conc):
+    """The reference: scalar solve_visibility and propagate_errors."""
+    return (*solve_visibility(dp1, dp2, ph, conc), *propagate_errors(dp1, dp2, n, ph, conc))
+
+
+def assert_matches_scalar(batch, dp1, dp2, n, ph, conc):
+    for k in range(len(dp1)):
+        want = scalar_inversion(float(dp1[k]), float(dp2[k]), n, ph, conc)
+        for field, got, ref in zip(("V_a", "V_p", "dV_a", "dV_p"), batch, want):
+            assert abs(got[k] - ref) <= 1e-14 * abs(ref), (field, k, got[k], ref)
+
+
+class FixedCounts:
+    """Stands in for a Generator: binomial returns preset (K, 2) correlated counts."""
+
+    def __init__(self, n_c):
+        self.n_c = np.asarray(n_c, dtype=np.int64)
+
+    def binomial(self, n, p, size):
+        assert size == self.n_c.shape
+        return self.n_c
+
+
+class TestRunReplicates:
+    def test_batch_inversion_matches_scalar(self, rng):
+        for ph in (DEFAULT, PhaseSettings(0.3, 2.5), PhaseSettings(-1.2, 0.4)):
+            for n in (1, 7, 1000, 10 ** 6):
+                conc = rng.uniform(0.05, 1.0)
+                dp1, dp2 = rng.uniform(-1.0, 1.0, size=(2, 50))
+                batch = protocol._invert_batch(dp1, dp2, n, ph, conc)
+                assert_matches_scalar(batch, dp1, dp2, n, ph, conc)
+
+    def test_both_fringes_zero(self):
+        zero = np.zeros(3)
+        for ph in (DEFAULT, PhaseSettings(-0.4, 0.4)):
+            batch = protocol._invert_batch(zero, zero, 100, ph, 0.6)
+            assert_matches_scalar(batch, zero, zero, 100, ph, 0.6)
+            assert np.all(batch[1] == 0.0) and np.all(batch[3] == math.pi)
+
+    def test_exact_tie_in_setting_choice(self):
+        ph = PhaseSettings(-0.4, 0.4)
+        dp = np.array([0.3, 0.05])  # equal positive fringes: s = 0, so V_p = 0 sits midway
+        batch = protocol._invert_batch(dp, dp, 500, ph, 0.8)
+        for v_p in batch[1]:
+            assert abs(math.cos(v_p - ph.w1)) == abs(math.cos(v_p - ph.w2))
+        assert_matches_scalar(batch, dp, dp, 500, ph, 0.8)
+
+    def test_counts_follow_the_scalar_chain(self, rng):
+        v = AstroVisibility(0.7, 0.9)
+        x = resource_with(0.6, 0.5, w_p=0.3)
+        n = 5000
+        n_c = rng.integers(0, n + 1, size=(20, 2))
+        n_c[0] = n // 2  # both fringes zero
+        est = run_replicates(v, x, DEFAULT, n, 20, FixedCounts(n_c))
+        eff = PhaseSettings(x.w_p + DEFAULT.w1, x.w_p + DEFAULT.w2)
+        dps = [[delta_p(DetectionCounts(int(c), n - int(c), n)) for c in row] for row in n_c]
+        dp1, dp2 = np.array(dps).T
+        assert_matches_scalar((est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p),
+                              dp1, dp2, n, eff, est.C_used)
+        assert (est.N_used, est.C_used, est.xi_used) == (n, concurrence_subspace(x), 0.5)
+
+    def test_chunked_draws_match_one_draw(self, monkeypatch):
+        v = AstroVisibility(0.4, -2.0)
+        x = resource_with(0.7, 0.8)
+        whole = run_replicates(v, x, DEFAULT, 3000, 8, np.random.default_rng(11))
+        gen = np.random.default_rng(11)
+        parts = [run_replicates(v, x, DEFAULT, 3000, k, gen) for k in (3, 5)]
+        for field in ("V_a_hat", "V_p_hat", "dV_a", "dV_p"):
+            joined = np.concatenate([getattr(p, field) for p in parts])
+            assert np.array_equal(getattr(whole, field), joined)
+
+        unchunked = replicate_rmse(v, x, DEFAULT, 3000, 8, np.random.default_rng(11))
+        monkeypatch.setattr(protocol, "REPLICATE_CHUNK", 3)
+        chunked = replicate_rmse(v, x, DEFAULT, 3000, 8, np.random.default_rng(11))
+        assert chunked == pytest.approx(unchunked, rel=1e-13)
+        errs = whole.V_p_hat - v.V_p
+        wrapped = [wrap_phase(e) for e in errs]
+        assert unchunked[1] == pytest.approx(math.sqrt(np.mean(np.square(wrapped))), rel=1e-13)
+
+    def test_matches_scalar_statistics(self):
+        v = AstroVisibility(0.7, 0.9)
+        x = resource_with(0.5, 0.6)
+        batch = run_replicates(v, x, DEFAULT, 10 ** 4, 4000, np.random.default_rng(3))
+        scalar = [run_observation(v, x, DEFAULT, 10 ** 4, derive_seed(3, k)) for k in range(400)]
+        for field in ("V_a_hat", "V_p_hat", "dV_a"):
+            ref = np.array([getattr(e, field) for e in scalar])
+            got = getattr(batch, field)
+            assert abs(np.mean(got) - np.mean(ref)) <= 5 * np.std(ref) / math.sqrt(400), field
+            assert np.std(got) == pytest.approx(np.std(ref), rel=0.2), field
+
+    def test_checks_of_the_scalar_path(self):
+        v = AstroVisibility(0.5, 0.0)
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_replicates(v, ideal_bell_xstate(), DEFAULT, 0, 5, gen)
+        with pytest.raises(ZeroConcurrenceError):
+            run_replicates(v, xstate_dephasing(1.0, 1.0), DEFAULT, 100, 5, gen)
+        with pytest.raises(DegenerateResourceError):
+            run_replicates(v, XState(a=1.0, g=0.0, f=0.0, h=0.0, w_a=0.0), DEFAULT, 100, 5, gen)
+        with pytest.raises(ValueError, match="replicate"):
+            replicate_rmse(v, ideal_bell_xstate(), DEFAULT, 100, 0, gen)
