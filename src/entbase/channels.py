@@ -20,8 +20,6 @@ from .qcore import KrausChannel, XState, _check_probability
 __all__ = [
     "DegenerateCoherenceWarning",
     "DepolRateApprox",
-    "FiberLink",
-    "MemoryPair",
     "RateModel",
     "depol_prob",
     "depol_x_param",
@@ -44,47 +42,6 @@ DEPOL_REGIME_THRESHOLD = 0.01
 
 class DegenerateCoherenceWarning(UserWarning):
     """The depolarized inner coherence changed sign and was folded into its phase."""
-
-
-@dataclass(frozen=True)
-class FiberLink:
-    """Per-arm fiber lengths with attenuation scales (same length unit throughout)."""
-
-    L_left: float
-    L_right: float
-    L0: float
-    beta: float | None = None
-
-    def __post_init__(self):
-        if self.L_left < 0.0 or self.L_right < 0.0:
-            raise ValueError("fiber lengths must be nonnegative")
-        if self.L0 <= 0.0:
-            raise ValueError("attenuation length L0 must be positive")
-        if self.beta is not None and self.beta <= 0.0:
-            raise ValueError("inverse attenuation length beta must be positive")
-
-    @classmethod
-    def from_baseline(cls, B: float, L0: float, beta: float | None = None) -> "FiberLink":
-        """Equal-arm link where the source sits midway: each arm is B/2 long."""
-        return cls(B / 2.0, B / 2.0, L0, beta)
-
-
-@dataclass(frozen=True)
-class MemoryPair:
-    """Two storage intervals in identical memories plus the heralded Bell sign."""
-
-    t1: float
-    t2: float
-    tau_c: float
-    bell_sign: int = +1
-
-    def __post_init__(self):
-        if self.t1 < 0.0 or self.t2 < 0.0:
-            raise ValueError("storage times must be nonnegative")
-        if self.tau_c <= 0.0:
-            raise ValueError("coherence time tau_c must be positive")
-        if self.bell_sign not in (+1, -1):
-            raise ValueError("bell_sign must be +1 or -1")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import copy
 import json
 import math
 import os
@@ -23,17 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import validation
-from .config import (
-    SWEEPABLE_CHANNEL_PARAMS,
-    ConfigError,
-    ScenarioConfig,
-    load_config,
-    parse_config,
-)
-from .imaging import observe_and_image, true_visibility
-# run_observation is unused here but stays bound: the benchmark tracer rebinds it by name
-from .protocol import derive_seed, replicate_rmse, run_observation  # noqa: F401
-from .qcore import AstroVisibility, concurrence_subspace, subspace_weight, wrap_phase
+from .config import ConfigError, load_config, with_swept_value
+from .imaging import observe_and_image, resource_figures, true_visibility
+# parse_config and run_observation are unused here but stay bound: the benchmark
+# tracer rebinds them by name
+from .config import parse_config  # noqa: F401
+from .protocol import derive_seed, replicate_rmse, run_observation, scaling_laws  # noqa: F401
+from .qcore import AstroVisibility, wrap_phase
 
 __all__ = ["main"]
 
@@ -66,16 +61,6 @@ def _thread_count() -> int:
     if n < 1:
         raise ConfigError("ENTBASE_THREADS", "must be >= 1")
     return n
-
-
-def _resource_scales(cfg: ScenarioConfig, xi: float, conc: float):
-    """Trend scales 1/(C sqrt(xi R_X)) and 1/sqrt(xi R_X) at the reported resource."""
-    r_x = cfg.rates.R_E  # network-supplied photon fraction
-    if r_x <= 0.0 or xi <= 0.0:
-        return math.inf, math.inf
-    dvp = 1.0 / math.sqrt(xi * r_x)
-    dva = math.inf if conc <= 0.0 else dvp / conc
-    return dva, dvp
 
 
 def _emit_gnuplot(outdir: Path, kind: str):
@@ -144,8 +129,8 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
                     report.intensity_exact, report.intensity_est)])
 
     worst = int(np.argmin(report.concurrence))
-    dva_scale, dvp_scale = _resource_scales(cfg, report.xi[worst], report.concurrence[worst])
     resource = cfg.channel.resource_factory()(report.baselines[worst])
+    scales = scaling_laws(resource, cfg.rates.R_E)  # R_X: the network-supplied photon fraction
     summary = {
         "channel": cfg.channel.kind,
         "wavelength": cfg.sky.wavelength,
@@ -157,8 +142,8 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         "xi": report.xi[worst],
         "C": report.concurrence[worst],
         "R_M_norm": report.rate_norm[worst],
-        "dVa_scale": dva_scale,
-        "dVp_scale": dvp_scale,
+        "dVa_scale": scales.dV_a_scale,
+        "dVp_scale": scales.dV_p_scale,
         "dI": report.error.dI,
         "dI_scale": report.error.scale,
         "error_regime": report.error.regime,
@@ -173,51 +158,18 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     return 0
 
 
-def _apply_override(raw: dict, name: str, value: float) -> dict:
-    out = copy.deepcopy(raw)
-    if name in ("B", "L"):
-        pass  # handled as the evaluation baseline, not via the plan
-    elif name in ("N", "N_per_setting"):
-        n = int(value)
-        if n < 1 or n != value:
-            raise ConfigError("sweep.N_per_setting", f"value {value} is not a positive integer")
-        out["N_per_setting"] = n
-    elif name in ("R_E", "R_T"):
-        out.setdefault("rates", {"R_E": 1.0, "R_T": 1.0})[name] = value
-    elif name in ("w1", "w2"):
-        out.setdefault("phase_settings", {"w1": 0.0, "w2": 0.5 * math.pi})[name] = value
-    elif name in SWEEPABLE_CHANNEL_PARAMS:
-        if not isinstance(out.get("channel"), dict):
-            raise ConfigError("channel", "expected an object")
-        out["channel"][name] = value
-    else:
-        raise ConfigError(f"sweep.param.{name}", "not a sweepable parameter")
-    return out
-
-
 def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
               gnuplot: bool = False) -> int:
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError("config", str(exc))
-    base = parse_config(raw)  # validate the base before touching overrides
+    base = load_config(config_path)
     rows = []
     for row_index, value in enumerate(values):
-        cfg = parse_config(_apply_override(raw, param, value))
+        cfg = with_swept_value(base, param, value)
         b_eval = float(value) if param in ("B", "L") else cfg.plan.B_m
         if b_eval < 0.0:
             raise ConfigError("sweep.B", "baseline must be nonnegative")
         resource = cfg.channel.resource_factory()(b_eval)
-        xi = subspace_weight(resource)
-        try:
-            conc = concurrence_subspace(resource)
-        except ValueError:
-            conc = math.nan
-        rate_fn = cfg.channel.rate_norm_fn()
-        r_norm = rate_fn(b_eval, xi) if rate_fn is not None else 0.5 * xi
-        r_abs = r_norm * cfg.rates.R_E * cfg.rates.R_T
+        xi, conc, r_norm, r_abs = resource_figures(resource, b_eval, cfg.rates,
+                                                   cfg.channel.rate_norm_fn())
         ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
         rmse_va = rmse_vp = None
         if mc_replicates > 0:
@@ -250,6 +202,8 @@ def _parse_values(raw: str):
         values = [float(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError("sweep.values", f"not a comma-separated number list: {raw!r}")
+    if not values:
+        raise ConfigError("sweep.values", f"no values given: {raw!r}")
     if not all(math.isfinite(v) for v in values):
         raise ConfigError("sweep.values", f"values must be finite: {raw!r}")
     return values

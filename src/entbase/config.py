@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channels import (
-    FiberLink,
-    MemoryPair,
     RateModel,
     depol_prob,
     fiber_loss_prob,
@@ -28,7 +26,7 @@ from .imaging import BaselinePlan, SkyModel, default_theta_grid
 from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
-           "SWEEPABLE_CHANNEL_PARAMS"]
+           "SWEEPABLE_CHANNEL_PARAMS", "with_swept_value"]
 
 CHANNEL_KINDS = ("ideal", "amplitude_damping", "dephasing", "depolarizing",
                  "memory_swap", "custom_rate")
@@ -111,10 +109,8 @@ class ChannelConfig:
                 L0 = p["L0"]
 
                 def fiber_factory(B):
-                    link = FiberLink.from_baseline(B, L0)
-                    return xstate_amplitude_damping(
-                        fiber_loss_prob(link.L_left, link.L0),
-                        fiber_loss_prob(link.L_right, link.L0))
+                    loss = fiber_loss_prob(B / 2.0, L0)  # equal arms, source midway
+                    return xstate_amplitude_damping(loss, loss)
 
                 return fiber_factory
             return lambda B: xstate_amplitude_damping(p["lambda_L"], p["lambda_R"])
@@ -126,8 +122,7 @@ class ChannelConfig:
                 return lambda B: xstate_depolarizing(depol_prob(B, beta), depol_prob(B, beta))
             return lambda B: xstate_depolarizing(p["kappa_L"], p["kappa_R"])
         if self.kind == "memory_swap":
-            pair = MemoryPair(p["t1"], p["t2"], p["tau_c"], p.get("sign", +1))
-            return lambda B: swap_memories(pair.t1, pair.t2, pair.tau_c, pair.bell_sign)
+            return lambda B: swap_memories(p["t1"], p["t2"], p["tau_c"], p.get("sign", +1))
         raise ConfigError("channel.kind", f"unknown kind {self.kind!r}")
 
     def rate_norm_fn(self):
@@ -209,7 +204,7 @@ def _parse_channel(obj) -> ChannelConfig:
     return ChannelConfig(kind=kind, params=params)
 
 
-def _parse_sky(obj) -> tuple:
+def _parse_sky(obj, wavelength: float) -> SkyModel:
     ctx = "sky"
     _require_keys(obj, ctx, ("sources",))
     sources = obj["sources"]
@@ -219,16 +214,11 @@ def _parse_sky(obj) -> tuple:
     for i, src in enumerate(sources):
         sctx = f"{ctx}.sources[{i}]"
         _require_keys(src, sctx, ("theta", "flux"))
-        theta = _number(src, sctx, "theta")
-        flux = _number(src, sctx, "flux")
-        if abs(theta) > 0.1:
-            raise ConfigError(f"{sctx}.theta", "outside the small-angle regime (|theta| <= 0.1)")
-        if flux < 0.0:
-            raise ConfigError(f"{sctx}.flux", "must be nonnegative")
-        parsed.append((theta, flux))
-    if sum(fl for _, fl in parsed) <= 0.0:
-        raise ConfigError(f"{ctx}.sources", "total flux must be positive")
-    return tuple(parsed)
+        parsed.append((_number(src, sctx, "theta"), _number(src, sctx, "flux")))
+    try:
+        return SkyModel(tuple(parsed), wavelength)
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}.sources", str(exc)) from exc
 
 
 def _parse_baselines(obj) -> BaselinePlan:
@@ -266,9 +256,28 @@ class ScenarioConfig:
     output_dir: str
     theta_grid: np.ndarray
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ScenarioConfig":
-        return parse_config(obj)
+
+def _parse_settings(obj) -> PhaseSettings:
+    _require_keys(obj, "phase_settings", ("w1", "w2"))
+    try:
+        return PhaseSettings(_number(obj, "phase_settings", "w1"),
+                             _number(obj, "phase_settings", "w2"))
+    except ValueError as exc:
+        raise ConfigError("phase_settings", str(exc)) from exc
+
+
+def _check_n_per_setting(n: int) -> int:
+    if not 1 <= n <= MAX_TRIALS:
+        raise ConfigError("N_per_setting", f"must be an integer in [1, {MAX_TRIALS}]")
+    return n
+
+
+def _parse_rates(obj) -> RateModel:
+    _require_keys(obj, "rates", ("R_E", "R_T"))
+    try:
+        return RateModel(_number(obj, "rates", "R_E"), _number(obj, "rates", "R_T"))
+    except ValueError as exc:
+        raise ConfigError("rates", str(exc)) from exc
 
 
 def parse_config(obj: dict) -> ScenarioConfig:
@@ -276,34 +285,13 @@ def parse_config(obj: dict) -> ScenarioConfig:
                   ("phase_settings", "N_per_setting", "rates", "seed", "output_dir",
                    "theta_grid"))
     wavelength = _positive("", "wavelength", _number(obj, "", "wavelength"))
-    sky = SkyModel(_parse_sky(obj["sky"]), wavelength)
+    sky = _parse_sky(obj["sky"], wavelength)
     plan = _parse_baselines(obj["baselines"])
     channel = _parse_channel(obj["channel"])
-
-    if "phase_settings" in obj:
-        ps = obj["phase_settings"]
-        _require_keys(ps, "phase_settings", ("w1", "w2"))
-        try:
-            settings = PhaseSettings(_number(ps, "phase_settings", "w1"),
-                                     _number(ps, "phase_settings", "w2"))
-        except ValueError as exc:
-            raise ConfigError("phase_settings", str(exc)) from exc
-    else:
-        settings = PhaseSettings(0.0, 0.5 * math.pi)
-
-    n_per_setting = _integer(obj, "", "N_per_setting", 100_000)
-    if not 1 <= n_per_setting <= MAX_TRIALS:
-        raise ConfigError("N_per_setting", f"must be an integer in [1, {MAX_TRIALS}]")
-
-    if "rates" in obj:
-        rt = obj["rates"]
-        _require_keys(rt, "rates", ("R_E", "R_T"))
-        try:
-            rates = RateModel(_number(rt, "rates", "R_E"), _number(rt, "rates", "R_T"))
-        except ValueError as exc:
-            raise ConfigError("rates", str(exc)) from exc
-    else:
-        rates = RateModel(1.0, 1.0)
+    settings = (_parse_settings(obj["phase_settings"]) if "phase_settings" in obj
+                else PhaseSettings(0.0, 0.5 * math.pi))
+    n_per_setting = _check_n_per_setting(_integer(obj, "", "N_per_setting", 100_000))
+    rates = _parse_rates(obj["rates"]) if "rates" in obj else RateModel(1.0, 1.0)
 
     seed = _integer(obj, "", "seed", 0)
     if seed < 0:
@@ -340,3 +328,30 @@ def load_config(path: str) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config", "top level must be an object")
     return parse_config(obj)
+
+
+def with_swept_value(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
+    """cfg with the swept parameter set to value, re-validating only its section.
+
+    Gives the config, or the ConfigError, that parse_config gives for the
+    edited JSON; a sweep adds two checks of its own (`sweep.N_per_setting`
+    for a non-integral N, `sweep.param.<name>` for an unknown name). B and
+    L leave cfg unchanged: they set the evaluation baseline of a sweep row.
+    """
+    if name in ("B", "L"):
+        return cfg
+    if name in ("N", "N_per_setting"):
+        n = int(value)
+        if n < 1 or n != value:
+            raise ConfigError("sweep.N_per_setting", f"value {value} is not a positive integer")
+        return replace(cfg, n_per_setting=_check_n_per_setting(n))
+    if name in ("R_E", "R_T"):
+        rates = {"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T, name: value}
+        return replace(cfg, rates=_parse_rates(rates))
+    if name in ("w1", "w2"):
+        settings = {"w1": cfg.settings.w1, "w2": cfg.settings.w2, name: value}
+        return replace(cfg, settings=_parse_settings(settings))
+    if name not in SWEEPABLE_CHANNEL_PARAMS:
+        raise ConfigError(f"sweep.param.{name}", "not a sweepable parameter")
+    channel = {"kind": cfg.channel.kind, **cfg.channel.params, name: value}
+    return replace(cfg, channel=_parse_channel(channel))

@@ -17,7 +17,13 @@ import numpy as np
 from .channels import RateModel
 # module-level names on purpose: the benchmark tracer rebinds them to time the protocol layer
 from .protocol import PhaseSettings, derive_seed, run_observation
-from .qcore import AstroVisibility, concurrence_subspace, subspace_weight
+from .qcore import (
+    AstroVisibility,
+    DegenerateResourceError,
+    XState,
+    concurrence_subspace,
+    subspace_weight,
+)
 
 __all__ = [
     "BaselinePlan",
@@ -31,6 +37,7 @@ __all__ = [
     "observe_and_image",
     "reconstruct_intensity",
     "resolution",
+    "resource_figures",
     "sky_intensity_on_grid",
     "true_visibility",
 ]
@@ -49,12 +56,12 @@ class SkyModel:
         sources = tuple((float(t), float(fl)) for t, fl in self.sources)
         if not sources:
             raise ValueError("sky needs at least one source")
-        for theta, flux in sources:
+        for i, (theta, flux) in enumerate(sources):
             if abs(theta) > MAX_SOURCE_OFFSET:
-                raise ValueError(f"source offset {theta} outside the small-angle regime "
+                raise ValueError(f"source {i}: offset {theta} outside the small-angle regime "
                                  f"(|theta| <= {MAX_SOURCE_OFFSET})")
             if flux < 0.0:
-                raise ValueError("fluxes must be nonnegative")
+                raise ValueError(f"source {i}: flux {flux} must be nonnegative")
         if sum(fl for _, fl in sources) <= 0.0:
             raise ValueError("total flux must be positive")
         if self.wavelength <= 0.0:
@@ -258,6 +265,24 @@ class ObservationReport:
     seed: int
 
 
+def resource_figures(x: XState, B: float, rates: RateModel,
+                     rate_norm_fn) -> tuple[float, float, float, float]:
+    """(xi, C, R_M_norm, R_M) of the resource x at baseline B.
+
+    R_M_norm is the coincidence fraction R_M / (R_E R_T): xi/2, unless
+    rate_norm_fn is not None and overrides it with rate_norm_fn(B, xi)
+    (e.g. a tabulated repeater-chain rate). C is nan for a dead resource
+    (xi = 0).
+    """
+    xi = subspace_weight(x)
+    try:
+        conc = concurrence_subspace(x)
+    except DegenerateResourceError:
+        conc = math.nan
+    r_norm = 0.5 * xi if rate_norm_fn is None else rate_norm_fn(B, xi)
+    return xi, conc, r_norm, r_norm * rates.R_E * rates.R_T
+
+
 # Error bars beyond these are treated as carrying no usable information.
 LOW_CONFIDENCE_DVA = 0.5
 LOW_CONFIDENCE_DVP = 0.5 * math.pi
@@ -271,32 +296,21 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
 
     resource_factory maps a baseline to the XState supplied by the network
     at that separation. Per-baseline seeds derive from the master seed by
-    index, so results are independent of execution order. rate_norm_fn
-    optionally overrides the default coincidence fraction xi/2 (e.g. a
-    tabulated repeater-chain rate).
+    index, so results are independent of execution order. rate_norm_fn is
+    passed to resource_figures.
     """
     if theta_grid is None:
         theta_grid = default_theta_grid(sky, plan.B_m)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if rate_norm_fn is None:
-        rate_norm_fn = lambda B, xi: 0.5 * xi
-
-    def observe_one(idx_baseline):
-        idx, B = idx_baseline
-        v_c = true_visibility(sky, B)
-        x = resource_factory(B)
-        xi = subspace_weight(x)
-        conc = concurrence_subspace(x)
-        v = AstroVisibility(abs(v_c), cmath.phase(v_c))
-        est = run_observation(v, x, settings, n_per_setting, derive_seed(seed, idx))
-        return v_c, x, xi, conc, est
-
-    jobs = list(enumerate(plan.baselines))
-    results = [observe_one(job) for job in jobs]
-
     v_true, estimates, samples_exact, samples_est = [], [], [], []
     xis, concs, rate_norms, rate_abss = [], [], [], []
-    for (idx, B), (v_c, x, xi, conc, est) in zip(jobs, results):
+    for idx, B in enumerate(plan.baselines):
+        v_c = true_visibility(sky, B)
+        x = resource_factory(B)
+        xi, conc, norm, r_abs = resource_figures(x, B, rates, rate_norm_fn)
+        v = AstroVisibility(abs(v_c), cmath.phase(v_c))
+        # raises DegenerateResourceError for a dead resource (C = nan above)
+        est = run_observation(v, x, settings, n_per_setting, derive_seed(seed, idx))
         v_true.append(v_c)
         estimates.append(est)
         samples_exact.append(VisibilitySample(B, v_c))
@@ -304,9 +318,8 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
             B, est.V_a_hat * cmath.exp(1j * est.V_p_hat), est.dV_a, est.dV_p))
         xis.append(xi)
         concs.append(conc)
-        norm = rate_norm_fn(B, xi)
         rate_norms.append(norm)
-        rate_abss.append(norm * rates.R_E * rates.R_T)
+        rate_abss.append(r_abs)
 
     intensity_exact = reconstruct_intensity(samples_exact, theta_grid, sky.wavelength)
     intensity_est = reconstruct_intensity(samples_est, theta_grid, sky.wavelength)

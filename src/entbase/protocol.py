@@ -329,37 +329,24 @@ class ScalingLaws:
     diverged: bool = False
 
 
-def scaling_laws(channel_kind: str, params: dict, R_X: float) -> ScalingLaws:
-    """Resource-parameter scaling of the visibility errors for one channel family.
+def scaling_laws(x: XState, R_X: float) -> ScalingLaws:
+    """Trend scales 1/(C sqrt(xi R_X)) and 1/sqrt(xi R_X) of the visibility errors.
 
-    Evaluates 1/(C sqrt(xi R_X)) and 1/sqrt(xi R_X) from the family's
-    closed-form state, which reproduces the per-channel expressions in
-    terms of the loss parameters. A vanishing concurrence (for isotropic
-    noise, x -> 1/4) makes the amplitude scale diverge; that is reported
-    via the flag rather than an exception.
+    Evaluated at the resource x, e.g. a channel family's closed-form state,
+    which reproduces the per-channel expressions in terms of the loss
+    parameters. No supplied photons (R_X = 0) or no coincidence weight
+    (xi = 0) makes both scales diverge, a vanishing concurrence (for
+    isotropic noise, x -> 1/4) the amplitude scale; that is reported via
+    the flag rather than an exception.
     """
-    from . import channels  # local import: channels depends on qcore only
-
-    if R_X <= 0.0:
-        raise ValueError("R_X must be positive")
-    builders = {
-        "amplitude_damping": lambda p: channels.xstate_amplitude_damping(
-            p["lambda_L"], p["lambda_R"]),
-        "dephasing": lambda p: channels.xstate_dephasing(p["mu_L"], p["mu_R"]),
-        "depolarizing": lambda p: channels.xstate_depolarizing(p["kappa_L"], p["kappa_R"]),
-    }
-    if channel_kind not in builders:
-        raise ValueError(f"unknown channel kind {channel_kind!r}")
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        x = builders[channel_kind](params)
+    if R_X < 0.0:
+        raise ValueError("R_X must be nonnegative")
     xi = subspace_weight(x)
-    if xi <= 0.0:
+    if R_X == 0.0 or xi <= 0.0:
         return ScalingLaws(math.inf, math.inf, diverged=True)
     conc = concurrence_subspace(x)
     dv_p = 1.0 / math.sqrt(xi * R_X)
-    if conc <= 1e-15:
+    if conc <= 0.0:
         return ScalingLaws(math.inf, dv_p, diverged=True)
     return ScalingLaws(dv_p / conc, dv_p, diverged=False)
 

@@ -10,8 +10,6 @@ from entbase import qcore
 from entbase.channels import (
     DegenerateCoherenceWarning,
     DepolRateApprox,
-    FiberLink,
-    MemoryPair,
     RateModel,
     depol_prob,
     depol_x_param,
@@ -114,14 +112,6 @@ class TestFiberMaps:
         assert depol_prob(0.0, 1.0) == 0.0
         assert abs(depol_prob(2.0, 1.0) - (1.0 - math.exp(-1.0))) <= 1e-15
 
-    def test_fiber_link_validation(self):
-        link = FiberLink.from_baseline(20.0, 10.0)
-        assert link.L_left == link.L_right == 10.0
-        with pytest.raises(ValueError):
-            FiberLink(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            FiberLink(-1.0, 1.0, 5.0)
-
 
 class TestMemories:
     def test_fresh_pair_is_bell(self):
@@ -163,15 +153,6 @@ class TestMemories:
                     qcore.make_bell_psi(delta), gamma, gamma)
                 expected = memory_xstate(t, tau, sign).to_density().entries
                 assert np.max(np.abs(stored.entries - expected)) <= 1e-12
-
-    def test_memory_pair_validation(self):
-        MemoryPair(1.0, 2.0, 3.0)
-        with pytest.raises(ValueError):
-            MemoryPair(-1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            MemoryPair(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            MemoryPair(0.0, 0.0, 1.0, bell_sign=2)
 
 
 class TestRates:

@@ -1,12 +1,19 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from entbase.cli import main
-from entbase.config import ConfigError, load_config, parse_config
+from entbase.config import (
+    SWEEPABLE_CHANNEL_PARAMS,
+    ConfigError,
+    load_config,
+    parse_config,
+    with_swept_value,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -79,6 +86,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(base_config(phase_settings={"w1": 0.2, "w2": 0.2}))
         assert "phase_settings" in str(err.value)
+
+    @pytest.mark.parametrize("sources, fragment", [
+        ([{"theta": 0.01, "flux": 1.0}, {"theta": -0.25, "flux": 1.0}],
+         "source 1: offset -0.25 outside the small-angle regime (|theta| <= 0.1)"),
+        ([{"theta": 0.01, "flux": 1.0}, {"theta": 0.02, "flux": -0.5}],
+         "source 1: flux -0.5 must be nonnegative"),
+        ([{"theta": 0.01, "flux": 0.0}], "total flux must be positive"),
+    ], ids=["offset", "negative-flux", "zero-total-flux"])
+    def test_sky_rules(self, sources, fragment):
+        with pytest.raises(ConfigError) as err:
+            parse_config(base_config(sky={"sources": sources}))
+        assert err.value.key == "sky.sources"
+        assert fragment in str(err.value)
 
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
@@ -239,13 +259,76 @@ class TestMalformedNumbersExit1:
     @pytest.mark.parametrize("param, values, key", [
         ("B", "10,nan", "sweep.values"),
         ("N", "1000,1e20", "N_per_setting"),
-    ], ids=["nan-value", "huge-N"])
+        ("nope", ",", "sweep.values"),
+        ("nope", "1,2", "sweep.param.nope"),
+    ], ids=["nan-value", "huge-N", "empty-values", "unknown-param"])
     def test_sweep(self, tmp_path, capsys, param, values, key):
         cfg = base_config(output_dir=str(tmp_path / "out"))
         code = main(["sweep", write_config(tmp_path, cfg), "--param", param,
                      "--values", values, "--mc-replicates", "5"])
         assert code == 1
         assert key in capsys.readouterr().err
+
+
+# (parameter, channel, a valid value or None, an invalid value)
+SWEEP_CASES = [
+    ("N", {"kind": "ideal"}, 5000.0, 1e20),
+    ("R_E", {"kind": "ideal"}, 0.25, 1.5),
+    ("R_T", {"kind": "ideal"}, 10.0, -1.0),
+    ("w1", {"kind": "ideal"}, 0.3, 1.4),
+    ("w2", {"kind": "ideal"}, 2.0, 0.1),
+    ("lambda_L", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, 0.4, 1.5),
+    ("lambda_R", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, 0.4, -0.1),
+    ("mu_L", {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, 0.3, 2.0),
+    ("mu_R", {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, 0.3, -1.0),
+    ("kappa_L", {"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.2}, 0.3, 1.1),
+    ("kappa_R", {"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.2}, 0.3, -0.2),
+    ("L0", {"kind": "amplitude_damping", "L0": 5.0}, 12.0, 0.0),
+    ("beta", {"kind": "depolarizing", "beta": 0.3}, 0.1, -1.0),
+    ("t1", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0, "sign": "-"}, 0.5, -1.0),
+    ("t2", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, 0.5, -1.0),
+    ("tau_c", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, 3.0, 0.0),
+    ("mu_L", {"kind": "ideal"}, None, 0.1),  # a parameter the channel kind does not take
+]
+
+
+def edited(raw: dict, name: str, value: float) -> dict:
+    """raw with the swept parameter set as it would appear in a config file."""
+    out = json.loads(json.dumps(raw))
+    if name == "N":
+        out["N_per_setting"] = int(value)
+    elif name in ("R_E", "R_T"):
+        out["rates"][name] = value
+    elif name in ("w1", "w2"):
+        out["phase_settings"][name] = value
+    else:
+        out["channel"][name] = value
+    return out
+
+
+class TestWithSweptValue:
+    """with_swept_value re-validates one section; a full re-parse is the reference."""
+
+    def test_every_sweepable_parameter_is_covered(self):
+        covered = {name for name, *_ in SWEEP_CASES}
+        assert set(SWEEPABLE_CHANNEL_PARAMS) | {"N", "R_E", "R_T", "w1", "w2"} <= covered
+
+    @pytest.mark.parametrize("name, channel, valid, invalid", SWEEP_CASES,
+                             ids=[f"{c[0]}-{c[1]['kind']}" for c in SWEEP_CASES])
+    def test_matches_full_parse(self, name, channel, valid, invalid):
+        raw = base_config(channel=channel, rates={"R_E": 0.9, "R_T": 1e6},
+                          phase_settings={"w1": 0.1, "w2": 1.4})
+        base = parse_config(raw)
+        if valid is not None:
+            swept = with_swept_value(base, name, valid)
+            reference = parse_config(edited(raw, name, valid))
+            for f in fields(reference):
+                assert np.array_equal(getattr(swept, f.name), getattr(reference, f.name)), f.name
+        with pytest.raises(ConfigError) as direct:
+            parse_config(edited(raw, name, invalid))
+        with pytest.raises(ConfigError) as swept_err:
+            with_swept_value(base, name, invalid)
+        assert swept_err.value.key == direct.value.key
 
 
 class TestValidateCommand:

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbase.channels import ideal_bell_xstate, xstate_dephasing
+from entbase.channels import (
+    ideal_bell_xstate,
+    xstate_amplitude_damping,
+    xstate_dephasing,
+    xstate_depolarizing,
+)
 from entbase import protocol
 from entbase.protocol import (
     DegeneratePhasesError,
@@ -286,44 +291,50 @@ class TestDerivativeCrossChecks:
 
 class TestScalingLaws:
     def test_lossless_baseline(self):
-        for kind, params in (("amplitude_damping", {"lambda_L": 0.0, "lambda_R": 0.0}),
-                             ("dephasing", {"mu_L": 0.0, "mu_R": 0.0}),
-                             ("depolarizing", {"kappa_L": 0.0, "kappa_R": 0.0})):
-            out = scaling_laws(kind, params, R_X=4.0)
+        for x in (xstate_amplitude_damping(0.0, 0.0), xstate_dephasing(0.0, 0.0),
+                  xstate_depolarizing(0.0, 0.0)):
+            out = scaling_laws(x, R_X=4.0)
             assert abs(out.dV_a_scale - 0.5) <= 1e-15
             assert abs(out.dV_p_scale - 0.5) <= 1e-15
             assert not out.diverged
 
     def test_equal_arm_damping(self):
         lam = 0.36
-        out = scaling_laws("amplitude_damping", {"lambda_L": lam, "lambda_R": lam}, R_X=1.0)
+        out = scaling_laws(xstate_amplitude_damping(lam, lam), R_X=1.0)
         assert abs(out.dV_a_scale - 1.0 / math.sqrt(1.0 - lam)) <= 1e-12
 
     def test_matches_per_channel_expressions(self):
         r_x = 2.0
         lam_l, lam_r = 0.2, 0.5
-        out = scaling_laws("amplitude_damping", {"lambda_L": lam_l, "lambda_R": lam_r}, r_x)
+        out = scaling_laws(xstate_amplitude_damping(lam_l, lam_r), r_x)
         xi = 1.0 - 0.5 * (lam_l + lam_r)
         assert abs(out.dV_a_scale
                    - math.sqrt(xi) / math.sqrt(r_x * (1 - lam_l) * (1 - lam_r))) <= 1e-12
         assert abs(out.dV_p_scale - 1.0 / math.sqrt(r_x * xi)) <= 1e-12
 
         mu_l, mu_r = 0.3, 0.6
-        out = scaling_laws("dephasing", {"mu_L": mu_l, "mu_R": mu_r}, r_x)
+        out = scaling_laws(xstate_dephasing(mu_l, mu_r), r_x)
         assert abs(out.dV_a_scale - 1.0 / (math.sqrt(r_x) * (1 - mu_l) * (1 - mu_r))) <= 1e-12
         assert abs(out.dV_p_scale - 1.0 / math.sqrt(r_x)) <= 1e-12
 
         k_l, k_r = 0.3, 0.2
         x_par = (k_l + k_r) / 3 - 4 * k_l * k_r / 9
-        out = scaling_laws("depolarizing", {"kappa_L": k_l, "kappa_R": k_r}, r_x)
+        out = scaling_laws(xstate_depolarizing(k_l, k_r), r_x)
         assert abs(out.dV_a_scale
                    - math.sqrt(1 - 2 * x_par) / (math.sqrt(r_x) * (1 - 4 * x_par))) <= 1e-12
         assert abs(out.dV_p_scale - 1.0 / math.sqrt(r_x * (1 - 2 * x_par))) <= 1e-12
 
     def test_depolarizing_divergence(self):
-        out = scaling_laws("depolarizing", {"kappa_L": 0.75, "kappa_R": 0.0}, R_X=1.0)
+        out = scaling_laws(xstate_depolarizing(0.75, 0.0), R_X=1.0)
         assert out.diverged and out.dV_a_scale == math.inf
         assert math.isfinite(out.dV_p_scale)
+
+    def test_no_photons_or_no_coincidences_diverge(self):
+        for x, r_x in ((ideal_bell_xstate(), 0.0), (xstate_amplitude_damping(1.0, 1.0), 1.0)):
+            out = scaling_laws(x, r_x)
+            assert out.diverged and out.dV_a_scale == out.dV_p_scale == math.inf
+        with pytest.raises(ValueError):
+            scaling_laws(ideal_bell_xstate(), -1.0)
 
 
 class TestRunObservation:
