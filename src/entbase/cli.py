@@ -27,8 +27,9 @@ from .imaging import observe_and_image, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
 from .config import parse_config  # noqa: F401
-from .protocol import derive_seed, replicate_rmse, run_observation, scaling_laws  # noqa: F401
-from .qcore import AstroVisibility, wrap_phase
+from .protocol import (  # noqa: F401
+    ZeroConcurrenceError, derive_seed, replicate_rmse, run_observation, scaling_laws)
+from .qcore import AstroVisibility, DegenerateResourceError, wrap_phase
 
 __all__ = ["main"]
 
@@ -161,12 +162,13 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
 def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
               gnuplot: bool = False) -> int:
     base = load_config(config_path)
+    # every value is validated before any row is computed
+    cfgs = [with_swept_value(base, param, value) for value in values]
+    if param in ("B", "L") and min(values) < 0.0:
+        raise ConfigError("sweep.B", "baseline must be nonnegative")
     rows = []
-    for row_index, value in enumerate(values):
-        cfg = with_swept_value(base, param, value)
+    for row_index, (value, cfg) in enumerate(zip(values, cfgs)):
         b_eval = float(value) if param in ("B", "L") else cfg.plan.B_m
-        if b_eval < 0.0:
-            raise ConfigError("sweep.B", "baseline must be nonnegative")
         resource = cfg.channel.resource_factory()(b_eval)
         xi, conc, r_norm, r_abs = resource_figures(resource, b_eval, cfg.rates,
                                                    cfg.channel.rate_norm_fn())
@@ -176,8 +178,11 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
             v_c = true_visibility(cfg.sky, b_eval)
             v = AstroVisibility(abs(v_c), cmath.phase(v_c))
             rng = np.random.default_rng(derive_seed(cfg.seed, row_index))
-            rmse_va, rmse_vp = replicate_rmse(v, resource, cfg.settings, cfg.n_per_setting,
-                                              mc_replicates, rng)
+            try:
+                rmse_va, rmse_vp = replicate_rmse(v, resource, cfg.settings,
+                                                  cfg.n_per_setting, mc_replicates, rng)
+            except (DegenerateResourceError, ZeroConcurrenceError):
+                pass  # a dead resource: its RMSE cells stay empty
         rows.append([value, xi, conc, r_norm, ln_r,
                      ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf,
                      rmse_va, rmse_vp])

@@ -31,6 +31,9 @@ __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "par
 CHANNEL_KINDS = ("ideal", "amplitude_damping", "dephasing", "depolarizing",
                  "memory_swap", "custom_rate")
 
+# bound on theta_grid.count: one key must not be able to ask for gigabytes of map
+MAX_THETA_POINTS = 1_000_000
+
 SWEEPABLE_CHANNEL_PARAMS = ("lambda_L", "lambda_R", "mu_L", "mu_R", "kappa_L", "kappa_R",
                             "L0", "beta", "t1", "t2", "tau_c")
 
@@ -306,8 +309,9 @@ def parse_config(obj: dict) -> ScenarioConfig:
         _require_keys(tg, "theta_grid", ("half_span", "count"))
         half_span = _positive("theta_grid", "half_span", _number(tg, "theta_grid", "half_span"))
         count = _integer(tg, "theta_grid", "count")
-        if count is None or count < 2:
-            raise ConfigError("theta_grid.count", "must be an integer >= 2")
+        if count is None or not 2 <= count <= MAX_THETA_POINTS:
+            raise ConfigError("theta_grid.count",
+                              f"must be an integer in [2, {MAX_THETA_POINTS}]")
         theta_grid = np.linspace(-half_span, half_span, count)
     else:
         theta_grid = default_theta_grid(sky, plan.B_m)

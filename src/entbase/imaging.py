@@ -124,8 +124,20 @@ def true_visibility(sky: SkyModel, B: float) -> complex:
     return acc / sky.total_flux
 
 
-def _dirty_image_complex(samples, theta_grid: np.ndarray, wavelength: float) -> np.ndarray:
-    """Trapezoid inverse sum over the Hermitian-extended baseline set (unnormalized)."""
+# theta rows x positive baselines evaluated at once by the dirty map: bounds its memory
+MAP_BLOCK_CELLS = 1 << 18
+
+
+def _dirty_map(samples, theta: np.ndarray, wavelength: float) -> np.ndarray:
+    """Unnormalized trapezoid inverse sum over the Hermitian-extended baseline set.
+
+    The negative half is V(-B) = conj(V(B)) and the zero baseline is pinned to
+    the total flux, so the complex sum folds to the real one
+    w0 + 2 sum_{b>0} w_b (Re V_b cos(2 pi theta b / lambda) - Im V_b sin(...)),
+    with w0 = b_1 and w_b the trapezoid weights of the positive half. It is
+    evaluated in blocks of theta rows of at most MAP_BLOCK_CELLS cells (one row
+    at least), so memory does not grow with n_theta x n_baselines.
+    """
     ordered = sorted(samples, key=lambda s: s.B)
     b_pos = np.array([s.B for s in ordered])
     v_pos = np.array([s.V for s in ordered], dtype=complex)
@@ -133,16 +145,19 @@ def _dirty_image_complex(samples, theta_grid: np.ndarray, wavelength: float) -> 
         raise ValueError("samples must sit at positive baselines")
     if np.any(np.diff(b_pos) <= 0.0):
         raise ValueError("samples must sit at distinct baselines")
-    # negative half from V(-B) = conj(V(B)); zero baseline pinned to total flux
-    b_full = np.concatenate([-b_pos[::-1], [0.0], b_pos])
-    v_full = np.concatenate([np.conj(v_pos[::-1]), [1.0 + 0.0j], v_pos])
-    weights = np.empty_like(b_full)
-    weights[1:-1] = 0.5 * (b_full[2:] - b_full[:-2])
-    weights[0] = 0.5 * (b_full[1] - b_full[0])
-    weights[-1] = 0.5 * (b_full[-1] - b_full[-2])
-    theta = np.asarray(theta_grid, dtype=float)
-    phases = np.exp(2j * math.pi * np.outer(theta, b_full) / wavelength)
-    return phases @ (weights * v_full)
+    # trapezoid weights on 0, b_1, ..., b_n; the zero baseline's own weight is b_1
+    weights = 0.5 * (np.append(b_pos[1:], b_pos[-1]) - np.append(0.0, b_pos[:-1]))
+    w_re = weights * v_pos.real
+    w_im = weights * v_pos.imag
+    k = (2.0 * math.pi / wavelength) * b_pos
+    image = np.empty(theta.size)
+    rows = max(1, MAP_BLOCK_CELLS // b_pos.size)
+    for start in range(0, theta.size, rows):
+        phase = np.outer(theta[start:start + rows], k)
+        cos = np.cos(phase)
+        sin = np.sin(phase, out=phase)
+        image[start:start + rows] = cos @ w_re - sin @ w_im
+    return b_pos[0] + 2.0 * image
 
 
 def reconstruct_intensity(samples, theta_grid, wavelength: float) -> np.ndarray:
@@ -163,7 +178,7 @@ def reconstruct_intensity(samples, theta_grid, wavelength: float) -> np.ndarray:
     theta = np.asarray(theta_grid, dtype=float)
     if theta.ndim != 1 or theta.size < 2 or np.any(np.diff(theta) <= 0.0):
         raise ValueError("theta grid must be a sorted 1-D array of distinct angles")
-    image = _dirty_image_complex(samples, theta, wavelength).real
+    image = _dirty_map(samples, theta, wavelength)
     total = image.sum()
     if total <= 0.0:
         raise ValueError("reconstruction has nonpositive total intensity")

@@ -238,6 +238,39 @@ class TestSweepCommand:
         assert code == 1
         assert "mu_L" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("channel, param, values, dead", [
+        ({"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "mu_L", "0.5,1.0", {1}),
+        # lambda_R = 1 leaves no coherence (row 0) and with lambda_L = 1 no weight (row 1)
+        ({"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 1.0},
+         "lambda_L", "0.5,1.0", {0, 1}),
+    ], ids=["zero-concurrence", "degenerate-resource"])
+    def test_dead_row_with_replicates(self, tmp_path, channel, param, values, dead):
+        # a dead resource gets the row the sweep without replicates writes, RMSE cells empty
+        outputs = {}
+        for reps in ("0", "10"):
+            cfg = base_config(channel=channel, output_dir=str(tmp_path / reps))
+            assert main(["sweep", write_config(tmp_path, cfg), "--param", param,
+                         "--values", values, "--mc-replicates", reps]) == 0
+            outputs[reps] = [r.split(",") for r in
+                             (tmp_path / reps / "sweep.csv").read_text().splitlines()[1:]]
+        for r, (plain, mc) in enumerate(zip(outputs["0"], outputs["10"])):
+            assert mc[:6] == plain[:6]
+            if r in dead:
+                assert mc[6:] == ["", ""]
+            else:
+                assert float(mc[6]) > 0.0 and float(mc[7]) > 0.0
+
+    def test_later_malformed_value_exits_1_before_any_row(self, tmp_path, capsys):
+        # row 1 (lambda_L = 1.0 with lambda_R = 0.3) is computable; row 2 is not a config
+        cfg = base_config(channel={"kind": "amplitude_damping", "lambda_L": 0.1,
+                                   "lambda_R": 0.3},
+                          output_dir=str(tmp_path / "out"))
+        code = main(["sweep", write_config(tmp_path, cfg), "--param", "lambda_L",
+                     "--values", "0.1,1.0,1.5", "--mc-replicates", "10"])
+        assert code == 1
+        assert "channel.lambda_L" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMalformedNumbersExit1:
     """Non-finite, boolean and out-of-range numbers are config errors naming their key."""
@@ -250,7 +283,9 @@ class TestMalformedNumbersExit1:
         (dict(channel={"kind": "custom_rate", "table": [[0.0, 0.5], [10.0, True]]}),
          "channel.table[1]"),
         (dict(N_per_setting=2 ** 63), "N_per_setting"),
-    ], ids=["nan-baseline", "inf-baseline", "nan-table", "bool-table", "huge-N"])
+        (dict(theta_grid={"half_span": 0.05, "count": 1_000_001}), "theta_grid.count"),
+    ], ids=["nan-baseline", "inf-baseline", "nan-table", "bool-table", "huge-N",
+            "huge-theta-grid"])
     def test_run(self, tmp_path, capsys, overrides, key):
         cfg = base_config(output_dir=str(tmp_path / "out"), **overrides)
         assert main(["run", write_config(tmp_path, cfg)]) == 1

@@ -1,17 +1,18 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entbase import imaging
 from entbase.channels import RateModel, fiber_loss_prob, ideal_bell_xstate, xstate_amplitude_damping
 from entbase.imaging import (
     BaselinePlan,
     SkyModel,
     VisibilitySample,
-    _dirty_image_complex,
     find_peaks,
     intensity_error,
     observe_and_image,
@@ -21,6 +22,7 @@ from entbase.imaging import (
     true_visibility,
 )
 from entbase.protocol import PhaseSettings
+from entbase.validation import dirty_image_complex
 
 SETTINGS = PhaseSettings(0.0, 0.5 * math.pi)
 RATES = RateModel(1.0, 1.0)
@@ -109,9 +111,11 @@ class TestReconstruction:
     def test_output_is_real_up_to_roundoff(self):
         sky = SkyModel(((-0.013, 1.0), (0.008, 0.6)), wavelength=1.0)
         plan = BaselinePlan.linear(70.0, 48)
-        raw = _dirty_image_complex(exact_samples(sky, plan),
-                                   np.linspace(-0.03, 0.03, 151), 1.0)
+        grid = np.linspace(-0.03, 0.03, 151)
+        raw = dirty_image_complex(exact_samples(sky, plan), grid, 1.0)
         assert np.max(np.abs(raw.imag)) <= 1e-12 * max(1.0, np.max(np.abs(raw.real)))
+        folded = imaging._dirty_map(exact_samples(sky, plan), grid, 1.0)
+        assert np.max(np.abs(folded - raw.real)) <= 1e-12 * np.max(np.abs(raw.real))
 
     def test_fidelity_improves_with_max_baseline(self):
         sep = 0.02
@@ -136,6 +140,48 @@ class TestReconstruction:
         plan = BaselinePlan.linear(30.0, 8)
         with pytest.raises(ValueError):
             reconstruct_intensity(exact_samples(sky, plan), np.array([0.1, 0.0, -0.1]), 1.0)
+
+
+def noisy_samples(rng, n):
+    """n samples at irregular positive baselines with noisy complex visibilities."""
+    bs = np.cumsum(rng.uniform(0.5, 1.5, size=n))
+    vs = rng.uniform(0.0, 0.9, size=n) * np.exp(1j * rng.uniform(-math.pi, math.pi, size=n))
+    return [VisibilitySample(b, v, 0.1, 0.1) for b, v in zip(bs, vs)]
+
+
+class TestMapBlocks:
+    GRID = np.linspace(-0.08, 0.08, 103)
+
+    def test_blocks_match_oracle_and_each_other(self, rng, monkeypatch):
+        samples = noisy_samples(rng, 40)
+        oracle = dirty_image_complex(samples, self.GRID, 1.0).real
+        maps = []
+        # 1 row, 3 rows (103 = 34 x 3 + a ragged row of 1), 5 rows, one block per map
+        for cells in (1, 120, 200, 1 << 18):
+            monkeypatch.setattr(imaging, "MAP_BLOCK_CELLS", cells)
+            maps.append(imaging._dirty_map(samples, self.GRID, 1.0))
+        scale = np.max(np.abs(oracle))
+        for folded in maps:
+            assert np.max(np.abs(folded - oracle)) <= 1e-12 * scale
+            assert np.max(np.abs(folded - maps[-1])) <= 1e-12 * scale
+
+    def test_sample_order_does_not_matter(self, rng):
+        samples = noisy_samples(rng, 60)
+        shuffled = [samples[i] for i in rng.permutation(len(samples))]
+        assert np.array_equal(reconstruct_intensity(shuffled, self.GRID, 1.0),
+                              reconstruct_intensity(samples, self.GRID, 1.0))
+
+    def test_peak_memory_is_bounded(self, rng):
+        # the full complex matrix would be 3 000 x 6 401 x 16 B ~ 307 MB
+        samples = noisy_samples(rng, 3200)
+        grid = np.linspace(-0.05, 0.05, 3000)
+        tracemalloc.start()
+        try:
+            reconstruct_intensity(samples, grid, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestResolvability:
