@@ -105,18 +105,15 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    est = report.estimates
     vis_rows = []
-    for i, b in enumerate(report.baselines):
-        est = report.estimates[i]
-        v_c = report.v_true[i]
-        r_abs = report.rate_abs[i]
+    for b, v_c, v_a, v_p, dv_a, dv_p, xi, conc, r_norm, r_abs in zip(
+            report.baselines, report.v_true, est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p,
+            est.xi_used, est.C_used, report.rate_norm, report.rate_abs):
         ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
         vis_rows.append([
-            b, abs(v_c), wrap_phase(cmath.phase(v_c)),
-            est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p,
-            report.xi[i], report.concurrence[i], report.rate_norm[i],
-            ln_r, ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf,
-            est.N_used,
+            b, abs(v_c), wrap_phase(cmath.phase(v_c)), v_a, v_p, dv_a, dv_p, xi, conc, r_norm,
+            ln_r, ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf, est.N_used,
         ])
     _write_csv(outdir / "visibility.csv",
                ["B", "V_a_true", "V_p_true", "V_a_hat", "V_p_hat", "dV_a", "dV_p",
@@ -129,8 +126,8 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
                 zip(report.theta_grid, report.intensity_true,
                     report.intensity_exact, report.intensity_est)])
 
-    worst = int(np.argmin(report.concurrence))
-    resource = cfg.channel.resource_factory()(report.baselines[worst])
+    worst = int(np.argmin(est.C_used))
+    resource = cfg.channel.resource_factory()(cfg.plan.baselines[worst])
     scales = scaling_laws(resource, cfg.rates.R_E)  # R_X: the network-supplied photon fraction
     summary = {
         "channel": cfg.channel.kind,
@@ -140,8 +137,8 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         "N_per_setting": cfg.n_per_setting,
         "seed": cfg.seed,
         "resolution": report.resolution,
-        "xi": report.xi[worst],
-        "C": report.concurrence[worst],
+        "xi": est.xi_used[worst],
+        "C": est.C_used[worst],
         "R_M_norm": report.rate_norm[worst],
         "dVa_scale": scales.dV_a_scale,
         "dVp_scale": scales.dV_p_scale,

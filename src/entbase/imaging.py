@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import RateModel
 # module-level names on purpose: the benchmark tracer rebinds them to time the protocol layer
-from .protocol import PhaseSettings, derive_seed, run_observation
+from .protocol import PhaseSettings, VisibilityEstimate, derive_seed, run_observation
 from .qcore import (
     AstroVisibility,
     DegenerateResourceError,
@@ -30,7 +30,6 @@ __all__ = [
     "IntensityError",
     "ObservationReport",
     "SkyModel",
-    "VisibilitySample",
     "default_theta_grid",
     "find_peaks",
     "intensity_error",
@@ -100,22 +99,6 @@ class BaselinePlan:
         return cls(tuple(B_max * k / count for k in range(1, count + 1)))
 
 
-@dataclass(frozen=True)
-class VisibilitySample:
-    """One (possibly noisy) visibility value at a baseline; dV = 0 marks exact values."""
-
-    B: float
-    V: complex
-    dV_a: float = 0.0
-    dV_p: float = 0.0
-
-    def __post_init__(self):
-        if self.dV_a < 0.0 or self.dV_p < 0.0:
-            raise ValueError("errors must be nonnegative")
-        if abs(self.V) > 1.0 + 3.0 * self.dV_a + 1e-12:
-            raise ValueError(f"|V| = {abs(self.V)} inconsistent with dV_a = {self.dV_a}")
-
-
 def true_visibility(sky: SkyModel, B: float) -> complex:
     """Flux-normalized visibility sum_k I_k exp(-2 pi i B theta_k / lambda) / sum_k I_k."""
     acc = 0.0 + 0.0j
@@ -128,7 +111,8 @@ def true_visibility(sky: SkyModel, B: float) -> complex:
 MAP_BLOCK_CELLS = 1 << 18
 
 
-def _dirty_map(samples, theta: np.ndarray, wavelength: float) -> np.ndarray:
+def _dirty_map(baselines: np.ndarray, visibilities: np.ndarray, theta: np.ndarray,
+               wavelength: float) -> np.ndarray:
     """Unnormalized trapezoid inverse sum over the Hermitian-extended baseline set.
 
     The negative half is V(-B) = conj(V(B)) and the zero baseline is pinned to
@@ -138,9 +122,9 @@ def _dirty_map(samples, theta: np.ndarray, wavelength: float) -> np.ndarray:
     evaluated in blocks of theta rows of at most MAP_BLOCK_CELLS cells (one row
     at least), so memory does not grow with n_theta x n_baselines.
     """
-    ordered = sorted(samples, key=lambda s: s.B)
-    b_pos = np.array([s.B for s in ordered])
-    v_pos = np.array([s.V for s in ordered], dtype=complex)
+    order = np.argsort(baselines)
+    b_pos = baselines[order]
+    v_pos = visibilities[order]
     if len(b_pos) and b_pos[0] <= 0.0:
         raise ValueError("samples must sit at positive baselines")
     if np.any(np.diff(b_pos) <= 0.0):
@@ -160,25 +144,31 @@ def _dirty_map(samples, theta: np.ndarray, wavelength: float) -> np.ndarray:
     return b_pos[0] + 2.0 * image
 
 
-def reconstruct_intensity(samples, theta_grid, wavelength: float) -> np.ndarray:
+def reconstruct_intensity(baselines, visibilities, theta_grid,
+                          wavelength: float) -> np.ndarray:
     """Dirty intensity map from visibility samples, normalized to unit sum.
 
     Parameters
     ----------
-    samples : iterable of VisibilitySample
-        At least two samples at distinct positive baselines.
+    baselines : array of float
+        At least two distinct positive baselines, in any order.
+    visibilities : array of complex
+        The visibility measured at each baseline, same length.
     theta_grid : array of float
         Sorted observation angles (radians) to evaluate on.
     wavelength : float
         Observation wavelength in the baseline's length unit.
     """
-    samples = list(samples)
-    if len(samples) < 2:
+    b = np.asarray(baselines, dtype=float)
+    v = np.asarray(visibilities, dtype=complex)
+    if b.ndim != 1 or b.shape != v.shape:
+        raise ValueError("baselines and visibilities must be 1-D arrays of one length")
+    if b.size < 2:
         raise ValueError("need at least two visibility samples")
     theta = np.asarray(theta_grid, dtype=float)
     if theta.ndim != 1 or theta.size < 2 or np.any(np.diff(theta) <= 0.0):
         raise ValueError("theta grid must be a sorted 1-D array of distinct angles")
-    image = _dirty_map(samples, theta, wavelength)
+    image = _dirty_map(b, v, theta, wavelength)
     total = image.sum()
     if total <= 0.0:
         raise ValueError("reconstruction has nonpositive total intensity")
@@ -223,14 +213,18 @@ def intensity_error(dV_a: float, dV_p: float, C: float, xi: float) -> IntensityE
     return IntensityError(dI=d_i, scale=scale, regime=regime)
 
 
-def default_theta_grid(sky: SkyModel, B_m: float, points_per_beam: int = 8,
-                       max_points: int = 1024) -> np.ndarray:
+# default grid: cells per beam width, and the cap on its size
+GRID_POINTS_PER_BEAM = 8
+GRID_MAX_POINTS = 1024
+
+
+def default_theta_grid(sky: SkyModel, B_m: float) -> np.ndarray:
     """Symmetric grid covering the sources plus a few beam widths, beam oversampled."""
     beam = resolution(B_m, sky.wavelength)
     extent = max(abs(t) for t, _ in sky.sources)
     half_span = 1.5 * extent + 3.0 * beam
-    step = beam / points_per_beam
-    n_half = min((max_points - 1) // 2, max(8, int(math.ceil(half_span / step))))
+    step = beam / GRID_POINTS_PER_BEAM
+    n_half = min((GRID_MAX_POINTS - 1) // 2, max(8, int(math.ceil(half_span / step))))
     return np.linspace(-half_span, half_span, 2 * n_half + 1)
 
 
@@ -243,32 +237,33 @@ def sky_intensity_on_grid(sky: SkyModel, theta_grid) -> np.ndarray:
     return out / out.sum()
 
 
-def find_peaks(intensity, rel_threshold: float = 0.5) -> list:
-    """Indices of strict local maxima at least rel_threshold of the global maximum."""
+# find_peaks keeps maxima at least this fraction of the global maximum
+PEAK_REL_THRESHOLD = 0.5
+
+
+def find_peaks(intensity) -> list:
+    """Indices of strict local maxima at least PEAK_REL_THRESHOLD of the global maximum."""
     arr = np.asarray(intensity, dtype=float)
     if arr.size < 3:
         return []
-    floor = rel_threshold * arr.max()
-    peaks = []
-    for j in range(1, arr.size - 1):
-        if arr[j] > arr[j - 1] and arr[j] > arr[j + 1] and arr[j] >= floor:
-            peaks.append(j)
-    return peaks
+    mid = arr[1:-1]
+    peak = (mid > arr[:-2]) & (mid > arr[2:]) & (mid >= PEAK_REL_THRESHOLD * arr.max())
+    return (np.flatnonzero(peak) + 1).tolist()
 
 
 @dataclass(eq=False)
 class ObservationReport:
-    """Everything produced by one end-to-end observation run."""
+    """Everything produced by one end-to-end observation run.
 
-    baselines: tuple
-    v_true: tuple                 # complex, per baseline
-    estimates: tuple              # VisibilityEstimate, per baseline
-    samples_exact: tuple          # VisibilitySample with dV = 0
-    samples_est: tuple            # VisibilitySample from the Monte Carlo estimates
-    xi: tuple
-    concurrence: tuple
-    rate_norm: tuple              # R_M / (R_E R_T), per baseline
-    rate_abs: tuple
+    Per-baseline quantities are (n,) arrays in baseline order; the
+    estimates' C_used and xi_used are the resource figures of each baseline.
+    """
+
+    baselines: np.ndarray
+    v_true: np.ndarray            # complex
+    estimates: VisibilityEstimate
+    rate_norm: np.ndarray         # R_M / (R_E R_T)
+    rate_abs: np.ndarray
     theta_grid: np.ndarray
     intensity_true: np.ndarray
     intensity_exact: np.ndarray
@@ -276,8 +271,6 @@ class ObservationReport:
     resolution: float
     error: IntensityError
     low_confidence: bool
-    n_per_setting: int
-    seed: int
 
 
 def resource_figures(x: XState, B: float, rates: RateModel,
@@ -305,60 +298,55 @@ LOW_CONFIDENCE_DVP = 0.5 * math.pi
 
 def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
                       settings: PhaseSettings, n_per_setting: int, seed: int,
-                      rates: RateModel, theta_grid=None,
-                      rate_norm_fn=None) -> ObservationReport:
+                      rates: RateModel, theta_grid, rate_norm_fn=None) -> ObservationReport:
     """Full pipeline: per-baseline protocol runs, then dirty-map reconstruction.
 
     resource_factory maps a baseline to the XState supplied by the network
     at that separation. Per-baseline seeds derive from the master seed by
     index, so results are independent of execution order. rate_norm_fn is
-    passed to resource_figures.
+    passed to resource_figures. An estimate more than three of its dV_a
+    above |V| = 1 is rejected with ValueError.
     """
-    if theta_grid is None:
-        theta_grid = default_theta_grid(sky, plan.B_m)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    v_true, estimates, samples_exact, samples_est = [], [], [], []
-    xis, concs, rate_norms, rate_abss = [], [], [], []
+    baselines = np.array(plan.baselines)
+    v_true = np.empty(baselines.size, dtype=complex)
+    v_est = np.empty(baselines.size, dtype=complex)
+    # rows: V_a_hat, V_p_hat, dV_a, dV_p, C, xi, R_M_norm, R_M
+    columns = np.empty((8, baselines.size))
     for idx, B in enumerate(plan.baselines):
         v_c = true_visibility(sky, B)
         x = resource_factory(B)
-        xi, conc, norm, r_abs = resource_figures(x, B, rates, rate_norm_fn)
+        _, _, norm, r_abs = resource_figures(x, B, rates, rate_norm_fn)
         v = AstroVisibility(abs(v_c), cmath.phase(v_c))
-        # raises DegenerateResourceError for a dead resource (C = nan above)
+        # raises DegenerateResourceError for a dead resource
         est = run_observation(v, x, settings, n_per_setting, derive_seed(seed, idx))
-        v_true.append(v_c)
-        estimates.append(est)
-        samples_exact.append(VisibilitySample(B, v_c))
-        samples_est.append(VisibilitySample(
-            B, est.V_a_hat * cmath.exp(1j * est.V_p_hat), est.dV_a, est.dV_p))
-        xis.append(xi)
-        concs.append(conc)
-        rate_norms.append(norm)
-        rate_abss.append(r_abs)
+        v_hat = est.V_a_hat * cmath.exp(1j * est.V_p_hat)
+        if abs(v_hat) > 1.0 + 3.0 * est.dV_a + 1e-12:
+            raise ValueError(f"|V| = {abs(v_hat)} inconsistent with dV_a = {est.dV_a}")
+        v_true[idx], v_est[idx] = v_c, v_hat
+        columns[:, idx] = (est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p,
+                           est.C_used, est.xi_used, norm, r_abs)
+    v_a, v_p, dv_a, dv_p, conc, xi, rate_norm, rate_abs = columns
 
-    intensity_exact = reconstruct_intensity(samples_exact, theta_grid, sky.wavelength)
-    intensity_est = reconstruct_intensity(samples_est, theta_grid, sky.wavelength)
-    intensity_true = sky_intensity_on_grid(sky, theta_grid)
-    max_dva = max(e.dV_a for e in estimates)
-    max_dvp = max(e.dV_p for e in estimates)
-    err = intensity_error(max_dva, max_dvp, min(concs), min(xis))
+    # theta_grid by keyword: the benchmark tracer reads it from there
+    intensity_exact = reconstruct_intensity(baselines, v_true, theta_grid=theta_grid,
+                                            wavelength=sky.wavelength)
+    intensity_est = reconstruct_intensity(baselines, v_est, theta_grid=theta_grid,
+                                          wavelength=sky.wavelength)
+    max_dva, max_dvp = float(dv_a.max()), float(dv_p.max())
+    err = intensity_error(max_dva, max_dvp, float(conc.min()), float(xi.min()))
     return ObservationReport(
-        baselines=tuple(plan.baselines),
-        v_true=tuple(v_true),
-        estimates=tuple(estimates),
-        samples_exact=tuple(samples_exact),
-        samples_est=tuple(samples_est),
-        xi=tuple(xis),
-        concurrence=tuple(concs),
-        rate_norm=tuple(rate_norms),
-        rate_abs=tuple(rate_abss),
+        baselines=baselines,
+        v_true=v_true,
+        estimates=VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
+                                     N_used=n_per_setting, C_used=conc, xi_used=xi),
+        rate_norm=rate_norm,
+        rate_abs=rate_abs,
         theta_grid=theta_grid,
-        intensity_true=intensity_true,
+        intensity_true=sky_intensity_on_grid(sky, theta_grid),
         intensity_exact=intensity_exact,
         intensity_est=intensity_est,
         resolution=resolution(plan.B_m, sky.wavelength),
         error=err,
         low_confidence=(max_dva > LOW_CONFIDENCE_DVA or max_dvp > LOW_CONFIDENCE_DVP),
-        n_per_setting=n_per_setting,
-        seed=seed,
     )

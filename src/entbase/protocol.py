@@ -37,8 +37,6 @@ __all__ = [
     "delta_p",
     "delta_p_uncertainty",
     "derive_seed",
-    "phase_from_ratio",
-    "phase_ratio_derivative",
     "postselect",
     "propagate_errors",
     "raw_probabilities",
@@ -86,15 +84,12 @@ class DetectionCounts:
     n_c: int
     n_ac: int
     N: int
-    setting_index: int = 1
 
     def __post_init__(self):
         if self.n_c < 0 or self.n_ac < 0:
             raise ValueError("counts must be nonnegative")
         if self.n_c + self.n_ac != self.N:
             raise ValueError(f"n_c + n_ac = {self.n_c + self.n_ac} != N = {self.N}")
-        if self.setting_index not in (1, 2):
-            raise ValueError("setting_index must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -102,7 +97,8 @@ class VisibilityEstimate:
     """Point estimates with one-sigma errors plus the resource figures used.
 
     From run_replicates the four estimate fields are (K,) arrays, one entry
-    per replicate.
+    per replicate; in an ObservationReport every field but N_used is an (n,)
+    array, one entry per baseline.
     """
 
     V_a_hat: float
@@ -193,7 +189,7 @@ def derive_seed(master: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def sample_counts(p_c: float, N: int, seed: int, setting_index: int = 1) -> DetectionCounts:
+def sample_counts(p_c: float, N: int, seed: int) -> DetectionCounts:
     """Draw n_c ~ Binomial(N, p_c) from a seeded generator; reproducible."""
     if N < 1:
         raise ValueError("need at least one trial")
@@ -201,7 +197,7 @@ def sample_counts(p_c: float, N: int, seed: int, setting_index: int = 1) -> Dete
         raise ValueError(f"p_c = {p_c} outside [0, 1]")
     rng = np.random.default_rng(seed)
     n_c = int(rng.binomial(N, p_c))
-    return DetectionCounts(n_c=n_c, n_ac=N - n_c, N=N, setting_index=setting_index)
+    return DetectionCounts(n_c=n_c, n_ac=N - n_c, N=N)
 
 
 def delta_p(counts: DetectionCounts) -> float:
@@ -242,23 +238,6 @@ def solve_visibility(dp1: float, dp2: float, ph: PhaseSettings, C: float) -> tup
     if amp == 0.0:
         return 0.0, 0.0
     return amp / C, wrap_phase(math.atan2(s, c))
-
-
-def phase_from_ratio(alpha: float, ph: PhaseSettings) -> float:
-    """Fringe phase from the ratio alpha = dp1/dp2 (principal arctan branch)."""
-    sw2 = math.sin(ph.w2)
-    if sw2 == 0.0:
-        raise ValueError("the ratio form requires sin(w2) != 0; use solve_visibility")
-    denom = alpha * sw2 - math.sin(ph.w1)
-    t = (math.sin(ph.w2 - ph.w1) / denom - math.cos(ph.w2)) / sw2
-    return math.atan(t)
-
-
-def phase_ratio_derivative(alpha: float, ph: PhaseSettings) -> float:
-    """d(phase)/d(alpha) for the arctan inversion of the setting ratio."""
-    denom = alpha * math.sin(ph.w2) - math.sin(ph.w1)
-    t = (math.cos(ph.w1) - alpha * math.cos(ph.w2)) / denom
-    return -math.sin(ph.w2 - ph.w1) / (denom * denom * (1.0 + t * t))
 
 
 def amplitude_from_delta(dp: float, V_p: float, C: float, w: float) -> float:
@@ -351,6 +330,28 @@ def scaling_laws(x: XState, R_X: float) -> ScalingLaws:
     return ScalingLaws(dv_p / conc, dv_p, diverged=False)
 
 
+def _setting_probabilities(v_true: AstroVisibility, x: XState,
+                           ph: PhaseSettings) -> tuple[float, float, PhaseSettings, list]:
+    """(xi, C, effective settings, (p_c1, p_c2)) of one observation of v_true with x.
+
+    The effective settings add the resource's own phase to ph; p_ci is the
+    postselected correlated-click probability at setting i.
+    """
+    xi = subspace_weight(x)
+    conc = concurrence_subspace(x)  # raises DegenerateResourceError when xi = 0
+    if conc <= 0.0:
+        raise ZeroConcurrenceError("resource concurrence is zero")
+    effective = PhaseSettings(x.w_p + ph.w1, x.w_p + ph.w2)
+    p_cs = []
+    for offset in (ph.w1, ph.w2):
+        q_c, q_ac = raw_probabilities(v_true, x.with_phase_offset(offset))
+        p_c, _ = postselect(q_c, q_ac)
+        if not (0.0 <= p_c <= 1.0):
+            raise ValueError(f"p_c = {p_c} outside [0, 1]")
+        p_cs.append(p_c)
+    return xi, conc, effective, p_cs
+
+
 def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
                     N_per_setting: int, seed: int) -> VisibilityEstimate:
     """Simulate the full protocol at two phase settings and invert the counts.
@@ -359,19 +360,11 @@ def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     draws an independent postselected ensemble of N_per_setting trials,
     and the two fringe estimates are inverted with the effective phases.
     Deterministic for a fixed seed; per-setting streams come from
-    derive_seed(seed, setting_index).
+    derive_seed(seed, i) for setting i.
     """
-    xi = subspace_weight(x)
-    conc = concurrence_subspace(x)  # raises DegenerateResourceError when xi = 0
-    if conc <= 0.0:
-        raise ZeroConcurrenceError("resource concurrence is zero")
-    effective = PhaseSettings(x.w_p + ph.w1, x.w_p + ph.w2)
-    dps = []
-    for index, offset in ((1, ph.w1), (2, ph.w2)):
-        q_c, q_ac = raw_probabilities(v_true, x.with_phase_offset(offset))
-        p_c, _ = postselect(q_c, q_ac)
-        counts = sample_counts(p_c, N_per_setting, derive_seed(seed, index), index)
-        dps.append(delta_p(counts))
+    xi, conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
+    dps = [delta_p(sample_counts(p_c, N_per_setting, derive_seed(seed, index)))
+           for index, p_c in enumerate(p_cs, start=1)]
     v_a, v_p = solve_visibility(dps[0], dps[1], effective, conc)
     dv_a, dv_p = propagate_errors(dps[0], dps[1], N_per_setting, effective, conc)
     return VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
@@ -438,18 +431,7 @@ def run_replicates(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     """
     if N_per_setting < 1:
         raise ValueError("need at least one trial")
-    xi = subspace_weight(x)
-    conc = concurrence_subspace(x)  # raises DegenerateResourceError when xi = 0
-    if conc <= 0.0:
-        raise ZeroConcurrenceError("resource concurrence is zero")
-    effective = PhaseSettings(x.w_p + ph.w1, x.w_p + ph.w2)
-    p_cs = []
-    for offset in (ph.w1, ph.w2):
-        q_c, q_ac = raw_probabilities(v_true, x.with_phase_offset(offset))
-        p_c, _ = postselect(q_c, q_ac)
-        if not (0.0 <= p_c <= 1.0):
-            raise ValueError(f"p_c = {p_c} outside [0, 1]")
-        p_cs.append(p_c)
+    xi, conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
     n_c = rng.binomial(N_per_setting, p_cs, size=(replicates, 2))
     dp = ((N_per_setting - n_c) - n_c) / N_per_setting  # (n_ac - n_c) / N, no int64 overflow
     v_a, v_p, dv_a, dv_p = _invert_batch(dp[:, 0], dp[:, 1], N_per_setting, effective, conc)

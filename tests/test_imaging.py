@@ -12,7 +12,7 @@ from entbase.channels import RateModel, fiber_loss_prob, ideal_bell_xstate, xsta
 from entbase.imaging import (
     BaselinePlan,
     SkyModel,
-    VisibilitySample,
+    default_theta_grid,
     find_peaks,
     intensity_error,
     observe_and_image,
@@ -21,7 +21,7 @@ from entbase.imaging import (
     sky_intensity_on_grid,
     true_visibility,
 )
-from entbase.protocol import PhaseSettings
+from entbase.protocol import PhaseSettings, VisibilityEstimate
 from entbase.validation import dirty_image_complex
 
 SETTINGS = PhaseSettings(0.0, 0.5 * math.pi)
@@ -33,7 +33,9 @@ def two_source_sky(sep=0.02, wavelength=1.0, flux2=1.0):
 
 
 def exact_samples(sky, plan):
-    return [VisibilitySample(b, true_visibility(sky, b)) for b in plan.baselines]
+    """(baselines, visibilities) arrays of the plan's exact visibilities."""
+    return (np.array(plan.baselines),
+            np.array([true_visibility(sky, b) for b in plan.baselines]))
 
 
 class TestTrueVisibility:
@@ -92,7 +94,7 @@ class TestReconstruction:
         sky = SkyModel(((0.0, 1.0),), wavelength=1.0)
         plan = BaselinePlan.linear(40.0, 32)
         grid = np.linspace(-0.05, 0.05, 101)
-        rec = reconstruct_intensity(exact_samples(sky, plan), grid, 1.0)
+        rec = reconstruct_intensity(*exact_samples(sky, plan), grid, 1.0)
         assert np.argmax(rec) == 50
         assert abs(rec.sum() - 1.0) <= 1e-12
 
@@ -101,7 +103,7 @@ class TestReconstruction:
         sky = two_source_sky(sep)
         plan = BaselinePlan.linear(4.0 / (2 * sep), 64)
         grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
-        rec = reconstruct_intensity(exact_samples(sky, plan), grid, 1.0)
+        rec = reconstruct_intensity(*exact_samples(sky, plan), grid, 1.0)
         peaks = find_peaks(rec)
         assert len(peaks) == 2
         cell = grid[1] - grid[0]
@@ -112,9 +114,9 @@ class TestReconstruction:
         sky = SkyModel(((-0.013, 1.0), (0.008, 0.6)), wavelength=1.0)
         plan = BaselinePlan.linear(70.0, 48)
         grid = np.linspace(-0.03, 0.03, 151)
-        raw = dirty_image_complex(exact_samples(sky, plan), grid, 1.0)
+        raw = dirty_image_complex(*exact_samples(sky, plan), grid, 1.0)
         assert np.max(np.abs(raw.imag)) <= 1e-12 * max(1.0, np.max(np.abs(raw.real)))
-        folded = imaging._dirty_map(exact_samples(sky, plan), grid, 1.0)
+        folded = imaging._dirty_map(*exact_samples(sky, plan), grid, 1.0)
         assert np.max(np.abs(folded - raw.real)) <= 1e-12 * np.max(np.abs(raw.real))
 
     def test_fidelity_improves_with_max_baseline(self):
@@ -126,58 +128,60 @@ class TestReconstruction:
         for octave in range(4):
             b_m = (1.0 / (2 * sep)) * 2.0 ** octave
             plan = BaselinePlan.linear(b_m, 64)
-            rec = reconstruct_intensity(exact_samples(sky, plan), grid, 1.0)
+            rec = reconstruct_intensity(*exact_samples(sky, plan), grid, 1.0)
             errs.append(float(np.linalg.norm(rec - truth)))
         assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(errs, errs[1:]))
 
     def test_requires_two_samples(self):
-        with pytest.raises(ValueError):
-            reconstruct_intensity([VisibilitySample(1.0, 1.0 + 0j)],
-                                  np.linspace(-0.1, 0.1, 11), 1.0)
+        grid = np.linspace(-0.1, 0.1, 11)
+        with pytest.raises(ValueError, match="at least two"):
+            reconstruct_intensity([1.0], [1.0 + 0j], grid, 1.0)
+        with pytest.raises(ValueError, match="one length"):
+            reconstruct_intensity([1.0, 2.0, 3.0], [1.0 + 0j, 0.5 + 0j], grid, 1.0)
 
     def test_rejects_unsorted_grid(self):
         sky = two_source_sky()
         plan = BaselinePlan.linear(30.0, 8)
         with pytest.raises(ValueError):
-            reconstruct_intensity(exact_samples(sky, plan), np.array([0.1, 0.0, -0.1]), 1.0)
+            reconstruct_intensity(*exact_samples(sky, plan), np.array([0.1, 0.0, -0.1]), 1.0)
 
 
 def noisy_samples(rng, n):
-    """n samples at irregular positive baselines with noisy complex visibilities."""
+    """(baselines, visibilities): n irregular positive baselines, noisy complex values."""
     bs = np.cumsum(rng.uniform(0.5, 1.5, size=n))
     vs = rng.uniform(0.0, 0.9, size=n) * np.exp(1j * rng.uniform(-math.pi, math.pi, size=n))
-    return [VisibilitySample(b, v, 0.1, 0.1) for b, v in zip(bs, vs)]
+    return bs, vs
 
 
 class TestMapBlocks:
     GRID = np.linspace(-0.08, 0.08, 103)
 
     def test_blocks_match_oracle_and_each_other(self, rng, monkeypatch):
-        samples = noisy_samples(rng, 40)
-        oracle = dirty_image_complex(samples, self.GRID, 1.0).real
+        bs, vs = noisy_samples(rng, 40)
+        oracle = dirty_image_complex(bs, vs, self.GRID, 1.0).real
         maps = []
         # 1 row, 3 rows (103 = 34 x 3 + a ragged row of 1), 5 rows, one block per map
         for cells in (1, 120, 200, 1 << 18):
             monkeypatch.setattr(imaging, "MAP_BLOCK_CELLS", cells)
-            maps.append(imaging._dirty_map(samples, self.GRID, 1.0))
+            maps.append(imaging._dirty_map(bs, vs, self.GRID, 1.0))
         scale = np.max(np.abs(oracle))
         for folded in maps:
             assert np.max(np.abs(folded - oracle)) <= 1e-12 * scale
             assert np.max(np.abs(folded - maps[-1])) <= 1e-12 * scale
 
     def test_sample_order_does_not_matter(self, rng):
-        samples = noisy_samples(rng, 60)
-        shuffled = [samples[i] for i in rng.permutation(len(samples))]
-        assert np.array_equal(reconstruct_intensity(shuffled, self.GRID, 1.0),
-                              reconstruct_intensity(samples, self.GRID, 1.0))
+        bs, vs = noisy_samples(rng, 60)
+        perm = rng.permutation(bs.size)
+        assert np.array_equal(reconstruct_intensity(bs[perm], vs[perm], self.GRID, 1.0),
+                              reconstruct_intensity(bs, vs, self.GRID, 1.0))
 
     def test_peak_memory_is_bounded(self, rng):
         # the full complex matrix would be 3 000 x 6 401 x 16 B ~ 307 MB
-        samples = noisy_samples(rng, 3200)
+        bs, vs = noisy_samples(rng, 3200)
         grid = np.linspace(-0.05, 0.05, 3000)
         tracemalloc.start()
         try:
-            reconstruct_intensity(samples, grid, 1.0)
+            reconstruct_intensity(bs, vs, grid, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -192,8 +196,23 @@ class TestResolvability:
         grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
         for factor, expected in ((0.5, 1), (2.0, 2)):
             plan = BaselinePlan.linear(factor * threshold, 48)
-            rec = reconstruct_intensity(exact_samples(sky, plan), grid, 1.0)
+            rec = reconstruct_intensity(*exact_samples(sky, plan), grid, 1.0)
             assert len(find_peaks(rec)) == expected
+
+
+class TestFindPeaks:
+    def test_matches_loop_reference(self, rng):
+        def loop_peaks(arr):
+            floor = 0.5 * max(arr)
+            return [j for j in range(1, len(arr) - 1)
+                    if arr[j] > arr[j - 1] and arr[j] > arr[j + 1] and arr[j] >= floor]
+
+        for size in (0, 1, 2, 3, 4, 17, 200):
+            for _ in range(20):
+                arr = rng.integers(0, 5, size=size).astype(float)  # ties and plateaus
+                peaks = find_peaks(arr)
+                assert peaks == (loop_peaks(list(arr)) if size >= 3 else [])
+                assert all(type(j) is int for j in peaks)
 
 
 class TestResolution:
@@ -238,11 +257,6 @@ class TestBaselinePlan:
         with pytest.raises(ValueError):
             BaselinePlan((1.0, 1.0))
 
-    def test_sample_consistency_bound(self):
-        with pytest.raises(ValueError):
-            VisibilitySample(1.0, 1.5 + 0j, dV_a=0.01)
-        VisibilitySample(1.0, 1.5 + 0j, dV_a=0.2)  # within 3 sigma of physical
-
 
 class TestObserveAndImage:
     def test_end_to_end_ideal(self):
@@ -265,7 +279,8 @@ class TestObserveAndImage:
         sky = SkyModel(((0.004, 1.0),), wavelength=1.0)  # |V| = 1 everywhere
         plan = BaselinePlan.linear(40.0, 16)
         report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
-                                   SETTINGS, 100000, seed=6, rates=RATES)
+                                   SETTINGS, 100000, seed=6, rates=RATES,
+                                   theta_grid=default_theta_grid(sky, plan.B_m))
         assert not report.low_confidence
 
     def test_fiber_rates_follow_line(self):
@@ -275,7 +290,8 @@ class TestObserveAndImage:
         factory = lambda B: xstate_amplitude_damping(
             fiber_loss_prob(B / 2, l0), fiber_loss_prob(B / 2, l0))
         report = observe_and_image(sky, plan, factory, SETTINGS, 1000, seed=9,
-                                   rates=RateModel(0.8, 1e6))
+                                   rates=RateModel(0.8, 1e6),
+                                   theta_grid=default_theta_grid(sky, plan.B_m))
         for b, r in zip(report.baselines, report.rate_abs):
             expected = math.log(RateModel(0.8, 1e6).max_rate) - b / (2 * l0)
             assert abs(math.log(r) - expected) <= 1e-12
@@ -284,10 +300,27 @@ class TestObserveAndImage:
         sky = two_source_sky()
         plan = BaselinePlan.linear(30.0, 4)
         report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
-                                   SETTINGS, 1, seed=2, rates=RATES)
+                                   SETTINGS, 1, seed=2, rates=RATES,
+                                   theta_grid=default_theta_grid(sky, plan.B_m))
         assert report.low_confidence
-        for est in report.estimates:
-            assert est.dV_a >= 0.0 and est.dV_p >= 0.0
+        assert np.all(report.estimates.dV_a >= 0.0) and np.all(report.estimates.dV_p >= 0.0)
+
+    def test_sample_consistency_bound(self, monkeypatch):
+        # an estimate |V| = 1.5 passes only within 3 dV_a of the physical bound |V| = 1
+        sky = SkyModel(((0.004, 1.0),), wavelength=1.0)
+        plan = BaselinePlan.linear(40.0, 4)
+
+        def observe(dv_a):
+            monkeypatch.setattr(imaging, "run_observation", lambda v, x, ph, n, seed: (
+                VisibilityEstimate(V_a_hat=1.5, V_p_hat=0.0, dV_a=dv_a, dV_p=0.1,
+                                   N_used=n, C_used=1.0, xi_used=1.0)))
+            return observe_and_image(sky, plan, lambda B: ideal_bell_xstate(), SETTINGS, 100,
+                                     seed=1, rates=RATES,
+                                     theta_grid=default_theta_grid(sky, plan.B_m))
+
+        with pytest.raises(ValueError, match=r"^\|V\| = 1\.5 inconsistent with dV_a = 0\.01$"):
+            observe(0.01)
+        assert np.all(observe(0.2).estimates.V_a_hat == 1.5)
 
     def test_noisy_reconstruction_converges(self):
         sep = 0.02

@@ -22,8 +22,6 @@ from entbase.protocol import (
     delta_p,
     delta_p_uncertainty,
     derive_seed,
-    phase_from_ratio,
-    phase_ratio_derivative,
     postselect,
     propagate_errors,
     raw_probabilities,
@@ -44,6 +42,7 @@ from entbase.qcore import (
     make_bell_psi,
     wrap_phase,
 )
+from entbase.validation import phase_from_ratio, phase_ratio_derivative
 
 from conftest import random_xstate, xstate_strategy
 
