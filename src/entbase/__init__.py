@@ -37,20 +37,14 @@ from .channels import (
 )
 from .protocol import (
     DegeneratePhasesError,
-    DetectionCounts,
     PhaseSettings,
     VisibilityEstimate,
     ZeroConcurrenceError,
-    delta_p,
     derive_seed,
     postselect,
-    propagate_errors,
     raw_probabilities,
-    raw_probabilities_oracle,
     run_observation,
-    sample_counts,
     scaling_laws,
-    solve_visibility,
 )
 from .imaging import (
     BaselinePlan,

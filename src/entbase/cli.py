@@ -95,6 +95,8 @@ def _emit_gnuplot(outdir: Path, kind: str):
 
 def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     cfg = load_config(config_path)
+    if len(cfg.plan.baselines) < 2:  # sweep evaluates one baseline; the map needs two
+        raise ConfigError("baselines", "run needs at least two baselines to image")
     _thread_count()  # validated only: the pipeline is serial
     report = observe_and_image(
         sky=cfg.sky, plan=cfg.plan, resource_factory=cfg.channel.resource_factory(),
@@ -146,6 +148,7 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         "dI_scale": report.error.scale,
         "error_regime": report.error.regime,
         "low_confidence": report.low_confidence,
+        "n_above_unit": report.n_above_unit,
         "resource_state": _matrix_json(resource.to_density().entries),
     }
     with open(outdir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:

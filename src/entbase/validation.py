@@ -2,9 +2,13 @@
 
 Every check runs at reduced grid density (the pytest suite carries the
 full-density versions) and raises AssertionError with a detail string on
-failure. The closed-form/projector-oracle agreement check is the canary
-for sign mistakes in the coincidence formulas: flipping the fringe sign
-in either route makes it fail immediately.
+failure. The module also holds the references the checks and tests
+compare the runtime against: the 16-dimensional projector route to the
+coincidence probabilities, the scalar inversion and error propagation
+behind ``protocol._invert_batch``, and the complex full-plane dirty map.
+The closed-form/projector-oracle agreement check is the canary for sign
+mistakes in the coincidence formulas: flipping the fringe sign in either
+route makes it fail immediately.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ import numpy as np
 
 from . import channels, imaging, protocol, qcore
 
-__all__ = ["CHECKS", "dirty_image_complex", "phase_from_ratio", "phase_ratio_derivative",
-           "random_density", "random_xstate", "run_all"]
+__all__ = ["CHECKS", "amplitude_from_delta", "amplitude_partials", "delta_p_uncertainty",
+           "dirty_image_complex", "phase_from_ratio", "phase_ratio_derivative",
+           "propagate_errors", "random_density", "random_xstate", "raw_probabilities_oracle",
+           "run_all", "solve_visibility"]
 
 
 def random_xstate(rng: np.random.Generator, with_outer: bool = True) -> qcore.XState:
@@ -129,13 +135,59 @@ def check_ideal_limit_fringe():
                     f"fringe mismatch at (V_a={v_a}, V_p={v_p}, delta={delta})"
 
 
+def _detector_projector(sign: int) -> np.ndarray:
+    # (|1_A 0_X> + sign |0_A 1_X>)/sqrt(2) on one telescope's (sky, network) pair
+    v = np.zeros(4, dtype=complex)
+    v[2] = 1.0
+    v[1] = float(sign)
+    v /= math.sqrt(2.0)
+    return np.outer(v, v.conj())
+
+
+def raw_probabilities_oracle(rho_A: qcore.DensityMatrix4,
+                             rho_X: qcore.DensityMatrix4) -> tuple[float, float]:
+    """Coincidence probabilities from explicit projectors on the 16-dim product state.
+
+    Builds rho_A (x) rho_X over the mode order (sky-left, sky-right,
+    network-left, network-right), permutes indices so each telescope's
+    (sky, network) pair is contiguous, and takes expectation values of
+    projectors onto the one-photon beam-splitter output states
+    (|10> +/- |01>)/sqrt(2) at each site.
+
+    Two labeling conventions are fixed so the statistics match the closed
+    form in protocol.raw_probabilities for X-form resources: the network
+    state's stored arm order is opposite to the sky state's (its second
+    slot feeds the left telescope), and the detector labeled "+" at the
+    right telescope observes the antisymmetric combination. Both are pure
+    relabelings with no physical content.
+    """
+    a = rho_A.entries
+    xm = rho_X.entries
+    perm = (0, 2, 1, 3)  # exchange the network state's two arms
+    xs = xm[np.ix_(perm, perm)]
+    rho16 = np.kron(a, xs)
+    # regroup (A_L, A_R, X_L, X_R) -> (A_L, X_L, A_R, X_R)
+    regrouped = (rho16.reshape(2, 2, 2, 2, 2, 2, 2, 2)
+                 .transpose(0, 2, 1, 3, 4, 6, 5, 7)
+                 .reshape(16, 16))
+    left_plus, left_minus = _detector_projector(+1), _detector_projector(-1)
+    right_plus, right_minus = _detector_projector(-1), _detector_projector(+1)
+
+    def expect(pl, pr):
+        return float(np.trace(np.kron(pl, pr) @ regrouped).real)
+
+    q_c = expect(left_plus, right_plus) + expect(left_minus, right_minus)
+    q_ac = expect(left_plus, right_minus) + expect(left_minus, right_plus)
+    return q_c, q_ac
+
+
 def check_projector_oracle():
     rng = np.random.default_rng(11)
     for _ in range(100):
         v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
         x = random_xstate(rng)
         closed = protocol.raw_probabilities(v, x)
-        oracle = protocol.raw_probabilities_oracle(qcore.make_astro_state(v), x.to_density())
+        oracle = raw_probabilities_oracle(qcore.make_astro_state(v), x.to_density())
         gap = max(abs(closed[0] - oracle[0]), abs(closed[1] - oracle[1]))
         assert gap <= 1e-12, f"oracle disagrees by {gap:.3e}"
 
@@ -152,6 +204,103 @@ def check_postselection_normalization():
             assert p_c + p_ac == 1.0
 
 
+# Scalar reference of protocol._invert_batch, the one inversion the runtime uses.
+
+def delta_p_uncertainty(dp: float, N: int) -> float:
+    """One-sigma statistical error of the fringe estimator.
+
+    Twice the binomial standard error of p_ac, with an add-one smoothed
+    probability so boundary tallies (all clicks in one class) report a
+    near-maximal rather than zero uncertainty.
+    """
+    if N < 1:
+        raise ValueError("need at least one trial")
+    p_ac = 0.5 * (1.0 + dp)
+    p_smooth = (N * p_ac + 1.0) / (N + 2.0)
+    return 2.0 * math.sqrt(p_smooth * (1.0 - p_smooth)) / math.sqrt(N)
+
+
+def solve_visibility(dp1: float, dp2: float, ph: protocol.PhaseSettings,
+                     C: float) -> tuple[float, float]:
+    """Invert two fringe measurements into (V_a, V_p).
+
+    Solves the linear system dp_i = c*cos(w_i) + s*sin(w_i) for
+    c = V_a C cos(V_p) and s = V_a C sin(V_p), then V_p = atan2(s, c)
+    (full quadrant) and V_a = hypot(c, s)/C. When both fringes vanish
+    the phase is undefined and reported as 0 by convention.
+    """
+    if C <= 0.0:
+        raise protocol.ZeroConcurrenceError("C <= 0: visibility amplitude is unrecoverable")
+    det = math.sin(ph.w2 - ph.w1)
+    if abs(det) < protocol.MIN_PHASE_SEPARATION:
+        raise protocol.DegeneratePhasesError("phase settings are degenerate")
+    c = (dp1 * math.sin(ph.w2) - dp2 * math.sin(ph.w1)) / det
+    s = (dp2 * math.cos(ph.w1) - dp1 * math.cos(ph.w2)) / det
+    amp = math.hypot(c, s)
+    if amp == 0.0:
+        return 0.0, 0.0
+    return amp / C, qcore.wrap_phase(math.atan2(s, c))
+
+
+def amplitude_from_delta(dp: float, V_p: float, C: float, w: float) -> float:
+    """Visibility amplitude from a single setting: dp / (C cos(V_p - w))."""
+    return dp / (C * math.cos(V_p - w))
+
+
+def amplitude_partials(dp: float, V_p: float, C: float, w: float) -> tuple[float, float]:
+    """(d V_a / d dp, d V_a / d V_p) for the single-setting amplitude formula."""
+    cosw = math.cos(V_p - w)
+    d_dp = 1.0 / (C * cosw)
+    d_vp = dp * math.sin(V_p - w) / (C * cosw * cosw)
+    return d_dp, d_vp
+
+
+def propagate_errors(dp1: float, dp2: float, N: int, ph: protocol.PhaseSettings,
+                     C: float) -> tuple[float, float]:
+    """One-sigma errors (dV_a, dV_p) for the two-setting inversion.
+
+    The phase error follows the chain through the setting ratio
+    alpha = dp1/dp2: quadrature of the alpha partials times the fringe
+    uncertainties, then |d V_p / d alpha|. That product simplifies
+    exactly to
+
+        dV_p = sqrt((dp2*D1)^2 + (dp1*D2)^2) / ((c^2+s^2) |sin(w2-w1)|),
+
+    which is the form evaluated here (regular even where one fringe
+    vanishes). The amplitude error is the quadrature of the fringe term
+    and the phase term of the single-setting formula, evaluated at the
+    better-conditioned setting. dV_p is capped at pi: beyond that the
+    phase carries no information.
+    """
+    if N < 1:
+        raise ValueError("need at least one trial")
+    if C <= 0.0:
+        raise protocol.ZeroConcurrenceError("C <= 0: visibility amplitude is unrecoverable")
+    det = math.sin(ph.w2 - ph.w1)
+    if abs(det) < protocol.MIN_PHASE_SEPARATION:
+        raise protocol.DegeneratePhasesError("phase settings are degenerate")
+    d1 = delta_p_uncertainty(dp1, N)
+    d2 = delta_p_uncertainty(dp2, N)
+    c = (dp1 * math.sin(ph.w2) - dp2 * math.sin(ph.w1)) / det
+    s = (dp2 * math.cos(ph.w1) - dp1 * math.cos(ph.w2)) / det
+    amp_sq = c * c + s * s
+    if amp_sq == 0.0:
+        # phase undefined (both fringes vanished): report it as uninformative
+        # and take the amplitude error at the conventional phase 0
+        dp_b, d_b, w_b = max(((dp1, d1, ph.w1), (dp2, d2, ph.w2)),
+                             key=lambda item: abs(math.cos(item[2])))
+        return d_b / (C * abs(math.cos(w_b))), math.pi
+    v_p = math.atan2(s, c)
+    dv_p = min(math.pi,
+               math.hypot(dp2 * d1, dp1 * d2) / (amp_sq * abs(det)))
+    # amplitude error at the setting where the fringe is best conditioned
+    settings = ((dp1, d1, ph.w1), (dp2, d2, ph.w2))
+    dp_b, d_b, w_b = max(settings, key=lambda item: abs(math.cos(v_p - item[2])))
+    d_dp, d_vp = amplitude_partials(dp_b, v_p, C, w_b)
+    dv_a = math.hypot(d_dp * d_b, d_vp * dv_p)
+    return dv_a, dv_p
+
+
 def check_estimator_round_trip():
     rng = np.random.default_rng(13)
     ph = protocol.PhaseSettings(0.0, 0.5 * math.pi)
@@ -161,7 +310,7 @@ def check_estimator_round_trip():
         conc = rng.uniform(0.1, 1.0)
         dp1 = v_a * conc * math.cos(v_p - ph.w1)
         dp2 = v_a * conc * math.cos(v_p - ph.w2)
-        va_hat, vp_hat = protocol.solve_visibility(dp1, dp2, ph, conc)
+        va_hat, vp_hat = solve_visibility(dp1, dp2, ph, conc)
         assert abs(va_hat - v_a) <= 1e-12 and abs(qcore.wrap_phase(vp_hat - v_p)) <= 1e-12
 
 
@@ -191,12 +340,12 @@ def check_error_derivatives_fd():
         an = phase_ratio_derivative(alpha, ph)
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an)), f"dVp/dalpha FD gap at {alpha}"
     for dp, v_p, conc, w in ((0.3, 0.4, 0.8, 0.1), (-0.2, 1.2, 0.5, 1.67)):
-        d_dp, d_vp = protocol.amplitude_partials(dp, v_p, conc, w)
+        d_dp, d_vp = amplitude_partials(dp, v_p, conc, w)
         h = 1e-6
-        fd_dp = (protocol.amplitude_from_delta(dp + h, v_p, conc, w)
-                 - protocol.amplitude_from_delta(dp - h, v_p, conc, w)) / (2 * h)
-        fd_vp = (protocol.amplitude_from_delta(dp, v_p + h, conc, w)
-                 - protocol.amplitude_from_delta(dp, v_p - h, conc, w)) / (2 * h)
+        fd_dp = (amplitude_from_delta(dp + h, v_p, conc, w)
+                 - amplitude_from_delta(dp - h, v_p, conc, w)) / (2 * h)
+        fd_vp = (amplitude_from_delta(dp, v_p + h, conc, w)
+                 - amplitude_from_delta(dp, v_p - h, conc, w)) / (2 * h)
         assert abs(fd_dp - d_dp) <= 1e-6 * max(1.0, abs(d_dp))
         assert abs(fd_vp - d_vp) <= 1e-6 * max(1.0, abs(d_vp))
 
@@ -345,8 +494,8 @@ def check_estimator_slope_mc():
     ns = [1000, 10000]
     log_rmse = []
     for n in ns:
-        errs = [protocol.run_observation(v, x, ph, n, protocol.derive_seed(5, n, k)).V_a_hat - 0.7
-                for k in range(60)]
+        rng = np.random.default_rng(protocol.derive_seed(5, n))
+        errs = protocol.run_replicates(v, x, ph, n, 60, rng).V_a_hat - 0.7
         log_rmse.append(math.log10(math.sqrt(np.mean(np.square(errs)))))
     slope = (log_rmse[1] - log_rmse[0]) / (math.log10(ns[1]) - math.log10(ns[0]))
     assert abs(slope + 0.5) <= 0.15, f"slope {slope:.3f}"
@@ -356,30 +505,26 @@ def check_error_bar_coverage_mc():
     ph = protocol.PhaseSettings(0.0, 0.5 * math.pi)
     x = channels.ideal_bell_xstate()
     v = qcore.AstroVisibility(0.7, 0.9)
-    hits = 0
-    for k in range(40):
-        est = protocol.run_observation(v, x, ph, 100_000, protocol.derive_seed(6, k))
-        if abs(est.V_a_hat - 0.7) <= 5.0 * est.dV_a:
-            hits += 1
+    rng = np.random.default_rng(protocol.derive_seed(6))
+    est = protocol.run_replicates(v, x, ph, 100_000, 40, rng)
+    hits = int(np.count_nonzero(np.abs(est.V_a_hat - 0.7) <= 5.0 * est.dV_a))
     assert hits >= 38, f"coverage {hits}/40"
 
 
 def check_fringe_bound_mc():
     rng = np.random.default_rng(31)
+    draws = np.random.default_rng(protocol.derive_seed(7))
     ph = protocol.PhaseSettings(0.0, 0.5 * math.pi)
     for _ in range(25):
         x = random_xstate(rng, with_outer=False)
         if x.g + x.f <= 1e-3 or x.w_a <= 1e-6:
             continue
         v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
-        conc = qcore.concurrence_subspace(x)
         n = 5000
-        for index, offset in ((1, ph.w1), (2, ph.w2)):
-            q_c, q_ac = protocol.raw_probabilities(v, x.with_phase_offset(offset))
-            p_c, _ = protocol.postselect(q_c, q_ac)
-            counts = protocol.sample_counts(p_c, n, protocol.derive_seed(7, index))
-            dp = protocol.delta_p(counts)
-            assert abs(dp) <= v.V_a * conc + 5.0 / math.sqrt(n)
+        _, conc, _, p_cs = protocol._setting_probabilities(v, x, ph)
+        n_c = draws.binomial(n, p_cs)
+        dp = ((n - n_c) - n_c) / n  # (n_ac - n_c) / N at each setting
+        assert np.all(np.abs(dp) <= v.V_a * conc + 5.0 / math.sqrt(n))
 
 
 CHECKS = (

@@ -41,9 +41,7 @@ from entbase.protocol import (
     derive_seed,
     postselect,
     raw_probabilities,
-    raw_probabilities_oracle,
-    run_observation,
-    solve_visibility,
+    run_replicates,
 )
 from entbase.qcore import (
     AstroVisibility,
@@ -58,6 +56,7 @@ from entbase.qcore import (
     subspace_weight,
     wrap_phase,
 )
+from entbase.validation import raw_probabilities_oracle, solve_visibility
 
 from conftest import random_xstate
 
@@ -147,25 +146,24 @@ def test_c05_noise_free_round_trip():
     report("C5 noise-free inversion exact to 1e-12 over 100 random points, all quadrants")
 
 
-def _rmse_va_vp(v_a, v_p, conc, xi, n_post, seeds, tag):
-    """Deterministic RMSE of the two estimates over the given replicate seeds."""
+def _rmse_va_vp(v_a, v_p, conc, xi, n_post, replicates, tag):
+    """Deterministic RMSE of the two estimates over replicates drawn from seed (606, tag)."""
     x = XState(a=1.0 - xi, g=xi / 2, f=xi / 2, h=0.0, w_a=conc * xi / 2)
     v = AstroVisibility(v_a, v_p)
-    errs_a, errs_p = [], []
-    for k in seeds:
-        est = run_observation(v, x, SETTINGS, n_post, derive_seed(606, tag, k))
-        errs_a.append(est.V_a_hat - v_a)
-        errs_p.append(wrap_phase(est.V_p_hat - v_p))
+    rng = np.random.default_rng(derive_seed(606, tag))
+    est = run_replicates(v, x, SETTINGS, n_post, replicates, rng)
+    errs_a = est.V_a_hat - v_a
+    errs_p = [wrap_phase(phi - v_p) for phi in est.V_p_hat]
     return (math.sqrt(float(np.mean(np.square(errs_a)))),
             math.sqrt(float(np.mean(np.square(errs_p)))))
 
 
 def test_c06_statistical_scaling():
-    seeds = range(200)
+    replicates = 200
 
     # (a) RMSE(V_a) vs trials: log-log slope -0.50 +/- 0.05
     ns = [10 ** 3, 10 ** 4, 10 ** 5]
-    log_rmse = [math.log10(_rmse_va_vp(0.7, 0.9, 1.0, 1.0, n, seeds, n)[0]) for n in ns]
+    log_rmse = [math.log10(_rmse_va_vp(0.7, 0.9, 1.0, 1.0, n, replicates, n)[0]) for n in ns]
     slope = float(np.polyfit(np.log10(ns), log_rmse, 1)[0])
     assert abs(slope + 0.5) <= 0.05, f"slope {slope:.3f}"
 
@@ -179,7 +177,7 @@ def test_c06_statistical_scaling():
     for conc in grid:
         for xi in grid:
             n_post = int(round(budget * xi / 2.0))
-            rmse_a, rmse_p = _rmse_va_vp(0.21 / conc, 0.9, conc, xi, n_post, seeds,
+            rmse_a, rmse_p = _rmse_va_vp(0.21 / conc, 0.9, conc, xi, n_post, replicates,
                                          int(1000 * conc + 10 * xi))
             prod_a[(conc, xi)] = rmse_a * conc * math.sqrt(xi)
             prod_p[(conc, xi)] = rmse_p * math.sqrt(xi)
@@ -202,11 +200,8 @@ def test_c06_statistical_scaling():
 def test_c07_error_bar_coverage():
     x = ideal_bell_xstate()
     v = AstroVisibility(0.7, 0.9)
-    hits = 0
-    for k in range(100):
-        est = run_observation(v, x, SETTINGS, 10 ** 5, derive_seed(707, k))
-        if abs(est.V_a_hat - 0.7) <= 5.0 * est.dV_a:
-            hits += 1
+    est = run_replicates(v, x, SETTINGS, 10 ** 5, 100, np.random.default_rng(derive_seed(707)))
+    hits = int(np.count_nonzero(np.abs(est.V_a_hat - 0.7) <= 5.0 * est.dV_a))
     assert hits >= 95, f"coverage {hits}/100"
     report(f"C7 five-sigma coverage {hits}/100 at N=1e5 (>=95 required)")
 

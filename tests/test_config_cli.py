@@ -284,8 +284,10 @@ class TestMalformedNumbersExit1:
          "channel.table[1]"),
         (dict(N_per_setting=2 ** 63), "N_per_setting"),
         (dict(theta_grid={"half_span": 0.05, "count": 1_000_001}), "theta_grid.count"),
+        (dict(baselines={"B_max": 40.0, "count": 1}), "baselines"),
+        (dict(baselines=[40.0]), "baselines"),
     ], ids=["nan-baseline", "inf-baseline", "nan-table", "bool-table", "huge-N",
-            "huge-theta-grid"])
+            "huge-theta-grid", "one-baseline-count", "one-baseline-list"])
     def test_run(self, tmp_path, capsys, overrides, key):
         cfg = base_config(output_dir=str(tmp_path / "out"), **overrides)
         assert main(["run", write_config(tmp_path, cfg)]) == 1

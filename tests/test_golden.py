@@ -5,7 +5,10 @@ config. A refactor must keep them; an intended change to these bytes (for
 example a new seed scheme) is declared in docs/schema.md and CHANGES.md and
 updates the digests in the same change.
 `intensity.csv` is left out: its dirty map is a BLAS matrix product whose last
-bits depend on the BLAS build.
+bits depend on the BLAS build. The `run` digests were recorded under run seed
+scheme v2 (docs/schema.md#Seeding), which changed the estimate columns of
+`visibility.csv` and the `dI` of `summary.json` and added its `n_above_unit`
+key; the `sweep` digests predate it and are unchanged.
 """
 
 import hashlib
@@ -20,17 +23,17 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 RUN_DIGESTS = {
     ("ideal_two_source", "visibility.csv"):
-        "d720f3b98a1234d58fe6eab13dbb926659bc1601d0eb65d86772f027caf8159c",
+        "a591b145a6dfaa2f73d6aa5af072ac0f7783401b66bc23a1315bb772129d6426",
     ("ideal_two_source", "summary.json"):
-        "8126bd0c40ead1e811480e588921669dbd2c10b6b7d03789b15ba5aafee2d809",
+        "be7c059292e837a9882203bc57a6e650d6eaf0f91bddc373792307d7d4047062",
     ("fiber_two_source", "visibility.csv"):
-        "ccb56cf1ef9882f1bb43a30c4f7ebf0a1f8e30849a30af5e346e45668a64d117",
+        "396e17b1f41c8f91ce04e7de858d0eaed7f047819115ca1d58c5cc58255c3fa3",
     ("fiber_two_source", "summary.json"):
-        "c0ebb9dc761891aafc8e17e8e032259e86fcc74f62af19519ce703f20594c7c5",
+        "2ad042a538ebbcaa1564a91c2c2545847db9e7120d8c62d395d3df561f5807d0",
     ("memory_swap_two_source", "visibility.csv"):
-        "87bb55daa4d9c46d2c82f60ec2ac47f57e89cd09d9e6895ff9837f82378597d5",
+        "fcb65f51faf545d78974b148082536a08a0294e7b3b6058848bda923e3af956b",
     ("memory_swap_two_source", "summary.json"):
-        "5223ebbc208950fbbaef4b462a329db93886430032bf3276a5ee547bd4dccf3d",
+        "15ed8b200677c3cbedf65ddff5dfcf7d4dd93767d008c934b10730432f0efec0",
 }
 
 SWEEP_DIGESTS = {

@@ -14,24 +14,15 @@ from entbase.channels import (
 from entbase import protocol
 from entbase.protocol import (
     DegeneratePhasesError,
-    DetectionCounts,
     PhaseSettings,
     ZeroConcurrenceError,
-    amplitude_from_delta,
-    amplitude_partials,
-    delta_p,
-    delta_p_uncertainty,
     derive_seed,
     postselect,
-    propagate_errors,
     raw_probabilities,
-    raw_probabilities_oracle,
     replicate_rmse,
     run_observation,
     run_replicates,
-    sample_counts,
     scaling_laws,
-    solve_visibility,
 )
 from entbase.qcore import (
     AstroVisibility,
@@ -42,7 +33,16 @@ from entbase.qcore import (
     make_bell_psi,
     wrap_phase,
 )
-from entbase.validation import phase_from_ratio, phase_ratio_derivative
+from entbase.validation import (
+    amplitude_from_delta,
+    amplitude_partials,
+    delta_p_uncertainty,
+    phase_from_ratio,
+    phase_ratio_derivative,
+    propagate_errors,
+    raw_probabilities_oracle,
+    solve_visibility,
+)
 
 from conftest import random_xstate, xstate_strategy
 
@@ -135,27 +135,30 @@ class TestPostselect:
 
 
 class TestSampling:
+    """run_observation draws both settings' counts from the caller's generator."""
+
     def test_deterministic(self):
-        a = sample_counts(0.3, 1000, seed=99)
-        b = sample_counts(0.3, 1000, seed=99)
-        assert a == b
+        # consecutive observations on one generator are the rows of one (K, 2) draw
+        v = AstroVisibility(0.6, -1.1)
+        x = resource_with(0.8, 0.7, w_p=0.4)
+        gen = np.random.default_rng(99)
+        rows = [run_observation(v, x, DEFAULT, 1000, gen) for _ in range(6)]
+        whole = run_replicates(v, x, DEFAULT, 1000, 6, np.random.default_rng(99))
+        for field in ("V_a_hat", "V_p_hat", "dV_a", "dV_p"):
+            assert [getattr(e, field) for e in rows] == getattr(whole, field).tolist()
 
     def test_boundary_probabilities(self):
-        assert sample_counts(0.0, 500, seed=1).n_c == 0
-        assert sample_counts(1.0, 500, seed=1).n_c == 500
-
-    def test_concentration(self):
-        n = 10 ** 6
-        bound = 5.0 * math.sqrt(0.3 * 0.7 / n)
-        for seed in range(50):
-            counts = sample_counts(0.3, n, seed)
-            assert abs(counts.n_c / n - 0.3) <= bound
+        # p_c = 0 or 1 at the first setting: its fringe dp1 = c is exact on any stream
+        for v_p, fringe in ((0.0, 1.0), (math.pi, -1.0)):
+            for seed in range(5):
+                est = run_observation(AstroVisibility(1.0, v_p), ideal_bell_xstate(), DEFAULT,
+                                      500, np.random.default_rng(seed))
+                assert abs(est.V_a_hat * math.cos(est.V_p_hat) - fringe) <= 1e-12
 
     def test_counts_validation(self):
-        with pytest.raises(ValueError):
-            DetectionCounts(n_c=3, n_ac=3, N=7)
-        with pytest.raises(ValueError):
-            sample_counts(0.5, 0, seed=0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_observation(AstroVisibility(0.5, 0.0), ideal_bell_xstate(), DEFAULT, 0,
+                            np.random.default_rng(0))
 
     def test_seed_derivation_is_stable(self):
         assert derive_seed(12, 1) == derive_seed(12, 1)
@@ -165,8 +168,14 @@ class TestSampling:
 
 class TestDeltaP:
     def test_extremes(self):
-        assert delta_p(DetectionCounts(5, 5, 10)) == 0.0
-        assert delta_p(DetectionCounts(0, 10, 10)) == 1.0
+        # fringe (n_ac - n_c) / N: an even split is 0, all anti-correlated +1, all correlated -1
+        n_c = np.array([[5, 5], [0, 5], [10, 5], [5, 0]])
+        est = run_replicates(AstroVisibility(0.5, 0.0), resource_with(1.0, 1.0), DEFAULT, 10,
+                             4, FixedCounts(n_c))
+        c = est.V_a_hat * np.cos(est.V_p_hat)  # dp1 at w1 = 0 with C = 1
+        s = est.V_a_hat * np.sin(est.V_p_hat)  # dp2 at w2 = pi/2
+        assert np.allclose(c, [0.0, 1.0, -1.0, 0.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(s, [0.0, 0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
 
     def test_matches_analytic_difference(self):
         x = xstate_dephasing(0.2, 0.3)
@@ -354,8 +363,8 @@ class TestRunObservation:
     def test_deterministic_given_seed(self):
         v = AstroVisibility(0.7, 0.9)
         x = ideal_bell_xstate()
-        a = run_observation(v, x, DEFAULT, 10000, seed=5)
-        b = run_observation(v, x, DEFAULT, 10000, seed=5)
+        a = run_observation(v, x, DEFAULT, 10000, np.random.default_rng(5))
+        b = run_observation(v, x, DEFAULT, 10000, np.random.default_rng(5))
         assert a == b
 
     def test_estimator_consistency_slope(self):
@@ -364,39 +373,40 @@ class TestRunObservation:
         ns = [1000, 10000, 100000]
         log_rmse = []
         for n in ns:
-            errs = [run_observation(v, x, DEFAULT, n, derive_seed(2, n, k)).V_a_hat - 0.7
-                    for k in range(80)]
+            gen = np.random.default_rng(derive_seed(2, n))
+            errs = [run_observation(v, x, DEFAULT, n, gen).V_a_hat - 0.7 for _ in range(80)]
             log_rmse.append(math.log10(math.sqrt(np.mean(np.square(errs)))))
         slope = np.polyfit(np.log10(ns), log_rmse, 1)[0]
         assert abs(slope + 0.5) <= 0.08
 
     def test_fringe_bound(self, rng):
+        gen = np.random.default_rng(derive_seed(8))
         for _ in range(30):
             x = random_xstate(rng, with_outer=False)
-            if x.g + x.f <= 1e-3:
+            if x.g + x.f <= 1e-3 or x.w_a <= 1e-6:
                 continue
             v = AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
-            conc = concurrence_subspace(x)
             n = 2000
-            for index, offset in ((1, DEFAULT.w1), (2, DEFAULT.w2)):
-                q_c, q_ac = raw_probabilities(v, x.with_phase_offset(offset))
-                p_c, _ = postselect(q_c, q_ac)
-                dp = delta_p(sample_counts(p_c, n, derive_seed(8, index)))
-                assert abs(dp) <= v.V_a * conc + 5.0 / math.sqrt(n)
+            est = run_observation(v, x, DEFAULT, n, gen)
+            for w in (DEFAULT.w1, DEFAULT.w2):
+                # the fringe measured at this setting, recovered from the estimate
+                dp = est.C_used * est.V_a_hat * math.cos(est.V_p_hat - x.w_p - w)
+                assert abs(dp) <= v.V_a * est.C_used + 5.0 / math.sqrt(n)
 
     def test_zero_concurrence_resource(self):
         with pytest.raises(ZeroConcurrenceError):
             run_observation(AstroVisibility(0.5, 0.0), xstate_dephasing(1.0, 1.0),
-                            DEFAULT, 100, seed=0)
+                            DEFAULT, 100, np.random.default_rng(0))
 
     def test_dead_resource(self):
         dead = XState(a=1.0, g=0.0, f=0.0, h=0.0, w_a=0.0)
         with pytest.raises(DegenerateResourceError):
-            run_observation(AstroVisibility(0.5, 0.0), dead, DEFAULT, 100, seed=0)
+            run_observation(AstroVisibility(0.5, 0.0), dead, DEFAULT, 100,
+                            np.random.default_rng(0))
 
     def test_estimate_fields(self):
         est = run_observation(AstroVisibility(0.7, 0.9), ideal_bell_xstate(),
-                              DEFAULT, 50000, seed=3)
+                              DEFAULT, 50000, np.random.default_rng(3))
         assert est.V_a_hat >= 0.0
         assert -math.pi < est.V_p_hat <= math.pi
         assert est.dV_a >= 0.0 and est.dV_p >= 0.0
@@ -458,7 +468,7 @@ class TestRunReplicates:
         n_c[0] = n // 2  # both fringes zero
         est = run_replicates(v, x, DEFAULT, n, 20, FixedCounts(n_c))
         eff = PhaseSettings(x.w_p + DEFAULT.w1, x.w_p + DEFAULT.w2)
-        dps = [[delta_p(DetectionCounts(int(c), n - int(c), n)) for c in row] for row in n_c]
+        dps = [[((n - int(c)) - int(c)) / n for c in row] for row in n_c]
         dp1, dp2 = np.array(dps).T
         assert_matches_scalar((est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p),
                               dp1, dp2, n, eff, est.C_used)
@@ -485,10 +495,17 @@ class TestRunReplicates:
     def test_matches_scalar_statistics(self):
         v = AstroVisibility(0.7, 0.9)
         x = resource_with(0.5, 0.6)
-        batch = run_replicates(v, x, DEFAULT, 10 ** 4, 4000, np.random.default_rng(3))
-        scalar = [run_observation(v, x, DEFAULT, 10 ** 4, derive_seed(3, k)) for k in range(400)]
-        for field in ("V_a_hat", "V_p_hat", "dV_a"):
-            ref = np.array([getattr(e, field) for e in scalar])
+        n = 10 ** 4
+        batch = run_replicates(v, x, DEFAULT, n, 4000, np.random.default_rng(3))
+        # the scalar reference inverts 400 pairs of counts drawn from another stream
+        eff = PhaseSettings(x.w_p + DEFAULT.w1, x.w_p + DEFAULT.w2)
+        p_cs = [postselect(*raw_probabilities(v, x.with_phase_offset(w)))[0]
+                for w in (DEFAULT.w1, DEFAULT.w2)]
+        n_c = np.random.default_rng(4).binomial(n, p_cs, size=(400, 2))
+        scalar = [scalar_inversion((n - 2 * int(c1)) / n, (n - 2 * int(c2)) / n, n, eff,
+                                   batch.C_used) for c1, c2 in n_c]
+        for index, field in enumerate(("V_a_hat", "V_p_hat", "dV_a")):
+            ref = np.array([e[index] for e in scalar])
             got = getattr(batch, field)
             assert abs(np.mean(got) - np.mean(ref)) <= 5 * np.std(ref) / math.sqrt(400), field
             assert np.std(got) == pytest.approx(np.std(ref), rel=0.2), field
