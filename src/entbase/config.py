@@ -308,6 +308,11 @@ def parse_config(obj: dict) -> ScenarioConfig:
         tg = obj["theta_grid"]
         _require_keys(tg, "theta_grid", ("half_span", "count"))
         half_span = _positive("theta_grid", "half_span", _number(tg, "theta_grid", "half_span"))
+        if half_span < sky.extent:
+            # the sky deposit would pile the outer sources onto the edge cells
+            raise ConfigError("theta_grid.half_span",
+                              f"value {half_span} does not cover the source at "
+                              f"|theta| = {sky.extent}")
         count = _integer(tg, "theta_grid", "count")
         if count is None or not 2 <= count <= MAX_THETA_POINTS:
             raise ConfigError("theta_grid.count",

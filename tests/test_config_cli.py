@@ -286,8 +286,10 @@ class TestMalformedNumbersExit1:
         (dict(theta_grid={"half_span": 0.05, "count": 1_000_001}), "theta_grid.count"),
         (dict(baselines={"B_max": 40.0, "count": 1}), "baselines"),
         (dict(baselines=[40.0]), "baselines"),
+        (dict(theta_grid={"half_span": 1e-4, "count": 11}), "theta_grid.half_span"),
     ], ids=["nan-baseline", "inf-baseline", "nan-table", "bool-table", "huge-N",
-            "huge-theta-grid", "one-baseline-count", "one-baseline-list"])
+            "huge-theta-grid", "one-baseline-count", "one-baseline-list",
+            "narrow-theta-grid"])
     def test_run(self, tmp_path, capsys, overrides, key):
         cfg = base_config(output_dir=str(tmp_path / "out"), **overrides)
         assert main(["run", write_config(tmp_path, cfg)]) == 1

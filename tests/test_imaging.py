@@ -148,6 +148,16 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_intensity(*exact_samples(sky, plan), np.array([0.1, 0.0, -0.1]), 1.0)
 
+    def test_rejects_nonuniform_grid(self):
+        sky = two_source_sky()
+        plan = BaselinePlan.linear(30.0, 8)
+        grid = np.linspace(-0.05, 0.05, 101)
+        grid[40] += 1e-6 * (grid[1] - grid[0])
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            reconstruct_intensity(*exact_samples(sky, plan), grid, 1.0)
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            reconstruct_intensity(*exact_samples(sky, plan), np.array([-0.1, 0.0, 0.05]), 1.0)
+
 
 def noisy_samples(rng, n):
     """(baselines, visibilities): n irregular positive baselines, noisy complex values."""
@@ -158,19 +168,33 @@ def noisy_samples(rng, n):
 
 class TestMapBlocks:
     GRID = np.linspace(-0.08, 0.08, 103)
+    # ceil(sqrt(1000)) = 32 rows per block: 31 full blocks and a ragged one of 8
+    RAGGED_GRID = np.linspace(-0.03, 0.05, 1000)
 
     def test_blocks_match_oracle_and_each_other(self, rng, monkeypatch):
         bs, vs = noisy_samples(rng, 40)
-        oracle = dirty_image_complex(bs, vs, self.GRID, 1.0).real
-        maps = []
-        # 1 row, 3 rows (103 = 34 x 3 + a ragged row of 1), 5 rows, one block per map
-        for cells in (1, 120, 200, 1 << 18):
-            monkeypatch.setattr(imaging, "MAP_BLOCK_CELLS", cells)
-            maps.append(imaging._dirty_map(bs, vs, self.GRID, 1.0))
-        scale = np.max(np.abs(oracle))
-        for folded in maps:
-            assert np.max(np.abs(folded - oracle)) <= 1e-12 * scale
-            assert np.max(np.abs(folded - maps[-1])) <= 1e-12 * scale
+        for grid in (self.GRID, self.RAGGED_GRID):
+            oracle = dirty_image_complex(bs, vs, grid, 1.0).real
+            maps = []
+            # rotation blocks of 1 row, 3 rows (103 = 34 x 3 + a ragged row of 1),
+            # 5 rows, and ceil(sqrt(n_theta)) rows (103 = 9 x 11 + a ragged 4)
+            for cells in (1, 120, 200, 1 << 18):
+                monkeypatch.setattr(imaging, "MAP_BLOCK_CELLS", cells)
+                maps.append(imaging._dirty_map(bs, vs, grid, 1.0))
+            scale = np.max(np.abs(oracle))
+            for folded in maps:
+                assert np.max(np.abs(folded - oracle)) <= 1e-12 * scale
+                assert np.max(np.abs(folded - maps[-1])) <= 1e-12 * scale
+
+    def test_large_phases_match_oracle(self, rng):
+        # k theta reaches 2 pi 1e4 x 0.1 ~ 6 300 rad at the grid's edges
+        bs = np.array(BaselinePlan.linear(1e4, 500).baselines)
+        vs = rng.uniform(0.0, 0.9, size=bs.size) * np.exp(1j * rng.uniform(-math.pi, math.pi,
+                                                                          size=bs.size))
+        grid = np.linspace(-0.1, 0.1, 4001)
+        oracle = dirty_image_complex(bs, vs, grid, 1.0).real
+        gap = np.max(np.abs(imaging._dirty_map(bs, vs, grid, 1.0) - oracle))
+        assert gap <= 1e-12 * np.max(np.abs(oracle))
 
     def test_sample_order_does_not_matter(self, rng):
         bs, vs = noisy_samples(rng, 60)
