@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import validation
-from .config import ConfigError, load_config, with_swept_value
+from .config import ConfigError, load_config, swept_fields
 from .imaging import observe_and_image, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
@@ -34,19 +34,34 @@ from .qcore import AstroVisibility, DegenerateResourceError, wrap_phase
 __all__ = ["main"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
+def _csv_template(header, formats=None) -> str:
+    """The %-template of one CSV row: %.17g per column unless formats names another.
+
+    %.17g writes each double as format(x, ".17g") would, in one call per row;
+    an integer column takes %d, since %.17g would round integers above 2**53.
+    """
+    formats = formats or {}
+    return ",".join(formats.get(name, "%.17g") for name in header) + "\n"
 
 
-def _write_csv(path: Path, header, rows):
+VISIBILITY_HEADER = ("B", "V_a_true", "V_p_true", "V_a_hat", "V_p_hat", "dV_a", "dV_p",
+                     "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "N")
+VISIBILITY_TEMPLATE = _csv_template(VISIBILITY_HEADER, {"N": "%d"})
+INTENSITY_HEADER = ("theta", "I_true", "I_exact", "I_est")
+INTENSITY_TEMPLATE = _csv_template(INTENSITY_HEADER)
+SWEEP_HEADER = ("value", "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "rmse_V_a", "rmse_V_p")
+# the RMSE cells arrive as text from _optional_cell: empty when there is no value
+SWEEP_TEMPLATE = _csv_template(SWEEP_HEADER, {"rmse_V_a": "%s", "rmse_V_p": "%s"})
+
+
+def _optional_cell(x) -> str:
+    return "" if x is None else "%.17g" % x
+
+
+def _write_csv(path: Path, header, template: str, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(template % row for row in rows)
 
 
 def _matrix_json(entries: np.ndarray):
@@ -113,20 +128,14 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
             report.baselines, report.v_true, est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p,
             est.xi_used, est.C_used, report.rate_norm, report.rate_abs):
         ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
-        vis_rows.append([
+        vis_rows.append((
             b, abs(v_c), wrap_phase(cmath.phase(v_c)), v_a, v_p, dv_a, dv_p, xi, conc, r_norm,
             ln_r, ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf, est.N_used,
-        ])
-    _write_csv(outdir / "visibility.csv",
-               ["B", "V_a_true", "V_p_true", "V_a_hat", "V_p_hat", "dV_a", "dV_p",
-                "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "N"],
-               vis_rows)
-
-    _write_csv(outdir / "intensity.csv",
-               ["theta", "I_true", "I_exact", "I_est"],
-               [[t, i_t, i_x, i_e] for t, i_t, i_x, i_e in
-                zip(report.theta_grid, report.intensity_true,
-                    report.intensity_exact, report.intensity_est)])
+        ))
+    _write_csv(outdir / "visibility.csv", VISIBILITY_HEADER, VISIBILITY_TEMPLATE, vis_rows)
+    _write_csv(outdir / "intensity.csv", INTENSITY_HEADER, INTENSITY_TEMPLATE,
+               zip(report.theta_grid, report.intensity_true,
+                   report.intensity_exact, report.intensity_est))
 
     worst = int(np.argmin(est.C_used))
     resource = cfg.channel.resource_factory()(cfg.plan.baselines[worst])
@@ -162,37 +171,41 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
 def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
               gnuplot: bool = False) -> int:
     base = load_config(config_path)
-    # every value is validated before any row is computed
-    cfgs = [with_swept_value(base, param, value) for value in values]
     if param in ("B", "L") and min(values) < 0.0:
-        raise ConfigError("sweep.B", "baseline must be nonnegative")
+        raise ConfigError(f"sweep.{param}", "baseline must be nonnegative")
+    # every value is validated before any row is computed
+    changes = [swept_fields(base, param, value) for value in values]
+    _thread_count()  # validated only: the sweep is serial
     rows = []
-    for row_index, (value, cfg) in enumerate(zip(values, cfgs)):
-        b_eval = float(value) if param in ("B", "L") else cfg.plan.B_m
-        resource = cfg.channel.resource_factory()(b_eval)
-        xi, conc, r_norm, r_abs = resource_figures(resource, b_eval, cfg.rates,
-                                                   cfg.channel.rate_norm_fn())
+    channel = base.channel
+    resource_factory, rate_norm_fn = channel.resource_factory(), channel.rate_norm_fn()
+    for row_index, (value, changed) in enumerate(zip(values, changes)):
+        if "channel" in changed:  # a channel sweep: each row has a channel of its own
+            channel = changed["channel"]
+            resource_factory, rate_norm_fn = channel.resource_factory(), channel.rate_norm_fn()
+        b_eval = float(value) if param in ("B", "L") else base.plan.B_m
+        resource = resource_factory(b_eval)
+        xi, conc, r_norm, r_abs = resource_figures(
+            resource, b_eval, changed.get("rates", base.rates), rate_norm_fn)
         ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
         rmse_va = rmse_vp = None
         if mc_replicates > 0:
-            v_c = true_visibility(cfg.sky, b_eval)
+            v_c = true_visibility(base.sky, b_eval)
             v = AstroVisibility(abs(v_c), cmath.phase(v_c))
-            rng = np.random.default_rng(derive_seed(cfg.seed, row_index))
+            rng = np.random.default_rng(derive_seed(base.seed, row_index))
             try:
-                rmse_va, rmse_vp = replicate_rmse(v, resource, cfg.settings,
-                                                  cfg.n_per_setting, mc_replicates, rng)
+                rmse_va, rmse_vp = replicate_rmse(
+                    v, resource, changed.get("settings", base.settings),
+                    changed.get("n_per_setting", base.n_per_setting), mc_replicates, rng)
             except (DegenerateResourceError, ZeroConcurrenceError):
                 pass  # a dead resource: its RMSE cells stay empty
-        rows.append([value, xi, conc, r_norm, ln_r,
+        rows.append((value, xi, conc, r_norm, ln_r,
                      ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf,
-                     rmse_va, rmse_vp])
+                     _optional_cell(rmse_va), _optional_cell(rmse_vp)))
 
     outdir = Path(base.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "sweep.csv",
-               ["value", "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M",
-                "rmse_V_a", "rmse_V_p"],
-               rows)
+    _write_csv(outdir / "sweep.csv", SWEEP_HEADER, SWEEP_TEMPLATE, rows)
     if gnuplot:
         _emit_gnuplot(outdir, "sweep")
     return 0

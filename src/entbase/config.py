@@ -26,17 +26,13 @@ from .imaging import BaselinePlan, SkyModel, default_theta_grid
 from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
-           "SWEEPABLE_CHANNEL_PARAMS", "with_swept_value"]
+           "SWEEPABLE_CHANNEL_PARAMS", "swept_fields", "with_swept_value"]
 
 CHANNEL_KINDS = ("ideal", "amplitude_damping", "dephasing", "depolarizing",
                  "memory_swap", "custom_rate")
 
 # bound on theta_grid.count: one key must not be able to ask for gigabytes of map
 MAX_THETA_POINTS = 1_000_000
-
-SWEEPABLE_CHANNEL_PARAMS = ("lambda_L", "lambda_R", "mu_L", "mu_R", "kappa_L", "kappa_R",
-                            "L0", "beta", "t1", "t2", "tau_c")
-
 
 class ConfigError(ValueError):
     """Invalid scenario config; carries the offending key."""
@@ -97,6 +93,29 @@ def _positive(context: str, key: str, value: float) -> float:
     return value
 
 
+def _storage_time(context: str, key: str, value: float) -> float:
+    if value < 0.0:
+        raise ConfigError(f"{context}.{key}", "storage time must be nonnegative")
+    return value
+
+
+# The range rule of every numeric channel parameter; _parse_channel and
+# swept_fields both check values through this table.
+CHANNEL_PARAM_RULES = {
+    "lambda_L": _in_unit_interval, "lambda_R": _in_unit_interval,
+    "mu_L": _in_unit_interval, "mu_R": _in_unit_interval,
+    "kappa_L": _in_unit_interval, "kappa_R": _in_unit_interval,
+    "L0": _positive, "beta": _positive,
+    "t1": _storage_time, "t2": _storage_time, "tau_c": _positive,
+}
+SWEEPABLE_CHANNEL_PARAMS = tuple(CHANNEL_PARAM_RULES)
+
+
+def _channel_param(obj: dict, key: str) -> float:
+    """obj[key] as a finite float within its CHANNEL_PARAM_RULES range."""
+    return CHANNEL_PARAM_RULES[key]("channel", key, _number(obj, "channel", key))
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     kind: str
@@ -153,35 +172,31 @@ def _parse_channel(obj) -> ChannelConfig:
         if "L0" in obj:
             if "lambda_L" in obj or "lambda_R" in obj:
                 raise ConfigError(f"{ctx}.L0", "give either L0 or lambda_L/lambda_R, not both")
-            params["L0"] = _positive(ctx, "L0", _number(obj, ctx, "L0"))
+            params["L0"] = _channel_param(obj, "L0")
         else:
             for key in ("lambda_L", "lambda_R"):
                 if key not in obj:
                     raise ConfigError(f"{ctx}.{key}", "missing required key")
-                params[key] = _in_unit_interval(ctx, key, _number(obj, ctx, key))
+                params[key] = _channel_param(obj, key)
     elif kind == "dephasing":
         _require_keys(obj, ctx, ("kind", "mu_L", "mu_R"))
         for key in ("mu_L", "mu_R"):
-            params[key] = _in_unit_interval(ctx, key, _number(obj, ctx, key))
+            params[key] = _channel_param(obj, key)
     elif kind == "depolarizing":
         _require_keys(obj, ctx, ("kind",), ("beta", "kappa_L", "kappa_R"))
         if "beta" in obj:
             if "kappa_L" in obj or "kappa_R" in obj:
                 raise ConfigError(f"{ctx}.beta", "give either beta or kappa_L/kappa_R, not both")
-            params["beta"] = _positive(ctx, "beta", _number(obj, ctx, "beta"))
+            params["beta"] = _channel_param(obj, "beta")
         else:
             for key in ("kappa_L", "kappa_R"):
                 if key not in obj:
                     raise ConfigError(f"{ctx}.{key}", "missing required key")
-                params[key] = _in_unit_interval(ctx, key, _number(obj, ctx, key))
+                params[key] = _channel_param(obj, key)
     elif kind == "memory_swap":
         _require_keys(obj, ctx, ("kind", "t1", "t2", "tau_c"), ("sign",))
-        for key in ("t1", "t2"):
-            val = _number(obj, ctx, key)
-            if val < 0.0:
-                raise ConfigError(f"{ctx}.{key}", "storage time must be nonnegative")
-            params[key] = val
-        params["tau_c"] = _positive(ctx, "tau_c", _number(obj, ctx, "tau_c"))
+        for key in ("t1", "t2", "tau_c"):
+            params[key] = _channel_param(obj, key)
         if "sign" in obj:
             if isinstance(obj["sign"], bool) or obj["sign"] not in ("+", "-", 1, -1):
                 raise ConfigError(f"{ctx}.sign", "must be '+', '-', 1 or -1")
@@ -339,28 +354,38 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config(obj)
 
 
-def with_swept_value(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
-    """cfg with the swept parameter set to value, re-validating only its section.
+def swept_fields(cfg: ScenarioConfig, name: str, value: float) -> dict:
+    """The ScenarioConfig fields that setting the swept parameter to value changes.
 
-    Gives the config, or the ConfigError, that parse_config gives for the
-    edited JSON; a sweep adds two checks of its own (`sweep.N_per_setting`
-    for a non-integral N, `sweep.param.<name>` for an unknown name). B and
-    L leave cfg unchanged: they set the evaluation baseline of a sweep row.
+    Re-validates only the section the parameter belongs to, and raises the
+    ConfigError that parse_config raises for the edited JSON; a sweep adds
+    two checks of its own (`sweep.N_per_setting` for a non-integral N,
+    `sweep.param.<name>` for an unknown name). Empty for B and L: they set
+    the evaluation baseline of a sweep row, not a config field.
     """
     if name in ("B", "L"):
-        return cfg
+        return {}
     if name in ("N", "N_per_setting"):
         n = int(value)
         if n < 1 or n != value:
             raise ConfigError("sweep.N_per_setting", f"value {value} is not a positive integer")
-        return replace(cfg, n_per_setting=_check_n_per_setting(n))
+        return {"n_per_setting": _check_n_per_setting(n)}
     if name in ("R_E", "R_T"):
         rates = {"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T, name: value}
-        return replace(cfg, rates=_parse_rates(rates))
+        return {"rates": _parse_rates(rates)}
     if name in ("w1", "w2"):
         settings = {"w1": cfg.settings.w1, "w2": cfg.settings.w2, name: value}
-        return replace(cfg, settings=_parse_settings(settings))
-    if name not in SWEEPABLE_CHANNEL_PARAMS:
+        return {"settings": _parse_settings(settings)}
+    if name not in CHANNEL_PARAM_RULES:
         raise ConfigError(f"sweep.param.{name}", "not a sweepable parameter")
-    channel = {"kind": cfg.channel.kind, **cfg.channel.params, name: value}
-    return replace(cfg, channel=_parse_channel(channel))
+    params = cfg.channel.params
+    if name in params:  # the channel's form already takes name: only its range can fail
+        value = _channel_param({name: value}, name)
+        return {"channel": ChannelConfig(cfg.channel.kind, {**params, name: value})}
+    # a key the form does not take: the full parse names the structural error
+    return {"channel": _parse_channel({"kind": cfg.channel.kind, **params, name: value})}
+
+
+def with_swept_value(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
+    """cfg with the swept parameter set to value; see swept_fields for the checks."""
+    return replace(cfg, **swept_fields(cfg, name, value))

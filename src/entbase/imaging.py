@@ -252,10 +252,17 @@ def default_theta_grid(sky: SkyModel, B_m: float) -> np.ndarray:
 
 
 def sky_intensity_on_grid(sky: SkyModel, theta_grid) -> np.ndarray:
-    """Nearest-cell deposit of the source fluxes, normalized to unit sum."""
+    """Nearest-cell deposit of the source fluxes, normalized to unit sum.
+
+    Raises ValueError for a source outside the grid's span, whose flux would
+    otherwise pile onto an edge cell.
+    """
     theta = np.asarray(theta_grid, dtype=float)
+    lo, hi = theta.min(), theta.max()
     out = np.zeros_like(theta)
-    for t, flux in sky.sources:
+    for i, (t, flux) in enumerate(sky.sources):
+        if not lo <= t <= hi:
+            raise ValueError(f"source {i} at theta = {t} lies outside the grid [{lo}, {hi}]")
         out[int(np.argmin(np.abs(theta - t)))] += flux
     return out / out.sum()
 

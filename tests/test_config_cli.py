@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entbase import cli
 from entbase.cli import main
 from entbase.config import (
     SWEEPABLE_CHANNEL_PARAMS,
@@ -295,18 +296,23 @@ class TestMalformedNumbersExit1:
         assert main(["run", write_config(tmp_path, cfg)]) == 1
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("param, values, key", [
-        ("B", "10,nan", "sweep.values"),
-        ("N", "1000,1e20", "N_per_setting"),
-        ("nope", ",", "sweep.values"),
-        ("nope", "1,2", "sweep.param.nope"),
-    ], ids=["nan-value", "huge-N", "empty-values", "unknown-param"])
-    def test_sweep(self, tmp_path, capsys, param, values, key):
+    @pytest.mark.parametrize("param, values, key, threads", [
+        ("B", "10,nan", "sweep.values", "1"),
+        ("N", "1000,1e20", "N_per_setting", "1"),
+        ("nope", ",", "sweep.values", "1"),
+        ("nope", "1,2", "sweep.param.nope", "1"),
+        ("B", "0,10", "ENTBASE_THREADS", "0"),
+        ("L", "10,-1", "sweep.L", "1"),
+    ], ids=["nan-value", "huge-N", "empty-values", "unknown-param", "zero-threads",
+            "negative-L"])
+    def test_sweep(self, tmp_path, capsys, monkeypatch, param, values, key, threads):
+        monkeypatch.setenv("ENTBASE_THREADS", threads)
         cfg = base_config(output_dir=str(tmp_path / "out"))
         code = main(["sweep", write_config(tmp_path, cfg), "--param", param,
                      "--values", values, "--mc-replicates", "5"])
         assert code == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # (parameter, channel, a valid value or None, an invalid value)
@@ -368,6 +374,46 @@ class TestWithSweptValue:
         with pytest.raises(ConfigError) as swept_err:
             with_swept_value(base, name, invalid)
         assert swept_err.value.key == direct.value.key
+
+
+def reference_cell(x) -> str:
+    """The per-cell rule the CSV writers followed before their %-templates."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x is None:
+        return ""
+    return format(float(x), ".17g")
+
+
+CELL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0,
+               2.0 ** 53 + 2.0, 12.0, np.float64(0.1), np.float64(-math.inf), np.float64(math.nan),
+               np.float64(5e-324), np.float64(-0.0), np.float64(1e308)]
+CELL_INTS = [0, 1, 2 ** 53 + 1, 2 ** 63 - 1, np.int64(2 ** 63 - 1)]
+CELL_RMSE = [None, 0.0017907626565792964, None, np.float64(math.nan), math.inf]
+
+
+class TestCsvTemplates:
+    """Each file's %-template writes the bytes the per-cell rule wrote."""
+
+    @pytest.mark.parametrize("header, template", [
+        (cli.VISIBILITY_HEADER, cli.VISIBILITY_TEMPLATE),
+        (cli.INTENSITY_HEADER, cli.INTENSITY_TEMPLATE),
+        (cli.SWEEP_HEADER, cli.SWEEP_TEMPLATE),
+    ], ids=["visibility", "intensity", "sweep"])
+    def test_rows_match_the_cell_rule(self, tmp_path, header, template):
+        pools = {"N": CELL_INTS, "rmse_V_a": CELL_RMSE, "rmse_V_p": CELL_RMSE}
+        columns = []
+        for j, name in enumerate(header):
+            pool = pools.get(name, CELL_FLOATS)
+            columns.append([pool[(k + j) % len(pool)] for k in range(2 * len(CELL_FLOATS))])
+        reference_rows = list(zip(*columns))
+        # cmd_sweep renders the optional RMSE cells before the template sees them
+        rows = [tuple(cli._optional_cell(v) if name.startswith("rmse") else v
+                      for name, v in zip(header, row)) for row in reference_rows]
+        cli._write_csv(tmp_path / "out.csv", header, template, rows)
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(map(reference_cell, row)) + "\n" for row in reference_rows)
+        assert (tmp_path / "out.csv").read_bytes() == expected.encode()
 
 
 class TestValidateCommand:

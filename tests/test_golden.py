@@ -1,14 +1,15 @@
 """Byte-identity contract: `run` and `sweep` outputs for a fixed seed do not drift.
 
-The digests pin `run` on the three bundled configs and two sweeps of the fiber
-config. A refactor must keep them; an intended change to these bytes (for
-example a new seed scheme) is declared in docs/schema.md and CHANGES.md and
-updates the digests in the same change.
+The digests pin `run` on the three bundled configs and four sweeps of the fiber
+config: over B, over N with Monte Carlo replicates, over the channel's L0 with
+replicates, and over R_E. A refactor must keep them; an intended change to these
+bytes (for example a new seed scheme) is declared in docs/schema.md and
+CHANGES.md and updates the digests in the same change.
 `intensity.csv` is left out: its dirty map is a BLAS matrix product whose last
 bits depend on the BLAS build. The `run` digests were recorded under run seed
 scheme v2 (docs/schema.md#Seeding), which changed the estimate columns of
 `visibility.csv` and the `dI` of `summary.json` and added its `n_above_unit`
-key; the `sweep` digests predate it and are unchanged.
+key; the B and N sweep digests predate it and are unchanged.
 """
 
 import hashlib
@@ -41,6 +42,10 @@ SWEEP_DIGESTS = {
         "ce91af08a2a6573d7e725143034578c059683366aba49adfc72e7a3fc2fd8b6b",
     ("--param", "N", "--values", "1000,10000,100000", "--mc-replicates", "100"):
         "c48080f236536e6c3ac8bb62539be8b688d93fa0c748bb9633358d03a9f83e8a",
+    ("--param", "L0", "--values", "2,5,10,20,40,80", "--mc-replicates", "50"):
+        "aba437874c8bd6acc3c5a335fbfdb9af9e56cdad87d354e2646d2445a98c5d6b",
+    ("--param", "R_E", "--values", "0.05,0.25,0.5,0.75,1"):
+        "60899fbe49fb21474ae8f64ef59172df5d16de4e0c07545d20acb71545f31d1f",
 }
 
 
@@ -64,7 +69,7 @@ def test_run_outputs_are_pinned(tmp_path, name):
         assert digest(tmp_path / "out" / file_name) == RUN_DIGESTS[name, file_name], file_name
 
 
-@pytest.mark.parametrize("args", list(SWEEP_DIGESTS), ids=["B", "N-mc"])
+@pytest.mark.parametrize("args", list(SWEEP_DIGESTS), ids=["B", "N-mc", "L0-mc", "R_E"])
 def test_sweep_outputs_are_pinned(tmp_path, args):
     assert main(["sweep", bundled_config(tmp_path, "fiber_two_source"), *args]) == 0
     assert digest(tmp_path / "out" / "sweep.csv") == SWEEP_DIGESTS[args]

@@ -158,6 +158,15 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="uniformly spaced"):
             reconstruct_intensity(*exact_samples(sky, plan), np.array([-0.1, 0.0, 0.05]), 1.0)
 
+    def test_truth_rejects_a_source_off_the_grid(self):
+        sky = SkyModel(((-0.01, 0.5), (0.01, 0.5)), 1.0)
+        with pytest.raises(ValueError, match=r"source 0 at theta = -0\.01"):
+            sky_intensity_on_grid(sky, np.linspace(-1e-4, 1e-4, 11))
+        with pytest.raises(ValueError, match=r"source 1 at theta = 0\.01"):
+            sky_intensity_on_grid(sky, np.linspace(-0.02, 0.005, 11))
+        on_edges = sky_intensity_on_grid(sky, np.linspace(-0.01, 0.01, 11))
+        assert on_edges[0] == on_edges[-1] == 0.5
+
 
 def noisy_samples(rng, n):
     """(baselines, visibilities): n irregular positive baselines, noisy complex values."""
