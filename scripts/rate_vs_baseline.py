@@ -13,16 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from entbase.channels import (
-    RateModel,
-    depol_prob,
-    fiber_loss_prob,
-    log_rate_depol_approx,
-    measurement_rate,
-    xstate_amplitude_damping,
-    xstate_depolarizing,
-)
-from entbase.qcore import subspace_weight
+from entbase.channels import RateModel, log_rate_depol_approx
+from entbase.config import ChannelConfig
+from entbase.imaging import resource_figures
 
 
 def main():
@@ -38,18 +31,17 @@ def main():
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     baselines = np.linspace(0.0, args.B_max, args.points)
+    # the resources `run` and `sweep` build for these channels
+    fiber = ChannelConfig("amplitude_damping", {"L0": args.L0}).resource_factory()
+    depol = ChannelConfig("depolarizing", {"beta": args.beta}).resource_factory()
 
     rows = []
     for b in baselines:
-        lam = fiber_loss_prob(b / 2.0, args.L0)
-        xi_fiber = subspace_weight(xstate_amplitude_damping(lam, lam))
-        kappa = depol_prob(b, args.beta)
-        xi_depol = subspace_weight(xstate_depolarizing(kappa, kappa))
         approx = log_rate_depol_approx(b, args.beta, rates)
         rows.append((
             b,
-            measurement_rate(xi_fiber, rates),
-            measurement_rate(xi_depol, rates),
+            resource_figures(fiber(b), b, rates, None)[3],
+            resource_figures(depol(b), b, rates, None)[3],
             0.5,  # perfect distribution
             approx.value if approx.in_regime else math.nan,
         ))

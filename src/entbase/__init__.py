@@ -27,7 +27,6 @@ from .channels import (
     ideal_bell_xstate,
     log_rate_depol_approx,
     log_rate_fiber,
-    measurement_rate,
     memory_dephasing_channel,
     memory_xstate,
     swap_memories,

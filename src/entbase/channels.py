@@ -1,10 +1,11 @@
-"""Physical decoherence scenarios and measurement-rate models.
+"""Physical decoherence scenarios and the rate model.
 
 Closed-form resource states for independent per-arm amplitude damping,
 dephasing and depolarization, parameter maps for lossy/birefringent fiber
 and finite-lifetime memories, entanglement swapping of stored pairs, and
-the coincidence-rate bookkeeping. Each closed form is checked elsewhere
-against the operator-sum route in :mod:`entbase.qcore`.
+the closed-form log-rate laws that the rate of `imaging.resource_figures`
+is checked against. Each closed form is checked elsewhere against the
+operator-sum route in :mod:`entbase.qcore`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "ideal_bell_xstate",
     "log_rate_depol_approx",
     "log_rate_fiber",
-    "measurement_rate",
     "memory_dephasing_channel",
     "memory_xstate",
     "swap_memories",
@@ -173,14 +173,7 @@ def memory_dephasing_channel(t: float, tau_c: float) -> KrausChannel:
     p = 0.5 * (1.0 + _coherence_survival(0.5 * t, tau_c))
     k1 = math.sqrt(p) * np.eye(2, dtype=complex)
     k2 = math.sqrt(1.0 - p) * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    return KrausChannel((k1, k2), "custom", 1.0 - p)
-
-
-def measurement_rate(xi: float, rates: RateModel) -> float:
-    """Rate of postselected coincidences: xi * R_E * R_T / 2."""
-    if xi < 0.0 or xi > 1.0 + 1e-12:
-        raise ValueError(f"subspace weight xi = {xi} outside [0, 1]")
-    return xi * rates.max_rate
+    return KrausChannel((k1, k2))
 
 
 def log_rate_fiber(B: float, L0: float, rates: RateModel) -> float:

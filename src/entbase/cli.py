@@ -4,9 +4,7 @@ Verbs: ``run <config>`` (single observation, writes visibility.csv,
 intensity.csv and summary.json), ``sweep <config> --param --values``
 (one CSV row per swept value), ``validate [--fast]`` (invariant suite).
 Exit codes: 0 success, 1 invalid config (message names the offending
-key), 2 runtime failure (message names the error). ENTBASE_THREADS is
-still accepted and validated, but runs are serial and outputs do not
-depend on it.
+key), 2 runtime failure (message names the error).
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -28,8 +25,8 @@ from .imaging import observe_and_image, resource_figures, true_visibility
 # tracer rebinds them by name
 from .config import parse_config  # noqa: F401
 from .protocol import (  # noqa: F401
-    ZeroConcurrenceError, derive_seed, replicate_rmse, run_observation, scaling_laws)
-from .qcore import AstroVisibility, DegenerateResourceError, wrap_phase
+    derive_seed, replicate_rmse, run_observation, scaling_laws)
+from .qcore import AstroVisibility, wrap_phase
 
 __all__ = ["main"]
 
@@ -58,6 +55,12 @@ def _optional_cell(x) -> str:
     return "" if x is None else "%.17g" % x
 
 
+def _log_rates(r_abs) -> tuple[float, float]:
+    """The ln_R_M and log10_R_M cells of the rate r_abs: both -inf when it is 0."""
+    ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
+    return ln_r, ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf
+
+
 def _write_csv(path: Path, header, template: str, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -66,17 +69,6 @@ def _write_csv(path: Path, header, template: str, rows):
 
 def _matrix_json(entries: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in entries]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("ENTBASE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("ENTBASE_THREADS", f"not an integer: {raw!r}")
-    if n < 1:
-        raise ConfigError("ENTBASE_THREADS", "must be >= 1")
-    return n
 
 
 def _emit_gnuplot(outdir: Path, kind: str):
@@ -112,7 +104,6 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     cfg = load_config(config_path)
     if len(cfg.plan.baselines) < 2:  # sweep evaluates one baseline; the map needs two
         raise ConfigError("baselines", "run needs at least two baselines to image")
-    _thread_count()  # validated only: the pipeline is serial
     report = observe_and_image(
         sky=cfg.sky, plan=cfg.plan, resource_factory=cfg.channel.resource_factory(),
         settings=cfg.settings, n_per_setting=cfg.n_per_setting, seed=cfg.seed,
@@ -127,10 +118,9 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     for b, v_c, v_a, v_p, dv_a, dv_p, xi, conc, r_norm, r_abs in zip(
             report.baselines, report.v_true, est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p,
             est.xi_used, est.C_used, report.rate_norm, report.rate_abs):
-        ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
         vis_rows.append((
             b, abs(v_c), wrap_phase(cmath.phase(v_c)), v_a, v_p, dv_a, dv_p, xi, conc, r_norm,
-            ln_r, ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf, est.N_used,
+            *_log_rates(r_abs), est.N_used,
         ))
     _write_csv(outdir / "visibility.csv", VISIBILITY_HEADER, VISIBILITY_TEMPLATE, vis_rows)
     _write_csv(outdir / "intensity.csv", INTENSITY_HEADER, INTENSITY_TEMPLATE,
@@ -160,9 +150,11 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         "n_above_unit": report.n_above_unit,
         "resource_state": _matrix_json(resource.to_density().entries),
     }
-    with open(outdir / "summary.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # RFC 8259 has no NaN or Infinity: a non-finite figure (dVa_scale at R_E = 0) is null
+    summary = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+               for key, v in summary.items()}
+    text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+    (outdir / "summary.json").write_text(text + "\n", encoding="utf-8", newline="\n")
     if gnuplot:
         _emit_gnuplot(outdir, "run")
     return 0
@@ -175,7 +167,6 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
         raise ConfigError(f"sweep.{param}", "baseline must be nonnegative")
     # every value is validated before any row is computed
     changes = [swept_fields(base, param, value) for value in values]
-    _thread_count()  # validated only: the sweep is serial
     rows = []
     channel = base.channel
     resource_factory, rate_norm_fn = channel.resource_factory(), channel.rate_norm_fn()
@@ -187,20 +178,17 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
         resource = resource_factory(b_eval)
         xi, conc, r_norm, r_abs = resource_figures(
             resource, b_eval, changed.get("rates", base.rates), rate_norm_fn)
-        ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
         rmse_va = rmse_vp = None
-        if mc_replicates > 0:
+        # C is nan with no coincidence weight and 0 with no coherence: a dead
+        # resource, whose RMSE cells stay empty
+        if mc_replicates > 0 and conc > 0.0:
             v_c = true_visibility(base.sky, b_eval)
             v = AstroVisibility(abs(v_c), cmath.phase(v_c))
             rng = np.random.default_rng(derive_seed(base.seed, row_index))
-            try:
-                rmse_va, rmse_vp = replicate_rmse(
-                    v, resource, changed.get("settings", base.settings),
-                    changed.get("n_per_setting", base.n_per_setting), mc_replicates, rng)
-            except (DegenerateResourceError, ZeroConcurrenceError):
-                pass  # a dead resource: its RMSE cells stay empty
-        rows.append((value, xi, conc, r_norm, ln_r,
-                     ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf,
+            rmse_va, rmse_vp = replicate_rmse(
+                v, resource, changed.get("settings", base.settings),
+                changed.get("n_per_setting", base.n_per_setting), mc_replicates, rng)
+        rows.append((value, xi, conc, r_norm, *_log_rates(r_abs),
                      _optional_cell(rmse_va), _optional_cell(rmse_vp)))
 
     outdir = Path(base.output_dir)

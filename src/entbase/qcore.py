@@ -16,6 +16,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 XSTATE_SLACK = 1e-9
+XFORM_TOL = 1e-12
 
 __all__ = [
     "AstroVisibility",
@@ -163,8 +164,6 @@ class KrausChannel:
     """A single-qubit CPTP map given by its operator-sum decomposition."""
 
     operators: tuple
-    label: str
-    param: float
 
     def __post_init__(self):
         ops = tuple(_readonly(k) for k in self.operators)
@@ -216,7 +215,7 @@ def kraus_amplitude_damping(lam: float) -> KrausChannel:
     lam = _check_probability("lambda", lam)
     k1 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex)
     k2 = np.array([[0.0, math.sqrt(lam)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((k1, k2), "amplitude-damping", lam)
+    return KrausChannel((k1, k2))
 
 
 def kraus_dephasing(mu: float) -> KrausChannel:
@@ -225,7 +224,7 @@ def kraus_dephasing(mu: float) -> KrausChannel:
     k1 = math.sqrt(1.0 - mu) * np.eye(2, dtype=complex)
     k2 = np.array([[math.sqrt(mu), 0.0], [0.0, 0.0]], dtype=complex)
     k3 = np.array([[0.0, 0.0], [0.0, math.sqrt(mu)]], dtype=complex)
-    return KrausChannel((k1, k2, k3), "dephasing", mu)
+    return KrausChannel((k1, k2, k3))
 
 
 def kraus_depolarizing(kappa: float) -> KrausChannel:
@@ -236,7 +235,7 @@ def kraus_depolarizing(kappa: float) -> KrausChannel:
     kx = s * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     ky = s * np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
     kz = s * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    return KrausChannel((k1, kx, ky, kz), "depolarizing", kappa)
+    return KrausChannel((k1, kx, ky, kz))
 
 
 def apply_independent_channels(rho: DensityMatrix4, left: KrausChannel,
@@ -254,16 +253,14 @@ def apply_independent_channels(rho: DensityMatrix4, left: KrausChannel,
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}
 
 
-def extract_xstate(rho: DensityMatrix4, tol: float = 1e-12) -> XState:
+def extract_xstate(rho: DensityMatrix4) -> XState:
     """Read the eight X-form parameters off a density matrix.
 
     Parameters
     ----------
     rho : DensityMatrix4
         State to canonicalize. Every entry outside the main and anti
-        diagonals must vanish to within ``tol``.
-    tol : float
-        Largest tolerated magnitude for off-pattern entries.
+        diagonals must vanish to within ``XFORM_TOL``.
 
     Returns
     -------
@@ -275,7 +272,7 @@ def extract_xstate(rho: DensityMatrix4, tol: float = 1e-12) -> XState:
     Raises
     ------
     NotXFormError
-        If any off-pattern entry exceeds ``tol``.
+        If any off-pattern entry exceeds ``XFORM_TOL``.
     """
     m = rho.entries
     worst = 0.0
@@ -283,7 +280,7 @@ def extract_xstate(rho: DensityMatrix4, tol: float = 1e-12) -> XState:
         for j in range(4):
             if (i, j) not in _X_PATTERN:
                 worst = max(worst, abs(m[i, j]))
-    if worst > tol:
+    if worst > XFORM_TOL:
         raise NotXFormError(worst)
     w = m[2, 1]
     z = m[3, 0]

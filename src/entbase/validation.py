@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from . import channels, imaging, protocol, qcore
+from . import channels, config, imaging, protocol, qcore
 
 __all__ = ["CHECKS", "amplitude_from_delta", "amplitude_partials", "delta_p_uncertainty",
            "dirty_image_complex", "phase_from_ratio", "phase_ratio_derivative",
@@ -89,7 +89,7 @@ def check_xform_closure():
             for p_l in grid:
                 for p_r in grid:
                     out = qcore.apply_independent_channels(bell, left(p_l), right(p_r))
-                    qcore.extract_xstate(out, tol=1e-12)  # raises if not X form
+                    qcore.extract_xstate(out)  # raises if not X form
                     tr = abs(out.entries.trace() - 1.0)
                     assert tr <= 1e-12, f"{left_name}x{right_name}: trace defect {tr:.3e}"
 
@@ -373,6 +373,14 @@ def check_depol_x_bound():
             assert -1e-15 <= x <= 1.0 / 3.0 + 1e-15, f"x={x} at ({k_l}, {k_r})"
 
 
+def _channel_rates(kind: str, params: dict, rates: channels.RateModel, baselines):
+    """(R_M_norm, R_M) at each baseline, by the route `run` and `sweep` take."""
+    channel = config.ChannelConfig(kind, params)
+    factory, rate_norm_fn = channel.resource_factory(), channel.rate_norm_fn()
+    return [imaging.resource_figures(factory(b), b, rates, rate_norm_fn)[2:]
+            for b in baselines]
+
+
 def check_rate_monotonicity():
     import warnings
     rates = channels.RateModel(1.0, 1.0)
@@ -385,7 +393,7 @@ def check_rate_monotonicity():
         grids["kappa"] = [channels.xstate_depolarizing(p, p)
                           for p in np.linspace(0, 0.75, 12)]
     for family, states in grids.items():
-        rs = [channels.measurement_rate(qcore.subspace_weight(x), rates) for x in states]
+        rs = [imaging.resource_figures(x, 0.0, rates, None)[3] for x in states]
         for r1, r2 in zip(rs, rs[1:]):
             assert r2 <= r1 + 1e-15, f"rate not monotone in {family}"
 
@@ -395,12 +403,10 @@ def check_fiber_rate_line():
     l0 = 10.0
     bs = np.linspace(0.0, 6 * l0, 25)
     logs = []
-    for b in bs:
-        lam = channels.fiber_loss_prob(b / 2.0, l0)
-        xi = qcore.subspace_weight(channels.xstate_amplitude_damping(lam, lam))
-        direct = math.log(channels.measurement_rate(xi, rates))
+    for b, (_, r_abs) in zip(bs, _channel_rates("amplitude_damping", {"L0": l0}, rates, bs)):
+        direct = math.log(r_abs)
         shortcut = channels.log_rate_fiber(b, l0, rates)
-        assert abs(direct - shortcut) <= 1e-12
+        assert abs(direct - shortcut) <= 1e-12, f"ln R_M off the fiber law at B = {b}"
         logs.append(direct)
     slope = np.polyfit(bs, logs, 1)[0]
     assert abs(slope + 1.0 / (2.0 * l0)) <= 1e-9, f"slope {slope}"
@@ -409,16 +415,14 @@ def check_fiber_rate_line():
 def check_depol_rate_asymptote():
     rates = channels.RateModel(1.0, 1.0)
     beta = 1.0
-    for bl in np.linspace(5.0, 40.0, 15):
-        kappa = channels.depol_prob(bl, beta)
-        xi = qcore.subspace_weight(channels.xstate_depolarizing(kappa, kappa))
-        exact = math.log(channels.measurement_rate(xi, rates))
+    bs = np.linspace(5.0, 40.0, 15)
+    for bl, (_, r_abs) in zip(bs, _channel_rates("depolarizing", {"beta": beta}, rates, bs)):
+        exact = math.log(r_abs)
         approx = channels.log_rate_depol_approx(bl, beta, rates)
         assert approx.in_regime
         assert abs(approx.value - exact) <= 0.01, f"approx off by {approx.value - exact:.4f}"
-    kappa = channels.depol_prob(40.0, beta)
-    xi = qcore.subspace_weight(channels.xstate_depolarizing(kappa, kappa))
-    assert abs(0.5 * xi - 5.0 / 18.0) <= 1e-6
+    [(r_norm, _)] = _channel_rates("depolarizing", {"beta": beta}, rates, [40.0])
+    assert abs(r_norm - 5.0 / 18.0) <= 1e-6
     assert not channels.log_rate_depol_approx(0.0, beta, rates).in_regime
 
 

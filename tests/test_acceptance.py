@@ -14,12 +14,9 @@ import numpy as np
 
 from entbase.channels import (
     RateModel,
-    depol_prob,
-    fiber_loss_prob,
     ideal_bell_xstate,
     log_rate_depol_approx,
     log_rate_fiber,
-    measurement_rate,
     memory_dephasing_channel,
     memory_xstate,
     swap_memories,
@@ -28,12 +25,14 @@ from entbase.channels import (
     xstate_depolarizing,
 )
 from entbase.cli import main
+from entbase.config import ChannelConfig
 from entbase.imaging import (
     BaselinePlan,
     SkyModel,
     find_peaks,
     observe_and_image,
     reconstruct_intensity,
+    resource_figures,
     true_visibility,
 )
 from entbase.protocol import (
@@ -53,7 +52,6 @@ from entbase.qcore import (
     kraus_depolarizing,
     make_astro_state,
     make_bell_psi,
-    subspace_weight,
     wrap_phase,
 )
 from entbase.validation import raw_probabilities_oracle, solve_visibility
@@ -96,7 +94,7 @@ def test_c02_x_form_closure():
             for p_l in grid:
                 for p_r in grid:
                     out = apply_independent_channels(bell, left(p_l), right(p_r))
-                    extract_xstate(out, tol=1e-12)  # raises on any off-pattern entry
+                    extract_xstate(out)  # raises on any off-pattern entry
                     m = out.entries
                     assert abs(m.trace() - 1.0) <= 1e-12
                     assert np.linalg.eigvalsh(m)[0] >= -1e-10
@@ -208,15 +206,19 @@ def test_c07_error_bar_coverage():
 
 def test_c08_rate_laws():
     rates = RateModel(0.8, 1e6)
+    l0, beta = 10.0, 1.0
+    # the resources and the rate as `run` and `sweep` compute them
+    fiber = ChannelConfig("amplitude_damping", {"L0": l0}).resource_factory()
+    depol = ChannelConfig("depolarizing", {"beta": beta}).resource_factory()
+
+    def rate(x):
+        return resource_figures(x, 0.0, rates, None)[3]
 
     # fiber: ln-rate exactly linear with slope -1/(2 L0)
-    l0 = 10.0
     bs = np.linspace(0.0, 6 * l0, 25)
     lns = []
     for b in bs:
-        lam = fiber_loss_prob(b / 2.0, l0)
-        xi = subspace_weight(xstate_amplitude_damping(lam, lam))
-        ln_direct = math.log(measurement_rate(xi, rates))
+        ln_direct = math.log(rate(fiber(b)))
         assert abs(ln_direct - log_rate_fiber(b, l0, rates)) <= 1e-12
         lns.append(ln_direct)
     coeffs = np.polyfit(bs, lns, 1)
@@ -224,19 +226,14 @@ def test_c08_rate_laws():
     assert np.max(np.abs(np.polyval(coeffs, bs) - lns)) <= 1e-9
 
     # depolarization: constant asymptote 5/18 (the 0.28 figure) ...
-    beta = 1.0
     for bl in (40.0, 60.0, 100.0):
-        kappa = depol_prob(bl, beta)
-        xi = subspace_weight(xstate_depolarizing(kappa, kappa))
-        ratio = measurement_rate(xi, rates) / (rates.R_E * rates.R_T)
+        ratio = rate(depol(bl)) / (rates.R_E * rates.R_T)
         assert abs(ratio - 5.0 / 18.0) <= 1e-6
         assert round(ratio, 2) == 0.28
     # ... and the long-fiber log approximation within 0.01 of exact
     for bl in np.arange(5.0, 41.0, 1.0):
         assert math.exp(-beta * bl) <= 0.01
-        kappa = depol_prob(bl, beta)
-        xi = subspace_weight(xstate_depolarizing(kappa, kappa))
-        exact = math.log(measurement_rate(xi, rates))
+        exact = math.log(rate(depol(bl)))
         approx = log_rate_depol_approx(bl, beta, rates)
         assert approx.in_regime
         assert abs(approx.value - exact) <= 0.01

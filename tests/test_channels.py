@@ -17,7 +17,6 @@ from entbase.channels import (
     ideal_bell_xstate,
     log_rate_depol_approx,
     log_rate_fiber,
-    measurement_rate,
     memory_dephasing_channel,
     memory_xstate,
     swap_memories,
@@ -25,6 +24,8 @@ from entbase.channels import (
     xstate_dephasing,
     xstate_depolarizing,
 )
+from entbase.config import ChannelConfig
+from entbase.imaging import resource_figures
 from entbase.qcore import concurrence_subspace, subspace_weight
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -155,18 +156,28 @@ class TestMemories:
                 assert np.max(np.abs(stored.entries - expected)) <= 1e-12
 
 
+def rate(x, rates):
+    """R_M of the resource x, as `run` and `sweep` compute it."""
+    return resource_figures(x, 0.0, rates, None)[3]
+
+
+def channel_rates(kind, params, rates, baselines):
+    """R_M at each baseline through the channel's shipped resource factory."""
+    factory = ChannelConfig(kind, params).resource_factory()
+    return [rate(factory(b), rates) for b in baselines]
+
+
 class TestRates:
     def test_maximal_rate(self):
         rates = RateModel(0.5, 2e6)
-        assert measurement_rate(1.0, rates) == rates.max_rate == 5e5
+        assert rate(ideal_bell_xstate(), rates) == rates.max_rate == 5e5
 
     def test_zero_weight(self):
-        assert measurement_rate(0.0, RateModel(1.0, 1.0)) == 0.0
+        assert rate(xstate_amplitude_damping(1.0, 1.0), RateModel(1.0, 1.0)) == 0.0
 
     def test_depolarizing_asymptote(self):
         rates = RateModel(1.0, 1.0)
-        xi = subspace_weight(xstate_depolarizing(1.0, 1.0))
-        ratio = measurement_rate(xi, rates) / (rates.R_E * rates.R_T)
+        ratio = rate(xstate_depolarizing(1.0, 1.0), rates) / (rates.R_E * rates.R_T)
         assert abs(ratio - 5.0 / 18.0) <= 1e-15
         assert round(ratio, 2) == 0.28
 
@@ -181,8 +192,7 @@ class TestRates:
         for builder, hi in ((xstate_amplitude_damping, 1.0),
                             (xstate_dephasing, 1.0),
                             (xstate_depolarizing, 0.75)):
-            rs = [measurement_rate(subspace_weight(builder(p, p)), rates)
-                  for p in np.linspace(0.0, hi, 15)]
+            rs = [rate(builder(p, p), rates) for p in np.linspace(0.0, hi, 15)]
             assert all(r2 <= r1 + 1e-15 for r1, r2 in zip(rs, rs[1:]))
 
 
@@ -200,11 +210,9 @@ class TestLogRateLaws:
     def test_fiber_matches_channel_route(self):
         rates = RateModel(1.0, 1e6)
         l0 = 12.0
-        for b in np.linspace(0.0, 6 * l0, 31):
-            lam = fiber_loss_prob(b / 2.0, l0)
-            xi = subspace_weight(xstate_amplitude_damping(lam, lam))
-            assert abs(log_rate_fiber(b, l0, rates)
-                       - math.log(measurement_rate(xi, rates))) <= 1e-12
+        bs = np.linspace(0.0, 6 * l0, 31)
+        for b, r in zip(bs, channel_rates("amplitude_damping", {"L0": l0}, rates, bs)):
+            assert abs(log_rate_fiber(b, l0, rates) - math.log(r)) <= 1e-12
 
     def test_depol_approx_constant_asymptote(self):
         rates = RateModel(1.0, 1.0)
@@ -216,9 +224,8 @@ class TestLogRateLaws:
         rates = RateModel(1.0, 1.0)
         beta = 1.0
         bl = 10.0
-        kappa = depol_prob(bl, beta)
-        exact = math.log(measurement_rate(subspace_weight(
-            xstate_depolarizing(kappa, kappa)), rates))
+        [r] = channel_rates("depolarizing", {"beta": beta}, rates, [bl])
+        exact = math.log(r)
         approx = log_rate_depol_approx(bl, beta, rates)
         assert abs(approx.value - exact) <= 0.01
 

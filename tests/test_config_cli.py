@@ -143,6 +143,19 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "out" / "plot.gp").exists()
 
+    def test_summary_is_strict_json_at_zero_entangled_rate(self, tmp_path):
+        # R_E = 0 makes the trend scales infinite; RFC 8259 has no Infinity or NaN
+        cfg = base_config(rates={"R_E": 0.0, "R_T": 1.0}, output_dir=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"summary.json holds the non-JSON constant {constant}")
+
+        text = (tmp_path / "out" / "summary.json").read_text(encoding="utf-8")
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["dVa_scale"] is None and summary["dVp_scale"] is None
+        assert summary["xi"] == 1.0
+
     def test_determinism_across_threads(self, tmp_path, monkeypatch):
         digests = {}
         for threads in ("1", "2", "8"):
@@ -296,17 +309,14 @@ class TestMalformedNumbersExit1:
         assert main(["run", write_config(tmp_path, cfg)]) == 1
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("param, values, key, threads", [
-        ("B", "10,nan", "sweep.values", "1"),
-        ("N", "1000,1e20", "N_per_setting", "1"),
-        ("nope", ",", "sweep.values", "1"),
-        ("nope", "1,2", "sweep.param.nope", "1"),
-        ("B", "0,10", "ENTBASE_THREADS", "0"),
-        ("L", "10,-1", "sweep.L", "1"),
-    ], ids=["nan-value", "huge-N", "empty-values", "unknown-param", "zero-threads",
-            "negative-L"])
-    def test_sweep(self, tmp_path, capsys, monkeypatch, param, values, key, threads):
-        monkeypatch.setenv("ENTBASE_THREADS", threads)
+    @pytest.mark.parametrize("param, values, key", [
+        ("B", "10,nan", "sweep.values"),
+        ("N", "1000,1e20", "N_per_setting"),
+        ("nope", ",", "sweep.values"),
+        ("nope", "1,2", "sweep.param.nope"),
+        ("L", "10,-1", "sweep.L"),
+    ], ids=["nan-value", "huge-N", "empty-values", "unknown-param", "negative-L"])
+    def test_sweep(self, tmp_path, capsys, param, values, key):
         cfg = base_config(output_dir=str(tmp_path / "out"))
         code = main(["sweep", write_config(tmp_path, cfg), "--param", param,
                      "--values", values, "--mc-replicates", "5"])

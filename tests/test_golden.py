@@ -1,8 +1,9 @@
 """Byte-identity contract: `run` and `sweep` outputs for a fixed seed do not drift.
 
-The digests pin `run` on the three bundled configs and four sweeps of the fiber
-config: over B, over N with Monte Carlo replicates, over the channel's L0 with
-replicates, and over R_E. A refactor must keep them; an intended change to these
+The digests pin `run` on the three bundled configs, four sweeps of the fiber
+config (over B, over N with Monte Carlo replicates, over the channel's L0 with
+replicates, and over R_E) and the CSV of scripts/rate_vs_baseline.py at its
+default arguments. A refactor must keep them; an intended change to these
 bytes (for example a new seed scheme) is declared in docs/schema.md and
 CHANGES.md and updates the digests in the same change.
 `intensity.csv` is left out: its dirty map is a BLAS matrix product whose last
@@ -14,6 +15,8 @@ key; the B and N sweep digests predate it and are unchanged.
 
 import hashlib
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ import pytest
 from entbase.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+RATE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "rate_vs_baseline.py"
 
 RUN_DIGESTS = {
     ("ideal_two_source", "visibility.csv"):
@@ -48,6 +52,8 @@ SWEEP_DIGESTS = {
         "60899fbe49fb21474ae8f64ef59172df5d16de4e0c07545d20acb71545f31d1f",
 }
 
+RATE_SCRIPT_DIGEST = "bd00403528498c0a081887111c8d3e2407e412ae4c0f4d6147867fa23b685eee"
+
 
 def bundled_config(tmp_path, name):
     """The bundled config `name`, written to tmp_path with its output there too."""
@@ -73,3 +79,9 @@ def test_run_outputs_are_pinned(tmp_path, name):
 def test_sweep_outputs_are_pinned(tmp_path, args):
     assert main(["sweep", bundled_config(tmp_path, "fiber_two_source"), *args]) == 0
     assert digest(tmp_path / "out" / "sweep.csv") == SWEEP_DIGESTS[args]
+
+
+def test_rate_script_output_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [RATE_SCRIPT.name, "--out", str(tmp_path)])
+    runpy.run_path(str(RATE_SCRIPT), run_name="__main__")
+    assert digest(tmp_path / "rate_vs_baseline.csv") == RATE_SCRIPT_DIGEST

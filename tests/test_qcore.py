@@ -137,7 +137,7 @@ class TestChannelApplication:
         out = apply_independent_channels(make_bell_psi(0.0),
                                          kraus_amplitude_damping(0.3),
                                          kraus_dephasing(0.5))
-        extract_xstate(out, tol=1e-12)
+        extract_xstate(out)
 
     def test_preserves_state_properties(self, rng):
         makers = [kraus_amplitude_damping, kraus_dephasing, kraus_depolarizing]
@@ -184,7 +184,7 @@ class TestExtractXState:
                 for p_l in np.linspace(0.0, 1.0, 5):
                     for p_r in np.linspace(0.0, 1.0, 5):
                         out = apply_independent_channels(bell, left(p_l), right(p_r))
-                        extract_xstate(out, tol=1e-12)
+                        extract_xstate(out)
 
 
 class TestConcurrenceAndWeight:
