@@ -3,14 +3,15 @@
 Verbs: ``run <config>`` (single observation, writes visibility.csv,
 intensity.csv and summary.json), ``sweep <config> --param --values``
 (one CSV row per swept value), ``validate [--fast]`` (invariant suite).
-Exit codes: 0 success, 1 invalid config (message names the offending
-key), 2 runtime failure (message names the error).
+Exit codes: 0 success, 1 invalid config or arguments (message names the
+offending key or argument), 2 runtime failure (message names the error).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -215,10 +216,22 @@ def _parse_values(raw: str):
     return values
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="entbase",
-        description="Entanglement-assisted interferometry simulator")
+class _ArgumentsError(Exception):
+    """Malformed command-line arguments; the message names the argument."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and so its subparsers) that raises on a usage error instead of exiting 2."""
+
+    def error(self, message):
+        raise _ArgumentsError(message)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main() call and reused by later ones."""
+    parser = _Parser(prog="entbase",
+                     description="Entanglement-assisted interferometry simulator")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_run = sub.add_parser("run", help="run one observation scenario")
@@ -237,8 +250,15 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--fast", action="store_true", help="skip Monte Carlo invariants")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except _ArgumentsError as exc:
+        print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 1
     try:
         if args.verb == "run":
             return cmd_run(args.config, gnuplot=args.gnuplot)

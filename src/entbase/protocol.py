@@ -13,7 +13,7 @@ generator; ``run_observation`` is its one-replicate case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,64 +180,74 @@ def _wrap_phases(phi: np.ndarray) -> np.ndarray:
     return np.where(phi <= -math.pi, phi + two_pi, phi)
 
 
-def _invert_batch(dp1: np.ndarray, dp2: np.ndarray, N: int, ph: PhaseSettings,
-                  C: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Invert fringe arrays dp1, dp2 into (V_a, V_p, dV_a, dV_p), elementwise.
+def _fringe_error(dp, N: int):
+    """Twice the binomial error of the add-one smoothed p_ac = (1 + dp) / 2."""
+    p_smooth = (N * (0.5 * (1.0 + dp)) + 1.0) / (N + 2.0)
+    return 2.0 * np.sqrt(p_smooth * (1.0 - p_smooth)) / math.sqrt(N)
 
-    The formulas, branch choices and tie rule (the first setting wins) are
-    those of the scalar reference validation.solve_visibility and
+
+def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
+    """Invert fringes dp1, dp2 into (V_a, V_p, dV_a, dV_p), elementwise.
+
+    Runs unchanged on (n,) arrays and on np.float64 scalars, whose results
+    it keeps scalar, so a one-row call makes few numpy calls. The formulas,
+    branch choices and tie rule (the first setting wins) are those of the
+    scalar reference validation.solve_visibility and
     validation.propagate_errors, which derive them. Needs C > 0;
     PhaseSettings already rejects degenerate settings.
     """
+    sin1, cos1 = math.sin(ph.w1), math.cos(ph.w1)
+    sin2, cos2 = math.sin(ph.w2), math.cos(ph.w2)
     det = math.sin(ph.w2 - ph.w1)
-    sqrt_n = math.sqrt(N)
-
-    def fringe_error(dp):
-        p_smooth = (N * (0.5 * (1.0 + dp)) + 1.0) / (N + 2.0)
-        return 2.0 * np.sqrt(p_smooth * (1.0 - p_smooth)) / sqrt_n
-
-    d1, d2 = fringe_error(dp1), fringe_error(dp2)
-    c = (dp1 * math.sin(ph.w2) - dp2 * math.sin(ph.w1)) / det
-    s = (dp2 * math.cos(ph.w1) - dp1 * math.cos(ph.w2)) / det
-    amp = np.hypot(c, s)
-    v_p = np.arctan2(s, c)
-    v_p_hat = np.where(amp == 0.0, 0.0, _wrap_phases(v_p))
+    d1, d2 = _fringe_error(dp1, N), _fringe_error(dp2, N)
+    c = (dp1 * sin2 - dp2 * sin1) / det
+    s = (dp2 * cos1 - dp1 * cos2) / det
     amp_sq = c * c + s * s
+    # both fringes zero: the phase is undefined and taken as 0 (for fringes of
+    # counts, amp_sq is 0 exactly when hypot(c, s) is)
     dead = amp_sq == 0.0
+    phase = np.where(dead, 0.0, np.arctan2(s, c))[()]
+    # arctan2 lies in [-pi, pi]: wrapping to (-pi, pi] moves only -pi
+    v_p_hat = np.where(phase == -math.pi, math.pi, phase)[()]
     with np.errstate(divide="ignore", invalid="ignore"):
-        dv_p = np.minimum(math.pi, np.hypot(dp2 * d1, dp1 * d2) / (amp_sq * abs(det)))
-        # amplitude error at the setting where the fringe is best conditioned
-        # (both fringes zero: at the conventional phase 0, with dV_p = pi)
-        phase = np.where(dead, 0.0, v_p)
-        cos1, cos2 = np.cos(phase - ph.w1), np.cos(phase - ph.w2)
-        first = np.abs(cos1) >= np.abs(cos2)
-        dp_b = np.where(first, dp1, dp2)
-        d_b = np.where(first, d1, d2)
-        cosw = np.where(first, cos1, cos2)
-        sinw = np.sin(phase - np.where(first, ph.w1, ph.w2))
-        d_dp = 1.0 / (C * cosw)
-        d_vp = dp_b * sinw / (C * cosw * cosw)
-        dv_a = np.where(dead, d_b / (C * np.abs(cosw)), np.hypot(d_dp * d_b, d_vp * dv_p))
-    return amp / C, v_p_hat, dv_a, np.where(dead, math.pi, dv_p)
+        # fmin drops the nan of a dead row's 0 / 0, which reports the cap pi
+        dv_p = np.fmin(math.pi, np.hypot(dp2 * d1, dp1 * d2) / (amp_sq * abs(det)))
+    # amplitude error at the setting where the fringe is best conditioned
+    first = abs(np.cos(phase - ph.w1)) >= abs(np.cos(phase - ph.w2))
+    w_b = np.where(first, ph.w1, ph.w2)[()]
+    dp_b = np.where(first, dp1, dp2)[()]
+    # that setting's fringe error and cosine, recomputed: the same bits as selecting them
+    d_b = _fringe_error(dp_b, N)
+    cosw, sinw = np.cos(phase - w_b), np.sin(phase - w_b)
+    d_dp = 1.0 / (C * cosw)
+    d_vp = dp_b * sinw / (C * cosw * cosw)
+    dv_a = np.where(dead, d_b / (C * abs(cosw)), np.hypot(d_dp * d_b, d_vp * dv_p))[()]
+    return np.hypot(c, s) / C, v_p_hat, dv_a, dv_p
 
 
 def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_setting: int,
-             rng: np.random.Generator, size) -> VisibilityEstimate:
+             rng: np.random.Generator, size):
     """Draw correlated-click counts of shape `size` (None: one pair) and invert them.
 
     Each setting adds a known offset to the resource's coherence phase; both
-    settings' postselected p_c are computed once, the counts come from one
-    rng.binomial draw, consumed row by row, and the fringes are inverted with
-    the effective phases by _invert_batch.
+    settings' postselected p_c are computed once, the counts come from the
+    stream in row order, and the fringes are inverted with the effective
+    phases by _invert_batch. Returns (V_a, V_p, dV_a, dV_p), C and xi.
     """
     if N_per_setting < 1:
         raise ValueError("need at least one trial")
     xi, conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
-    n_c = rng.binomial(N_per_setting, p_cs, size=size)
-    dp = ((N_per_setting - n_c) - n_c) / N_per_setting  # (n_ac - n_c) / N, no int64 overflow
-    v_a, v_p, dv_a, dv_p = _invert_batch(dp[..., 0], dp[..., 1], N_per_setting, effective, conc)
-    return VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
-                              N_used=N_per_setting, C_used=conc, xi_used=xi)
+    if size is None:
+        # two scalar draws take the same stream values as one row of a (k, 2)
+        # draw, without a list-p draw's broadcasting; int64 counts keep dp's
+        # bits equal to the array path's when N > 2**53
+        n1, n2 = (np.int64(rng.binomial(N_per_setting, p)) for p in p_cs)
+    else:
+        n_c = rng.binomial(N_per_setting, p_cs, size=size)
+        n1, n2 = n_c[..., 0], n_c[..., 1]
+    # (n_ac - n_c) / N, no int64 overflow
+    dp1, dp2 = (((N_per_setting - n) - n) / N_per_setting for n in (n1, n2))
+    return _invert_batch(dp1, dp2, N_per_setting, effective, conc), conc, xi
 
 
 def run_replicates(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
@@ -249,7 +259,10 @@ def run_replicates(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     consecutive calls on the same generator reproduces it exactly. The
     estimate fields of the result are (replicates,) arrays.
     """
-    return _observe(v_true, x, ph, N_per_setting, rng, (replicates, 2))
+    (v_a, v_p, dv_a, dv_p), conc, xi = _observe(v_true, x, ph, N_per_setting, rng,
+                                                (replicates, 2))
+    return VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
+                              N_used=N_per_setting, C_used=conc, xi_used=xi)
 
 
 def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
@@ -259,9 +272,9 @@ def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     Its draw takes the stream's next two counts, so consecutive calls on one
     generator give the rows of a single (calls, 2) draw.
     """
-    est = _observe(v_true, x, ph, N_per_setting, rng, None)
-    return replace(est, **{field: float(getattr(est, field))
-                           for field in ("V_a_hat", "V_p_hat", "dV_a", "dV_p")})
+    (v_a, v_p, dv_a, dv_p), conc, xi = _observe(v_true, x, ph, N_per_setting, rng, None)
+    return VisibilityEstimate(V_a_hat=float(v_a), V_p_hat=float(v_p), dV_a=float(dv_a),
+                              dV_p=float(dv_p), N_used=N_per_setting, C_used=conc, xi_used=xi)
 
 
 def replicate_rmse(v_true: AstroVisibility, x: XState, ph: PhaseSettings,

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -323,6 +324,67 @@ class TestMalformedNumbersExit1:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestArgumentErrorsExit1:
+    """Usage errors exit 1 naming the argument, like config errors; --help still exits 0."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["frob", "{cfg}"], "frob"),
+        (["sweep", "{cfg}", "--values", "1,2"], "--param"),
+        (["sweep", "{cfg}", "--param", "B"], "--values"),
+        (["sweep", "{cfg}", "--param", "B", "--values", "1,2", "--mc-replicates", "2.5"],
+         "--mc-replicates"),
+    ], ids=["unknown-verb", "missing-param", "missing-values", "non-integer-replicates"])
+    def test_exit_1(self, tmp_path, capsys, argv, name):
+        cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
+        assert main([arg.replace("{cfg}", cfg) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid arguments: ") and name in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--mc-replicates" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_consecutive_calls_behave_as_fresh_ones(self, tmp_path, capsys):
+        # main() builds its parser once per process; no call may see an earlier call's
+        # arguments, e.g. the sweep's --gnuplot must not make the run write plot.gp
+        sweep_cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "sweep")),
+                                 "sweep.json")
+        run_cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "run")),
+                               "run.json")
+        calls = [
+            ["sweep", sweep_cfg, "--param", "B", "--values", "10,20", "--mc-replicates", "3",
+             "--gnuplot"],
+            ["run", run_cfg],
+            ["sweep", sweep_cfg, "--param", "B"],
+            ["sweep", sweep_cfg, "--param", "N", "--values", "500,1000"],
+        ]
+
+        def outcome(argv):
+            for outdir in ("sweep", "run"):
+                shutil.rmtree(tmp_path / outdir, ignore_errors=True)
+            code = main(argv)
+            files = {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+                     for p in sorted(tmp_path.glob("*/*"))}
+            return code, capsys.readouterr().err, files
+
+        cli._parser.cache_clear()
+        warm = [outcome(argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert warm == fresh
+        assert [code for code, _, _ in warm] == [0, 0, 1, 0]
+        assert "sweep/plot.gp" in warm[0][2]
+        assert "run/summary.json" in warm[1][2] and "run/plot.gp" not in warm[1][2]
 
 
 # (parameter, channel, a valid value or None, an invalid value)

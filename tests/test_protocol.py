@@ -155,6 +155,21 @@ class TestSampling:
                                       500, np.random.default_rng(seed))
                 assert abs(est.V_a_hat * math.cos(est.V_p_hat) - fringe) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2 ** 53 + 1, protocol.MAX_TRIALS])
+    def test_one_row_draws_at_large_n(self, n):
+        # above 2**53 the fringe (N - 2 n_c) / N depends on the counts' integer type: the
+        # one-row draws must give the same bits as the rows of one (K, 2) draw, also when
+        # p_c = 0 or 1 at the first setting (V_p = 0 or pi, aligned with it)
+        for v_p in (0.0, math.pi, 0.7):
+            v = AstroVisibility(1.0, v_p)
+            gen = np.random.default_rng(5)
+            rows = [run_observation(v, ideal_bell_xstate(), DEFAULT, n, gen) for _ in range(8)]
+            whole = run_replicates(v, ideal_bell_xstate(), DEFAULT, n, 8,
+                                   np.random.default_rng(5))
+            for field in ("V_a_hat", "V_p_hat", "dV_a", "dV_p"):
+                got = np.array([getattr(e, field) for e in rows])
+                assert np.array_equal(got.view(np.int64), getattr(whole, field).view(np.int64))
+
     def test_counts_validation(self):
         with pytest.raises(ValueError, match="at least one trial"):
             run_observation(AstroVisibility(0.5, 0.0), ideal_bell_xstate(), DEFAULT, 0,
@@ -459,6 +474,26 @@ class TestRunReplicates:
         for v_p in batch[1]:
             assert abs(math.cos(v_p - ph.w1)) == abs(math.cos(v_p - ph.w2))
         assert_matches_scalar(batch, dp, dp, 500, ph, 0.8)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10 ** 6])
+    def test_scalar_call_matches_array_call(self, rng, n):
+        # run_observation inverts one row as np.float64 scalars: each result stays a scalar
+        # and has the bits of the array call's element
+        for ph in (DEFAULT, PhaseSettings(0.3, 2.5), PhaseSettings(-1.2, 0.4),
+                   PhaseSettings(0.3, -0.3), PhaseSettings(-0.4, 0.4)):
+            n_c = rng.integers(0, n + 1, size=(40, 2))
+            n_c[0] = n // 2  # both fringes zero when n is even
+            n_c[1] = (0, n)  # p_c = 0 at the first setting, 1 at the second
+            n_c[2] = (n, 0)
+            n_c[3] = n_c[3, 0]  # equal fringes: an exact tie at PhaseSettings(-0.4, 0.4)
+            dp = ((n - n_c) - n_c) / n
+            conc = rng.uniform(0.05, 1.0)
+            batch = protocol._invert_batch(dp[:, 0], dp[:, 1], n, ph, conc)
+            for k in range(len(dp)):
+                one = protocol._invert_batch(dp[k, 0], dp[k, 1], n, ph, conc)
+                for got, want in zip(one, batch):
+                    assert type(got) is np.float64
+                    assert got.view(np.int64) == want[k].view(np.int64), (ph, k, got, want[k])
 
     def test_counts_follow_the_scalar_chain(self, rng):
         v = AstroVisibility(0.7, 0.9)
