@@ -3,19 +3,8 @@
 from .qcore import (
     AstroVisibility,
     DegenerateResourceError,
-    DensityMatrix4,
-    KrausChannel,
-    NotXFormError,
     XState,
-    apply_independent_channels,
     concurrence_subspace,
-    concurrence_wootters_x,
-    extract_xstate,
-    kraus_amplitude_damping,
-    kraus_dephasing,
-    kraus_depolarizing,
-    make_astro_state,
-    make_bell_psi,
     subspace_weight,
     wrap_phase,
 )
@@ -27,7 +16,6 @@ from .channels import (
     ideal_bell_xstate,
     log_rate_depol_approx,
     log_rate_fiber,
-    memory_dephasing_channel,
     memory_xstate,
     swap_memories,
     xstate_amplitude_damping,

@@ -4,8 +4,8 @@ Closed-form resource states for independent per-arm amplitude damping,
 dephasing and depolarization, parameter maps for lossy/birefringent fiber
 and finite-lifetime memories, entanglement swapping of stored pairs, and
 the closed-form log-rate laws that the rate of `imaging.resource_figures`
-is checked against. Each closed form is checked elsewhere against the
-operator-sum route in :mod:`entbase.qcore`.
+is checked against. ``entbase.reference`` holds the operator-sum route
+that each closed form is checked against.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .qcore import KrausChannel, XState, _check_probability
+from .qcore import XState
 
 __all__ = [
     "DegenerateCoherenceWarning",
@@ -28,7 +26,6 @@ __all__ = [
     "ideal_bell_xstate",
     "log_rate_depol_approx",
     "log_rate_fiber",
-    "memory_dephasing_channel",
     "memory_xstate",
     "swap_memories",
     "xstate_amplitude_damping",
@@ -42,6 +39,12 @@ DEPOL_REGIME_THRESHOLD = 0.01
 
 class DegenerateCoherenceWarning(UserWarning):
     """The depolarized inner coherence changed sign and was folded into its phase."""
+
+
+def _check_probability(name: str, p: float) -> float:
+    if not math.isfinite(p) or p < 0.0 or p > 1.0:
+        raise ValueError(f"{name} = {p} outside [0, 1]")
+    return float(p)
 
 
 @dataclass(frozen=True)
@@ -166,14 +169,6 @@ def swap_memories(t1: float, t2: float, tau_c: float, outcome_sign: int = +1) ->
     coh = outcome_sign * (p * 0.5 + (1.0 - p) * (-0.5))
     return XState(a=0.0, g=0.5, f=0.5, h=0.0,
                   w_a=abs(coh), w_p=0.0 if coh >= 0.0 else math.pi)
-
-
-def memory_dephasing_channel(t: float, tau_c: float) -> KrausChannel:
-    """Single-qubit storage map: identity with probability p(t/2), else a Z flip."""
-    p = 0.5 * (1.0 + _coherence_survival(0.5 * t, tau_c))
-    k1 = math.sqrt(p) * np.eye(2, dtype=complex)
-    k2 = math.sqrt(1.0 - p) * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    return KrausChannel((k1, k2))
 
 
 def log_rate_fiber(B: float, L0: float, rates: RateModel) -> float:

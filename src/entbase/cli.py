@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import validation
 from .config import ConfigError, load_config, swept_fields
 from .imaging import observe_and_image, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
@@ -27,7 +26,7 @@ from .imaging import observe_and_image, resource_figures, true_visibility
 from .config import parse_config  # noqa: F401
 from .protocol import (  # noqa: F401
     derive_seed, replicate_rmse, run_observation, scaling_laws)
-from .qcore import AstroVisibility, wrap_phase
+from .qcore import AstroVisibility, XState, wrap_phase
 
 __all__ = ["main"]
 
@@ -68,8 +67,18 @@ def _write_csv(path: Path, header, template: str, rows):
         fh.writelines(template % row for row in rows)
 
 
-def _matrix_json(entries: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in entries]
+def _resource_state(x: XState) -> list:
+    """summary.json's resource_state: x's 4x4 density matrix as rows of [re, im] pairs.
+
+    Built from the fields XState has already checked. Each upper coherence is
+    the conjugate of the lower one, so a lower imaginary part 0.0 is -0.0 above.
+    """
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = x.a, x.g, x.f, x.h
+    m[2, 1] = x.w_a * np.exp(1j * x.w_p)
+    m[3, 0] = x.z_a * np.exp(1j * x.z_p)
+    m[1, 2], m[0, 3] = np.conj(m[2, 1]), np.conj(m[3, 0])
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _emit_gnuplot(outdir: Path, kind: str):
@@ -149,7 +158,7 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         "error_regime": report.error.regime,
         "low_confidence": report.low_confidence,
         "n_above_unit": report.n_above_unit,
-        "resource_state": _matrix_json(resource.to_density().entries),
+        "resource_state": _resource_state(resource),
     }
     # RFC 8259 has no NaN or Infinity: a non-finite figure (dVa_scale at R_E = 0) is null
     summary = {key: None if isinstance(v, float) and not math.isfinite(v) else v
@@ -201,6 +210,7 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
 
 
 def cmd_validate(fast: bool = False) -> int:
+    from . import validation  # the suite and its references stay out of run and sweep
     return 0 if validation.run_all(fast=fast) else 1
 
 

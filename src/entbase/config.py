@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .imaging import BaselinePlan, SkyModel, default_theta_grid
 from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
-           "SWEEPABLE_CHANNEL_PARAMS", "swept_fields", "with_swept_value"]
+           "SWEEPABLE_CHANNEL_PARAMS", "swept_fields"]
 
 CHANNEL_KINDS = ("ideal", "amplitude_damping", "dephasing", "depolarizing",
                  "memory_swap", "custom_rate")
@@ -385,7 +385,3 @@ def swept_fields(cfg: ScenarioConfig, name: str, value: float) -> dict:
     # a key the form does not take: the full parse names the structural error
     return {"channel": _parse_channel({"kind": cfg.channel.kind, **params, name: value})}
 
-
-def with_swept_value(cfg: ScenarioConfig, name: str, value: float) -> ScenarioConfig:
-    """cfg with the swept parameter set to value; see swept_fields for the checks."""
-    return replace(cfg, **swept_fields(cfg, name, value))

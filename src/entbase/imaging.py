@@ -31,7 +31,6 @@ __all__ = [
     "ObservationReport",
     "SkyModel",
     "default_theta_grid",
-    "find_peaks",
     "intensity_error",
     "observe_and_image",
     "reconstruct_intensity",
@@ -265,20 +264,6 @@ def sky_intensity_on_grid(sky: SkyModel, theta_grid) -> np.ndarray:
             raise ValueError(f"source {i} at theta = {t} lies outside the grid [{lo}, {hi}]")
         out[int(np.argmin(np.abs(theta - t)))] += flux
     return out / out.sum()
-
-
-# find_peaks keeps maxima at least this fraction of the global maximum
-PEAK_REL_THRESHOLD = 0.5
-
-
-def find_peaks(intensity) -> list:
-    """Indices of strict local maxima at least PEAK_REL_THRESHOLD of the global maximum."""
-    arr = np.asarray(intensity, dtype=float)
-    if arr.size < 3:
-        return []
-    mid = arr[1:-1]
-    peak = (mid > arr[:-2]) & (mid > arr[2:]) & (mid >= PEAK_REL_THRESHOLD * arr.max())
-    return (np.flatnonzero(peak) + 1).tolist()
 
 
 @dataclass(eq=False)

@@ -2,7 +2,7 @@
 
 Coincidence statistics between the beam-splitter detectors at the two
 telescopes (closed form; the 16-dimensional projector oracle lives in
-``validation``), binomial click sampling from a caller's generator,
+``reference``), binomial click sampling from a caller's generator,
 inversion of two phase settings into a complex visibility estimate with
 one-sigma errors (``_invert_batch``, the one inversion path), and the
 associated resource scaling laws. ``run_replicates`` runs many
@@ -126,7 +126,6 @@ class ScalingLaws:
 
     dV_a_scale: float
     dV_p_scale: float
-    diverged: bool = False
 
 
 def scaling_laws(x: XState, R_X: float) -> ScalingLaws:
@@ -136,19 +135,19 @@ def scaling_laws(x: XState, R_X: float) -> ScalingLaws:
     which reproduces the per-channel expressions in terms of the loss
     parameters. No supplied photons (R_X = 0) or no coincidence weight
     (xi = 0) makes both scales diverge, a vanishing concurrence (for
-    isotropic noise, x -> 1/4) the amplitude scale; that is reported via
-    the flag rather than an exception.
+    isotropic noise, x -> 1/4) the amplitude scale; a diverged scale is
+    reported as inf rather than an exception.
     """
     if R_X < 0.0:
         raise ValueError("R_X must be nonnegative")
     xi = subspace_weight(x)
     if R_X == 0.0 or xi <= 0.0:
-        return ScalingLaws(math.inf, math.inf, diverged=True)
+        return ScalingLaws(math.inf, math.inf)
     conc = concurrence_subspace(x)
     dv_p = 1.0 / math.sqrt(xi * R_X)
     if conc <= 0.0:
-        return ScalingLaws(math.inf, dv_p, diverged=True)
-    return ScalingLaws(dv_p / conc, dv_p, diverged=False)
+        return ScalingLaws(math.inf, dv_p)
+    return ScalingLaws(dv_p / conc, dv_p)
 
 
 def _setting_probabilities(v_true: AstroVisibility, x: XState,
@@ -192,9 +191,9 @@ def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
     Runs unchanged on (n,) arrays and on np.float64 scalars, whose results
     it keeps scalar, so a one-row call makes few numpy calls. The formulas,
     branch choices and tie rule (the first setting wins) are those of the
-    scalar reference validation.solve_visibility and
-    validation.propagate_errors, which derive them. Needs C > 0;
-    PhaseSettings already rejects degenerate settings.
+    scalar reference.solve_visibility and reference.propagate_errors,
+    which derive them. Needs C > 0; PhaseSettings already rejects
+    degenerate settings.
     """
     sin1, cos1 = math.sin(ph.w1), math.cos(ph.w1)
     sin2, cos2 = math.sin(ph.w2), math.cos(ph.w2)

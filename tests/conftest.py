@@ -5,8 +5,6 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from entbase.validation import random_density, random_xstate  # noqa: F401 (re-exported)
-
 # the whole suite must reproduce run to run, property tests included
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")

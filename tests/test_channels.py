@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbase import qcore
+from entbase import reference
 from entbase.channels import (
     DegenerateCoherenceWarning,
     DepolRateApprox,
@@ -17,7 +17,6 @@ from entbase.channels import (
     ideal_bell_xstate,
     log_rate_depol_approx,
     log_rate_fiber,
-    memory_dephasing_channel,
     memory_xstate,
     swap_memories,
     xstate_amplitude_damping,
@@ -86,20 +85,20 @@ class TestKrausOracleEquivalence:
     """Every closed form must match the operator-sum route entrywise."""
 
     CASES = [
-        (xstate_amplitude_damping, qcore.kraus_amplitude_damping),
-        (xstate_dephasing, qcore.kraus_dephasing),
-        (xstate_depolarizing, qcore.kraus_depolarizing),
+        (xstate_amplitude_damping, reference.kraus_amplitude_damping),
+        (xstate_dephasing, reference.kraus_dephasing),
+        (xstate_depolarizing, reference.kraus_depolarizing),
     ]
 
     @pytest.mark.parametrize("closed,kraus", CASES)
     def test_entrywise_on_grid(self, closed, kraus):
-        bell = qcore.make_bell_psi(0.0)
+        bell = reference.make_bell_psi(0.0)
         for p_l in np.linspace(0.0, 1.0, 11):
             for p_r in np.linspace(0.0, 1.0, 11):
-                via_kraus = qcore.apply_independent_channels(bell, kraus(p_l), kraus(p_r))
+                via_kraus = reference.apply_independent_channels(bell, kraus(p_l), kraus(p_r))
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DegenerateCoherenceWarning)
-                    direct = closed(p_l, p_r).to_density()
+                    direct = reference.to_density(closed(p_l, p_r))
                 assert np.max(np.abs(via_kraus.entries - direct.entries)) <= 1e-12
 
 
@@ -135,8 +134,8 @@ class TestMemories:
         for t1 in np.linspace(0.0, 3.0, 9):
             for t2 in np.linspace(0.0, 3.0, 9):
                 for sign in (+1, -1):
-                    lhs = swap_memories(t1, t2, tau, sign).to_density().entries
-                    rhs = memory_xstate(t1 + t2, tau, sign).to_density().entries
+                    lhs = reference.to_density(swap_memories(t1, t2, tau, sign)).entries
+                    rhs = reference.to_density(memory_xstate(t1 + t2, tau, sign)).entries
                     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_swap_quarter_coherence(self):
@@ -148,11 +147,11 @@ class TestMemories:
         # the single-qubit Z-mixing map applied per arm reproduces the pair state
         tau = 2.2
         for t in np.linspace(0.0, 5.0, 11):
-            gamma = memory_dephasing_channel(t, tau)
+            gamma = reference.memory_dephasing_channel(t, tau)
             for sign, delta in ((+1, 0.0), (-1, math.pi)):
-                stored = qcore.apply_independent_channels(
-                    qcore.make_bell_psi(delta), gamma, gamma)
-                expected = memory_xstate(t, tau, sign).to_density().entries
+                stored = reference.apply_independent_channels(
+                    reference.make_bell_psi(delta), gamma, gamma)
+                expected = reference.to_density(memory_xstate(t, tau, sign)).entries
                 assert np.max(np.abs(stored.entries - expected)) <= 1e-12
 
 

@@ -1,20 +1,25 @@
 import json
 import math
+import os
 import shutil
-from dataclasses import fields
+import subprocess
+import sys
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entbase import cli
+from entbase import cli, reference, validation
 from entbase.cli import main
 from entbase.config import (
     SWEEPABLE_CHANNEL_PARAMS,
+    ChannelConfig,
     ConfigError,
     load_config,
     parse_config,
-    with_swept_value,
+    swept_fields,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -157,17 +162,15 @@ class TestRunCommand:
         assert summary["dVa_scale"] is None and summary["dVp_scale"] is None
         assert summary["xi"] == 1.0
 
-    def test_determinism_across_threads(self, tmp_path, monkeypatch):
-        digests = {}
-        for threads in ("1", "2", "8"):
-            outdir = tmp_path / f"t{threads}"
+    def test_repeated_runs_are_byte_identical(self, tmp_path):
+        digests = []
+        for attempt in range(3):
+            outdir = tmp_path / f"run{attempt}"
             cfg = base_config(output_dir=str(outdir))
-            monkeypatch.setenv("ENTBASE_THREADS", threads)
             assert main(["run", write_config(tmp_path, cfg)]) == 0
-            digests[threads] = tuple((outdir / n).read_bytes()
-                                     for n in ("visibility.csv", "intensity.csv",
-                                               "summary.json"))
-        assert digests["1"] == digests["2"] == digests["8"]
+            digests.append(tuple((outdir / n).read_bytes()
+                                 for n in ("visibility.csv", "intensity.csv", "summary.json")))
+        assert digests[0] == digests[1] == digests[2]
 
 
 class TestSweepCommand:
@@ -424,7 +427,10 @@ def edited(raw: dict, name: str, value: float) -> dict:
 
 
 class TestWithSweptValue:
-    """with_swept_value re-validates one section; a full re-parse is the reference."""
+    """The config with a swept value, replace(base, **swept_fields(...)), against a full re-parse.
+
+    swept_fields re-validates one section; the full parse is the reference.
+    """
 
     def test_every_sweepable_parameter_is_covered(self):
         covered = {name for name, *_ in SWEEP_CASES}
@@ -437,14 +443,14 @@ class TestWithSweptValue:
                           phase_settings={"w1": 0.1, "w2": 1.4})
         base = parse_config(raw)
         if valid is not None:
-            swept = with_swept_value(base, name, valid)
+            swept = replace(base, **swept_fields(base, name, valid))
             reference = parse_config(edited(raw, name, valid))
             for f in fields(reference):
                 assert np.array_equal(getattr(swept, f.name), getattr(reference, f.name)), f.name
         with pytest.raises(ConfigError) as direct:
             parse_config(edited(raw, name, invalid))
         with pytest.raises(ConfigError) as swept_err:
-            with_swept_value(base, name, invalid)
+            swept_fields(base, name, invalid)
         assert swept_err.value.key == direct.value.key
 
 
@@ -489,13 +495,94 @@ class TestCsvTemplates:
 
 
 class TestValidateCommand:
+    """The validate verb's report and exit code; test_validation runs the checks themselves."""
+
+    @pytest.fixture(autouse=True)
+    def no_op_checks(self, monkeypatch):
+        """Every CHECKS entry under its own name and flag, as a no-op."""
+        monkeypatch.setattr(validation, "CHECKS", tuple(
+            (name, lambda: None, is_mc) for name, _, is_mc in validation.CHECKS))
+
     def test_fast_suite_passes(self, capsys):
         assert main(["validate", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "SKIP" in out  # Monte Carlo checks skipped in fast mode
+        assert out.splitlines() == [f"{'SKIP' if is_mc else 'PASS'} {name}"
+                                    for name, _, is_mc in validation.CHECKS]
 
     def test_full_suite_passes(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "SKIP" not in out
+        assert out.splitlines() == [f"PASS {name}" for name, _, _ in validation.CHECKS]
+
+    def test_failing_and_raising_checks_exit_1(self, monkeypatch, capsys):
+        def fails():
+            raise AssertionError("gap 1.000e-03")
+
+        def raises():
+            raise RuntimeError("no grid")
+
+        monkeypatch.setattr(validation, "CHECKS", (
+            ("fails", fails, False), ("passes", lambda: None, False), ("raises", raises, False)))
+        assert main(["validate"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL fails: gap 1.000e-03", "PASS passes", "FAIL raises: RuntimeError: no grid"]
+
+
+# (kind, params, the resource's w_p): every channel kind, and both ways to w_p = pi
+RESOURCE_CASES = [
+    ("ideal", {}, 0.0),
+    ("custom_rate", {"table": [[0.0, 0.5], [10.0, 0.3]]}, 0.0),
+    ("amplitude_damping", {"L0": 15.0}, 0.0),
+    ("amplitude_damping", {"lambda_L": 0.3, "lambda_R": 0.55}, 0.0),
+    ("dephasing", {"mu_L": 0.2, "mu_R": 0.6}, 0.0),
+    ("depolarizing", {"beta": 0.3}, 0.0),
+    ("depolarizing", {"kappa_L": 1.0, "kappa_R": 0.0}, math.pi),  # the sign fold
+    ("memory_swap", {"t1": 0.4, "t2": 0.7, "tau_c": 1.5, "sign": +1}, 0.0),
+    ("memory_swap", {"t1": 0.4, "t2": 0.7, "tau_c": 1.5, "sign": -1}, math.pi),
+]
+
+
+def density_pairs(x):
+    """reference.to_density(x)'s entries as rows of [re, im] pairs."""
+    return [[[float(v.real), float(v.imag)] for v in row]
+            for row in reference.to_density(x).entries]
+
+
+class TestRuntimeBoundary:
+    """run and sweep keep clear of the reference routes and the invariant suite."""
+
+    def test_run_and_sweep_load_neither_reference_nor_validation(self, tmp_path):
+        path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
+        script = "\n".join([
+            "import sys",
+            "import entbase.cli",
+            f"assert entbase.cli.main(['run', {path!r}]) == 0",
+            f"assert entbase.cli.main(['sweep', {path!r}, '--param', 'N', '--values', "
+            "'100,200', '--mc-replicates', '5']) == 0",
+            "print(sorted(m for m in sys.modules if m.startswith('entbase.')))",
+        ])
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        loaded = proc.stdout.strip()
+        assert "entbase.imaging" in loaded  # the verbs did run
+        assert "entbase.reference" not in loaded and "entbase.validation" not in loaded
+
+    @pytest.mark.parametrize("kind, params, w_p", RESOURCE_CASES, ids=[
+        "-".join([k, *(f"{n}={v}" for n, v in p.items() if n != "table")])
+        for k, p, _ in RESOURCE_CASES])
+    def test_resource_state_is_the_density_matrix(self, kind, params, w_p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the kappa = (1, 0) fold warns
+            x = ChannelConfig(kind, params).resource_factory()(20.0)
+        assert x.w_p == w_p
+        # repr tells -0.0 from 0.0, and prints every other double exactly
+        assert repr(cli._resource_state(x)) == repr(density_pairs(x))
+
+    def test_resource_state_with_outer_coherence(self, rng):
+        for _ in range(20):
+            x = reference.random_xstate(rng)
+            assert repr(cli._resource_state(x)) == repr(density_pairs(x))

@@ -14,7 +14,6 @@ from entbase.imaging import (
     BaselinePlan,
     SkyModel,
     default_theta_grid,
-    find_peaks,
     intensity_error,
     observe_and_image,
     reconstruct_intensity,
@@ -25,7 +24,7 @@ from entbase.imaging import (
 from entbase.cli import main
 from entbase.protocol import PhaseSettings, VisibilityEstimate
 from entbase.qcore import AstroVisibility
-from entbase.validation import dirty_image_complex
+from entbase.reference import dirty_image_complex, find_peaks
 
 SETTINGS = PhaseSettings(0.0, 0.5 * math.pi)
 RATES = RateModel(1.0, 1.0)

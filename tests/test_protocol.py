@@ -29,22 +29,24 @@ from entbase.qcore import (
     DegenerateResourceError,
     XState,
     concurrence_subspace,
-    make_astro_state,
-    make_bell_psi,
     wrap_phase,
 )
-from entbase.validation import (
+from entbase.reference import (
     amplitude_from_delta,
     amplitude_partials,
     delta_p_uncertainty,
+    make_astro_state,
+    make_bell_psi,
     phase_from_ratio,
     phase_ratio_derivative,
     propagate_errors,
+    random_xstate,
     raw_probabilities_oracle,
     solve_visibility,
+    to_density,
 )
 
-from conftest import random_xstate, xstate_strategy
+from conftest import xstate_strategy
 
 QUARTER = 0.5 * math.pi
 DEFAULT = PhaseSettings(0.0, QUARTER)
@@ -92,7 +94,7 @@ class TestProjectorOracle:
             v = AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
             x = random_xstate(rng)
             q_closed = raw_probabilities(v, x)
-            q_oracle = raw_probabilities_oracle(make_astro_state(v), x.to_density())
+            q_oracle = raw_probabilities_oracle(make_astro_state(v), to_density(x))
             assert abs(q_closed[0] - q_oracle[0]) <= 1e-12
             assert abs(q_closed[1] - q_oracle[1]) <= 1e-12
 
@@ -106,7 +108,7 @@ class TestProjectorOracle:
     def test_flat_fringe_at_zero_visibility(self, rng):
         v = AstroVisibility(0.0, 0.0)
         x = random_xstate(rng)
-        q_c, q_ac = raw_probabilities_oracle(make_astro_state(v), x.to_density())
+        q_c, q_ac = raw_probabilities_oracle(make_astro_state(v), to_density(x))
         assert abs(q_c - (x.g + x.f) / 4) <= 1e-12
         assert abs(q_ac - (x.g + x.f) / 4) <= 1e-12
 
@@ -114,7 +116,7 @@ class TestProjectorOracle:
         # a flipped interference term must not slip past the oracle comparison
         v = AstroVisibility(0.8, 0.3)
         x = resource_with(0.9, 0.8, w_p=0.1)
-        q_c, _ = raw_probabilities_oracle(make_astro_state(v), x.to_density())
+        q_c, _ = raw_probabilities_oracle(make_astro_state(v), to_density(x))
         mutated = 0.25 * ((x.g + x.f) + 2 * v.V_a * x.w_a * math.cos(v.V_p - x.w_p))
         assert abs(q_c - mutated) > 1e-3
 
@@ -319,7 +321,7 @@ class TestScalingLaws:
             out = scaling_laws(x, R_X=4.0)
             assert abs(out.dV_a_scale - 0.5) <= 1e-15
             assert abs(out.dV_p_scale - 0.5) <= 1e-15
-            assert not out.diverged
+            assert math.isfinite(out.dV_a_scale) and math.isfinite(out.dV_p_scale)
 
     def test_equal_arm_damping(self):
         lam = 0.36
@@ -349,13 +351,13 @@ class TestScalingLaws:
 
     def test_depolarizing_divergence(self):
         out = scaling_laws(xstate_depolarizing(0.75, 0.0), R_X=1.0)
-        assert out.diverged and out.dV_a_scale == math.inf
+        assert out.dV_a_scale == math.inf
         assert math.isfinite(out.dV_p_scale)
 
     def test_no_photons_or_no_coincidences_diverge(self):
         for x, r_x in ((ideal_bell_xstate(), 0.0), (xstate_amplitude_damping(1.0, 1.0), 1.0)):
             out = scaling_laws(x, r_x)
-            assert out.diverged and out.dV_a_scale == out.dV_p_scale == math.inf
+            assert out.dV_a_scale == out.dV_p_scale == math.inf
         with pytest.raises(ValueError):
             scaling_laws(ideal_bell_xstate(), -1.0)
 

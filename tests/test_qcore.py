@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from entbase.qcore import (
     AstroVisibility,
     DegenerateResourceError,
+    XState,
+    concurrence_subspace,
+    subspace_weight,
+    wrap_phase,
+)
+from entbase.reference import (
     DensityMatrix4,
     NotXFormError,
-    XState,
     apply_independent_channels,
-    concurrence_subspace,
     concurrence_wootters_x,
     extract_xstate,
     kraus_amplitude_damping,
@@ -20,11 +24,8 @@ from entbase.qcore import (
     kraus_depolarizing,
     make_astro_state,
     make_bell_psi,
-    subspace_weight,
-    wrap_phase,
+    random_density,
 )
-
-from conftest import random_density
 
 
 def bell_state_entries(delta):
