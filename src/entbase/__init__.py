@@ -35,9 +35,7 @@ from .protocol import (
 )
 from .imaging import (
     BaselinePlan,
-    IntensityError,
     SkyModel,
-    intensity_error,
     observe_and_image,
     reconstruct_intensity,
     resolution,

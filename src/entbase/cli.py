@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config, swept_fields
-from .imaging import observe_and_image, resource_figures, true_visibility
+from .imaging import observe_and_image, resolution, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
 from .config import parse_config  # noqa: F401
@@ -110,12 +110,20 @@ def _emit_gnuplot(outdir: Path, kind: str):
     (outdir / "plot.gp").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Above this concurrence the phase error dominates the intensity error budget.
+PHASE_LIMITED_CONCURRENCE = 0.9
+# Error bars beyond these are treated as carrying no usable information.
+LOW_CONFIDENCE_DVA = 0.5
+LOW_CONFIDENCE_DVP = 0.5 * math.pi
+
+
 def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     cfg = load_config(config_path)
     if len(cfg.plan.baselines) < 2:  # sweep evaluates one baseline; the map needs two
         raise ConfigError("baselines", "run needs at least two baselines to image")
+    resource_factory = cfg.channel.resource_factory()
     report = observe_and_image(
-        sky=cfg.sky, plan=cfg.plan, resource_factory=cfg.channel.resource_factory(),
+        sky=cfg.sky, plan=cfg.plan, resource_factory=resource_factory,
         settings=cfg.settings, n_per_setting=cfg.n_per_setting, seed=cfg.seed,
         rates=cfg.rates, theta_grid=cfg.theta_grid,
         rate_norm_fn=cfg.channel.rate_norm_fn())
@@ -137,9 +145,13 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
                zip(report.theta_grid, report.intensity_true,
                    report.intensity_exact, report.intensity_est))
 
-    worst = int(np.argmin(est.C_used))
-    resource = cfg.channel.resource_factory()(cfg.plan.baselines[worst])
+    # the worst baseline has the largest amplitude trend scale 1/(C sqrt(xi R_X)),
+    # the first one on ties; every resource figure below is taken there
+    worst = int(np.argmin(est.C_used * np.sqrt(est.xi_used)))
+    c_worst = est.C_used[worst]
+    resource = resource_factory(cfg.plan.baselines[worst])
     scales = scaling_laws(resource, cfg.rates.R_E)  # R_X: the network-supplied photon fraction
+    max_dva, max_dvp = float(est.dV_a.max()), float(est.dV_p.max())
     summary = {
         "channel": cfg.channel.kind,
         "wavelength": cfg.sky.wavelength,
@@ -147,20 +159,22 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         "n_baselines": len(report.baselines),
         "N_per_setting": cfg.n_per_setting,
         "seed": cfg.seed,
-        "resolution": report.resolution,
+        "resolution": resolution(cfg.plan.B_m, cfg.sky.wavelength),
         "xi": est.xi_used[worst],
-        "C": est.C_used[worst],
+        "C": c_worst,
         "R_M_norm": report.rate_norm[worst],
         "dVa_scale": scales.dV_a_scale,
         "dVp_scale": scales.dV_p_scale,
-        "dI": report.error.dI,
-        "dI_scale": report.error.scale,
-        "error_regime": report.error.regime,
-        "low_confidence": report.low_confidence,
-        "n_above_unit": report.n_above_unit,
+        "dI": math.hypot(max_dva, max_dvp),
+        "dI_scale": math.hypot(scales.dV_a_scale, scales.dV_p_scale),
+        "error_regime": ("phase-limited" if c_worst >= PHASE_LIMITED_CONCURRENCE
+                         else "amplitude-limited"),
+        "low_confidence": max_dva > LOW_CONFIDENCE_DVA or max_dvp > LOW_CONFIDENCE_DVP,
+        # estimates more than three of their dV_a above |V| = 1, imaged unclipped
+        "n_above_unit": int(np.count_nonzero(est.V_a_hat > 1.0 + 3.0 * est.dV_a + 1e-12)),
         "resource_state": _resource_state(resource),
     }
-    # RFC 8259 has no NaN or Infinity: a non-finite figure (dVa_scale at R_E = 0) is null
+    # RFC 8259 has no NaN or Infinity: a non-finite figure (the trend scales at R_E = 0) is null
     summary = {key: None if isinstance(v, float) and not math.isfinite(v) else v
                for key, v in summary.items()}
     text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)

@@ -198,9 +198,12 @@ def _parse_channel(obj) -> ChannelConfig:
         for key in ("t1", "t2", "tau_c"):
             params[key] = _channel_param(obj, key)
         if "sign" in obj:
-            if isinstance(obj["sign"], bool) or obj["sign"] not in ("+", "-", 1, -1):
+            sign = obj["sign"]
+            # an integer sign is a JSON integer, as for every integer key: not 1.0, not true
+            is_integer = isinstance(sign, int) and not isinstance(sign, bool)
+            if not (sign in ("+", "-") or is_integer and sign in (1, -1)):
                 raise ConfigError(f"{ctx}.sign", "must be '+', '-', 1 or -1")
-            params["sign"] = +1 if obj["sign"] in ("+", 1) else -1
+            params["sign"] = +1 if sign in ("+", 1) else -1
     elif kind == "custom_rate":
         _require_keys(obj, ctx, ("kind", "table"))
         table = obj["table"]

@@ -1,4 +1,4 @@
-"""Sky models, forward visibility, dirty-map reconstruction, error reporting.
+"""Sky models, forward visibility, dirty-map reconstruction.
 
 One-dimensional, small-angle, monochromatic scalar imaging: the complex
 visibility is the flux-normalized Fourier transform of the source
@@ -27,11 +27,9 @@ from .qcore import (
 
 __all__ = [
     "BaselinePlan",
-    "IntensityError",
     "ObservationReport",
     "SkyModel",
     "default_theta_grid",
-    "intensity_error",
     "observe_and_image",
     "reconstruct_intensity",
     "resolution",
@@ -205,37 +203,6 @@ def resolution(B_m: float, lam: float) -> float:
     return lam / (2.0 * B_m)
 
 
-# Above this concurrence the phase error dominates the intensity error budget.
-PHASE_LIMITED_CONCURRENCE = 0.9
-
-
-@dataclass(frozen=True)
-class IntensityError:
-    """First-order intensity error: empirical value, resource scale, dominant regime."""
-
-    dI: float
-    scale: float
-    regime: str
-
-
-def intensity_error(dV_a: float, dV_p: float, C: float, xi: float) -> IntensityError:
-    """Combine worst-case visibility errors into the intensity error estimate.
-
-    dI = sqrt(dV_a^2 + dV_p^2); the resource scale is
-    sqrt(C^2 + 1) / (C sqrt(xi)), diverging as the concurrence vanishes.
-    """
-    if dV_a < 0.0 or dV_p < 0.0:
-        raise ValueError("errors must be nonnegative")
-    if xi <= 0.0:
-        raise ValueError("subspace weight must be positive")
-    d_i = math.hypot(dV_a, dV_p)
-    if C <= 0.0:
-        return IntensityError(dI=d_i, scale=math.inf, regime="amplitude-limited")
-    scale = math.sqrt(C * C + 1.0) / (C * math.sqrt(xi))
-    regime = "phase-limited" if C >= PHASE_LIMITED_CONCURRENCE else "amplitude-limited"
-    return IntensityError(dI=d_i, scale=scale, regime=regime)
-
-
 # default grid: cells per beam width, and the cap on its size
 GRID_POINTS_PER_BEAM = 8
 GRID_MAX_POINTS = 1024
@@ -283,10 +250,6 @@ class ObservationReport:
     intensity_true: np.ndarray
     intensity_exact: np.ndarray
     intensity_est: np.ndarray
-    resolution: float
-    error: IntensityError
-    low_confidence: bool
-    n_above_unit: int             # estimates with |V| > 1 + 3 dV_a (+1e-12), kept unclipped
 
 
 def resource_figures(x: XState, B: float, rates: RateModel,
@@ -307,11 +270,6 @@ def resource_figures(x: XState, B: float, rates: RateModel,
     return xi, conc, r_norm, r_norm * rates.R_E * rates.R_T
 
 
-# Error bars beyond these are treated as carrying no usable information.
-LOW_CONFIDENCE_DVA = 0.5
-LOW_CONFIDENCE_DVP = 0.5 * math.pi
-
-
 def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
                       settings: PhaseSettings, n_per_setting: int, seed: int,
                       rates: RateModel, theta_grid, rate_norm_fn=None) -> ObservationReport:
@@ -322,8 +280,8 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
     the whole run (run seed scheme v2): baseline i's correlated-click counts
     are row i of one rng.binomial(N, P, size=(n, 2)) draw over the settings'
     probabilities P, whichever way the loop is split. rate_norm_fn is passed
-    to resource_figures. Estimates more than three of their dV_a above
-    |V| = 1 are kept as they are and counted in n_above_unit.
+    to resource_figures. Estimates are imaged as they are, never clipped
+    to |V| = 1.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     baselines = np.array(plan.baselines)
@@ -349,8 +307,6 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
                                             wavelength=sky.wavelength)
     intensity_est = reconstruct_intensity(baselines, v_est, theta_grid=theta_grid,
                                           wavelength=sky.wavelength)
-    max_dva, max_dvp = float(dv_a.max()), float(dv_p.max())
-    err = intensity_error(max_dva, max_dvp, float(conc.min()), float(xi.min()))
     return ObservationReport(
         baselines=baselines,
         v_true=v_true,
@@ -362,8 +318,4 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
         intensity_true=sky_intensity_on_grid(sky, theta_grid),
         intensity_exact=intensity_exact,
         intensity_est=intensity_est,
-        resolution=resolution(plan.B_m, sky.wavelength),
-        error=err,
-        low_confidence=(max_dva > LOW_CONFIDENCE_DVA or max_dvp > LOW_CONFIDENCE_DVP),
-        n_above_unit=int(np.count_nonzero(v_a > 1.0 + 3.0 * dv_a + 1e-12)),
     )

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -79,27 +78,6 @@ class TestClosedFormStates:
             builder(-0.1, 0.5)
         with pytest.raises(ValueError):
             builder(0.5, 1.5)
-
-
-class TestKrausOracleEquivalence:
-    """Every closed form must match the operator-sum route entrywise."""
-
-    CASES = [
-        (xstate_amplitude_damping, reference.kraus_amplitude_damping),
-        (xstate_dephasing, reference.kraus_dephasing),
-        (xstate_depolarizing, reference.kraus_depolarizing),
-    ]
-
-    @pytest.mark.parametrize("closed,kraus", CASES)
-    def test_entrywise_on_grid(self, closed, kraus):
-        bell = reference.make_bell_psi(0.0)
-        for p_l in np.linspace(0.0, 1.0, 11):
-            for p_r in np.linspace(0.0, 1.0, 11):
-                via_kraus = reference.apply_independent_channels(bell, kraus(p_l), kraus(p_r))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DegenerateCoherenceWarning)
-                    direct = reference.to_density(closed(p_l, p_r))
-                assert np.max(np.abs(via_kraus.entries - direct.entries)) <= 1e-12
 
 
 class TestFiberMaps:

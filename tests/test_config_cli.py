@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -83,6 +84,19 @@ class TestConfigParsing:
             x = cfg.channel.resource_factory()(10.0)
             assert 0.0 <= x.g + x.f <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("sign, w_p", [("+", 0.0), ("-", math.pi), (1, 0.0), (-1, math.pi)])
+    def test_memory_swap_sign_spellings(self, sign, w_p):
+        cfg = parse_config(base_config(channel={"kind": "memory_swap", "t1": 0.1, "t2": 0.2,
+                                                "tau_c": 1.0, "sign": sign}))
+        assert cfg.channel.resource_factory()(10.0).w_p == w_p
+
+    @pytest.mark.parametrize("sign", [1.0, True, 0, "plus"])
+    def test_memory_swap_sign_rejected(self, sign):
+        with pytest.raises(ConfigError) as err:
+            parse_config(base_config(channel={"kind": "memory_swap", "t1": 0.1, "t2": 0.2,
+                                              "tau_c": 1.0, "sign": sign}))
+        assert err.value.key == "channel.sign"
+
     def test_custom_rate_table_validation(self):
         with pytest.raises(ConfigError) as err:
             parse_config(base_config(channel={"kind": "custom_rate",
@@ -160,7 +174,29 @@ class TestRunCommand:
         text = (tmp_path / "out" / "summary.json").read_text(encoding="utf-8")
         summary = json.loads(text, parse_constant=reject)
         assert summary["dVa_scale"] is None and summary["dVp_scale"] is None
+        assert summary["dI_scale"] is None  # the same trend scales, combined
         assert summary["xi"] == 1.0
+
+    def test_summary_is_taken_at_the_worst_baseline(self, tmp_path):
+        # every fiber baseline has C = 1, so the worst one is the longest, B = 60
+        cfg = json.loads((CONFIG_DIR / "fiber_two_source.json").read_text())
+        cfg["output_dir"] = str(tmp_path / "out")
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        with open(tmp_path / "out" / "visibility.csv", encoding="utf-8") as fh:
+            rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+        last = rows[-1]
+        assert last["B"] == 60.0
+        assert (summary["xi"], summary["C"], summary["R_M_norm"]) == (
+            last["xi"], last["C"], last["R_M_norm"])
+        resource = load_config(path).channel.resource_factory()(60.0)
+        assert summary["resource_state"] == cli._resource_state(resource)
+        r_e = cfg["rates"]["R_E"]
+        largest = max(1.0 / (row["C"] * math.sqrt(row["xi"] * r_e)) for row in rows)
+        assert summary["dVa_scale"] == pytest.approx(largest, rel=1e-12)
+        assert summary["dI_scale"] == math.hypot(summary["dVa_scale"], summary["dVp_scale"])
+        assert summary["resolution"] == 1.0 / (2.0 * 60.0)
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         digests = []

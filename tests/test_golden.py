@@ -10,7 +10,12 @@ CHANGES.md and updates the digests in the same change.
 bits depend on the BLAS build. The `run` digests were recorded under run seed
 scheme v2 (docs/schema.md#Seeding), which changed the estimate columns of
 `visibility.csv` and the `dI` of `summary.json` and added its `n_above_unit`
-key; the B and N sweep digests predate it and are unchanged.
+key; the B and N sweep digests predate it and are unchanged. The fiber and
+memory-swap `summary.json` digests were re-recorded when every summary figure
+came to be taken at one worst baseline, the first one with the largest
+1/(C sqrt(xi R_E)), and `dI_scale` became hypot(dVa_scale, dVp_scale): the
+fiber figures moved from B = 1.25 to B = 60, and the memory-swap `dI_scale`
+moved in its last digit (docs/schema.md#Outputs of `run`).
 """
 
 import hashlib
@@ -34,11 +39,11 @@ RUN_DIGESTS = {
     ("fiber_two_source", "visibility.csv"):
         "396e17b1f41c8f91ce04e7de858d0eaed7f047819115ca1d58c5cc58255c3fa3",
     ("fiber_two_source", "summary.json"):
-        "2ad042a538ebbcaa1564a91c2c2545847db9e7120d8c62d395d3df561f5807d0",
+        "8084ad3c29fc925fa922a9ec1211dbf4d5f55d3e43cf097f5499038b6e3d92f9",
     ("memory_swap_two_source", "visibility.csv"):
         "fcb65f51faf545d78974b148082536a08a0294e7b3b6058848bda923e3af956b",
     ("memory_swap_two_source", "summary.json"):
-        "15ed8b200677c3cbedf65ddff5dfcf7d4dd93767d008c934b10730432f0efec0",
+        "38518d22acb6a59d5bfccaa373860b0693a4a98b40c147cc6856a51a1f7be420",
 }
 
 SWEEP_DIGESTS = {

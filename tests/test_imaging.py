@@ -14,7 +14,6 @@ from entbase.imaging import (
     BaselinePlan,
     SkyModel,
     default_theta_grid,
-    intensity_error,
     observe_and_image,
     reconstruct_intensity,
     resolution,
@@ -32,6 +31,24 @@ RATES = RateModel(1.0, 1.0)
 
 def two_source_sky(sep=0.02, wavelength=1.0, flux2=1.0):
     return SkyModel(((-sep / 2, 1.0), (sep / 2, flux2)), wavelength)
+
+
+def run_summary(tmp_path, **overrides):
+    """summary.json of `entbase run` on a two-source ideal config, after the overrides."""
+    cfg = {"sky": {"sources": [{"theta": -0.01, "flux": 1.0}, {"theta": 0.01, "flux": 1.0}]},
+           "wavelength": 1.0, "baselines": {"B_max": 30.0, "count": 4},
+           "channel": {"kind": "ideal"}, "N_per_setting": 1000, "seed": 2,
+           "output_dir": str(tmp_path / "out"), **overrides}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    return json.loads((tmp_path / "out" / "summary.json").read_text())
+
+
+def fixed_estimates(monkeypatch, **fields):
+    """Make every baseline of a run report the same VisibilityEstimate, built from fields."""
+    monkeypatch.setattr(imaging, "run_observation", lambda v, x, ph, n, rng: (
+        VisibilityEstimate(N_used=n, C_used=1.0, xi_used=1.0, **fields)))
 
 
 def exact_samples(sky, plan):
@@ -223,18 +240,6 @@ class TestMapBlocks:
         assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
-class TestResolvability:
-    def test_threshold_both_directions(self):
-        sep = 0.02
-        sky = two_source_sky(sep)
-        threshold = 1.0 / (2 * sep)
-        grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
-        for factor, expected in ((0.5, 1), (2.0, 2)):
-            plan = BaselinePlan.linear(factor * threshold, 48)
-            rec = reconstruct_intensity(*exact_samples(sky, plan), grid, 1.0)
-            assert len(find_peaks(rec)) == expected
-
-
 class TestFindPeaks:
     def test_matches_loop_reference(self, rng):
         def loop_peaks(arr):
@@ -262,20 +267,23 @@ class TestResolution:
 
 
 class TestIntensityError:
-    def test_amplitude_only(self):
-        out = intensity_error(0.02, 0.0, C=0.5, xi=1.0)
-        assert out.dI == 0.02
+    """summary.json's dI, dI_scale and error_regime."""
 
-    def test_ideal_scale(self):
-        out = intensity_error(0.01, 0.01, C=1.0, xi=1.0)
-        assert abs(out.scale - math.sqrt(2.0)) <= 1e-15
-        assert out.regime == "phase-limited"
+    def test_amplitude_only(self, monkeypatch, tmp_path):
+        fixed_estimates(monkeypatch, V_a_hat=0.5, V_p_hat=0.0, dV_a=0.02, dV_p=0.0)
+        assert run_summary(tmp_path)["dI"] == 0.02
 
-    def test_low_concurrence_diverges(self):
-        out = intensity_error(0.1, 0.1, C=0.0, xi=0.5)
-        assert out.scale == math.inf and out.regime == "amplitude-limited"
-        out = intensity_error(0.1, 0.1, C=0.05, xi=1.0)
-        assert out.regime == "amplitude-limited" and out.scale > 10
+    def test_ideal_scale(self, tmp_path):
+        summary = run_summary(tmp_path)  # R_E = 1
+        assert abs(summary["dI_scale"] - math.sqrt(2.0)) <= 1e-15
+        assert summary["error_regime"] == "phase-limited"
+
+    def test_low_concurrence_diverges(self, tmp_path):
+        # one-arm depolarization kappa_L = 0.73: C = 0.052 at every baseline
+        summary = run_summary(tmp_path, channel={"kind": "depolarizing",
+                                                 "kappa_L": 0.73, "kappa_R": 0.0})
+        assert summary["C"] < 0.06
+        assert summary["error_regime"] == "amplitude-limited" and summary["dI_scale"] > 10
 
 
 class TestBaselinePlan:
@@ -309,15 +317,12 @@ class TestObserveAndImage:
         # the plan samples the visibility null at B = 1/(2 sep) = 25, where the
         # phase is unmeasurable: its phase error is the plan's largest
         assert report.baselines[np.argmax(report.estimates.dV_p)] == 25.0
-        assert report.resolution == resolution(plan.B_m, sky.wavelength)
 
-    def test_no_flag_away_from_nulls(self):
-        sky = SkyModel(((0.004, 1.0),), wavelength=1.0)  # |V| = 1 everywhere
-        plan = BaselinePlan.linear(40.0, 16)
-        report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
-                                   SETTINGS, 100000, seed=6, rates=RATES,
-                                   theta_grid=default_theta_grid(sky, plan.B_m))
-        assert not report.low_confidence
+    def test_no_flag_away_from_nulls(self, tmp_path):
+        summary = run_summary(tmp_path, sky={"sources": [{"theta": 0.004, "flux": 1.0}]},
+                              baselines={"B_max": 40.0, "count": 16},  # |V| = 1 everywhere
+                              N_per_setting=100000, seed=6)
+        assert summary["low_confidence"] is False
 
     def test_fiber_rates_follow_line(self):
         sky = two_source_sky()
@@ -332,29 +337,19 @@ class TestObserveAndImage:
             expected = math.log(RateModel(0.8, 1e6).max_rate) - b / (2 * l0)
             assert abs(math.log(r) - expected) <= 1e-12
 
-    def test_single_trial_flags_low_confidence(self):
-        sky = two_source_sky()
-        plan = BaselinePlan.linear(30.0, 4)
-        report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
-                                   SETTINGS, 1, seed=2, rates=RATES,
-                                   theta_grid=default_theta_grid(sky, plan.B_m))
-        assert report.low_confidence
-        assert np.all(report.estimates.dV_a >= 0.0) and np.all(report.estimates.dV_p >= 0.0)
+    def test_single_trial_flags_low_confidence(self, tmp_path):
+        assert run_summary(tmp_path, N_per_setting=1)["low_confidence"] is True
+        rows = np.loadtxt(tmp_path / "out" / "visibility.csv", delimiter=",", skiprows=1)
+        assert np.all(rows[:, 5:7] >= 0.0)  # dV_a, dV_p
 
     def test_sample_consistency_bound(self, monkeypatch, tmp_path):
         # |V| = 1.5 more than three dV_a above the physical bound |V| = 1 is
         # imaged as it is and counted in summary.json, not rejected
-        cfg = {"sky": {"sources": [{"theta": 0.004, "flux": 1.0}]}, "wavelength": 1.0,
-               "baselines": {"B_max": 40.0, "count": 4}, "channel": {"kind": "ideal"},
-               "N_per_setting": 100, "seed": 1, "output_dir": str(tmp_path / "out")}
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
         for dv_a, above in ((0.01, 4), (0.2, 0)):
-            monkeypatch.setattr(imaging, "run_observation", lambda v, x, ph, n, rng: (
-                VisibilityEstimate(V_a_hat=1.5, V_p_hat=0.0, dV_a=dv_a, dV_p=0.1,
-                                   N_used=n, C_used=1.0, xi_used=1.0)))
-            assert main(["run", str(path)]) == 0
-            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+            fixed_estimates(monkeypatch, V_a_hat=1.5, V_p_hat=0.0, dV_a=dv_a, dV_p=0.1)
+            summary = run_summary(tmp_path, sky={"sources": [{"theta": 0.004, "flux": 1.0}]},
+                                  baselines={"B_max": 40.0, "count": 4}, N_per_setting=100,
+                                  seed=1)
             assert summary["n_above_unit"] == above
             rows = (tmp_path / "out" / "visibility.csv").read_text().splitlines()[1:]
             assert all(float(row.split(",")[3]) == 1.5 for row in rows)
