@@ -2,7 +2,7 @@
 
 Verbs: ``run <config>`` (single observation, writes visibility.csv,
 intensity.csv and summary.json), ``sweep <config> --param --values``
-(one CSV row per swept value), ``validate [--fast]`` (invariant suite).
+(one CSV row per swept value), ``validate`` (invariant suite).
 Exit codes: 0 success, 1 invalid config or arguments (message names the
 offending key or argument), 2 runtime failure (message names the error).
 """
@@ -223,9 +223,9 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
     return 0
 
 
-def cmd_validate(fast: bool = False) -> int:
+def cmd_validate() -> int:
     from . import validation  # the suite and its references stay out of run and sweep
-    return 0 if validation.run_all(fast=fast) else 1
+    return 0 if validation.run_all() else 1
 
 
 def _parse_values(raw: str):
@@ -272,8 +272,7 @@ def _parser() -> argparse.ArgumentParser:
                          help="Monte Carlo replicates per value for the RMSE columns")
     p_sweep.add_argument("--gnuplot", action="store_true")
 
-    p_val = sub.add_parser("validate", help="run the invariant suite")
-    p_val.add_argument("--fast", action="store_true", help="skip Monte Carlo invariants")
+    sub.add_parser("validate", help="run the invariant suite")
     return parser
 
 
@@ -291,7 +290,7 @@ def main(argv=None) -> int:
                 raise ConfigError("sweep.mc_replicates", "must be nonnegative")
             return cmd_sweep(args.config, args.param, _parse_values(args.values),
                              mc_replicates=args.mc_replicates, gnuplot=args.gnuplot)
-        return cmd_validate(fast=args.fast)
+        return cmd_validate()
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

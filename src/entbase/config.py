@@ -154,7 +154,7 @@ class ChannelConfig:
         table = self.params["table"]
         bs = np.array([row[0] for row in table])
         rs = np.array([row[1] for row in table])
-        return lambda B, xi: float(np.interp(B, bs, rs))
+        return lambda B: float(np.interp(B, bs, rs))
 
 
 def _parse_channel(obj) -> ChannelConfig:

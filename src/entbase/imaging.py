@@ -257,7 +257,7 @@ def resource_figures(x: XState, B: float, rates: RateModel,
     """(xi, C, R_M_norm, R_M) of the resource x at baseline B.
 
     R_M_norm is the coincidence fraction R_M / (R_E R_T): xi/2, unless
-    rate_norm_fn is not None and overrides it with rate_norm_fn(B, xi)
+    rate_norm_fn is not None and overrides it with rate_norm_fn(B)
     (e.g. a tabulated repeater-chain rate). C is nan for a dead resource
     (xi = 0).
     """
@@ -266,7 +266,7 @@ def resource_figures(x: XState, B: float, rates: RateModel,
         conc = concurrence_subspace(x)
     except DegenerateResourceError:
         conc = math.nan
-    r_norm = 0.5 * xi if rate_norm_fn is None else rate_norm_fn(B, xi)
+    r_norm = 0.5 * xi if rate_norm_fn is None else rate_norm_fn(B)
     return xi, conc, r_norm, r_norm * rates.R_E * rates.R_T
 
 

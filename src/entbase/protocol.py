@@ -133,10 +133,12 @@ def scaling_laws(x: XState, R_X: float) -> ScalingLaws:
 
     Evaluated at the resource x, e.g. a channel family's closed-form state,
     which reproduces the per-channel expressions in terms of the loss
-    parameters. No supplied photons (R_X = 0) or no coincidence weight
-    (xi = 0) makes both scales diverge, a vanishing concurrence (for
-    isotropic noise, x -> 1/4) the amplitude scale; a diverged scale is
-    reported as inf rather than an exception.
+    parameters. The phase scale holds at a fixed fringe amplitude V_a C:
+    the phase is read off a fringe of that amplitude, so at a fixed V_a the
+    phase error grows as 1/C too. No supplied photons (R_X = 0) or no
+    coincidence weight (xi = 0) makes both scales diverge, a vanishing
+    concurrence (for isotropic noise, x -> 1/4) the amplitude scale; a
+    diverged scale is reported as inf rather than an exception.
     """
     if R_X < 0.0:
         raise ValueError("R_X must be nonnegative")
@@ -189,11 +191,15 @@ def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
     """Invert fringes dp1, dp2 into (V_a, V_p, dV_a, dV_p), elementwise.
 
     Runs unchanged on (n,) arrays and on np.float64 scalars, whose results
-    it keeps scalar, so a one-row call makes few numpy calls. The formulas,
-    branch choices and tie rule (the first setting wins) are those of the
-    scalar reference.solve_visibility and reference.propagate_errors,
-    which derive them. Needs C > 0; PhaseSettings already rejects
-    degenerate settings.
+    it keeps scalar, so a one-row call makes few numpy calls. Both errors
+    come from the Jacobian of (dp1, dp2) -> (V_a, V_p) and the fringe errors
+    D1, D2; with phi = V_p,
+
+        dV_a = hypot(sin(w2 - phi) D1, sin(phi - w1) D2) / (C |sin(w2 - w1)|).
+
+    The formulas and branch choices are those of the scalar
+    reference.solve_visibility and reference.propagate_errors, which derive
+    them. Needs C > 0; PhaseSettings already rejects degenerate settings.
     """
     sin1, cos1 = math.sin(ph.w1), math.cos(ph.w1)
     sin2, cos2 = math.sin(ph.w2), math.cos(ph.w2)
@@ -204,23 +210,14 @@ def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
     amp_sq = c * c + s * s
     # both fringes zero: the phase is undefined and taken as 0 (for fringes of
     # counts, amp_sq is 0 exactly when hypot(c, s) is)
-    dead = amp_sq == 0.0
-    phase = np.where(dead, 0.0, np.arctan2(s, c))[()]
+    phase = np.where(amp_sq == 0.0, 0.0, np.arctan2(s, c))[()]
     # arctan2 lies in [-pi, pi]: wrapping to (-pi, pi] moves only -pi
     v_p_hat = np.where(phase == -math.pi, math.pi, phase)[()]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # fmin drops the nan of a dead row's 0 / 0, which reports the cap pi
+        # fmin drops the nan of 0 / 0 when both fringes are zero, which reports the cap pi
         dv_p = np.fmin(math.pi, np.hypot(dp2 * d1, dp1 * d2) / (amp_sq * abs(det)))
-    # amplitude error at the setting where the fringe is best conditioned
-    first = abs(np.cos(phase - ph.w1)) >= abs(np.cos(phase - ph.w2))
-    w_b = np.where(first, ph.w1, ph.w2)[()]
-    dp_b = np.where(first, dp1, dp2)[()]
-    # that setting's fringe error and cosine, recomputed: the same bits as selecting them
-    d_b = _fringe_error(dp_b, N)
-    cosw, sinw = np.cos(phase - w_b), np.sin(phase - w_b)
-    d_dp = 1.0 / (C * cosw)
-    d_vp = dp_b * sinw / (C * cosw * cosw)
-    dv_a = np.where(dead, d_b / (C * abs(cosw)), np.hypot(d_dp * d_b, d_vp * dv_p))[()]
+    dv_a = (np.hypot(np.sin(ph.w2 - v_p_hat) * d1, np.sin(v_p_hat - ph.w1) * d2)
+            / (C * abs(det)))
     return np.hypot(c, s) / C, v_p_hat, dv_a, dv_p
 
 

@@ -28,13 +28,12 @@ TRACE_TOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 XFORM_TOL = 1e-12
 
-__all__ = ["DensityMatrix4", "KrausChannel", "NotXFormError", "amplitude_from_delta",
-           "amplitude_partials", "apply_independent_channels", "concurrence_wootters_x",
-           "delta_p_uncertainty", "dirty_image_complex", "extract_xstate", "find_peaks",
-           "kraus_amplitude_damping", "kraus_dephasing", "kraus_depolarizing",
-           "make_astro_state", "make_bell_psi", "memory_dephasing_channel", "phase_from_ratio",
-           "phase_ratio_derivative", "propagate_errors", "random_density", "random_xstate",
-           "raw_probabilities_oracle", "solve_visibility", "to_density"]
+__all__ = ["DensityMatrix4", "KrausChannel", "NotXFormError", "apply_independent_channels",
+           "concurrence_wootters_x", "delta_p_uncertainty", "dirty_image_complex",
+           "extract_xstate", "find_peaks", "kraus_amplitude_damping", "kraus_dephasing",
+           "kraus_depolarizing", "make_astro_state", "make_bell_psi", "memory_dephasing_channel",
+           "phase_from_ratio", "phase_ratio_derivative", "propagate_errors", "random_density",
+           "random_xstate", "raw_probabilities_oracle", "solve_visibility", "to_density"]
 
 
 # The operator-sum route.
@@ -323,63 +322,42 @@ def solve_visibility(dp1: float, dp2: float, ph: protocol.PhaseSettings,
     return amp / C, wrap_phase(math.atan2(s, c))
 
 
-def amplitude_from_delta(dp: float, V_p: float, C: float, w: float) -> float:
-    """Visibility amplitude from a single setting: dp / (C cos(V_p - w))."""
-    return dp / (C * math.cos(V_p - w))
-
-
-def amplitude_partials(dp: float, V_p: float, C: float, w: float) -> tuple[float, float]:
-    """(d V_a / d dp, d V_a / d V_p) for the single-setting amplitude formula."""
-    cosw = math.cos(V_p - w)
-    d_dp = 1.0 / (C * cosw)
-    d_vp = dp * math.sin(V_p - w) / (C * cosw * cosw)
-    return d_dp, d_vp
-
-
 def propagate_errors(dp1: float, dp2: float, N: int, ph: protocol.PhaseSettings,
                      C: float) -> tuple[float, float]:
     """One-sigma errors (dV_a, dV_p) for the two-setting inversion.
 
-    The phase error follows the chain through the setting ratio
-    alpha = dp1/dp2: quadrature of the alpha partials times the fringe
-    uncertainties, then |d V_p / d alpha|. That product simplifies
+    Both come from the gradients of solve_visibility's (V_a, V_p) in
+    (dp1, dp2), combined in quadrature with the fringe uncertainties
+    D1, D2. With c + i s = V_a C exp(i V_p),
+
+        dV_a = hypot(sin(w2 - V_p) D1, sin(V_p - w1) D2) / (C |sin(w2-w1)|),
+
+    the gradient of hypot(c, s)/C (when both fringes vanish V_p takes its
+    conventional 0). The phase error follows the chain through the setting
+    ratio alpha = dp1/dp2: quadrature of the alpha partials times the
+    fringe uncertainties, then |d V_p / d alpha|. That product simplifies
     exactly to
 
         dV_p = sqrt((dp2*D1)^2 + (dp1*D2)^2) / ((c^2+s^2) |sin(w2-w1)|),
 
     which is the form evaluated here (regular even where one fringe
-    vanishes). The amplitude error is the quadrature of the fringe term
-    and the phase term of the single-setting formula, evaluated at the
-    better-conditioned setting. dV_p is capped at pi: beyond that the
-    phase carries no information.
+    vanishes). dV_p is capped at pi: beyond that the phase carries no
+    information.
     """
     if N < 1:
         raise ValueError("need at least one trial")
-    if C <= 0.0:
-        raise protocol.ZeroConcurrenceError("C <= 0: visibility amplitude is unrecoverable")
+    _, v_p = solve_visibility(dp1, dp2, ph, C)  # rejects C <= 0 and degenerate settings
     det = math.sin(ph.w2 - ph.w1)
-    if abs(det) < protocol.MIN_PHASE_SEPARATION:
-        raise protocol.DegeneratePhasesError("phase settings are degenerate")
     d1 = delta_p_uncertainty(dp1, N)
     d2 = delta_p_uncertainty(dp2, N)
+    dv_a = math.hypot(math.sin(ph.w2 - v_p) * d1, math.sin(v_p - ph.w1) * d2) / (C * abs(det))
     c = (dp1 * math.sin(ph.w2) - dp2 * math.sin(ph.w1)) / det
     s = (dp2 * math.cos(ph.w1) - dp1 * math.cos(ph.w2)) / det
     amp_sq = c * c + s * s
     if amp_sq == 0.0:
         # phase undefined (both fringes vanished): report it as uninformative
-        # and take the amplitude error at the conventional phase 0
-        dp_b, d_b, w_b = max(((dp1, d1, ph.w1), (dp2, d2, ph.w2)),
-                             key=lambda item: abs(math.cos(item[2])))
-        return d_b / (C * abs(math.cos(w_b))), math.pi
-    v_p = math.atan2(s, c)
-    dv_p = min(math.pi,
-               math.hypot(dp2 * d1, dp1 * d2) / (amp_sq * abs(det)))
-    # amplitude error at the setting where the fringe is best conditioned
-    settings = ((dp1, d1, ph.w1), (dp2, d2, ph.w2))
-    dp_b, d_b, w_b = max(settings, key=lambda item: abs(math.cos(v_p - item[2])))
-    d_dp, d_vp = amplitude_partials(dp_b, v_p, C, w_b)
-    dv_a = math.hypot(d_dp * d_b, d_vp * dv_p)
-    return dv_a, dv_p
+        return dv_a, math.pi
+    return dv_a, min(math.pi, math.hypot(dp2 * d1, dp1 * d2) / (amp_sq * abs(det)))
 
 
 def phase_from_ratio(alpha: float, ph: protocol.PhaseSettings) -> float:

@@ -5,9 +5,11 @@ pytest suite runs every entry of ``CHECKS`` as a test of its own. The
 references the checks compare the runtime against are in
 ``entbase.reference``: the operator-sum route against the closed-form
 resources, and the 16-dimensional projector route against the
-closed-form coincidences. The closed-form/projector-oracle agreement check
-is the canary for sign mistakes in the coincidence formulas: flipping the
-fringe sign in either route makes it fail immediately.
+closed-form coincidences. A third oracle, the Cramer-Rao bound of the two
+binomials, is built in error-bars-cramer-rao itself. The
+closed-form/projector-oracle agreement check is the canary for sign
+mistakes in the coincidence formulas: flipping the fringe sign in either
+route makes it fail immediately.
 """
 
 from __future__ import annotations
@@ -158,15 +160,40 @@ def check_error_derivatives_fd():
               - reference.phase_from_ratio(alpha - step, ph)) / (2 * step)
         an = reference.phase_ratio_derivative(alpha, ph)
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an)), f"dVp/dalpha FD gap at {alpha}"
-    for dp, v_p, conc, w in ((0.3, 0.4, 0.8, 0.1), (-0.2, 1.2, 0.5, 1.67)):
-        d_dp, d_vp = reference.amplitude_partials(dp, v_p, conc, w)
-        h = 1e-6
-        fd_dp = (reference.amplitude_from_delta(dp + h, v_p, conc, w)
-                 - reference.amplitude_from_delta(dp - h, v_p, conc, w)) / (2 * h)
-        fd_vp = (reference.amplitude_from_delta(dp, v_p + h, conc, w)
-                 - reference.amplitude_from_delta(dp, v_p - h, conc, w)) / (2 * h)
-        assert abs(fd_dp - d_dp) <= 1e-6 * max(1.0, abs(d_dp))
-        assert abs(fd_vp - d_vp) <= 1e-6 * max(1.0, abs(d_vp))
+    # (dV_a, dV_p) are the fringe errors through the gradients of solve_visibility
+    h, n = 1e-6, 1000
+    cases = ((0.3, 0.2, 0.8, ph), (-0.25, 0.1, 0.5, protocol.PhaseSettings(-0.4, 1.3)),
+             (0.05, -0.6, 0.9, protocol.PhaseSettings(2.0, -0.5)))
+    for dp1, dp2, conc, ph in cases:
+        lo1, hi1 = (reference.solve_visibility(dp1 + e, dp2, ph, conc) for e in (-h, h))
+        lo2, hi2 = (reference.solve_visibility(dp1, dp2 + e, ph, conc) for e in (-h, h))
+        d1, d2 = reference.delta_p_uncertainty(dp1, n), reference.delta_p_uncertainty(dp2, n)
+        fd_a = math.hypot((hi1[0] - lo1[0]) * d1, (hi2[0] - lo2[0]) * d2) / (2 * h)
+        fd_p = math.hypot(qcore.wrap_phase(hi1[1] - lo1[1]) * d1,
+                          qcore.wrap_phase(hi2[1] - lo2[1]) * d2) / (2 * h)
+        dv_a, dv_p = reference.propagate_errors(dp1, dp2, n, ph, conc)
+        assert abs(fd_a - dv_a) <= 1e-6 * dv_a, f"dV_a FD gap at ({dp1}, {dp2})"
+        assert abs(fd_p - dv_p) <= 1e-6 * dv_p, f"dV_p FD gap at ({dp1}, {dp2})"
+
+
+def check_error_bars_cramer_rao():
+    # at noise-free fringes the error bars reach the bound sqrt(diag(F^-1)) of the two
+    # binomials, F = sum_i N / (1 - dp_i^2) grad(dp_i) grad(dp_i)^T in (V_a, V_p)
+    rng = np.random.default_rng(14)
+    n = 10 ** 10
+    for _ in range(50):
+        w1 = rng.uniform(-math.pi, math.pi)
+        ph = protocol.PhaseSettings(w1, w1 + rng.uniform(0.2, math.pi - 0.2))
+        v_a, v_p = rng.uniform(0.05, 0.95), rng.uniform(-math.pi, math.pi)
+        conc = rng.uniform(0.1, 1.0)
+        offsets = v_p - np.array([ph.w1, ph.w2])
+        dp = v_a * conc * np.cos(offsets)
+        grad = conc * np.stack([np.cos(offsets), -v_a * np.sin(offsets)], axis=1)
+        fisher = (grad.T * (n / (1.0 - dp ** 2))) @ grad
+        bound = np.sqrt(np.diag(np.linalg.inv(fisher)))
+        _, _, dv_a, dv_p = protocol._invert_batch(dp[0], dp[1], n, ph, conc)
+        gap = np.max(np.abs(np.array([dv_a, dv_p]) / bound - 1.0))
+        assert gap <= 1e-7, f"error bars off the Cramer-Rao bound by {gap:.3e}"
 
 
 def check_memory_swap_composition():
@@ -327,37 +354,35 @@ def check_fringe_bound_mc():
 
 
 CHECKS = (
-    ("kraus-completeness", check_kraus_completeness, False),
-    ("channel-closed-forms", check_channel_closed_forms, False),
-    ("x-form-closure", check_xform_closure, False),
-    ("channel-map-properties", check_channel_map_properties, False),
-    ("concurrence-monotone", check_concurrence_monotone, False),
-    ("ideal-limit-fringe", check_ideal_limit_fringe, False),
-    ("projector-oracle", check_projector_oracle, False),
-    ("postselection-normalization", check_postselection_normalization, False),
-    ("estimator-round-trip", check_estimator_round_trip, False),
-    ("error-derivatives-fd", check_error_derivatives_fd, False),
-    ("memory-swap-composition", check_memory_swap_composition, False),
-    ("depol-x-bound", check_depol_x_bound, False),
-    ("rate-monotonicity", check_rate_monotonicity, False),
-    ("fiber-rate-line", check_fiber_rate_line, False),
-    ("depol-rate-asymptote", check_depol_rate_asymptote, False),
-    ("forward-visibility", check_forward_visibility, False),
-    ("reconstruction-hermitian", check_reconstruction_hermitian, False),
-    ("two-source-resolvability", check_resolvability, False),
-    ("estimator-slope[mc]", check_estimator_slope_mc, True),
-    ("error-bar-coverage[mc]", check_error_bar_coverage_mc, True),
-    ("fringe-bound[mc]", check_fringe_bound_mc, True),
+    ("kraus-completeness", check_kraus_completeness),
+    ("channel-closed-forms", check_channel_closed_forms),
+    ("x-form-closure", check_xform_closure),
+    ("channel-map-properties", check_channel_map_properties),
+    ("concurrence-monotone", check_concurrence_monotone),
+    ("ideal-limit-fringe", check_ideal_limit_fringe),
+    ("projector-oracle", check_projector_oracle),
+    ("postselection-normalization", check_postselection_normalization),
+    ("estimator-round-trip", check_estimator_round_trip),
+    ("error-derivatives-fd", check_error_derivatives_fd),
+    ("error-bars-cramer-rao", check_error_bars_cramer_rao),
+    ("memory-swap-composition", check_memory_swap_composition),
+    ("depol-x-bound", check_depol_x_bound),
+    ("rate-monotonicity", check_rate_monotonicity),
+    ("fiber-rate-line", check_fiber_rate_line),
+    ("depol-rate-asymptote", check_depol_rate_asymptote),
+    ("forward-visibility", check_forward_visibility),
+    ("reconstruction-hermitian", check_reconstruction_hermitian),
+    ("two-source-resolvability", check_resolvability),
+    ("estimator-slope[mc]", check_estimator_slope_mc),
+    ("error-bar-coverage[mc]", check_error_bar_coverage_mc),
+    ("fringe-bound[mc]", check_fringe_bound_mc),
 )
 
 
-def run_all(fast: bool = False) -> bool:
-    """Run every check (``fast`` skips the Monte Carlo ones); True iff all pass."""
+def run_all() -> bool:
+    """Run every check; True iff all pass."""
     all_ok = True
-    for name, fn, is_mc in CHECKS:
-        if fast and is_mc:
-            print(f"SKIP {name}")
-            continue
+    for name, fn in CHECKS:
         try:
             fn()
         except AssertionError as exc:

@@ -535,23 +535,15 @@ class TestValidateCommand:
 
     @pytest.fixture(autouse=True)
     def no_op_checks(self, monkeypatch):
-        """Every CHECKS entry under its own name and flag, as a no-op."""
+        """Every CHECKS entry under its own name, as a no-op."""
         monkeypatch.setattr(validation, "CHECKS", tuple(
-            (name, lambda: None, is_mc) for name, _, is_mc in validation.CHECKS))
-
-    def test_fast_suite_passes(self, capsys):
-        assert main(["validate", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-        assert "SKIP" in out  # Monte Carlo checks skipped in fast mode
-        assert out.splitlines() == [f"{'SKIP' if is_mc else 'PASS'} {name}"
-                                    for name, _, is_mc in validation.CHECKS]
+            (name, lambda: None) for name, _ in validation.CHECKS))
 
     def test_full_suite_passes(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
-        assert "FAIL" not in out and "SKIP" not in out
-        assert out.splitlines() == [f"PASS {name}" for name, _, _ in validation.CHECKS]
+        assert "FAIL" not in out
+        assert out.splitlines() == [f"PASS {name}" for name, _ in validation.CHECKS]
 
     def test_failing_and_raising_checks_exit_1(self, monkeypatch, capsys):
         def fails():
@@ -561,7 +553,7 @@ class TestValidateCommand:
             raise RuntimeError("no grid")
 
         monkeypatch.setattr(validation, "CHECKS", (
-            ("fails", fails, False), ("passes", lambda: None, False), ("raises", raises, False)))
+            ("fails", fails), ("passes", lambda: None), ("raises", raises)))
         assert main(["validate"]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "FAIL fails: gap 1.000e-03", "PASS passes", "FAIL raises: RuntimeError: no grid"]

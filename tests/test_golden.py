@@ -15,7 +15,11 @@ memory-swap `summary.json` digests were re-recorded when every summary figure
 came to be taken at one worst baseline, the first one with the largest
 1/(C sqrt(xi R_E)), and `dI_scale` became hypot(dVa_scale, dVp_scale): the
 fiber figures moved from B = 1.25 to B = 60, and the memory-swap `dI_scale`
-moved in its last digit (docs/schema.md#Outputs of `run`).
+moved in its last digit (docs/schema.md#Outputs of `run`). All six `run`
+digests were re-recorded when `dV_a` came to be propagated through the same
+Jacobian as `dV_p`, which changed the `dV_a` column of `visibility.csv` and
+the `dI` of `summary.json` (docs/schema.md#Error bars); the sweep and
+rate-script digests are unchanged.
 """
 
 import hashlib
@@ -33,17 +37,17 @@ RATE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "rate_vs_baselin
 
 RUN_DIGESTS = {
     ("ideal_two_source", "visibility.csv"):
-        "a591b145a6dfaa2f73d6aa5af072ac0f7783401b66bc23a1315bb772129d6426",
+        "232b230af939723f8d64ecb143cd1e2a279d7aa88407e683e2807edd11a7fa39",
     ("ideal_two_source", "summary.json"):
-        "be7c059292e837a9882203bc57a6e650d6eaf0f91bddc373792307d7d4047062",
+        "efcbc409bef73306d3f4c2c89f1776208cb064da02b359e953655c536f111f8c",
     ("fiber_two_source", "visibility.csv"):
-        "396e17b1f41c8f91ce04e7de858d0eaed7f047819115ca1d58c5cc58255c3fa3",
+        "c61a6b957d2d469c1b8e42b9afad2c8ea1d51c6273c2c7bb94a6fbb510421655",
     ("fiber_two_source", "summary.json"):
-        "8084ad3c29fc925fa922a9ec1211dbf4d5f55d3e43cf097f5499038b6e3d92f9",
+        "64c07444885a8426f1a84d751626f4f1ad8fe4b90fb03c29a987d3f4355e1ec1",
     ("memory_swap_two_source", "visibility.csv"):
-        "fcb65f51faf545d78974b148082536a08a0294e7b3b6058848bda923e3af956b",
+        "783c68c5d7eb9fc3846af0c951f6cfc53be9bfe5a335581f631d96c5b63c2690",
     ("memory_swap_two_source", "summary.json"):
-        "38518d22acb6a59d5bfccaa373860b0693a4a98b40c147cc6856a51a1f7be420",
+        "ef7ba15bebaa65fd6c5db25ffb8ad5124707e7df17c1582ff7afe7e3cf79a05c",
 }
 
 SWEEP_DIGESTS = {

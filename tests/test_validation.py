@@ -5,6 +5,6 @@ import pytest
 from entbase.validation import CHECKS
 
 
-@pytest.mark.parametrize("check", [fn for _, fn, _ in CHECKS], ids=[name for name, _, _ in CHECKS])
+@pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS])
 def test_check(check):
     check()
