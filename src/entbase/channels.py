@@ -6,6 +6,10 @@ and finite-lifetime memories, entanglement swapping of stored pairs, and
 the closed-form log-rate laws that the rate of `imaging.resource_figures`
 is checked against. ``entbase.reference`` holds the operator-sum route
 that each closed form is checked against.
+
+The resource builders take floats, or (n,) arrays for n resources at once
+(one `sweep`), and give an XState of the same kind; the arithmetic is the
+same per element either way (see ``entbase.elementwise``).
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import elementwise as ew
 from .qcore import XState
 
 __all__ = [
@@ -41,10 +48,16 @@ class DegenerateCoherenceWarning(UserWarning):
     """The depolarized inner coherence changed sign and was folded into its phase."""
 
 
+def _outside_unit_interval(p):
+    """nan, or off [0, 1] (which covers +-inf): per element for an array."""
+    return (p != p) | (p < 0.0) | (p > 1.0)
+
+
 def _check_probability(name: str, p: float) -> float:
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise ValueError(f"{name} = {p} outside [0, 1]")
-    return float(p)
+    bad = _outside_unit_interval(p)
+    if ew.any_set(bad):
+        raise ValueError(f"{name} = {ew.first_set(p, bad)} outside [0, 1]")
+    return p.astype(float) if isinstance(p, np.ndarray) else float(p)
 
 
 @dataclass(frozen=True)
@@ -55,9 +68,11 @@ class RateModel:
     R_T: float
 
     def __post_init__(self):
-        if not (0.0 <= self.R_E <= 1.0):
-            raise ValueError(f"R_E = {self.R_E} outside [0, 1]")
-        if self.R_T <= 0.0:
+        # a float each, or (n,) arrays for a sweep over one of them
+        bad = _outside_unit_interval(self.R_E)
+        if ew.any_set(bad):
+            raise ValueError(f"R_E = {ew.first_set(self.R_E, bad)} outside [0, 1]")
+        if ew.any_set(self.R_T <= 0.0):
             raise ValueError("R_T must be positive")
 
     @property
@@ -80,7 +95,7 @@ def xstate_amplitude_damping(lambda_L: float, lambda_R: float) -> XState:
         g=0.5 * (1.0 - lambda_R),
         f=0.5 * (1.0 - lambda_L),
         h=0.0,
-        w_a=0.5 * math.sqrt((1.0 - lambda_L) * (1.0 - lambda_R)),
+        w_a=0.5 * ew.sqrt((1.0 - lambda_L) * (1.0 - lambda_R)),
     )
 
 
@@ -102,44 +117,45 @@ def xstate_depolarizing(kappa_L: float, kappa_R: float) -> XState:
 
     The inner coherence 1/2 - 2x goes negative once x exceeds 1/4 (possible
     only for strongly asymmetric arms); the sign is absorbed into the phase
-    (w_a = |1/2 - 2x|, w_p = pi) and a DegenerateCoherenceWarning is issued.
+    (w_a = |1/2 - 2x|, w_p = pi) and a DegenerateCoherenceWarning is issued,
+    once per call however many array elements fold.
     """
     kappa_L = _check_probability("kappa_L", kappa_L)
     kappa_R = _check_probability("kappa_R", kappa_R)
     x = depol_x_param(kappa_L, kappa_R)
     coh = 0.5 - 2.0 * x
-    w_p = 0.0
-    if coh < 0.0:
+    folded = coh < 0.0
+    if ew.any_set(folded):
         warnings.warn("inner coherence is negative; representing it as w_a=|1/2-2x|, w_p=pi",
                       DegenerateCoherenceWarning, stacklevel=2)
-        coh, w_p = -coh, math.pi
-    return XState(a=x, g=0.5 - x, f=0.5 - x, h=x, w_a=coh, w_p=w_p)
+    return XState(a=x, g=0.5 - x, f=0.5 - x, h=x, w_a=ew.where(folded, -coh, coh),
+                  w_p=ew.where(folded, math.pi, 0.0))
 
 
 def fiber_loss_prob(L: float, L0: float) -> float:
     """Loss probability in a fiber of length L with attenuation length L0."""
-    if L < 0.0:
+    if ew.any_set(L < 0.0):
         raise ValueError("fiber length must be nonnegative")
-    if L0 <= 0.0:
+    if ew.any_set(L0 <= 0.0):
         raise ValueError("attenuation length must be positive")
-    return 1.0 - math.exp(-L / L0)
+    return 1.0 - ew.exp(-L / L0)
 
 
 def depol_prob(L: float, beta: float) -> float:
     """Per-arm depolarization probability for a birefringent fiber of total length L."""
-    if L < 0.0:
+    if ew.any_set(L < 0.0):
         raise ValueError("fiber length must be nonnegative")
-    if beta <= 0.0:
+    if ew.any_set(beta <= 0.0):
         raise ValueError("inverse attenuation length must be positive")
-    return 1.0 - math.exp(-beta * L / 2.0)
+    return 1.0 - ew.exp(-beta * L / 2.0)
 
 
 def _coherence_survival(t: float, tau_c: float) -> float:
-    if t < 0.0:
+    if ew.any_set(t < 0.0):
         raise ValueError("storage time must be nonnegative")
-    if tau_c <= 0.0:
+    if ew.any_set(tau_c <= 0.0):
         raise ValueError("coherence time must be positive")
-    return math.exp(-t / tau_c)
+    return ew.exp(-t / tau_c)
 
 
 def memory_xstate(t: float, tau_c: float, sign: int = +1) -> XState:
@@ -168,7 +184,7 @@ def swap_memories(t1: float, t2: float, tau_c: float, outcome_sign: int = +1) ->
     # signed coherence of the p * rho(+/-) + (1-p) * rho(-/+) mixture
     coh = outcome_sign * (p * 0.5 + (1.0 - p) * (-0.5))
     return XState(a=0.0, g=0.5, f=0.5, h=0.0,
-                  w_a=abs(coh), w_p=0.0 if coh >= 0.0 else math.pi)
+                  w_a=abs(coh), w_p=ew.where(coh >= 0.0, 0.0, math.pi))
 
 
 def log_rate_fiber(B: float, L0: float, rates: RateModel) -> float:

@@ -15,11 +15,14 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_config, swept_fields
+from .config import (
+    SWEEPABLE_CHANNEL_PARAMS, ChannelConfig, ConfigError, check_swept_value, load_config,
+    swept_fields)
 from .imaging import observe_and_image, resolution, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
@@ -184,36 +187,51 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     return 0
 
 
+def _sky_visibility(sky, B: float) -> AstroVisibility:
+    """The true visibility of the sky at baseline B, as the protocol takes it."""
+    v_c = true_visibility(sky, B)
+    return AstroVisibility(abs(v_c), cmath.phase(v_c))
+
+
 def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
               gnuplot: bool = False) -> int:
     base = load_config(config_path)
     if param in ("B", "L") and min(values) < 0.0:
         raise ConfigError(f"sweep.{param}", "baseline must be nonnegative")
-    # every value is validated before any row is computed
-    changes = [swept_fields(base, param, value) for value in values]
-    rows = []
-    channel = base.channel
-    resource_factory, rate_norm_fn = channel.resource_factory(), channel.rate_norm_fn()
-    for row_index, (value, changed) in enumerate(zip(values, changes)):
-        if "channel" in changed:  # a channel sweep: each row has a channel of its own
-            channel = changed["channel"]
-            resource_factory, rate_norm_fn = channel.resource_factory(), channel.rate_norm_fn()
-        b_eval = float(value) if param in ("B", "L") else base.plan.B_m
-        resource = resource_factory(b_eval)
-        xi, conc, r_norm, r_abs = resource_figures(
-            resource, b_eval, changed.get("rates", base.rates), rate_norm_fn)
-        rmse_va = rmse_vp = None
-        # C is nan with no coincidence weight and 0 with no coherence: a dead
-        # resource, whose RMSE cells stay empty
-        if mc_replicates > 0 and conc > 0.0:
-            v_c = true_visibility(base.sky, b_eval)
-            v = AstroVisibility(abs(v_c), cmath.phase(v_c))
-            rng = np.random.default_rng(derive_seed(base.seed, row_index))
-            rmse_va, rmse_vp = replicate_rmse(
-                v, resource, changed.get("settings", base.settings),
-                changed.get("n_per_setting", base.n_per_setting), mc_replicates, rng)
-        rows.append((value, xi, conc, r_norm, *_log_rates(r_abs),
-                     _optional_cell(rmse_va), _optional_cell(rmse_vp)))
+    # every value is checked before any row is computed
+    for value in values:
+        check_swept_value(base, param, value)
+    # every row at once: the swept array stands in for its parameter. N, w1
+    # and w2 leave the resource as it is, and R_E, R_T only scale the rate.
+    swept = np.array(values)
+    channel, rates, b_eval = base.channel, base.rates, base.plan.B_m
+    if param in ("B", "L"):
+        b_eval = swept
+    elif param in ("R_E", "R_T"):
+        rates = replace(rates, **{param: swept})
+    elif param in SWEEPABLE_CHANNEL_PARAMS:
+        channel = ChannelConfig(channel.kind, {**channel.params, param: swept})
+    resource = channel.resource_factory()(b_eval)
+    # each figure as one float per row: a float figure is the same in every row
+    xi, conc, r_norm, r_abs = (
+        column.tolist() if isinstance(column, np.ndarray) else [float(column)] * len(values)
+        for column in resource_figures(resource, b_eval, rates, channel.rate_norm_fn()))
+    rmse = [(None, None)] * len(values)  # (rmse_V_a, rmse_V_p) per row
+    # C is nan with no coincidence weight and 0 with no coherence: a dead
+    # resource, whose RMSE cells stay empty
+    live = [i for i, c in enumerate(conc) if c > 0.0] if mc_replicates > 0 else []
+    # the sky at the evaluation baseline, the same in every row unless B is swept
+    fixed_v = _sky_visibility(base.sky, b_eval) if live and param not in ("B", "L") else None
+    for row_index in live:
+        value = values[row_index]
+        v = fixed_v if fixed_v is not None else _sky_visibility(base.sky, value)
+        changed = swept_fields(base, param, value)
+        rng = np.random.default_rng(derive_seed(base.seed, row_index))
+        rmse[row_index] = replicate_rmse(
+            v, resource.row(row_index), changed.get("settings", base.settings),
+            changed.get("n_per_setting", base.n_per_setting), mc_replicates, rng)
+    rows = [(value, x, c, r, *_log_rates(r_m), _optional_cell(va), _optional_cell(vp))
+            for value, x, c, r, r_m, (va, vp) in zip(values, xi, conc, r_norm, r_abs, rmse)]
 
     outdir = Path(base.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

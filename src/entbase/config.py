@@ -26,7 +26,7 @@ from .imaging import BaselinePlan, SkyModel, default_theta_grid
 from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
-           "SWEEPABLE_CHANNEL_PARAMS", "swept_fields"]
+           "SWEEPABLE_CHANNEL_PARAMS", "check_swept_value", "swept_fields"]
 
 CHANNEL_KINDS = ("ideal", "amplitude_damping", "dephasing", "depolarizing",
                  "memory_swap", "custom_rate")
@@ -122,7 +122,12 @@ class ChannelConfig:
     params: dict = field(default_factory=dict)
 
     def resource_factory(self):
-        """Baseline -> XState callable for this channel."""
+        """Baseline -> XState callable for this channel.
+
+        A baseline array, or parameters held as (n,) arrays (a sweep over one
+        of them), give the (n,) array state; a resource that depends on
+        neither is one float state, whatever the baseline.
+        """
         p = self.params
         if self.kind in ("ideal", "custom_rate"):
             return lambda B: ideal_bell_xstate()
@@ -141,20 +146,28 @@ class ChannelConfig:
         if self.kind == "depolarizing":
             if "beta" in p:
                 beta = p["beta"]
-                return lambda B: xstate_depolarizing(depol_prob(B, beta), depol_prob(B, beta))
+
+                def depol_fiber_factory(B):
+                    kappa = depol_prob(B, beta)  # both arms span the whole fiber
+                    return xstate_depolarizing(kappa, kappa)
+
+                return depol_fiber_factory
             return lambda B: xstate_depolarizing(p["kappa_L"], p["kappa_R"])
         if self.kind == "memory_swap":
             return lambda B: swap_memories(p["t1"], p["t2"], p["tau_c"], p.get("sign", +1))
         raise ConfigError("channel.kind", f"unknown kind {self.kind!r}")
 
     def rate_norm_fn(self):
-        """Optional override of the coincidence fraction; tabulated for custom_rate."""
+        """Optional override of the coincidence fraction; tabulated for custom_rate.
+
+        The override maps a baseline, or an array of them, to the fraction there.
+        """
         if self.kind != "custom_rate":
             return None
         table = self.params["table"]
         bs = np.array([row[0] for row in table])
         rs = np.array([row[1] for row in table])
-        return lambda B: float(np.interp(B, bs, rs))
+        return lambda B: np.interp(B, bs, rs)
 
 
 def _parse_channel(obj) -> ChannelConfig:
@@ -357,34 +370,51 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config(obj)
 
 
-def swept_fields(cfg: ScenarioConfig, name: str, value: float) -> dict:
-    """The ScenarioConfig fields that setting the swept parameter to value changes.
+def check_swept_value(cfg: ScenarioConfig, name: str, value: float):
+    """value as the config holds the swept parameter name: an int for N, else a float.
 
-    Re-validates only the section the parameter belongs to, and raises the
-    ConfigError that parse_config raises for the edited JSON; a sweep adds
-    two checks of its own (`sweep.N_per_setting` for a non-integral N,
-    `sweep.param.<name>` for an unknown name). Empty for B and L: they set
-    the evaluation baseline of a sweep row, not a config field.
+    Raises the ConfigError that parse_config raises for cfg's JSON with the
+    parameter set to value, re-validating only the section it belongs to,
+    and builds no config object for a channel parameter. A sweep adds two
+    checks of its own (`sweep.N_per_setting` for a non-integral N,
+    `sweep.param.<name>` for an unknown name). B and L pass: they set the
+    evaluation baseline of a sweep row, not a config field.
     """
     if name in ("B", "L"):
-        return {}
+        return value
     if name in ("N", "N_per_setting"):
         n = int(value)
         if n < 1 or n != value:
             raise ConfigError("sweep.N_per_setting", f"value {value} is not a positive integer")
-        return {"n_per_setting": _check_n_per_setting(n)}
+        return _check_n_per_setting(n)
     if name in ("R_E", "R_T"):
-        rates = {"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T, name: value}
-        return {"rates": _parse_rates(rates)}
+        _parse_rates({"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T, name: value})
+        return value
     if name in ("w1", "w2"):
-        settings = {"w1": cfg.settings.w1, "w2": cfg.settings.w2, name: value}
-        return {"settings": _parse_settings(settings)}
+        _parse_settings({"w1": cfg.settings.w1, "w2": cfg.settings.w2, name: value})
+        return value
     if name not in CHANNEL_PARAM_RULES:
         raise ConfigError(f"sweep.param.{name}", "not a sweepable parameter")
     params = cfg.channel.params
     if name in params:  # the channel's form already takes name: only its range can fail
-        value = _channel_param({name: value}, name)
-        return {"channel": ChannelConfig(cfg.channel.kind, {**params, name: value})}
+        return _channel_param({name: value}, name)
     # a key the form does not take: the full parse names the structural error
-    return {"channel": _parse_channel({"kind": cfg.channel.kind, **params, name: value})}
+    return _parse_channel({"kind": cfg.channel.kind, **params, name: value}).params[name]
 
+
+def swept_fields(cfg: ScenarioConfig, name: str, value: float) -> dict:
+    """The ScenarioConfig fields that setting the swept parameter to value changes.
+
+    value is checked by check_swept_value first. Empty for B and L.
+    """
+    value = check_swept_value(cfg, name, value)
+    if name in ("B", "L"):
+        return {}
+    if name in ("N", "N_per_setting"):
+        return {"n_per_setting": value}
+    if name in ("R_E", "R_T"):
+        return {"rates": RateModel(**{"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T, name: value})}
+    if name in ("w1", "w2"):
+        return {"settings": PhaseSettings(**{"w1": cfg.settings.w1, "w2": cfg.settings.w2,
+                                             name: value})}
+    return {"channel": ChannelConfig(cfg.channel.kind, {**cfg.channel.params, name: value})}

@@ -259,7 +259,9 @@ def resource_figures(x: XState, B: float, rates: RateModel,
     R_M_norm is the coincidence fraction R_M / (R_E R_T): xi/2, unless
     rate_norm_fn is not None and overrides it with rate_norm_fn(B)
     (e.g. a tabulated repeater-chain rate). C is nan for a dead resource
-    (xi = 0).
+    (xi = 0). An array state, a baseline array or rates holding an array
+    (one sweep) give the figures elementwise, as arrays that broadcast
+    against each other.
     """
     xi = subspace_weight(x)
     try:

@@ -10,7 +10,9 @@ checked against is in ``entbase.reference``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 XSTATE_SLACK = 1e-9
 
@@ -55,6 +57,54 @@ class AstroVisibility:
         object.__setattr__(self, "V_p", wrap_phase(float(self.V_p)))
 
 
+# The XState rules, in the order a violation is reported: _broken_rules
+# gives each one's flag and the message takes the offending fields.
+_RULE_MESSAGES = (
+    "population a = {a} outside [0, 1]",
+    "population g = {g} outside [0, 1]",
+    "population f = {f} outside [0, 1]",
+    "population h = {h} outside [0, 1]",
+    "populations sum to {total}, expected 1",
+    "coherence magnitudes must be nonnegative",
+    "w_a = {w_a} exceeds sqrt(g*f), state not positive",
+    "z_a = {z_a} exceeds sqrt(a*h), state not positive",
+)
+
+
+def _broken_rules(a, g, f, h, w_a, z_a, total, sqrt) -> tuple:
+    """Each XState rule's violation flag, in _RULE_MESSAGES order.
+
+    The one statement of the rules, written with operators alone so that it
+    flags a float and each element of an (n,) array alike; sqrt is math.sqrt
+    or np.sqrt, both correctly rounded. A population must be finite and in
+    [0, 1] up to rounding; (p > 0) * p is max(p, 0) wherever the earlier
+    rules hold.
+    """
+    return (
+        (a != a) | (a < -1e-12) | (a > 1.0 + 1e-12),
+        (g != g) | (g < -1e-12) | (g > 1.0 + 1e-12),
+        (f != f) | (f < -1e-12) | (f > 1.0 + 1e-12),
+        (h != h) | (h < -1e-12) | (h > 1.0 + 1e-12),
+        abs(total - 1.0) > XSTATE_SLACK,
+        (w_a < 0.0) | (z_a < 0.0),
+        w_a > sqrt((g > 0.0) * g * ((f > 0.0) * f)) + XSTATE_SLACK,
+        z_a > sqrt((a > 0.0) * a * ((h > 0.0) * h)) + XSTATE_SLACK,
+    )
+
+
+def _check_floats(a, g, f, h, w_a, z_a, total):
+    """Raise the message of the first XState rule that these float fields break."""
+    broken = _broken_rules(a, g, f, h, w_a, z_a, total, math.sqrt)
+    if True in broken:
+        raise ValueError(_RULE_MESSAGES[broken.index(True)].format(
+            a=a, g=g, f=f, h=h, w_a=w_a, z_a=z_a, total=total))
+
+
+# Up to this many states, an array state is checked one float state at a
+# time (~2 us each) rather than by the ~50 numpy calls of an array check.
+FLOAT_CHECK_MAX = 16
+
+
 @dataclass(frozen=True)
 class XState:
     """Two-qubit state with support only on the main and anti diagonals.
@@ -62,6 +112,11 @@ class XState:
     Populations (a, g, f, h) sit on |00>, |01>, |10>, |11>; the inner
     coherence is w_a * exp(i*w_p) at (|10>, |01>) and the outer coherence
     z_a * exp(i*z_p) at (|11>, |00>).
+
+    The fields are floats, or (n,) arrays for n states at once: a field given
+    as an array makes every field a read-only (n,) float array. Each element
+    is checked by the rules a float state is checked by, and an invalid
+    array state raises the message its first invalid element raises alone.
     """
 
     a: float
@@ -74,30 +129,59 @@ class XState:
     z_p: float = 0.0
 
     def __post_init__(self):
-        pops = (self.a, self.g, self.f, self.h)
-        for name, p in zip("agfh", pops):
-            if not math.isfinite(p) or p < -1e-12 or p > 1.0 + 1e-12:
-                raise ValueError(f"population {name} = {p} outside [0, 1]")
-        total = sum(pops)
-        if abs(total - 1.0) > XSTATE_SLACK:
-            raise ValueError(f"populations sum to {total}, expected 1")
-        if self.w_a < 0.0 or self.z_a < 0.0:
-            raise ValueError("coherence magnitudes must be nonnegative")
-        if self.w_a > math.sqrt(max(self.g, 0.0) * max(self.f, 0.0)) + XSTATE_SLACK:
-            raise ValueError(f"w_a = {self.w_a} exceeds sqrt(g*f), state not positive")
-        if self.z_a > math.sqrt(max(self.a, 0.0) * max(self.h, 0.0)) + XSTATE_SLACK:
-            raise ValueError(f"z_a = {self.z_a} exceeds sqrt(a*h), state not positive")
+        a, g, f, h, w_a, z_a = self.a, self.g, self.f, self.h, self.w_a, self.z_a
+        total = a + g + f + h
+        # the sum of every field is an array exactly when some field is one
+        probe = total + w_a + self.w_p + z_a + self.z_p
+        if type(probe) is not np.ndarray:
+            _check_floats(a, g, f, h, w_a, z_a, total)
+            return
+        if probe.ndim != 1:
+            raise ValueError("array fields must be one-dimensional")
+        columns = np.empty((len(_FIELD_NAMES), probe.size))
+        for name, column in zip(_FIELD_NAMES, columns):
+            column[:] = getattr(self, name)
+        columns.flags.writeable = False  # before the views are taken, which inherit it
+        for name, column in zip(_FIELD_NAMES, columns):
+            object.__setattr__(self, name, column)
+        if probe.size <= FLOAT_CHECK_MAX:
+            suspects = range(probe.size)
+        else:  # one check of the arrays finds the first invalid state, if any
+            a, g, f, h, w_a, _, z_a, _ = columns
+            with np.errstate(invalid="ignore"):  # nan and inf fields are flagged, not warned of
+                invalid = np.logical_or.reduce(
+                    _broken_rules(a, g, f, h, w_a, z_a, a + g + f + h, np.sqrt))
+            suspects = invalid.nonzero()[0][:1]
+        for i in suspects:
+            a, g, f, h, w_a, _, z_a, _ = columns[:, i].tolist()
+            _check_floats(a, g, f, h, w_a, z_a, a + g + f + h)
+
+    def row(self, i: int) -> "XState":
+        """State i of an array state, as a float state; a float state is each of its rows."""
+        if not isinstance(self.w_a, np.ndarray):
+            return self
+        return XState(*[getattr(self, name).item(i) for name in _FIELD_NAMES])
 
     def with_phase_offset(self, delta: float) -> "XState":
-        """Same state with the inner-coherence phase advanced by delta."""
+        """Same float state with the inner-coherence phase advanced by delta."""
         return XState(self.a, self.g, self.f, self.h,
                       self.w_a, wrap_phase(self.w_p + delta), self.z_a, self.z_p)
 
 
+_FIELD_NAMES = tuple(f.name for f in fields(XState))
+
+
 def concurrence_subspace(x: XState) -> float:
-    """Entanglement retained inside the one-photon-per-side block: 2*w_a/(g+f)."""
+    """Entanglement retained inside the one-photon-per-side block: 2*w_a/(g+f).
+
+    A float state with g + f = 0 raises DegenerateResourceError; an array
+    state gets nan at each such element instead, so one dead state does not
+    void the others.
+    """
     xi = x.g + x.f
-    if xi <= 0.0:
+    if isinstance(xi, np.ndarray):
+        xi = np.where(xi > 0.0, xi, math.nan)
+    elif xi <= 0.0:
         raise DegenerateResourceError("g + f = 0: the resource never produces coincidences")
     return 2.0 * x.w_a / xi
 

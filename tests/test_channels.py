@@ -1,10 +1,13 @@
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SWEPT_CASES, SWEPT_IDS, SWEPT_VALUES
 from entbase import reference
 from entbase.channels import (
     DegenerateCoherenceWarning,
@@ -22,9 +25,9 @@ from entbase.channels import (
     xstate_dephasing,
     xstate_depolarizing,
 )
-from entbase.config import ChannelConfig
+from entbase.config import ChannelConfig, _parse_channel
 from entbase.imaging import resource_figures
-from entbase.qcore import concurrence_subspace, subspace_weight
+from entbase.qcore import XState, concurrence_subspace, subspace_weight
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -64,6 +67,21 @@ class TestClosedFormStates:
             x = xstate_depolarizing(1.0, 0.0)
         assert abs(x.w_a - (2.0 / 3.0 - 0.5)) <= 1e-15
         assert x.w_p == math.pi
+
+    def test_array_parameters_name_their_first_bad_element(self):
+        with pytest.raises(ValueError, match=r"^mu_L = 1.5 outside \[0, 1\]$"):
+            xstate_dephasing(np.array([0.1, 1.5, -1.0]), 0.2)
+        with pytest.raises(ValueError, match=r"^R_E = nan outside \[0, 1\]$"):
+            RateModel(np.array([0.5, math.nan, 2.0]), 1.0)
+        with pytest.raises(ValueError, match="fiber length"):
+            fiber_loss_prob(np.array([1.0, -1.0]), 10.0)
+
+    def test_fold_warns_once_per_array(self):
+        kappa_l = np.array([1.0, 0.2, 0.9, 1.0])
+        with pytest.warns(DegenerateCoherenceWarning) as caught:
+            x = xstate_depolarizing(kappa_l, np.zeros(4))
+        assert len(caught) == 1
+        assert list(x.w_p) == [math.pi, 0.0, math.pi, math.pi]
 
     @given(probabilities, probabilities)
     @settings(max_examples=60, deadline=None)
@@ -142,6 +160,36 @@ def channel_rates(kind, params, rates, baselines):
     """R_M at each baseline through the channel's shipped resource factory."""
     factory = ChannelConfig(kind, params).resource_factory()
     return [rate(factory(b), rates) for b in baselines]
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of values: equal exactly when the doubles are, -0.0 apart."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("kind, params, name", SWEPT_CASES, ids=SWEPT_IDS)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_array_resource_is_the_closed_form_per_element(kind, params, name, data):
+    """A resource built from an (n,) array of one parameter, or of B, is bit-equal,
+    field by field, to the closed form called on each element alone."""
+    values = data.draw(st.lists(SWEPT_VALUES[name], min_size=1, max_size=8))
+    params = _parse_channel({"kind": kind, **params}).params
+    b_default = 7.5
+
+    def resource(value):
+        if name == "B":
+            return ChannelConfig(kind, params).resource_factory()(value)
+        return ChannelConfig(kind, {**params, name: value}).resource_factory()(b_default)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCoherenceWarning)  # kappa past x = 1/4
+        batch = resource(np.array(values))
+        singles = [resource(v) for v in values]
+    for field in fields(XState):
+        got = np.broadcast_to(getattr(batch, field.name), (len(values),))
+        assert np.array_equal(_bits(got), _bits([getattr(x, field.name) for x in singles])), \
+            field.name
 
 
 class TestRates:

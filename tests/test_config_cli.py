@@ -5,16 +5,22 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import SWEPT_CASES, SWEPT_IDS, SWEPT_VALUES
 from entbase import cli, reference, validation
+from entbase.channels import DegenerateCoherenceWarning
 from entbase.cli import main
 from entbase.config import (
+    CHANNEL_PARAM_RULES,
     SWEEPABLE_CHANNEL_PARAMS,
     ChannelConfig,
     ConfigError,
@@ -22,6 +28,7 @@ from entbase.config import (
     parse_config,
     swept_fields,
 )
+from entbase.imaging import resource_figures
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -323,6 +330,102 @@ class TestSweepCommand:
                      "--values", "0.1,1.0,1.5", "--mc-replicates", "10"])
         assert code == 1
         assert "channel.lambda_L" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, params, name", SWEPT_CASES, ids=SWEPT_IDS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_sweep_rows_are_the_per_value_figures(kind, params, name, data):
+    """sweep.csv of a B or channel-parameter sweep holds, byte for byte, the rows that
+    resource_factory and resource_figures give for each value alone."""
+    values = data.draw(st.lists(SWEPT_VALUES[name], min_size=1, max_size=6))
+    raw = base_config(channel={"kind": kind, **params}, rates={"R_E": 0.8, "R_T": 1e6})
+    base = parse_config(raw)
+    expected = [",".join(cli.SWEEP_HEADER) + "\n"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateCoherenceWarning)  # kappa past x = 1/4
+        for value in values:
+            b, channel = value, base.channel
+            if name != "B":
+                b = base.plan.B_m
+                channel = ChannelConfig(kind, {**channel.params, name: value})
+            xi, conc, r_norm, r_abs = resource_figures(
+                channel.resource_factory()(b), b, base.rates, channel.rate_norm_fn())
+            expected.append(cli.SWEEP_TEMPLATE % (value, xi, conc, r_norm,
+                                                  *cli._log_rates(r_abs), "", ""))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), {**raw, "output_dir": str(Path(tmp) / "out")})
+            assert main(["sweep", path, "--param", name,
+                         "--values", ",".join(map(repr, values))]) == 0
+            got = (Path(tmp) / "out" / "sweep.csv").read_text(encoding="utf-8")
+    assert got == "".join(expected)
+
+
+def test_sweep_warns_of_a_fold_once(tmp_path):
+    cfg = base_config(channel={"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.0},
+                      output_dir=str(tmp_path / "out"))
+    with pytest.warns(DegenerateCoherenceWarning) as caught:  # x > 1/4 from kappa_L = 0.8 on
+        assert main(["sweep", write_config(tmp_path, cfg), "--param", "kappa_L",
+                     "--values", "0.2,0.8,0.9,1"]) == 0
+    assert len(caught) == 1
+
+
+# For each CHANNEL_PARAM_RULES key: a channel form that takes it, a valid value,
+# an invalid one, and the message that names it.
+BAD_SWEPT_VALUES = [
+    ("lambda_L", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, "0.4", "1.5",
+     "channel.lambda_L: value 1.5 outside [0, 1]"),
+    ("lambda_R", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, "0.4", "-0.1",
+     "channel.lambda_R: value -0.1 outside [0, 1]"),
+    ("mu_L", {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "0.3", "1.5",
+     "channel.mu_L: value 1.5 outside [0, 1]"),
+    ("mu_R", {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "0.3", "-1",
+     "channel.mu_R: value -1.0 outside [0, 1]"),
+    ("kappa_L", {"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.2}, "0.3", "1.1",
+     "channel.kappa_L: value 1.1 outside [0, 1]"),
+    ("kappa_R", {"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.2}, "0.3", "-0.2",
+     "channel.kappa_R: value -0.2 outside [0, 1]"),
+    ("L0", {"kind": "amplitude_damping", "L0": 5.0}, "12", "0",
+     "channel.L0: value 0.0 must be positive"),
+    ("beta", {"kind": "depolarizing", "beta": 0.3}, "0.1", "-1",
+     "channel.beta: value -1.0 must be positive"),
+    ("t1", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "0.5", "-1",
+     "channel.t1: storage time must be nonnegative"),
+    ("t2", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "0.5", "-0.5",
+     "channel.t2: storage time must be nonnegative"),
+    ("tau_c", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "3", "0",
+     "channel.tau_c: value 0.0 must be positive"),
+]
+
+
+class TestSweepValidation:
+    """Every swept value is checked before any row is computed, and a bad one exits 1
+    with the key and message that a config holding it gets."""
+
+    def test_every_rule_is_covered(self):
+        assert {case[0] for case in BAD_SWEPT_VALUES} == set(CHANNEL_PARAM_RULES)
+
+    @pytest.mark.parametrize("name, channel, good, bad, message", BAD_SWEPT_VALUES,
+                             ids=[case[0] for case in BAD_SWEPT_VALUES])
+    def test_late_bad_value(self, tmp_path, capsys, name, channel, good, bad, message):
+        cfg = base_config(channel=channel, output_dir=str(tmp_path / "out"))
+        values = ",".join([good, good, good, bad, good])
+        assert main(["sweep", write_config(tmp_path, cfg), "--param", name,
+                     "--values", values]) == 1
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, channel, message", [
+        ("lambda_L", {"kind": "amplitude_damping", "L0": 5.0},
+         "channel.L0: give either L0 or lambda_L/lambda_R, not both"),
+        ("mu_L", {"kind": "ideal"}, "channel.mu_L: unknown key"),
+    ], ids=["lambda_L-on-fiber", "mu_L-on-ideal"])
+    def test_structural_error_is_named_once(self, tmp_path, capsys, name, channel, message):
+        cfg = base_config(channel=channel, output_dir=str(tmp_path / "out"))
+        assert main(["sweep", write_config(tmp_path, cfg), "--param", name,
+                     "--values", "0.1,0.2,0.3"]) == 1
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,14 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import xstate_strategy
 from entbase.qcore import (
+    FLOAT_CHECK_MAX,
     AstroVisibility,
     DegenerateResourceError,
     XState,
@@ -231,6 +234,25 @@ class TestConcurrenceAndWeight:
         assert all(c2 <= c1 + 1e-12 for c1, c2 in zip(concs, concs[1:]))
 
 
+FIELD_NAMES = [f.name for f in fields(XState)]
+VALID_ROWS = xstate_strategy().map(lambda x: tuple(float(getattr(x, n)) for n in FIELD_NAMES))
+# any field of a valid state set to a value that may break a rule
+BAD_VALUES = st.one_of(st.floats(min_value=-0.2, max_value=1.2),
+                       st.sampled_from([math.nan, math.inf, -math.inf, -1e-13, 1.0 + 1e-13]))
+PERTURBED_ROWS = st.tuples(VALID_ROWS, st.integers(0, len(FIELD_NAMES) - 1), BAD_VALUES).map(
+    lambda t: t[0][:t[1]] + (t[2],) + t[0][t[1] + 1:])
+STATE_ROWS = st.one_of(VALID_ROWS, PERTURBED_ROWS)
+
+
+def _verdict(fields_by_name: dict):
+    """The message XState raises for these fields, or None when it accepts them."""
+    try:
+        XState(**fields_by_name)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestValidation:
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
@@ -254,6 +276,32 @@ class TestValidation:
     def test_xstate_positivity_bound(self):
         with pytest.raises(ValueError):
             XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=0.6)
+
+    # valid rows appended after the drawn ones take the check past FLOAT_CHECK_MAX
+    @pytest.mark.parametrize("pad", [0, FLOAT_CHECK_MAX], ids=["float-checks", "array-check"])
+    @given(st.lists(STATE_ROWS, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_array_state_checks_each_element_alone(self, pad, rows):
+        """An array state is valid when every element alone is, and otherwise raises
+        the message of its first invalid element."""
+        rows = rows + [(0.1, 0.4, 0.4, 0.1, 0.3, 0.0, 0.05, 0.0)] * pad
+        alone = [_verdict(dict(zip(FIELD_NAMES, row))) for row in rows]
+        first_invalid = next((message for message in alone if message is not None), None)
+        columns = {name: np.array(column) for name, column in zip(FIELD_NAMES, zip(*rows))}
+        assert _verdict(columns) == first_invalid
+        if first_invalid is None:
+            x = XState(**columns)
+            for i, row in enumerate(rows):  # row i is the float state of row i's fields
+                assert np.array_equal([getattr(x.row(i), n) for n in FIELD_NAMES], row,
+                                      equal_nan=True)
+
+    def test_array_state_is_read_only_and_broadcast(self):
+        x = XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=np.array([0.5, 0.25]))
+        assert x.g.shape == x.z_p.shape == (2,)
+        with pytest.raises(ValueError):
+            x.w_a[0] = 0.0
+        with pytest.raises(ValueError, match="w_a = 0.75 exceeds"):
+            XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=np.array([0.5, 0.75, 0.9]))
 
     def test_entries_are_immutable(self):
         m = make_bell_psi(0.0)
