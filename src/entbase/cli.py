@@ -15,14 +15,11 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    SWEEPABLE_CHANNEL_PARAMS, ChannelConfig, ConfigError, check_swept_value, load_config,
-    swept_fields)
+from .config import ConfigError, check_swept_values, load_config
 from .imaging import observe_and_image, resolution, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
@@ -50,18 +47,21 @@ VISIBILITY_TEMPLATE = _csv_template(VISIBILITY_HEADER, {"N": "%d"})
 INTENSITY_HEADER = ("theta", "I_true", "I_exact", "I_est")
 INTENSITY_TEMPLATE = _csv_template(INTENSITY_HEADER)
 SWEEP_HEADER = ("value", "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "rmse_V_a", "rmse_V_p")
-# the RMSE cells arrive as text from _optional_cell: empty when there is no value
+# the RMSE cells arrive as text: "%.17g" of the value, or empty when there is none
 SWEEP_TEMPLATE = _csv_template(SWEEP_HEADER, {"rmse_V_a": "%s", "rmse_V_p": "%s"})
 
 
-def _optional_cell(x) -> str:
-    return "" if x is None else "%.17g" % x
+def _log_rate_columns(r_abs) -> tuple[list, list]:
+    """The ln_R_M and log10_R_M columns of the rates r_abs: -inf where a rate is 0 or nan.
 
-
-def _log_rates(r_abs) -> tuple[float, float]:
-    """The ln_R_M and log10_R_M cells of the rate r_abs: both -inf when it is 0."""
-    ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
-    return ln_r, ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf
+    ln is libm's math.log element by element (np.log may differ from it in the
+    last bit); log10 is ln / ln(10), one IEEE division, the same bits in numpy.
+    """
+    r_abs = np.asarray(r_abs, dtype=float)
+    positive = r_abs > 0.0
+    ln_r = np.full(r_abs.shape, -math.inf)
+    ln_r[positive] = list(map(math.log, r_abs[positive].tolist()))
+    return ln_r.tolist(), (ln_r / math.log(10.0)).tolist()
 
 
 def _write_csv(path: Path, header, template: str, rows):
@@ -135,15 +135,12 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     est = report.estimates
-    vis_rows = []
-    for b, v_c, v_a, v_p, dv_a, dv_p, xi, conc, r_norm, r_abs in zip(
-            report.baselines, report.v_true, est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p,
-            est.xi_used, est.C_used, report.rate_norm, report.rate_abs):
-        vis_rows.append((
-            b, abs(v_c), wrap_phase(cmath.phase(v_c)), v_a, v_p, dv_a, dv_p, xi, conc, r_norm,
-            *_log_rates(r_abs), est.N_used,
-        ))
-    _write_csv(outdir / "visibility.csv", VISIBILITY_HEADER, VISIBILITY_TEMPLATE, vis_rows)
+    ln_r, log10_r = _log_rate_columns(report.rate_abs)
+    _write_csv(outdir / "visibility.csv", VISIBILITY_HEADER, VISIBILITY_TEMPLATE,
+               zip(report.baselines, map(abs, report.v_true),
+                   map(wrap_phase, map(cmath.phase, report.v_true)), est.V_a_hat,
+                   est.V_p_hat, est.dV_a, est.dV_p, est.xi_used, est.C_used, report.rate_norm,
+                   ln_r, log10_r, [est.N_used] * len(ln_r)))
     _write_csv(outdir / "intensity.csv", INTENSITY_HEADER, INTENSITY_TEMPLATE,
                zip(report.theta_grid, report.intensity_true,
                    report.intensity_exact, report.intensity_est))
@@ -196,42 +193,37 @@ def _sky_visibility(sky, B: float) -> AstroVisibility:
 def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
               gnuplot: bool = False) -> int:
     base = load_config(config_path)
-    if param in ("B", "L") and min(values) < 0.0:
-        raise ConfigError(f"sweep.{param}", "baseline must be nonnegative")
-    # every value is checked before any row is computed
-    for value in values:
-        check_swept_value(base, param, value)
+    swept = np.asarray(values, dtype=float)
+    n = swept.size
+    # every value is checked, one array per section, before any row is computed
+    changed = check_swept_values(base, param, swept)
     # every row at once: the swept array stands in for its parameter. N, w1
     # and w2 leave the resource as it is, and R_E, R_T only scale the rate.
-    swept = np.array(values)
-    channel, rates, b_eval = base.channel, base.rates, base.plan.B_m
-    if param in ("B", "L"):
-        b_eval = swept
-    elif param in ("R_E", "R_T"):
-        rates = replace(rates, **{param: swept})
-    elif param in SWEEPABLE_CHANNEL_PARAMS:
-        channel = ChannelConfig(channel.kind, {**channel.params, param: swept})
+    channel, rates = changed.get("channel", base.channel), changed.get("rates", base.rates)
+    b_eval = swept if param in ("B", "L") else base.plan.B_m
     resource = channel.resource_factory()(b_eval)
     # each figure as one float per row: a float figure is the same in every row
     xi, conc, r_norm, r_abs = (
-        column.tolist() if isinstance(column, np.ndarray) else [float(column)] * len(values)
+        column.tolist() if isinstance(column, np.ndarray) else [float(column)] * n
         for column in resource_figures(resource, b_eval, rates, channel.rate_norm_fn()))
-    rmse = [(None, None)] * len(values)  # (rmse_V_a, rmse_V_p) per row
+    ln_r, log10_r = _log_rate_columns(r_abs)
+    rmse_a, rmse_p = [""] * n, [""] * n
     # C is nan with no coincidence weight and 0 with no coherence: a dead
     # resource, whose RMSE cells stay empty
     live = [i for i, c in enumerate(conc) if c > 0.0] if mc_replicates > 0 else []
-    # the sky at the evaluation baseline, the same in every row unless B is swept
-    fixed_v = _sky_visibility(base.sky, b_eval) if live and param not in ("B", "L") else None
-    for row_index in live:
-        value = values[row_index]
-        v = fixed_v if fixed_v is not None else _sky_visibility(base.sky, value)
-        changed = swept_fields(base, param, value)
-        rng = np.random.default_rng(derive_seed(base.seed, row_index))
-        rmse[row_index] = replicate_rmse(
-            v, resource.row(row_index), changed.get("settings", base.settings),
-            changed.get("n_per_setting", base.n_per_setting), mc_replicates, rng)
-    rows = [(value, x, c, r, *_log_rates(r_m), _optional_cell(va), _optional_cell(vp))
-            for value, x, c, r, r_m, (va, vp) in zip(values, xi, conc, r_norm, r_abs, rmse)]
+    if live:
+        settings = changed.get("settings", [base.settings] * n)
+        n_per_setting = changed.get("n_per_setting", [base.n_per_setting] * n)
+        # the sky at the evaluation baseline, the same in every row unless B is swept
+        fixed_v = None if param in ("B", "L") else _sky_visibility(base.sky, b_eval)
+        for row_index in live:
+            v = fixed_v if fixed_v is not None else _sky_visibility(base.sky,
+                                                                    swept.item(row_index))
+            rng = np.random.default_rng(derive_seed(base.seed, row_index))
+            va, vp = replicate_rmse(v, resource.row(row_index), settings[row_index],
+                                    n_per_setting[row_index], mc_replicates, rng)
+            rmse_a[row_index], rmse_p[row_index] = "%.17g" % va, "%.17g" % vp
+    rows = zip(swept.tolist(), xi, conc, r_norm, ln_r, log10_r, rmse_a, rmse_p)
 
     outdir = Path(base.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -246,14 +238,14 @@ def cmd_validate() -> int:
     return 0 if validation.run_all() else 1
 
 
-def _parse_values(raw: str):
+def _parse_values(raw: str) -> np.ndarray:
     try:
-        values = [float(v) for v in raw.split(",") if v.strip() != ""]
+        values = np.array([float(v) for v in raw.split(",") if v.strip() != ""])
     except ValueError:
         raise ConfigError("sweep.values", f"not a comma-separated number list: {raw!r}")
-    if not values:
+    if not values.size:
         raise ConfigError("sweep.values", f"no values given: {raw!r}")
-    if not all(math.isfinite(v) for v in values):
+    if not np.isfinite(values).all():
         raise ConfigError("sweep.values", f"values must be finite: {raw!r}")
     return values
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .imaging import BaselinePlan, SkyModel, default_theta_grid
 from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
-           "SWEEPABLE_CHANNEL_PARAMS", "check_swept_value", "swept_fields"]
+           "check_swept_values"]
 
 CHANNEL_KINDS = ("ideal", "amplitude_damping", "dephasing", "depolarizing",
                  "memory_swap", "custom_rate")
@@ -81,39 +82,47 @@ def _integer(obj: dict, context: str, key: str, default=None):
     return int(val)
 
 
-def _in_unit_interval(context: str, key: str, value: float) -> float:
-    if not (0.0 <= value <= 1.0):
-        raise ConfigError(f"{context}.{key}", f"value {value} outside [0, 1]")
+class _Range(NamedTuple):
+    """A numeric range: broken(value) flags a value outside it, message names why.
+
+    broken is written with operators alone, so it flags a float and each
+    element of an (n,) array alike; message is formatted with value=.
+    """
+
+    broken: Callable
+    message: str
+
+
+_UNIT_INTERVAL = _Range(lambda v: (v != v) | (v < 0.0) | (v > 1.0),
+                        "value {value} outside [0, 1]")
+_POSITIVE = _Range(lambda v: v <= 0.0, "value {value} must be positive")
+_STORAGE_TIME = _Range(lambda v: v < 0.0, "storage time must be nonnegative")
+
+
+def _in_range(context: str, key: str, value: float, rule: _Range) -> float:
+    if rule.broken(value):
+        raise ConfigError(f"{context}.{key}", rule.message.format(value=value))
     return value
 
 
 def _positive(context: str, key: str, value: float) -> float:
-    if value <= 0.0:
-        raise ConfigError(f"{context}.{key}", f"value {value} must be positive")
-    return value
+    return _in_range(context, key, value, _POSITIVE)
 
 
-def _storage_time(context: str, key: str, value: float) -> float:
-    if value < 0.0:
-        raise ConfigError(f"{context}.{key}", "storage time must be nonnegative")
-    return value
-
-
-# The range rule of every numeric channel parameter; _parse_channel and
-# swept_fields both check values through this table.
+# The range of every numeric channel parameter; parse_config checks a value
+# and check_swept_values a whole swept array through this table.
 CHANNEL_PARAM_RULES = {
-    "lambda_L": _in_unit_interval, "lambda_R": _in_unit_interval,
-    "mu_L": _in_unit_interval, "mu_R": _in_unit_interval,
-    "kappa_L": _in_unit_interval, "kappa_R": _in_unit_interval,
-    "L0": _positive, "beta": _positive,
-    "t1": _storage_time, "t2": _storage_time, "tau_c": _positive,
+    "lambda_L": _UNIT_INTERVAL, "lambda_R": _UNIT_INTERVAL,
+    "mu_L": _UNIT_INTERVAL, "mu_R": _UNIT_INTERVAL,
+    "kappa_L": _UNIT_INTERVAL, "kappa_R": _UNIT_INTERVAL,
+    "L0": _POSITIVE, "beta": _POSITIVE,
+    "t1": _STORAGE_TIME, "t2": _STORAGE_TIME, "tau_c": _POSITIVE,
 }
-SWEEPABLE_CHANNEL_PARAMS = tuple(CHANNEL_PARAM_RULES)
 
 
 def _channel_param(obj: dict, key: str) -> float:
     """obj[key] as a finite float within its CHANNEL_PARAM_RULES range."""
-    return CHANNEL_PARAM_RULES[key]("channel", key, _number(obj, "channel", key))
+    return _in_range("channel", key, _number(obj, "channel", key), CHANNEL_PARAM_RULES[key])
 
 
 @dataclass(frozen=True)
@@ -291,13 +300,17 @@ class ScenarioConfig:
     theta_grid: np.ndarray
 
 
-def _parse_settings(obj) -> PhaseSettings:
-    _require_keys(obj, "phase_settings", ("w1", "w2"))
+def _phase_settings(w1, w2) -> PhaseSettings:
     try:
-        return PhaseSettings(_number(obj, "phase_settings", "w1"),
-                             _number(obj, "phase_settings", "w2"))
+        return PhaseSettings(w1, w2)
     except ValueError as exc:
         raise ConfigError("phase_settings", str(exc)) from exc
+
+
+def _parse_settings(obj) -> PhaseSettings:
+    _require_keys(obj, "phase_settings", ("w1", "w2"))
+    return _phase_settings(_number(obj, "phase_settings", "w1"),
+                           _number(obj, "phase_settings", "w2"))
 
 
 def _check_n_per_setting(n: int) -> int:
@@ -306,12 +319,17 @@ def _check_n_per_setting(n: int) -> int:
     return n
 
 
-def _parse_rates(obj) -> RateModel:
-    _require_keys(obj, "rates", ("R_E", "R_T"))
+def _rate_model(R_E, R_T) -> RateModel:
+    """RateModel(R_E, R_T), floats or a swept (n,) array, its ValueError a ConfigError."""
     try:
-        return RateModel(_number(obj, "rates", "R_E"), _number(obj, "rates", "R_T"))
+        return RateModel(R_E, R_T)
     except ValueError as exc:
         raise ConfigError("rates", str(exc)) from exc
+
+
+def _parse_rates(obj) -> RateModel:
+    _require_keys(obj, "rates", ("R_E", "R_T"))
+    return _rate_model(_number(obj, "rates", "R_E"), _number(obj, "rates", "R_T"))
 
 
 def parse_config(obj: dict) -> ScenarioConfig:
@@ -370,51 +388,53 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config(obj)
 
 
-def check_swept_value(cfg: ScenarioConfig, name: str, value: float):
-    """value as the config holds the swept parameter name: an int for N, else a float.
+def check_swept_values(cfg: ScenarioConfig, name: str, values: np.ndarray) -> dict:
+    """The ScenarioConfig fields that sweeping parameter name over values changes.
 
-    Raises the ConfigError that parse_config raises for cfg's JSON with the
-    parameter set to value, re-validating only the section it belongs to,
-    and builds no config object for a channel parameter. A sweep adds two
-    checks of its own (`sweep.N_per_setting` for a non-integral N,
-    `sweep.param.<name>` for an unknown name). B and L pass: they set the
-    evaluation baseline of a sweep row, not a config field.
+    values is the (n,) array of finite swept values; each section is checked
+    once for the whole array. A rejected sweep raises the ConfigError that
+    parse_config raises for cfg's JSON with the parameter set to the first
+    value, in list order, that it rejects, formatted from that value as a
+    Python float. A sweep adds checks of its own: `sweep.N_per_setting` for
+    an N that is not a positive integer, `sweep.param.<name>` for an
+    unknown name and `sweep.B`/`sweep.L` for a negative baseline.
+
+    Each field holds the whole sweep: n_per_setting as a list of ints,
+    settings as a list of PhaseSettings, one per value, and rates or channel
+    as one RateModel or ChannelConfig holding values in place of the swept
+    parameter. Empty for B and L, which set the evaluation baseline of a
+    sweep row, not a config field.
     """
     if name in ("B", "L"):
-        return value
-    if name in ("N", "N_per_setting"):
-        n = int(value)
-        if n < 1 or n != value:
-            raise ConfigError("sweep.N_per_setting", f"value {value} is not a positive integer")
-        return _check_n_per_setting(n)
-    if name in ("R_E", "R_T"):
-        _parse_rates({"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T, name: value})
-        return value
-    if name in ("w1", "w2"):
-        _parse_settings({"w1": cfg.settings.w1, "w2": cfg.settings.w2, name: value})
-        return value
-    if name not in CHANNEL_PARAM_RULES:
-        raise ConfigError(f"sweep.param.{name}", "not a sweepable parameter")
-    params = cfg.channel.params
-    if name in params:  # the channel's form already takes name: only its range can fail
-        return _channel_param({name: value}, name)
-    # a key the form does not take: the full parse names the structural error
-    return _parse_channel({"kind": cfg.channel.kind, **params, name: value}).params[name]
-
-
-def swept_fields(cfg: ScenarioConfig, name: str, value: float) -> dict:
-    """The ScenarioConfig fields that setting the swept parameter to value changes.
-
-    value is checked by check_swept_value first. Empty for B and L.
-    """
-    value = check_swept_value(cfg, name, value)
-    if name in ("B", "L"):
+        if (values < 0.0).any():
+            raise ConfigError(f"sweep.{name}", "baseline must be nonnegative")
         return {}
     if name in ("N", "N_per_setting"):
-        return {"n_per_setting": value}
+        not_positive_integer = (values < 1.0) | (values % 1.0 != 0.0)
+        # the integral floats above MAX_TRIALS = 2**63 - 1 start at 2**63, which is a
+        # float exactly; float(MAX_TRIALS) rounds to it too, so it cannot be the bound
+        bad = not_positive_integer | (values >= float(MAX_TRIALS + 1))
+        if bad.any():
+            i = bad.argmax()
+            if not_positive_integer[i]:
+                raise ConfigError("sweep.N_per_setting",
+                                  f"value {values.item(i)} is not a positive integer")
+            _check_n_per_setting(int(values.item(i)))
+        return {"n_per_setting": values.astype(np.int64).tolist()}
     if name in ("R_E", "R_T"):
-        return {"rates": RateModel(**{"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T, name: value})}
+        return {"rates": _rate_model(**{"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T,
+                                        name: values})}
     if name in ("w1", "w2"):
-        return {"settings": PhaseSettings(**{"w1": cfg.settings.w1, "w2": cfg.settings.w2,
-                                             name: value})}
-    return {"channel": ChannelConfig(cfg.channel.kind, {**cfg.channel.params, name: value})}
+        settings = {"w1": cfg.settings.w1, "w2": cfg.settings.w2}
+        return {"settings": [_phase_settings(**{**settings, name: value})
+                             for value in values.tolist()]}
+    rule = CHANNEL_PARAM_RULES.get(name)
+    if rule is None:
+        raise ConfigError(f"sweep.param.{name}", "not a sweepable parameter")
+    kind, params = cfg.channel.kind, cfg.channel.params
+    if name not in params:  # a key the form does not take: the full parse names the error
+        _parse_channel({"kind": kind, **params, name: values.item(0)})
+    bad = rule.broken(values)
+    if bad.any():
+        _in_range("channel", name, values.item(bad.argmax()), rule)
+    return {"channel": ChannelConfig(kind, {**params, name: values})}

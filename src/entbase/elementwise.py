@@ -40,6 +40,7 @@ def any_set(flags):
 
 
 def first_set(values, flags):
-    """The entry of values at the first set flag of flags, computed from values
-    elementwise; values itself for a bool flag."""
-    return values[flags.argmax()] if isinstance(flags, np.ndarray) else values
+    """The entry of values at the first set flag of flags, as a Python number for an
+    array (a message then formats it as it formats a float); values itself for a
+    bool flag."""
+    return values.item(flags.argmax()) if isinstance(flags, np.ndarray) else values

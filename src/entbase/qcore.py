@@ -77,8 +77,8 @@ def _broken_rules(a, g, f, h, w_a, z_a, total, sqrt) -> tuple:
     The one statement of the rules, written with operators alone so that it
     flags a float and each element of an (n,) array alike; sqrt is math.sqrt
     or np.sqrt, both correctly rounded. A population must be finite and in
-    [0, 1] up to rounding; (p > 0) * p is max(p, 0) wherever the earlier
-    rules hold.
+    [0, 1] up to rounding, a coherence magnitude a nonnegative number (not
+    nan); (p > 0) * p is max(p, 0) wherever the earlier rules hold.
     """
     return (
         (a != a) | (a < -1e-12) | (a > 1.0 + 1e-12),
@@ -86,7 +86,7 @@ def _broken_rules(a, g, f, h, w_a, z_a, total, sqrt) -> tuple:
         (f != f) | (f < -1e-12) | (f > 1.0 + 1e-12),
         (h != h) | (h < -1e-12) | (h > 1.0 + 1e-12),
         abs(total - 1.0) > XSTATE_SLACK,
-        (w_a < 0.0) | (z_a < 0.0),
+        (w_a != w_a) | (z_a != z_a) | (w_a < 0.0) | (z_a < 0.0),
         w_a > sqrt((g > 0.0) * g * ((f > 0.0) * f)) + XSTATE_SLACK,
         z_a > sqrt((a > 0.0) * a * ((h > 0.0) * h)) + XSTATE_SLACK,
     )

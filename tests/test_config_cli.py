@@ -15,18 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SWEPT_CASES, SWEPT_IDS, SWEPT_VALUES
+from conftest import CHANNEL_FORMS, SWEPT_CASES, SWEPT_IDS, SWEPT_VALUES
 from entbase import cli, reference, validation
-from entbase.channels import DegenerateCoherenceWarning
+from entbase.channels import DegenerateCoherenceWarning, RateModel
 from entbase.cli import main
 from entbase.config import (
     CHANNEL_PARAM_RULES,
-    SWEEPABLE_CHANNEL_PARAMS,
     ChannelConfig,
     ConfigError,
+    check_swept_values,
     load_config,
     parse_config,
-    swept_fields,
 )
 from entbase.imaging import resource_figures
 
@@ -333,6 +332,12 @@ class TestSweepCommand:
         assert not (tmp_path / "out").exists()
 
 
+def reference_log_rates(r_abs) -> tuple[float, float]:
+    """The ln_R_M and log10_R_M cells of one rate, as the per-row writer computed them."""
+    ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
+    return ln_r, ln_r / math.log(10.0) if math.isfinite(ln_r) else -math.inf
+
+
 @pytest.mark.parametrize("kind, params, name", SWEPT_CASES, ids=SWEPT_IDS)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
@@ -353,7 +358,7 @@ def test_sweep_rows_are_the_per_value_figures(kind, params, name, data):
             xi, conc, r_norm, r_abs = resource_figures(
                 channel.resource_factory()(b), b, base.rates, channel.rate_norm_fn())
             expected.append(cli.SWEEP_TEMPLATE % (value, xi, conc, r_norm,
-                                                  *cli._log_rates(r_abs), "", ""))
+                                                  *reference_log_rates(r_abs), "", ""))
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), {**raw, "output_dir": str(Path(tmp) / "out")})
             assert main(["sweep", path, "--param", name,
@@ -565,15 +570,32 @@ def edited(raw: dict, name: str, value: float) -> dict:
     return out
 
 
-class TestWithSweptValue:
-    """The config with a swept value, replace(base, **swept_fields(...)), against a full re-parse.
+def field_row(column, i):
+    """Entry i of a check_swept_values field, as parse_config holds it for value i alone."""
+    if isinstance(column, list):
+        return column[i]
+    item = lambda v: v.item(i) if isinstance(v, np.ndarray) else v  # noqa: E731
+    if isinstance(column, RateModel):
+        return RateModel(item(column.R_E), item(column.R_T))
+    return ChannelConfig(column.kind, {key: item(v) for key, v in column.params.items()})
 
-    swept_fields re-validates one section; the full parse is the reference.
+
+def assert_same_config(swept, reference):
+    for f in fields(reference):
+        assert np.array_equal(getattr(swept, f.name), getattr(reference, f.name)), f.name
+    assert type(swept.n_per_setting) is int
+
+
+class TestCheckSweptValues:
+    """The config with one swept value, replace(base, **check_swept_values(...) at that
+    value), against a full re-parse of the edited config.
+
+    check_swept_values checks one section as an array; the full parse is the reference.
     """
 
     def test_every_sweepable_parameter_is_covered(self):
         covered = {name for name, *_ in SWEEP_CASES}
-        assert set(SWEEPABLE_CHANNEL_PARAMS) | {"N", "R_E", "R_T", "w1", "w2"} <= covered
+        assert set(CHANNEL_PARAM_RULES) | {"N", "R_E", "R_T", "w1", "w2"} <= covered
 
     @pytest.mark.parametrize("name, channel, valid, invalid", SWEEP_CASES,
                              ids=[f"{c[0]}-{c[1]['kind']}" for c in SWEEP_CASES])
@@ -582,15 +604,120 @@ class TestWithSweptValue:
                           phase_settings={"w1": 0.1, "w2": 1.4})
         base = parse_config(raw)
         if valid is not None:
-            swept = replace(base, **swept_fields(base, name, valid))
-            reference = parse_config(edited(raw, name, valid))
-            for f in fields(reference):
-                assert np.array_equal(getattr(swept, f.name), getattr(reference, f.name)), f.name
+            changed = check_swept_values(base, name, np.array([valid]))
+            swept = replace(base, **{key: field_row(column, 0) for key, column in changed.items()})
+            assert_same_config(swept, parse_config(edited(raw, name, valid)))
         with pytest.raises(ConfigError) as direct:
             parse_config(edited(raw, name, invalid))
         with pytest.raises(ConfigError) as swept_err:
-            swept_fields(base, name, invalid)
+            check_swept_values(base, name, np.array([valid or invalid, invalid]))
         assert swept_err.value.key == direct.value.key
+
+
+# (valid, any) values of each swept name: "any" mixes invalid values with the
+# edges of each range, and for w1/w2 settings at and near the other one (degenerate)
+_EDGES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 + 2 ** -52, 1.0 - 2 ** -53])
+_UNIT = (st.floats(0.0, 1.0), st.one_of(st.floats(-1.0, 3.0), _EDGES))
+_POSITIVE = (st.floats(1e-3, 1e3), st.one_of(st.floats(-1.0, 1e-3), _EDGES))
+_STORAGE = (st.floats(0.0, 50.0), st.one_of(st.floats(-1.0, 1.0), _EDGES))
+SWEPT_DRAWS = {
+    "N": (st.one_of(st.integers(1, 10 ** 6).map(float),
+                    st.sampled_from([2.0 ** 62, 2.0 ** 63 - 1024])),
+          st.one_of(st.floats(-2.0, 1e4), st.sampled_from([0.0, 0.5, 1.5, 2.0 ** 63, 1e20,
+                                                           -1e20]))),
+    "R_E": _UNIT,
+    "R_T": (st.floats(1e-3, 1e7), st.one_of(st.floats(-10.0, 1.0), _EDGES)),
+    "w1": (st.floats(-7.0, 7.0), st.sampled_from([1.4, 1.4 + math.pi, 1.4 - 1e-4, 1.4 + 0.1])),
+    "w2": (st.floats(-7.0, 7.0), st.sampled_from([0.1, 0.1 - math.pi, 0.1 + 1e-4, 0.1 - 0.1])),
+    **{name: _UNIT for name in ("lambda_L", "lambda_R", "mu_L", "mu_R", "kappa_L", "kappa_R")},
+    "L0": _POSITIVE, "beta": _POSITIVE, "tau_c": _POSITIVE, "t1": _STORAGE, "t2": _STORAGE,
+}
+
+
+@st.composite
+def swept_value_lists(draw, name):
+    """Valid values of name with up to two values of any kind inserted anywhere."""
+    valid, anything = SWEPT_DRAWS[name]
+    values = draw(st.lists(valid, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        values.insert(draw(st.integers(0, len(values))), draw(anything))
+    return values
+
+
+def full_parse_verdict(raw: dict, name: str, value: float):
+    """(key, message) of the ConfigError a sweep of name reports for value, None if none.
+
+    A full parse of the edited config, after the one check a sweep adds: an N
+    that no config can hold (not a positive integer).
+    """
+    if name == "N" and (value < 1.0 or int(value) != value):
+        return "sweep.N_per_setting", f"sweep.N_per_setting: value {value} is not a positive integer"
+    try:
+        parse_config(edited(raw, name, value))
+    except ConfigError as exc:
+        return exc.key, str(exc)
+    return None
+
+
+# each swept name on the channel forms that take it, on the forms of the same kind
+# that do not (lambda_L on an L0 fiber) and on the ideal channel, which takes none
+SWEPT_FORMS = [(name, kind, params) for name in SWEPT_DRAWS for kind, params in CHANNEL_FORMS
+               if kind == "ideal" or name in params
+               or name in CHANNEL_PARAM_RULES and kind in {k for k, p in CHANNEL_FORMS
+                                                           if name in p}]
+
+
+@pytest.mark.parametrize("name, kind, params", SWEPT_FORMS,
+                         ids=["-".join((name, "on", kind, *params))
+                              for name, kind, params in SWEPT_FORMS])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_check_swept_values_is_the_full_parse_of_each_value(name, kind, params, data):
+    """check_swept_values accepts exactly when a full parse accepts each value in turn,
+    and otherwise raises the first failing value's key and message."""
+    values = data.draw(swept_value_lists(name))
+    raw = base_config(channel={"kind": kind, **params}, rates={"R_E": 0.9, "R_T": 1e6},
+                      phase_settings={"w1": 0.1, "w2": 1.4})
+    base = parse_config(raw)
+    verdicts = [full_parse_verdict(raw, name, value) for value in values]
+    first_failure = next((v for v in verdicts if v is not None), None)
+    try:
+        changed = check_swept_values(base, name, np.array(values))
+    except ConfigError as exc:
+        assert (exc.key, str(exc)) == first_failure
+        return
+    assert first_failure is None
+    for i, value in enumerate(values):
+        swept = replace(base, **{key: field_row(column, i) for key, column in changed.items()})
+        assert_same_config(swept, parse_config(edited(raw, name, value)))
+
+
+class TestSweptNRange:
+    """A swept N is taken exactly as int(value): no rounding at the top of the range."""
+
+    @pytest.mark.parametrize("value, message", [
+        ("9.223372036854776e18", "N_per_setting: must be an integer in [1, 9223372036854775807]"),
+        ("1e20", "N_per_setting: must be an integer in [1, 9223372036854775807]"),
+        ("1.5", "sweep.N_per_setting: value 1.5 is not a positive integer"),
+        ("0", "sweep.N_per_setting: value 0.0 is not a positive integer"),
+    ], ids=["2**63", "1e20", "fraction", "zero"])
+    def test_rejected(self, tmp_path, capsys, value, message):
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        assert main(["sweep", write_config(tmp_path, cfg), "--param", "N",
+                     "--values", f"1000,{value},2000"]) == 1
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value, n", [(2.0 ** 62, 4611686018427387904),
+                                          (2.0 ** 63 - 1024, 9223372036854774784)],
+                             ids=["2**62", "largest-below-2**63"])
+    def test_accepted_as_the_exact_int(self, tmp_path, value, n):
+        changed = check_swept_values(parse_config(base_config()), "N", np.array([1.0, value]))
+        assert changed == {"n_per_setting": [1, n]}
+        assert type(changed["n_per_setting"][1]) is int
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        assert main(["sweep", write_config(tmp_path, cfg), "--param", "N",
+                     "--values", repr(value)]) == 0
 
 
 def reference_cell(x) -> str:
@@ -625,7 +752,7 @@ class TestCsvTemplates:
             columns.append([pool[(k + j) % len(pool)] for k in range(2 * len(CELL_FLOATS))])
         reference_rows = list(zip(*columns))
         # cmd_sweep renders the optional RMSE cells before the template sees them
-        rows = [tuple(cli._optional_cell(v) if name.startswith("rmse") else v
+        rows = [tuple(("" if v is None else "%.17g" % v) if name.startswith("rmse") else v
                       for name, v in zip(header, row)) for row in reference_rows]
         cli._write_csv(tmp_path / "out.csv", header, template, rows)
         expected = ",".join(header) + "\n" + "".join(

@@ -303,6 +303,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="w_a = 0.75 exceeds"):
             XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=np.array([0.5, 0.75, 0.9]))
 
+    @pytest.mark.parametrize("field", ["w_a", "z_a"])
+    def test_nan_coherence_magnitude_is_rejected(self, field):
+        nan_fields = {"w_a": 0.0, "z_a": 0.0, field: math.nan}
+        with pytest.raises(ValueError, match="^coherence magnitudes must be nonnegative$"):
+            XState(a=0.0, g=0.5, f=0.5, h=0.0, **nan_fields)
+
+    # the nan row comes before a row that breaks a later rule; FLOAT_CHECK_MAX
+    # valid rows after them take the check past the float path
+    @pytest.mark.parametrize("pad", [0, FLOAT_CHECK_MAX], ids=["float-checks", "array-check"])
+    def test_array_state_reports_its_first_nan_coherence(self, pad):
+        w_a = np.array([0.5, math.nan, 0.75] + [0.5] * pad)
+        with pytest.raises(ValueError, match="^coherence magnitudes must be nonnegative$"):
+            XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=w_a)
+        with pytest.raises(ValueError, match="^w_a = 0.75 exceeds"):
+            XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=np.where(np.isnan(w_a), 0.5, w_a))
+
     def test_entries_are_immutable(self):
         m = make_bell_psi(0.0)
         with pytest.raises(ValueError):
