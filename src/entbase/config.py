@@ -297,7 +297,16 @@ class ScenarioConfig:
     rates: RateModel
     seed: int
     output_dir: str
-    theta_grid: np.ndarray
+    # (half_span, count) of an explicit theta_grid; None for default_theta_grid
+    theta_span: tuple | None
+
+    @property
+    def theta_grid(self) -> np.ndarray:
+        """The map's theta grid, built on each read: only `run` reads it."""
+        if self.theta_span is None:
+            return default_theta_grid(self.sky, self.plan.B_m)
+        half_span, count = self.theta_span
+        return np.linspace(-half_span, half_span, count)
 
 
 def _phase_settings(w1, w2) -> PhaseSettings:
@@ -353,6 +362,7 @@ def parse_config(obj: dict) -> ScenarioConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir", "expected a nonempty string")
 
+    theta_span = None
     if "theta_grid" in obj:
         tg = obj["theta_grid"]
         _require_keys(tg, "theta_grid", ("half_span", "count"))
@@ -366,13 +376,11 @@ def parse_config(obj: dict) -> ScenarioConfig:
         if count is None or not 2 <= count <= MAX_THETA_POINTS:
             raise ConfigError("theta_grid.count",
                               f"must be an integer in [2, {MAX_THETA_POINTS}]")
-        theta_grid = np.linspace(-half_span, half_span, count)
-    else:
-        theta_grid = default_theta_grid(sky, plan.B_m)
+        theta_span = (half_span, count)
 
     return ScenarioConfig(sky=sky, plan=plan, channel=channel, settings=settings,
                           n_per_setting=n_per_setting, rates=rates, seed=seed,
-                          output_dir=output_dir, theta_grid=theta_grid)
+                          output_dir=output_dir, theta_span=theta_span)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -1,12 +1,24 @@
 """Arithmetic that serves a float and an (n,) array of floats alike.
 
 A resource is built from floats in `run`'s per-baseline loop and from
-(n,) arrays in `sweep`, through the same closed forms and checks. These
-helpers take plain Python for a float, where one numpy call would cost
-several times the arithmetic, and numpy for an array. Each gives the same
-bits either way: sqrt is correctly rounded in math and numpy alike, and
-exp is libm's for both, element by element, because numpy's vectorised
-exp differs from libm in the last bit on some inputs, and by CPU.
+(n,) arrays in `sweep`, through the same closed forms and checks, and the
+fringe inversion runs on one baseline's floats in `run` and on (n,) arrays
+of replicates. These helpers take the cheaper backend for a float, where
+one numpy call costs several times the arithmetic, only where it gives the
+same bits as the array path; a float result is a Python float either way.
+
+- sqrt: math.sqrt for a float. It is correctly rounded in math and numpy
+  alike.
+- exp: libm's for a float and, element by element, for an array. numpy's
+  vectorised exp differs from libm in the last bit on some inputs, and by
+  CPU (4.6% of 200 000 random inputs in [-2 pi, 2 pi]).
+- atan2, hypot, sin: numpy's ufunc for a float too, converted with float().
+  libm's atan2 differs from np.arctan2 on 7.9% of 200 000 random inputs in
+  [-1, 1]^2, and libm's hypot from np.hypot on 0.6%. libm's sin matched
+  np.sin on all of them, but which sin loop numpy takes depends on its build
+  and the CPU; only the ufunc itself is sure to give the array's bits.
+  (Rates measured with numpy 2.4.6 on an AVX-512 Xeon.) A scalar ufunc call
+  costs ~0.25 us for sin and ~1.4 us for the two-argument ones.
 """
 
 from __future__ import annotations
@@ -25,6 +37,23 @@ def exp(x):
     if isinstance(x, np.ndarray):
         return np.fromiter(map(math.exp, x.tolist()), float, x.size)
     return math.exp(x)
+
+
+def _float_or_array(out):
+    """A ufunc's result: the array it returns for arrays, a Python float for floats."""
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+def atan2(y, x):
+    return _float_or_array(np.arctan2(y, x))
+
+
+def hypot(x, y):
+    return _float_or_array(np.hypot(x, y))
+
+
+def sin(x):
+    return _float_or_array(np.sin(x))
 
 
 def where(cond, a, b):

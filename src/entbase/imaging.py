@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +47,8 @@ class SkyModel:
 
     sources: tuple
     wavelength: float
+    # sum of the source fluxes, in source order; set once at construction
+    total_flux: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sources = tuple((float(t), float(fl)) for t, fl in self.sources)
@@ -58,15 +60,13 @@ class SkyModel:
                                  f"(|theta| <= {MAX_SOURCE_OFFSET})")
             if flux < 0.0:
                 raise ValueError(f"source {i}: flux {flux} must be nonnegative")
-        if sum(fl for _, fl in sources) <= 0.0:
+        total_flux = sum(fl for _, fl in sources)
+        if total_flux <= 0.0:
             raise ValueError("total flux must be positive")
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
         object.__setattr__(self, "sources", sources)
-
-    @property
-    def total_flux(self) -> float:
-        return sum(fl for _, fl in self.sources)
+        object.__setattr__(self, "total_flux", total_flux)
 
     @property
     def extent(self) -> float:

@@ -7,7 +7,8 @@ inversion of two phase settings into a complex visibility estimate with
 one-sigma errors (``_invert_batch``, the one inversion path), and the
 associated resource scaling laws. ``run_replicates`` runs many
 independent replicates of one observation as array maths on a single
-generator; ``run_observation`` is its one-replicate case.
+generator; ``run_observation`` is its one-replicate case, whose one row
+is inverted as Python floats by the same statement.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import elementwise as ew
 from .qcore import (
     AstroVisibility,
     DegenerateResourceError,
@@ -182,18 +184,25 @@ def _wrap_phases(phi: np.ndarray) -> np.ndarray:
 
 
 def _fringe_error(dp, N: int):
-    """Twice the binomial error of the add-one smoothed p_ac = (1 + dp) / 2."""
-    p_smooth = (N * (0.5 * (1.0 + dp)) + 1.0) / (N + 2.0)
-    return 2.0 * np.sqrt(p_smooth * (1.0 - p_smooth)) / math.sqrt(N)
+    """Twice the binomial error of the add-one smoothed p_ac = (1 + dp) / 2.
+
+    reference.delta_p_uncertainty's formula and bits: halving is exact, so
+    moving each factor of 0.5 or 2 onto a float leaves every rounding as it
+    was and takes two array operations fewer.
+    """
+    p_smooth = ((0.5 * N) * (1.0 + dp) + 1.0) / (N + 2.0)
+    return ew.sqrt(p_smooth * (1.0 - p_smooth)) / (0.5 * math.sqrt(N))
 
 
 def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
     """Invert fringes dp1, dp2 into (V_a, V_p, dV_a, dV_p), elementwise.
 
-    Runs unchanged on (n,) arrays and on np.float64 scalars, whose results
-    it keeps scalar, so a one-row call makes few numpy calls. Both errors
-    come from the Jacobian of (dp1, dp2) -> (V_a, V_p) and the fringe errors
-    D1, D2; with phi = V_p,
+    One statement serves (n,) arrays and Python floats, through the
+    entbase.elementwise helpers: floats give Python floats with the bits of
+    the array call's elements, and make no numpy call but the six of
+    arctan2, hypot and sin, whose libm counterparts may give other bits.
+    Both errors come from the Jacobian of (dp1, dp2) -> (V_a, V_p) and the
+    fringe errors D1, D2; with phi = V_p,
 
         dV_a = hypot(sin(w2 - phi) D1, sin(phi - w1) D2) / (C |sin(w2 - w1)|).
 
@@ -208,17 +217,19 @@ def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
     c = (dp1 * sin2 - dp2 * sin1) / det
     s = (dp2 * cos1 - dp1 * cos2) / det
     amp_sq = c * c + s * s
-    # both fringes zero: the phase is undefined and taken as 0 (for fringes of
-    # counts, amp_sq is 0 exactly when hypot(c, s) is)
-    phase = np.where(amp_sq == 0.0, 0.0, np.arctan2(s, c))[()]
+    # both fringes zero (for fringes of counts, amp_sq is 0 exactly when
+    # hypot(c, s) is): the phase is undefined and taken as 0, its error as the cap pi
+    dead = amp_sq == 0.0
+    phase = ew.where(dead, 0.0, ew.atan2(s, c))
     # arctan2 lies in [-pi, pi]: wrapping to (-pi, pi] moves only -pi
-    v_p_hat = np.where(phase == -math.pi, math.pi, phase)[()]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # fmin drops the nan of 0 / 0 when both fringes are zero, which reports the cap pi
-        dv_p = np.fmin(math.pi, np.hypot(dp2 * d1, dp1 * d2) / (amp_sq * abs(det)))
-    dv_a = (np.hypot(np.sin(ph.w2 - v_p_hat) * d1, np.sin(v_p_hat - ph.w1) * d2)
+    v_p_hat = ew.where(phase == -math.pi, math.pi, phase)
+    # a dead row divides by nan, not by 0 (which raises on floats), and so gets the
+    # cap pi: nan < pi is false
+    dv_p = ew.hypot(dp2 * d1, dp1 * d2) / (ew.where(dead, math.nan, amp_sq) * abs(det))
+    dv_p = ew.where(dv_p < math.pi, dv_p, math.pi)
+    dv_a = (ew.hypot(ew.sin(ph.w2 - v_p_hat) * d1, ew.sin(v_p_hat - ph.w1) * d2)
             / (C * abs(det)))
-    return np.hypot(c, s) / C, v_p_hat, dv_a, dv_p
+    return ew.hypot(c, s) / C, v_p_hat, dv_a, dv_p
 
 
 def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_setting: int,
@@ -243,6 +254,8 @@ def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_settin
         n1, n2 = n_c[..., 0], n_c[..., 1]
     # (n_ac - n_c) / N, no int64 overflow
     dp1, dp2 = (((N_per_setting - n) - n) / N_per_setting for n in (n1, n2))
+    if size is None:  # one row is inverted as Python floats
+        dp1, dp2 = float(dp1), float(dp2)
     return _invert_batch(dp1, dp2, N_per_setting, effective, conc), conc, xi
 
 
@@ -269,8 +282,8 @@ def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     generator give the rows of a single (calls, 2) draw.
     """
     (v_a, v_p, dv_a, dv_p), conc, xi = _observe(v_true, x, ph, N_per_setting, rng, None)
-    return VisibilityEstimate(V_a_hat=float(v_a), V_p_hat=float(v_p), dV_a=float(dv_a),
-                              dV_p=float(dv_p), N_used=N_per_setting, C_used=conc, xi_used=xi)
+    return VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
+                              N_used=N_per_setting, C_used=conc, xi_used=xi)
 
 
 def replicate_rmse(v_true: AstroVisibility, x: XState, ph: PhaseSettings,

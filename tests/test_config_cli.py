@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHANNEL_FORMS, SWEPT_CASES, SWEPT_IDS, SWEPT_VALUES
-from entbase import cli, reference, validation
+from entbase import cli, config, reference, validation
 from entbase.channels import DegenerateCoherenceWarning, RateModel
 from entbase.cli import main
 from entbase.config import (
@@ -27,7 +27,7 @@ from entbase.config import (
     load_config,
     parse_config,
 )
-from entbase.imaging import resource_figures
+from entbase.imaging import default_theta_grid, resource_figures
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -57,6 +57,18 @@ class TestConfigParsing:
         assert cfg.settings.w1 == 0.0 and abs(cfg.settings.w2 - math.pi / 2) <= 1e-15
         assert cfg.rates.R_E == 1.0 and cfg.rates.R_T == 1.0
         assert cfg.output_dir == "out"
+
+    def test_theta_grid_is_built_where_read(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("theta grid built")
+
+        monkeypatch.setattr(config, "default_theta_grid", built)
+        monkeypatch.setattr(config.np, "linspace", built)
+        default = parse_config(base_config())
+        explicit = parse_config(base_config(theta_grid={"half_span": 0.05, "count": 11}))
+        monkeypatch.undo()
+        assert np.array_equal(default.theta_grid, default_theta_grid(default.sky, 40.0))
+        assert np.array_equal(explicit.theta_grid, np.linspace(-0.05, 0.05, 11))
 
     def test_baseline_list_form(self):
         cfg = parse_config(base_config(baselines=[1.0, 2.0, 5.0]))
@@ -468,6 +480,20 @@ class TestMalformedNumbersExit1:
         cfg = base_config(output_dir=str(tmp_path / "out"))
         code = main(["sweep", write_config(tmp_path, cfg), "--param", param,
                      "--values", values, "--mc-replicates", "5"])
+        assert code == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("theta_grid, key", [
+        ({"half_span": 0.05, "count": 1_000_001}, "theta_grid.count"),
+        ({"half_span": 1e-4, "count": 11}, "theta_grid.half_span"),
+        ({"half_span": 0.05}, "theta_grid"),
+    ], ids=["huge-theta-grid", "narrow-theta-grid", "theta-grid-without-count"])
+    def test_sweep_checks_theta_grid(self, tmp_path, capsys, theta_grid, key):
+        # sweep never reads the grid, but a bad theta_grid is still a config error
+        cfg = base_config(output_dir=str(tmp_path / "out"), theta_grid=theta_grid)
+        code = main(["sweep", write_config(tmp_path, cfg), "--param", "B",
+                     "--values", "10,20"])
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -107,6 +107,12 @@ class TestTrueVisibility:
         with pytest.raises(ValueError):
             SkyModel((), 1.0)
 
+    def test_total_flux_is_summed_once(self):
+        sky = SkyModel(((-0.01, 0.1), (0.0, 0.2), (0.02, 0.3)), 1.0)
+        assert sky.total_flux == (0.1 + 0.2) + 0.3
+        assert vars(sky)["total_flux"] == sky.total_flux  # stored at construction
+        assert sky == SkyModel(((-0.01, 0.1), (0.0, 0.2), (0.02, 0.3)), 1.0)
+
 
 class TestReconstruction:
     def test_single_source_peaks_at_center(self):

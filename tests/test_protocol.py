@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entbase.channels import (
@@ -11,6 +11,7 @@ from entbase.channels import (
     xstate_dephasing,
     xstate_depolarizing,
 )
+from entbase import elementwise as ew
 from entbase import protocol
 from entbase.protocol import (
     DegeneratePhasesError,
@@ -431,6 +432,7 @@ class TestRunObservation:
         assert -math.pi < est.V_p_hat <= math.pi
         assert est.dV_a >= 0.0 and est.dV_p >= 0.0
         assert est.N_used == 50000 and est.C_used == 1.0 and est.xi_used == 1.0
+        assert {type(v) for v in (est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p)} == {float}
 
 
 def scalar_inversion(dp1, dp2, n, ph, conc):
@@ -467,15 +469,16 @@ class TestRunReplicates:
 
     def test_both_fringes_zero(self):
         zero = np.zeros(3)
-        for ph in (DEFAULT, PhaseSettings(-0.4, 0.4)):
+        # at (2.0, -2.0) the zero fringes give c = -0.0, whose arctan2 is pi
+        for ph in (DEFAULT, PhaseSettings(-0.4, 0.4), PhaseSettings(2.0, -2.0)):
             batch = protocol._invert_batch(zero, zero, 100, ph, 0.6)
             assert_matches_scalar(batch, zero, zero, 100, ph, 0.6)
             assert np.all(batch[1] == 0.0) and np.all(batch[3] == math.pi)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10 ** 6])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10 ** 6, 2 ** 53 + 1, protocol.MAX_TRIALS])
     def test_scalar_call_matches_array_call(self, rng, n):
-        # run_observation inverts one row as np.float64 scalars: each result stays a scalar
-        # and has the bits of the array call's element
+        # run_observation inverts one row as Python floats: each result is a Python
+        # float and has the bits of the array call's element
         for ph in (DEFAULT, PhaseSettings(0.3, 2.5), PhaseSettings(-1.2, 0.4),
                    PhaseSettings(0.3, -0.3), PhaseSettings(-0.4, 0.4)):
             n_c = rng.integers(0, n + 1, size=(40, 2))
@@ -487,9 +490,10 @@ class TestRunReplicates:
             conc = rng.uniform(0.05, 1.0)
             batch = protocol._invert_batch(dp[:, 0], dp[:, 1], n, ph, conc)
             for k in range(len(dp)):
-                one = protocol._invert_batch(dp[k, 0], dp[k, 1], n, ph, conc)
+                one = protocol._invert_batch(float(dp[k, 0]), float(dp[k, 1]), n, ph, conc)
                 for got, want in zip(one, batch):
-                    assert type(got) is np.float64
+                    assert type(got) is float
+                    got = np.float64(got)
                     assert got.view(np.int64) == want[k].view(np.int64), (ph, k, got, want[k])
 
     def test_counts_follow_the_scalar_chain(self, rng):
@@ -566,3 +570,74 @@ class TestRunReplicates:
             run_replicates(v, XState(a=1.0, g=0.0, f=0.0, h=0.0, w_a=0.0), DEFAULT, 100, 5, gen)
         with pytest.raises(ValueError, match="replicate"):
             replicate_rmse(v, ideal_bell_xstate(), DEFAULT, 100, 0, gen)
+
+
+# an (n,) call of this length runs full SIMD vectors and a remainder
+ROW_COPIES = 17
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@st.composite
+def reachable_rows(draw):
+    """(N, n1, n2, w1, w2): one observation's counts at nondegenerate settings.
+
+    Counts favour the edges: p_c = 0 or 1 (n = 0 or N), a zero fringe (n = N / 2,
+    both zero makes a dead row) and equal counts at both settings (a tie).
+    """
+    N = draw(st.one_of(st.integers(1, 10 ** 6),
+                       st.sampled_from([2 ** 53 + 1, protocol.MAX_TRIALS])))
+    count = st.one_of(st.sampled_from([0, N, N // 2]), st.integers(0, N))
+    n1 = draw(count)
+    n2 = draw(st.one_of(st.just(n1), count))
+    angle = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+    w1 = draw(angle)
+    w2 = draw(st.one_of(st.just(-w1), angle))  # w2 = -w1 with a tie zeroes the fringe's sine
+    assume(abs(math.sin(w2 - w1)) >= protocol.MIN_PHASE_SEPARATION)
+    return N, n1, n2, w1, w2
+
+
+class TestFloatInversion:
+    """A one-row inversion on Python floats against the same row in an (n,) call."""
+
+    @given(reachable_rows(), st.floats(0.01, 1.0))
+    @example((10, 5, 5, 0.0, QUARTER), 0.5)          # dead row: both fringes zero
+    @example((10, 5, 5, 2.0, -2.0), 0.5)             # dead row whose arctan2 would be pi
+    @example((10, 0, 10, 0.3, 2.5), 0.7)             # p_c = 0, then 1
+    @example((10, 3, 3, -0.4, 0.4), 0.9)             # tie: the fringe's sine is +0.0
+    @example((10, 0, 0, -2.0, 2.0), 0.5)             # arctan2 gives -pi, reported as pi
+    @example((10, 9, 9, -2.0, 2.0), 0.5)             # V_p = -0.0
+    @example((2 ** 53 + 1, 1, 2 ** 52, 0.3, -1.1), 0.2)  # N above 2**53
+    @settings(max_examples=300, deadline=None)
+    def test_float_call_matches_array_elements(self, row, conc):
+        N, n1, n2, w1, w2 = row
+        ph = PhaseSettings(w1, w2)
+        # the fringes as _observe forms them: int64 counts, then Python floats
+        dp1, dp2 = (((N - n) - n) / N for n in (np.int64(n1), np.int64(n2)))
+        one = protocol._invert_batch(float(dp1), float(dp2), N, ph, conc)
+        batch = protocol._invert_batch(np.full(ROW_COPIES, dp1), np.full(ROW_COPIES, dp2),
+                                       N, ph, conc)
+        for got, want in zip(one, batch):
+            assert type(got) is float
+            assert (bits(want) == bits(got)).all(), (got, want)
+        for dp in (float(dp1), float(dp2)):  # the fringe error's factors of 2 moved, not its bits
+            assert bits(protocol._fringe_error(dp, N)) == bits(delta_p_uncertainty(dp, N))
+
+    def test_tie_examples_reach_their_phases(self):
+        # equal fringes at (-2, 2): s = +0.0 / det = -0.0, so arctan2 gives -pi or -0.0
+        ph = PhaseSettings(-2.0, 2.0)
+        v_p = [protocol._invert_batch(dp, dp, 10, ph, 0.5)[1] for dp in (1.0, -0.8)]
+        assert bits(v_p).tolist() == bits([math.pi, -0.0]).tolist()
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+    @settings(max_examples=300, deadline=None)
+    def test_elementwise_helpers_give_the_ufuncs_bits(self, y, x):
+        for helper, ufunc, args in ((ew.atan2, np.arctan2, (y, x)), (ew.hypot, np.hypot, (y, x)),
+                                    (ew.sin, np.sin, (y,))):
+            got = helper(*args)
+            want = ufunc(*(np.full(ROW_COPIES, a) for a in args))
+            assert type(got) is float
+            assert (bits(want) == bits(got)).all(), (helper, args, got, want)
+            assert (bits(helper(*(np.full(ROW_COPIES, a) for a in args))) == bits(want)).all()
