@@ -35,6 +35,7 @@ from .protocol import (
 )
 from .imaging import (
     BaselinePlan,
+    NonPositiveMapError,
     SkyModel,
     observe_and_image,
     reconstruct_intensity,

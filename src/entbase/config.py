@@ -32,8 +32,10 @@ __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "par
 CHANNEL_KINDS = ("ideal", "amplitude_damping", "dephasing", "depolarizing",
                  "memory_swap", "custom_rate")
 
-# bound on theta_grid.count: one key must not be able to ask for gigabytes of map
+# bounds on theta_grid.count and baselines.count: one key must not be able to ask
+# for gigabytes of map or of baseline plan
 MAX_THETA_POINTS = 1_000_000
+MAX_BASELINES = 1_000_000
 
 class ConfigError(ValueError):
     """Invalid scenario config; carries the offending key."""
@@ -279,12 +281,18 @@ def _parse_baselines(obj) -> BaselinePlan:
     _require_keys(obj, ctx, ("B_max", "count"), ("spacing",))
     b_max = _positive(ctx, "B_max", _number(obj, ctx, "B_max"))
     count = _integer(obj, ctx, "count")
-    if count is None or count < 1:
-        raise ConfigError(f"{ctx}.count", "must be a positive integer")
+    if count is None or not 1 <= count <= MAX_BASELINES:
+        raise ConfigError(f"{ctx}.count", f"must be an integer in [1, {MAX_BASELINES}]")
     spacing = obj.get("spacing", "linear")
     if spacing != "linear":
         raise ConfigError(f"{ctx}.spacing", "only 'linear' spacing is supported")
-    return BaselinePlan.linear(b_max, count)
+    # the plan is B_max k / count for k = 1..count: no product may overflow
+    if not math.isfinite(b_max * count):
+        raise ConfigError(f"{ctx}.B_max", f"value {b_max} times count {count} overflows")
+    try:
+        return BaselinePlan.linear(b_max, count)
+    except ValueError as exc:  # a subnormal B_max rounds baselines together
+        raise ConfigError(f"{ctx}.B_max", f"value {b_max}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,6 +27,7 @@ from .qcore import (
 
 __all__ = [
     "BaselinePlan",
+    "NonPositiveMapError",
     "ObservationReport",
     "SkyModel",
     "default_theta_grid",
@@ -39,6 +40,14 @@ __all__ = [
 ]
 
 MAX_SOURCE_OFFSET = 0.1  # small-angle regime bound, radians
+
+
+class NonPositiveMapError(ValueError):
+    """A dirty map with no positive total over its grid, so it cannot be normalized.
+
+    The map of the estimates meets it when they are far noisier than |V| <= 1,
+    as at a concurrence near 0.
+    """
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,9 @@ def reconstruct_intensity(baselines, visibilities, theta_grid,
         at most GRID_SPACING_RTOL of it.
     wavelength : float
         Observation wavelength in the baseline's length unit.
+
+    Raises NonPositiveMapError when the map's total over the grid is not
+    positive.
     """
     b = np.asarray(baselines, dtype=float)
     v = np.asarray(visibilities, dtype=complex)
@@ -191,8 +203,8 @@ def reconstruct_intensity(baselines, visibilities, theta_grid,
         raise ValueError("theta grid must be uniformly spaced")
     image = _dirty_map(b, v, theta, wavelength)
     total = image.sum()
-    if total <= 0.0:
-        raise ValueError("reconstruction has nonpositive total intensity")
+    if not total > 0.0:
+        raise NonPositiveMapError(f"reconstruction has nonpositive total intensity {total}")
     return image / total
 
 

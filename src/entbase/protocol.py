@@ -246,16 +246,16 @@ def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_settin
     xi, conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
     if size is None:
         # two scalar draws take the same stream values as one row of a (k, 2)
-        # draw, without a list-p draw's broadcasting; int64 counts keep dp's
-        # bits equal to the array path's when N > 2**53
-        n1, n2 = (np.int64(rng.binomial(N_per_setting, p)) for p in p_cs)
+        # draw, without a list-p draw's broadcasting. Each count is a Python
+        # int: its (n_ac - n_c) is exact, and float() of it rounds as the array
+        # path's int64-to-double division does, so dp has the same bits at any N
+        dp1, dp2 = (float((N_per_setting - n) - n) / N_per_setting
+                    for n in (rng.binomial(N_per_setting, p) for p in p_cs))
     else:
         n_c = rng.binomial(N_per_setting, p_cs, size=size)
-        n1, n2 = n_c[..., 0], n_c[..., 1]
-    # (n_ac - n_c) / N, no int64 overflow
-    dp1, dp2 = (((N_per_setting - n) - n) / N_per_setting for n in (n1, n2))
-    if size is None:  # one row is inverted as Python floats
-        dp1, dp2 = float(dp1), float(dp2)
+        # (n_ac - n_c) / N, no int64 overflow
+        dp1, dp2 = (((N_per_setting - n) - n) / N_per_setting
+                    for n in (n_c[..., 0], n_c[..., 1]))
     return _invert_batch(dp1, dp2, N_per_setting, effective, conc), conc, xi
 
 

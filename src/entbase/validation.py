@@ -1,20 +1,28 @@
-"""Invariant suite behind the ``validate`` subcommand.
+"""The acceptance suite behind the ``validate`` subcommand.
 
-Each check raises AssertionError with a detail string on failure; the
-pytest suite runs every entry of ``CHECKS`` as a test of its own. The
-references the checks compare the runtime against are in
+Every invariant has one home here: each entry of ``CHECKS`` holds one
+(its grids, seeds and tolerances), ``entbase validate`` runs them all, and
+the pytest suite runs each as a test of its own. The acceptance criteria
+C1-C10 are checks, mapped in docs/schema.md; C11, byte-identical repeated
+runs, is a CLI test. Each check raises AssertionError with a detail string
+on failure and asserts no wall-clock bound, so a slow machine passes; the
+tests hold the criteria's time bounds.
+
+The references the checks compare the runtime against are in
 ``entbase.reference``: the operator-sum route against the closed-form
 resources, and the 16-dimensional projector route against the
 closed-form coincidences. A third oracle, the Cramer-Rao bound of the two
 binomials, is built in error-bars-cramer-rao itself. The
 closed-form/projector-oracle agreement check is the canary for sign
 mistakes in the coincidence formulas: flipping the fringe sign in either
-route makes it fail immediately.
+route makes it fail immediately. The Monte Carlo checks (``[mc]``) draw
+from fixed derived seeds and are deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -35,6 +43,19 @@ _CLOSED = {
     "dephasing": channels.xstate_dephasing,
     "depolarizing": channels.xstate_depolarizing,
 }
+
+_SETTINGS = protocol.PhaseSettings(0.0, 0.5 * math.pi)
+
+
+def _union(*grids) -> np.ndarray:
+    """The sorted distinct points of every grid."""
+    return np.unique(np.concatenate(grids))
+
+
+def _non_increasing(values, slack: float) -> bool:
+    """True when no value exceeds any earlier one by more than slack."""
+    values = np.asarray(values, dtype=float)
+    return bool(np.all(values[1:] <= np.minimum.accumulate(values)[:-1] + slack))
 
 
 def check_kraus_completeness():
@@ -64,7 +85,7 @@ def check_channel_closed_forms():
 
 def check_xform_closure():
     bell = reference.make_bell_psi(0.0)
-    grid = np.linspace(0.05, 0.95, 4)
+    grid = _union(np.linspace(0.05, 0.95, 4), np.linspace(0.0, 1.0, 5))
     for left_name, left in _KRAUS.items():
         for right_name, right in _KRAUS.items():
             for p_l in grid:
@@ -73,34 +94,41 @@ def check_xform_closure():
                     reference.extract_xstate(out)  # raises if not X form
                     tr = abs(out.entries.trace() - 1.0)
                     assert tr <= 1e-12, f"{left_name}x{right_name}: trace defect {tr:.3e}"
+                    low = np.linalg.eigvalsh(out.entries)[0]
+                    assert low >= -1e-10, f"{left_name}x{right_name}: eigenvalue {low:.3e}"
 
 
 def check_channel_map_properties():
-    rng = np.random.default_rng(2024)
     makers = list(_KRAUS.values())
-    for _ in range(40):
-        rho = reference.random_density(rng)
-        left = makers[rng.integers(3)](rng.uniform())
-        right = makers[rng.integers(3)](rng.uniform())
-        out = reference.apply_independent_channels(rho, left, right).entries
-        assert abs(out.trace() - 1.0) <= 1e-12
-        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
-        assert np.linalg.eigvalsh(out)[0] >= -1e-10
+    for seed, draws in ((2024, 40), (1234, 100)):
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            rho = reference.random_density(rng)
+            left = makers[rng.integers(3)](rng.uniform())
+            right = makers[rng.integers(3)](rng.uniform())
+            out = reference.apply_independent_channels(rho, left, right).entries
+            assert abs(out.trace() - 1.0) <= 1e-12
+            assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+            assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
 
 def check_concurrence_monotone():
-    lam = [reference.extract_xstate(reference.apply_independent_channels(
+    damping = _union(np.linspace(0.0, 0.95, 12), np.linspace(0.0, 0.95, 15))
+    lam_kraus = [reference.extract_xstate(reference.apply_independent_channels(
         reference.make_bell_psi(0.0), reference.kraus_amplitude_damping(p),
-        reference.kraus_amplitude_damping(p))) for p in np.linspace(0.0, 0.95, 12)]
-    mu = [channels.xstate_dephasing(p, p) for p in np.linspace(0.0, 1.0, 12)]
+        reference.kraus_amplitude_damping(p))) for p in damping]
+    lam = [channels.xstate_amplitude_damping(p, p) for p in damping]
+    mu = [channels.xstate_dephasing(p, p)
+          for p in _union(np.linspace(0.0, 1.0, 12), np.linspace(0.0, 0.95, 15))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # beyond kappa = 3/4 the Pauli map passes its fixed point and re-coheres
-        kap = [channels.xstate_depolarizing(p, p) for p in np.linspace(0.0, 0.75, 12)]
-    for family, states in (("lambda", lam), ("mu", mu), ("kappa", kap)):
+        kap = [channels.xstate_depolarizing(p, p)
+               for p in _union(np.linspace(0.0, 0.75, 12), np.linspace(0.0, 0.75, 15))]
+    for family, states in (("lambda (operator sum)", lam_kraus), ("lambda", lam), ("mu", mu),
+                           ("kappa", kap)):
         concs = [qcore.concurrence_subspace(x) for x in states]
-        for c1, c2 in zip(concs, concs[1:]):
-            assert c2 <= c1 + 1e-12, f"concurrence not monotone in {family}"
+        assert _non_increasing(concs, 1e-12), f"concurrence not monotone in {family}"
 
 
 def check_ideal_limit_fringe():
@@ -116,15 +144,16 @@ def check_ideal_limit_fringe():
 
 
 def check_projector_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
-        x = reference.random_xstate(rng)
-        closed = protocol.raw_probabilities(v, x)
-        oracle = reference.raw_probabilities_oracle(reference.make_astro_state(v),
-                                                    reference.to_density(x))
-        gap = max(abs(closed[0] - oracle[0]), abs(closed[1] - oracle[1]))
-        assert gap <= 1e-12, f"oracle disagrees by {gap:.3e}"
+    for seed in (11, 404, 1234):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
+            x = reference.random_xstate(rng)
+            closed = protocol.raw_probabilities(v, x)
+            oracle = reference.raw_probabilities_oracle(reference.make_astro_state(v),
+                                                        reference.to_density(x))
+            gap = max(abs(closed[0] - oracle[0]), abs(closed[1] - oracle[1]))
+            assert gap <= 1e-12, f"oracle disagrees by {gap:.3e} (seed {seed})"
 
 
 def check_postselection_normalization():
@@ -140,21 +169,25 @@ def check_postselection_normalization():
 
 
 def check_estimator_round_trip():
-    rng = np.random.default_rng(13)
-    ph = protocol.PhaseSettings(0.0, 0.5 * math.pi)
-    for _ in range(50):
-        v_a = rng.uniform(0.05, 1.0)
-        v_p = rng.uniform(-math.pi, math.pi)
-        conc = rng.uniform(0.1, 1.0)
-        dp1 = v_a * conc * math.cos(v_p - ph.w1)
-        dp2 = v_a * conc * math.cos(v_p - ph.w2)
-        va_hat, vp_hat = reference.solve_visibility(dp1, dp2, ph, conc)
-        assert abs(va_hat - v_a) <= 1e-12 and abs(qcore.wrap_phase(vp_hat - v_p)) <= 1e-12
+    ph = _SETTINGS
+    for seed, draws in ((13, 50), (505, 100), (1234, 100)):
+        rng = np.random.default_rng(seed)
+        quadrants = set()
+        for _ in range(draws):
+            v_a = rng.uniform(0.05, 1.0)
+            v_p = rng.uniform(-math.pi, math.pi)
+            conc = rng.uniform(0.1, 1.0)
+            dp1 = v_a * conc * math.cos(v_p - ph.w1)
+            dp2 = v_a * conc * math.cos(v_p - ph.w2)
+            va_hat, vp_hat = reference.solve_visibility(dp1, dp2, ph, conc)
+            assert abs(va_hat - v_a) <= 1e-12 and abs(qcore.wrap_phase(vp_hat - v_p)) <= 1e-12
+            quadrants.add(int(v_p // (0.5 * math.pi)) % 4)
+        assert len(quadrants) == 4, f"seed {seed} leaves a quadrant of V_p untried"
 
 
 def check_error_derivatives_fd():
     ph = protocol.PhaseSettings(0.1, 0.1 + 0.5 * math.pi)
-    for alpha in (0.4, 1.3, -0.7):
+    for alpha in (-1.5, -0.7, -0.3, 0.4, 0.9, 1.3, 2.2):
         step = 1e-6 * max(1.0, abs(alpha))
         fd = (reference.phase_from_ratio(alpha + step, ph)
               - reference.phase_from_ratio(alpha - step, ph)) / (2 * step)
@@ -162,8 +195,15 @@ def check_error_derivatives_fd():
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(an)), f"dVp/dalpha FD gap at {alpha}"
     # (dV_a, dV_p) are the fringe errors through the gradients of solve_visibility
     h, n = 1e-6, 1000
-    cases = ((0.3, 0.2, 0.8, ph), (-0.25, 0.1, 0.5, protocol.PhaseSettings(-0.4, 1.3)),
-             (0.05, -0.6, 0.9, protocol.PhaseSettings(2.0, -0.5)))
+    cases = [(0.3, 0.2, 0.8, ph), (-0.25, 0.1, 0.5, protocol.PhaseSettings(-0.4, 1.3)),
+             (0.05, -0.6, 0.9, protocol.PhaseSettings(2.0, -0.5))]
+    rng = np.random.default_rng(1234)
+    for _ in range(30):  # random settings, fringes and concurrences, off the degenerate ones
+        ph = protocol.PhaseSettings(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        dp1, dp2 = rng.uniform(-0.9, 0.9, size=2)
+        conc = rng.uniform(0.1, 1.0)
+        if abs(math.sin(ph.w2 - ph.w1)) >= 0.2 and math.hypot(dp1, dp2) >= 0.05:
+            cases.append((dp1, dp2, conc, ph))
     for dp1, dp2, conc, ph in cases:
         lo1, hi1 = (reference.solve_visibility(dp1 + e, dp2, ph, conc) for e in (-h, h))
         lo2, hi2 = (reference.solve_visibility(dp1, dp2 + e, ph, conc) for e in (-h, h))
@@ -172,8 +212,8 @@ def check_error_derivatives_fd():
         fd_p = math.hypot(qcore.wrap_phase(hi1[1] - lo1[1]) * d1,
                           qcore.wrap_phase(hi2[1] - lo2[1]) * d2) / (2 * h)
         dv_a, dv_p = reference.propagate_errors(dp1, dp2, n, ph, conc)
-        assert abs(fd_a - dv_a) <= 1e-6 * dv_a, f"dV_a FD gap at ({dp1}, {dp2})"
-        assert abs(fd_p - dv_p) <= 1e-6 * dv_p, f"dV_p FD gap at ({dp1}, {dp2})"
+        assert abs(fd_a - dv_a) <= 1e-6 * min(fd_a, dv_a), f"dV_a FD gap at ({dp1}, {dp2})"
+        assert abs(fd_p - dv_p) <= 1e-6 * min(fd_p, dv_p), f"dV_p FD gap at ({dp1}, {dp2})"
 
 
 def check_error_bars_cramer_rao():
@@ -197,20 +237,25 @@ def check_error_bars_cramer_rao():
 
 
 def check_memory_swap_composition():
-    tau = 1.7
-    for t1 in np.linspace(0.0, 3.0, 7):
-        for t2 in np.linspace(0.0, 3.0, 7):
-            for sign in (+1, -1):
-                via_swap = reference.to_density(channels.swap_memories(t1, t2, tau, sign))
-                direct = reference.to_density(channels.memory_xstate(t1 + t2, tau, sign))
-                assert np.max(np.abs(via_swap.entries - direct.entries)) <= 1e-12
-    for t in np.linspace(0.0, 4.0, 9):
-        for sign, delta in ((+1, 0.0), (-1, math.pi)):
-            gamma = reference.memory_dephasing_channel(t, tau)
-            stored = reference.apply_independent_channels(reference.make_bell_psi(delta),
-                                                          gamma, gamma)
-            expected = reference.to_density(channels.memory_xstate(t, tau, sign)).entries
-            assert np.max(np.abs(stored.entries - expected)) <= 1e-12
+    # swap(t1, t2) is storage for t1 + t2, and storage is the per-arm Z-mixing map
+    swaps = _union(np.linspace(0.0, 3.0, 7), np.linspace(0.0, 3.0, 9), np.linspace(0.0, 4.0, 9))
+    stores = _union(np.linspace(0.0, 4.0, 9), np.linspace(0.0, 5.0, 11))
+    for tau in (1.7, 2.2):
+        for t1 in swaps:
+            for t2 in swaps:
+                for sign in (+1, -1):
+                    via_swap = reference.to_density(channels.swap_memories(t1, t2, tau, sign))
+                    direct = reference.to_density(channels.memory_xstate(t1 + t2, tau, sign))
+                    gap = np.max(np.abs(via_swap.entries - direct.entries))
+                    assert gap <= 1e-12, f"swap({t1}, {t2}) off storage by {gap:.3e} at tau {tau}"
+        for t in stores:
+            for sign, delta in ((+1, 0.0), (-1, math.pi)):
+                gamma = reference.memory_dephasing_channel(t, tau)
+                stored = reference.apply_independent_channels(reference.make_bell_psi(delta),
+                                                              gamma, gamma)
+                expected = reference.to_density(channels.memory_xstate(t, tau, sign)).entries
+                gap = np.max(np.abs(stored.entries - expected))
+                assert gap <= 1e-12, f"storage {t} off the per-arm map by {gap:.3e} at tau {tau}"
 
 
 def check_depol_x_bound():
@@ -229,46 +274,53 @@ def _channel_rates(kind: str, params: dict, rates: channels.RateModel, baselines
 
 def check_rate_monotonicity():
     rates = channels.RateModel(1.0, 1.0)
+    unit = _union(np.linspace(0, 1, 12), np.linspace(0, 1, 15))
     grids = {
-        "lambda": [channels.xstate_amplitude_damping(p, p) for p in np.linspace(0, 1, 12)],
-        "mu": [channels.xstate_dephasing(p, p) for p in np.linspace(0, 1, 12)],
+        "lambda": [channels.xstate_amplitude_damping(p, p) for p in unit],
+        "mu": [channels.xstate_dephasing(p, p) for p in unit],
     }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         grids["kappa"] = [channels.xstate_depolarizing(p, p)
-                          for p in np.linspace(0, 0.75, 12)]
+                          for p in _union(np.linspace(0, 0.75, 12), np.linspace(0, 0.75, 15))]
     for family, states in grids.items():
         rs = [imaging.resource_figures(x, 0.0, rates, None)[3] for x in states]
-        for r1, r2 in zip(rs, rs[1:]):
-            assert r2 <= r1 + 1e-15, f"rate not monotone in {family}"
+        assert _non_increasing(rs, 1e-15), f"rate not monotone in {family}"
 
 
 def check_fiber_rate_line():
-    rates = channels.RateModel(0.8, 1e6)
-    l0 = 10.0
-    bs = np.linspace(0.0, 6 * l0, 25)
-    logs = []
-    for b, r_abs in zip(bs, _channel_rates("amplitude_damping", {"L0": l0}, rates, bs)[1]):
-        direct = math.log(r_abs)
-        shortcut = channels.log_rate_fiber(b, l0, rates)
-        assert abs(direct - shortcut) <= 1e-12, f"ln R_M off the fiber law at B = {b}"
-        logs.append(direct)
-    slope = np.polyfit(bs, logs, 1)[0]
-    assert abs(slope + 1.0 / (2.0 * l0)) <= 1e-9, f"slope {slope}"
+    for rates, l0, count in ((channels.RateModel(0.8, 1e6), 10.0, 25),
+                             (channels.RateModel(1.0, 1e6), 12.0, 31)):
+        bs = np.linspace(0.0, 6 * l0, count)
+        logs = []
+        for b, r_abs in zip(bs, _channel_rates("amplitude_damping", {"L0": l0}, rates, bs)[1]):
+            direct = math.log(r_abs)
+            shortcut = channels.log_rate_fiber(b, l0, rates)
+            assert abs(direct - shortcut) <= 1e-12, f"ln R_M off the fiber law at B = {b}"
+            logs.append(direct)
+        coeffs = np.polyfit(bs, logs, 1)
+        assert abs(coeffs[0] + 1.0 / (2.0 * l0)) <= 1e-9, f"slope {coeffs[0]} at L0 = {l0}"
+        residual = np.max(np.abs(np.polyval(coeffs, bs) - logs))
+        assert residual <= 1e-9, f"ln R_M off its line by {residual:.3e} at L0 = {l0}"
 
 
 def check_depol_rate_asymptote():
-    rates = channels.RateModel(1.0, 1.0)
     beta = 1.0
-    bs = np.linspace(5.0, 40.0, 15)
-    for bl, r_abs in zip(bs, _channel_rates("depolarizing", {"beta": beta}, rates, bs)[1]):
-        exact = math.log(r_abs)
-        approx = channels.log_rate_depol_approx(bl, beta, rates)
-        assert approx.in_regime
-        assert abs(approx.value - exact) <= 0.01, f"approx off by {approx.value - exact:.4f}"
-    r_norm, _ = _channel_rates("depolarizing", {"beta": beta}, rates, np.array([40.0]))
-    assert abs(r_norm[0] - 5.0 / 18.0) <= 1e-6
-    assert not channels.log_rate_depol_approx(0.0, beta, rates).in_regime
+    # long links, exp(-beta B) <= 0.01, where the log approximation holds
+    bs = _union(np.linspace(5.0, 40.0, 15), np.arange(5.0, 41.0, 1.0))
+    assert np.all(np.exp(-beta * bs) <= 0.01)
+    far = np.array([40.0, 60.0, 100.0])
+    for rates in (channels.RateModel(1.0, 1.0), channels.RateModel(0.8, 1e6)):
+        for bl, r_abs in zip(bs, _channel_rates("depolarizing", {"beta": beta}, rates, bs)[1]):
+            exact = math.log(r_abs)
+            approx = channels.log_rate_depol_approx(bl, beta, rates)
+            assert approx.in_regime
+            assert abs(approx.value - exact) <= 0.01, f"approx off by {approx.value - exact:.4f}"
+        # the rate flattens onto R_M = (5/18) R_E R_T, the paper's 0.28
+        r_norm, r_abs = _channel_rates("depolarizing", {"beta": beta}, rates, far)
+        for ratio in (*r_norm.tolist(), *(r_abs / (rates.R_E * rates.R_T)).tolist()):
+            assert abs(ratio - 5.0 / 18.0) <= 1e-6 and round(ratio, 2) == 0.28, f"ratio {ratio}"
+        assert not channels.log_rate_depol_approx(0.0, beta, rates).in_regime
 
 
 def check_forward_visibility():
@@ -313,47 +365,94 @@ def check_resolvability():
 
 
 def check_estimator_slope_mc():
-    ph = protocol.PhaseSettings(0.0, 0.5 * math.pi)
+    # RMSE(V_a) falls as N^-1/2: the log-log slope over three decades of N
     x = channels.ideal_bell_xstate()
     v = qcore.AstroVisibility(0.7, 0.9)
-    ns = [1000, 10000]
-    log_rmse = []
-    for n in ns:
-        rng = np.random.default_rng(protocol.derive_seed(5, n))
-        errs = protocol.run_replicates(v, x, ph, n, 60, rng).V_a_hat - 0.7
-        log_rmse.append(math.log10(math.sqrt(np.mean(np.square(errs)))))
-    slope = (log_rmse[1] - log_rmse[0]) / (math.log10(ns[1]) - math.log10(ns[0]))
-    assert abs(slope + 0.5) <= 0.15, f"slope {slope:.3f}"
+    ns = [10 ** 3, 10 ** 4, 10 ** 5]
+    for seed in (5, 606):
+        log_rmse = [math.log10(protocol.replicate_rmse(
+            v, x, _SETTINGS, n, 200, np.random.default_rng(protocol.derive_seed(seed, n)))[0])
+            for n in ns]
+        slope = np.polyfit(np.log10(ns), log_rmse, 1)[0]
+        assert abs(slope + 0.5) <= 0.05, f"slope {slope:.3f} (seed {seed})"
+
+
+def check_resource_scaling_mc():
+    # the paper's claim: at a fixed incident budget of 1e5 modes per setting, whose
+    # postselected share is xi/2, RMSE(V_a) C sqrt(xi) and RMSE(V_p) sqrt(xi) stay
+    # constant over C and xi; V_a C is held fixed, so only the resource varies
+    budget, grid = 10 ** 5, (0.3, 0.6, 1.0)
+    prod_a, prod_p = {}, {}
+    for conc in grid:
+        for xi in grid:
+            x = qcore.XState(a=1.0 - xi, g=xi / 2, f=xi / 2, h=0.0, w_a=conc * xi / 2)
+            rng = np.random.default_rng(protocol.derive_seed(606, int(1000 * conc + 10 * xi)))
+            rmse_a, rmse_p = protocol.replicate_rmse(
+                qcore.AstroVisibility(0.21 / conc, 0.9), x, _SETTINGS,
+                int(round(budget * xi / 2.0)), 200, rng)
+            prod_a[conc, xi] = rmse_a * conc * math.sqrt(xi)
+            prod_p[conc, xi] = rmse_p * math.sqrt(xi)
+    for name, prods in (("RMSE(V_a) C sqrt(xi)", prod_a), ("RMSE(V_p) sqrt(xi)", prod_p)):
+        mean = np.mean(list(prods.values()))
+        for key, val in prods.items():
+            assert abs(val / mean - 1.0) <= 0.20, f"{name} {val / mean:.3f}x its mean at {key}"
+    for xi in grid:  # the phase error is C-independent at each weight
+        vals = [prod_p[conc, xi] for conc in grid]
+        assert all(abs(val / np.mean(vals) - 1.0) <= 0.20 for val in vals), \
+            f"RMSE(V_p) depends on C at xi = {xi}"
 
 
 def check_error_bar_coverage_mc():
     # one-sigma bars cover 68.27% of replicates; with 10 000 of them four
     # binomial sigmas are 0.019, so a bar 10% too wide or narrow fails
-    ph = protocol.PhaseSettings(0.0, 0.5 * math.pi)
     x = channels.ideal_bell_xstate()
     v = qcore.AstroVisibility(0.7, 0.9)
     rng = np.random.default_rng(protocol.derive_seed(6))
-    est = protocol.run_replicates(v, x, ph, 100_000, 10_000, rng)
+    est = protocol.run_replicates(v, x, _SETTINGS, 100_000, 10_000, rng)
     cover_a = np.mean(np.abs(est.V_a_hat - v.V_a) <= est.dV_a)
     cover_p = np.mean(np.abs(protocol._wrap_phases(est.V_p_hat - v.V_p)) <= est.dV_p)
     for name, cover in (("dV_a", cover_a), ("dV_p", cover_p)):
         assert abs(cover - 0.6827) <= 0.019, f"{name} covers {cover:.4f}, expected 0.6827"
 
 
+def check_five_sigma_coverage_mc():
+    v = qcore.AstroVisibility(0.7, 0.9)
+    est = protocol.run_replicates(v, channels.ideal_bell_xstate(), _SETTINGS, 10 ** 5, 100,
+                                  np.random.default_rng(protocol.derive_seed(707)))
+    hits = int(np.count_nonzero(np.abs(est.V_a_hat - v.V_a) <= 5.0 * est.dV_a))
+    assert hits >= 95, f"five dV_a cover {hits} of 100 replicates, 95 required"
+
+
 def check_fringe_bound_mc():
     rng = np.random.default_rng(31)
     draws = np.random.default_rng(protocol.derive_seed(7))
-    ph = protocol.PhaseSettings(0.0, 0.5 * math.pi)
     for _ in range(25):
         x = reference.random_xstate(rng, with_outer=False)
         if x.g + x.f <= 1e-3 or x.w_a <= 1e-6:
             continue
         v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
         n = 5000
-        _, conc, _, p_cs = protocol._setting_probabilities(v, x, ph)
+        _, conc, _, p_cs = protocol._setting_probabilities(v, x, _SETTINGS)
         n_c = draws.binomial(n, p_cs)
         dp = ((n - n_c) - n_c) / n  # (n_ac - n_c) / N at each setting
         assert np.all(np.abs(dp) <= v.V_a * conc + 5.0 / math.sqrt(n))
+
+
+def check_imaging_peaks_mc():
+    # end to end at N = 1e6 on an ideal resource: 64 baselines out to four times the
+    # resolvability threshold place both sources within one grid cell
+    sep = 0.02
+    sky = imaging.SkyModel(((-sep / 2, 1.0), (sep / 2, 1.0)), wavelength=1.0)
+    grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
+    plan = imaging.BaselinePlan.linear(4.0 / (2 * sep), 64)
+    rep = imaging.observe_and_image(sky, plan, lambda B: channels.ideal_bell_xstate(),
+                                    _SETTINGS, 10 ** 6, seed=1010,
+                                    rates=channels.RateModel(1.0, 1.0), theta_grid=grid)
+    peaks = reference.find_peaks(rep.intensity_est)
+    assert len(peaks) == 2, f"{len(peaks)} peaks"
+    for peak, target in zip(peaks, (-sep / 2, sep / 2)):
+        assert abs(grid[peak] - target) <= (grid[1] - grid[0]) * (1.0 + 1e-9), \
+            f"peak at {grid[peak]}, source at {target}"
 
 
 CHECKS = (
@@ -377,23 +476,29 @@ CHECKS = (
     ("reconstruction-hermitian", check_reconstruction_hermitian),
     ("two-source-resolvability", check_resolvability),
     ("estimator-slope[mc]", check_estimator_slope_mc),
+    ("resource-scaling[mc]", check_resource_scaling_mc),
     ("error-bar-coverage[mc]", check_error_bar_coverage_mc),
+    ("five-sigma-coverage[mc]", check_five_sigma_coverage_mc),
     ("fringe-bound[mc]", check_fringe_bound_mc),
+    ("imaging-peaks[mc]", check_imaging_peaks_mc),
 )
 
 
 def run_all() -> bool:
-    """Run every check; True iff all pass."""
-    all_ok = True
+    """Run every check, one PASS or FAIL line each, then the count and time; True iff all pass."""
+    start = time.perf_counter()
+    failed = 0
     for name, fn in CHECKS:
         try:
             fn()
         except AssertionError as exc:
             print(f"FAIL {name}: {exc}")
-            all_ok = False
+            failed += 1
         except Exception as exc:  # config/runtime errors are failures too
             print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-            all_ok = False
+            failed += 1
         else:
             print(f"PASS {name}")
-    return all_ok
+    print(f"{len(CHECKS) - failed} of {len(CHECKS)} checks passed "
+          f"in {time.perf_counter() - start:.2f} s")
+    return not failed

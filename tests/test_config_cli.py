@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -73,6 +74,21 @@ class TestConfigParsing:
     def test_baseline_list_form(self):
         cfg = parse_config(base_config(baselines=[1.0, 2.0, 5.0]))
         assert cfg.plan.baselines == (1.0, 2.0, 5.0)
+
+    @pytest.mark.parametrize("count", [0, config.MAX_BASELINES + 1, 2 ** 64])
+    def test_baseline_count_is_bounded(self, count):
+        # a config must not ask for an unbounded plan, such as 2**64 baselines
+        with pytest.raises(ConfigError) as err:
+            parse_config(base_config(baselines={"B_max": 40.0, "count": count}))
+        assert err.value.key == "baselines.count"
+
+    @pytest.mark.parametrize("b_max", [1e308, 5e-324])
+    def test_baseline_plan_is_finite_and_increasing(self, b_max):
+        # 1e308 x count overflows to an inf baseline; a subnormal B_max rounds the
+        # baselines together
+        with pytest.raises(ConfigError) as err:
+            parse_config(base_config(baselines={"B_max": b_max, "count": 12}))
+        assert err.value.key == "baselines.B_max"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -175,6 +191,18 @@ class TestRunCommand:
         assert code == 2
         assert "DegenerateResource" in capsys.readouterr().err
 
+    def test_unnormalizable_map_exit_2(self, tmp_path, capsys):
+        # where the depolarizing coherence changes sign (C = 0.001 at B = 13.3) an
+        # estimate |V| ~ 47 gives the map a negative total, which cannot be normalized
+        cfg = base_config(sky={"sources": [{"theta": -0.01, "flux": 1.0},
+                                           {"theta": 0.012, "flux": 0.7}]},
+                          phase_settings={"w1": 0.0, "w2": 1.5},
+                          channel={"kind": "depolarizing", "beta": 0.2},
+                          theta_grid={"half_span": 0.05, "count": 101},
+                          seed=14, output_dir=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: NonPositiveMapError: ")
+
     def test_gnuplot_artifact(self, tmp_path):
         cfg = base_config(output_dir=str(tmp_path / "out"))
         code = main(["run", write_config(tmp_path, cfg), "--gnuplot"])
@@ -216,15 +244,22 @@ class TestRunCommand:
         assert summary["dI_scale"] == math.hypot(summary["dVa_scale"], summary["dVp_scale"])
         assert summary["resolution"] == 1.0 / (2.0 * 60.0)
 
-    def test_repeated_runs_are_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # acceptance C11: a fiber scan of 16 baselines
+        {"baselines": {"B_max": 40.0, "count": 16, "spacing": "linear"},
+         "channel": {"kind": "amplitude_damping", "L0": 15.0}, "N_per_setting": 3000,
+         "rates": {"R_E": 1.0, "R_T": 1e6}, "seed": 1111},
+    ], ids=["ideal", "fiber"])
+    def test_repeated_runs_are_byte_identical(self, tmp_path, overrides):
         digests = []
-        for attempt in range(3):
+        for attempt in range(4):
             outdir = tmp_path / f"run{attempt}"
-            cfg = base_config(output_dir=str(outdir))
+            cfg = base_config(output_dir=str(outdir), **overrides)
             assert main(["run", write_config(tmp_path, cfg)]) == 0
             digests.append(tuple((outdir / n).read_bytes()
                                  for n in ("visibility.csv", "intensity.csv", "summary.json")))
-        assert digests[0] == digests[1] == digests[2]
+        assert digests.count(digests[0]) == 4
 
 
 class TestSweepCommand:
@@ -797,9 +832,10 @@ class TestValidateCommand:
 
     def test_full_suite_passes(self, capsys):
         assert main(["validate"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.splitlines() == [f"PASS {name}" for name, _ in validation.CHECKS]
+        *lines, total = capsys.readouterr().out.splitlines()
+        assert lines == [f"PASS {name}" for name, _ in validation.CHECKS]
+        n = len(validation.CHECKS)
+        assert re.fullmatch(rf"{n} of {n} checks passed in \d+\.\d\d s", total)
 
     def test_failing_and_raising_checks_exit_1(self, monkeypatch, capsys):
         def fails():
@@ -811,8 +847,10 @@ class TestValidateCommand:
         monkeypatch.setattr(validation, "CHECKS", (
             ("fails", fails), ("passes", lambda: None), ("raises", raises)))
         assert main(["validate"]) == 1
-        assert capsys.readouterr().out.splitlines() == [
+        *lines, total = capsys.readouterr().out.splitlines()
+        assert lines == [
             "FAIL fails: gap 1.000e-03", "PASS passes", "FAIL raises: RuntimeError: no grid"]
+        assert total.startswith("1 of 3 checks passed in ")
 
 
 # (kind, params, the resource's w_p): every channel kind, and both ways to w_p = pi

@@ -135,17 +135,6 @@ class TestChannelApplication:
                                          kraus_dephasing(0.5))
         extract_xstate(out)
 
-    def test_preserves_state_properties(self, rng):
-        makers = [kraus_amplitude_damping, kraus_dephasing, kraus_depolarizing]
-        for _ in range(100):
-            rho = random_density(rng)
-            left = makers[rng.integers(3)](rng.uniform())
-            right = makers[rng.integers(3)](rng.uniform())
-            out = apply_independent_channels(rho, left, right).entries
-            assert abs(out.trace() - 1.0) <= 1e-12
-            assert np.max(np.abs(out - out.conj().T)) <= 1e-12
-            assert np.linalg.eigvalsh(out)[0] >= -1e-10
-
 
 class TestExtractXState:
     def test_dephased_values(self):
@@ -171,16 +160,6 @@ class TestExtractXState:
         with pytest.raises(NotXFormError) as err:
             extract_xstate(rho)
         assert err.value.worst_entry >= 0.1
-
-    def test_closure_over_all_channel_pairs(self):
-        makers = [kraus_amplitude_damping, kraus_dephasing, kraus_depolarizing]
-        bell = make_bell_psi(0.0)
-        for left in makers:
-            for right in makers:
-                for p_l in np.linspace(0.0, 1.0, 5):
-                    for p_r in np.linspace(0.0, 1.0, 5):
-                        out = apply_independent_channels(bell, left(p_l), right(p_r))
-                        extract_xstate(out)
 
 
 class TestConcurrenceAndWeight:
@@ -218,20 +197,6 @@ class TestConcurrenceAndWeight:
         x_par = 2.0 / 9.0
         x = XState(a=x_par, g=0.5 - x_par, f=0.5 - x_par, h=x_par, w_a=1.0 / 18.0)
         assert abs(subspace_weight(x) - 5.0 / 9.0) <= 1e-15
-
-    def test_monotone_under_equal_arm_noise(self):
-        import warnings
-        from entbase.channels import (xstate_amplitude_damping, xstate_dephasing,
-                                      xstate_depolarizing)
-        for family in (xstate_amplitude_damping, xstate_dephasing):
-            concs = [concurrence_subspace(family(p, p)) for p in np.linspace(0, 0.95, 15)]
-            assert all(c2 <= c1 + 1e-12 for c1, c2 in zip(concs, concs[1:]))
-        # isotropic noise is "more noise" only up to its fixed point kappa = 3/4
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            concs = [concurrence_subspace(xstate_depolarizing(p, p))
-                     for p in np.linspace(0, 0.75, 15)]
-        assert all(c2 <= c1 + 1e-12 for c1, c2 in zip(concs, concs[1:]))
 
 
 FIELD_NAMES = [f.name for f in fields(XState)]

@@ -1,10 +1,87 @@
 """Every invariant of `entbase validate`, one test per CHECKS entry, at the suite's own grids."""
 
+import inspect
+import textwrap
+import time
+
 import pytest
 
+from entbase import channels, config, imaging, protocol, reference, validation
 from entbase.validation import CHECKS
 
+# the acceptance criteria's wall-clock bounds, in seconds: C1, C2, C4 and C10
+WALL_CLOCK_BOUNDS = {
+    "channel-closed-forms": 1.0,
+    "x-form-closure": 1.0,
+    "projector-oracle": 5.0,
+    "imaging-peaks[mc]": 60.0,
+}
 
-@pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS])
-def test_check(check):
+# (check, module, function, source fragment, its mutant): each check must fail on its
+# mutant, by an assertion or by a state or channel constructor refusing what it builds
+MUTANTS = [
+    ("kraus-completeness", reference, "kraus_dephasing",
+     "k1 = math.sqrt(1.0 - mu) *", "k1 = (1.0 - mu) *"),
+    ("channel-closed-forms", channels, "xstate_amplitude_damping",
+     "ew.sqrt((1.0 - lambda_L) * (1.0 - lambda_R))",
+     "ew.sqrt(1.0 - lambda_L) * (1.0 - lambda_R)"),
+    ("x-form-closure", reference, "apply_independent_channels",
+     "op @ m @ op.conj().T", "op @ m @ op.T"),
+    ("ideal-limit-fringe", protocol, "postselect", "p_c = q_c / total", "p_c = q_ac / total"),
+    ("projector-oracle", protocol, "raw_probabilities",
+     "fringe = 2.0 * v.V_a", "fringe = -2.0 * v.V_a"),
+    ("postselection-normalization", protocol, "postselect",
+     "return p_c, 1.0 - p_c", "return p_c, p_c"),
+    ("estimator-round-trip", reference, "solve_visibility",
+     "math.atan2(s, c)", "math.atan2(c, s)"),
+    ("error-derivatives-fd", reference, "phase_ratio_derivative",
+     "return -math.sin", "return math.sin"),
+    ("error-bars-cramer-rao", protocol, "_invert_batch",
+     "ew.sin(v_p_hat - ph.w1) * d2", "ew.sin(v_p_hat - ph.w2) * d2"),
+    ("memory-swap-composition", channels, "swap_memories",
+     "p = 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))",
+     "p = 1.0 - 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))"),
+    ("depol-x-bound", channels, "depol_x_param", "kappa_R / 9.0", "kappa_R / 3.0"),
+    ("fiber-rate-line", config, "ChannelConfig.resource_factory",
+     "fiber_loss_prob(B / 2.0, L0)", "fiber_loss_prob(B, L0)"),
+    ("depol-rate-asymptote", channels, "log_rate_depol_approx", "- 0.8 * u", "- 0.4 * u"),
+    ("forward-visibility", imaging, "true_visibility", "-2j * math.pi", "-1j * math.pi"),
+    ("reconstruction-hermitian", imaging, "_dirty_map",
+     "b_pos[0] + 2.0 * image", "b_pos[0] + image"),
+    ("error-bar-coverage[mc]", protocol, "_fringe_error",
+     "/ (0.5 * math.sqrt(N))", "/ math.sqrt(N)"),
+]
+
+
+def test_wall_clock_bounds_name_checks():
+    assert set(WALL_CLOCK_BOUNDS) <= {name for name, _ in CHECKS}
+
+
+@pytest.mark.parametrize("name, check", CHECKS, ids=[name for name, _ in CHECKS])
+def test_check(name, check):
+    start = time.monotonic()
     check()
+    elapsed = time.monotonic() - start
+    assert elapsed < WALL_CLOCK_BOUNDS.get(name, float("inf")), f"{name} took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("name, module, qualname, old, new", MUTANTS,
+                         ids=[case[0] for case in MUTANTS])
+def test_check_fails_on_mutant(monkeypatch, name, module, qualname, old, new):
+    *owner_path, attr = qualname.split(".")
+    owner = module
+    for part in owner_path:
+        owner = getattr(owner, part)
+    original = getattr(owner, attr)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(old) == 1, f"{old!r} not found once in {qualname}"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    mutant = namespace[attr]
+    monkeypatch.setattr(owner, attr, mutant)
+    for table in (validation._KRAUS, validation._CLOSED):  # they hold the functions themselves
+        for key, fn in list(table.items()):
+            if fn is original:
+                monkeypatch.setitem(table, key, mutant)
+    with pytest.raises((AssertionError, ValueError)):
+        dict(CHECKS)[name]()
