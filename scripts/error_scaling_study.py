@@ -24,9 +24,15 @@ def resource(conc, xi):
     return XState(a=1.0 - xi, g=xi / 2, f=xi / 2, h=0.0, w_a=conc * xi / 2)
 
 
-def rmse(v, x, n, replicates, seed, tag):
-    rng = np.random.default_rng(derive_seed(seed, tag))
-    return replicate_rmse(v, x, SETTINGS, n, replicates, rng)
+def rmse(points, replicates, seed):
+    """(rmse_V_a, rmse_V_p) of each (v, x, n, tag) point, seeded by derive_seed(seed, tag).
+
+    The points are the rows of one replicate_rmse call.
+    """
+    r_a, r_p = replicate_rmse(
+        [(v, x, SETTINGS, n, np.random.default_rng(derive_seed(seed, tag)))
+         for v, x, n, tag in points], replicates)
+    return zip(r_a.tolist(), r_p.tolist())
 
 
 def main():
@@ -47,8 +53,9 @@ def main():
     with open(path_n, "w", encoding="utf-8") as fh:
         fh.write("N,rmse_V_a,rmse_V_p\n")
         pts = []
-        for n in (10 ** 3, 10 ** 4, 10 ** 5):
-            r_a, r_p = rmse(v, ideal, n, args.replicates, args.seed, n)
+        ns = (10 ** 3, 10 ** 4, 10 ** 5)
+        for n, (r_a, r_p) in zip(ns, rmse([(v, ideal, n, n) for n in ns],
+                                          args.replicates, args.seed)):
             pts.append((math.log10(n), math.log10(r_a)))
             fh.write(f"{n},{r_a:.17g},{r_p:.17g}\n")
     slope = np.polyfit(*zip(*pts), 1)[0]
@@ -58,16 +65,15 @@ def main():
     path_r = outdir / "rmse_vs_resource.csv"
     with open(path_r, "w", encoding="utf-8") as fh:
         fh.write("C,xi,N_post,rmse_V_a,rmse_V_p,rmse_V_a_CsqrtXi,rmse_V_p_sqrtXi\n")
-        for conc in grid:
-            for xi in grid:
-                n_post = int(round(args.budget * xi / 2.0))
-                # hold the fringe amplitude V_a * C fixed across the grid
-                v_grid = AstroVisibility(0.21 / conc, 0.9)
-                r_a, r_p = rmse(v_grid, resource(conc, xi), n_post, args.replicates,
-                                args.seed, int(1000 * conc + 10 * xi))
-                fh.write(f"{conc},{xi},{n_post},{r_a:.17g},{r_p:.17g},"
-                         f"{r_a * conc * math.sqrt(xi):.17g},"
-                         f"{r_p * math.sqrt(xi):.17g}\n")
+        cells = [(conc, xi, int(round(args.budget * xi / 2.0))) for conc in grid for xi in grid]
+        # hold the fringe amplitude V_a * C fixed across the grid
+        points = [(AstroVisibility(0.21 / conc, 0.9), resource(conc, xi), n_post,
+                   int(1000 * conc + 10 * xi)) for conc, xi, n_post in cells]
+        for (conc, xi, n_post), (r_a, r_p) in zip(cells, rmse(points, args.replicates,
+                                                              args.seed)):
+            fh.write(f"{conc},{xi},{n_post},{r_a:.17g},{r_p:.17g},"
+                     f"{r_a * conc * math.sqrt(xi):.17g},"
+                     f"{r_p * math.sqrt(xi):.17g}\n")
     print(f"wrote {path_r}")
 
 

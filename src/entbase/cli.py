@@ -216,13 +216,15 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
         n_per_setting = changed.get("n_per_setting", [base.n_per_setting] * n)
         # the sky at the evaluation baseline, the same in every row unless B is swept
         fixed_v = None if param in ("B", "L") else _sky_visibility(base.sky, b_eval)
-        for row_index in live:
-            v = fixed_v if fixed_v is not None else _sky_visibility(base.sky,
-                                                                    swept.item(row_index))
-            rng = np.random.default_rng(derive_seed(base.seed, row_index))
-            va, vp = replicate_rmse(v, resource.row(row_index), settings[row_index],
-                                    n_per_setting[row_index], mc_replicates, rng)
-            rmse_a[row_index], rmse_p[row_index] = "%.17g" % va, "%.17g" % vp
+        # each row draws from its own generator; one replicate_rmse call inverts them all
+        observations = [
+            (_sky_visibility(base.sky, swept.item(r)) if fixed_v is None else fixed_v,
+             resource.row(r), settings[r], n_per_setting[r],
+             np.random.default_rng(derive_seed(base.seed, r)))
+            for r in live]
+        va, vp = replicate_rmse(observations, mc_replicates)
+        for r, a, p in zip(live, va.tolist(), vp.tolist()):
+            rmse_a[r], rmse_p[r] = "%.17g" % a, "%.17g" % p
     rows = zip(swept.tolist(), xi, conc, r_norm, ln_r, log10_r, rmse_a, rmse_p)
 
     outdir = Path(base.output_dir)
@@ -286,9 +288,25 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list) -> list:
+    """argv with each `--values LIST` pair given as one `--values=LIST` token.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    single negative number, so a list such as -1,0 would not reach the value
+    check that names the bad value. An abbreviation (`--val`) is joined too;
+    a following `--` option is left alone.
+    """
+    argv = list(argv)
+    for i in reversed(range(len(argv) - 1)):
+        option = argv[i]
+        if len(option) > 2 and "--values".startswith(option) and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"{option}={argv[i + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     except _ArgumentsError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 1

@@ -4,11 +4,14 @@ Coincidence statistics between the beam-splitter detectors at the two
 telescopes (closed form; the 16-dimensional projector oracle lives in
 ``reference``), binomial click sampling from a caller's generator,
 inversion of two phase settings into a complex visibility estimate with
-one-sigma errors (``_invert_batch``, the one inversion path), and the
-associated resource scaling laws. ``run_replicates`` runs many
-independent replicates of one observation as array maths on a single
-generator; ``run_observation`` is its one-replicate case, whose one row
-is inverted as Python floats by the same statement.
+one-sigma errors (``_invert_batch``, the one inversion path, whose
+estimates are the one statement ``_estimate``), and the associated
+resource scaling laws. ``run_replicates`` runs many independent
+replicates of one observation as array maths on a single generator;
+``run_observation`` is its one-replicate case, whose one row is inverted
+as Python floats by the same statement. ``replicate_rmse`` draws the
+replicates of many observations, each from its own generator, and
+inverts all of them to estimates alone at once.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ __all__ = [
 
 MIN_PHASE_SEPARATION = 1e-6
 MAX_TRIALS = int(np.iinfo(np.int64).max)  # largest N numpy's binomial sampler accepts
-REPLICATE_CHUNK = 1 << 13  # replicates per run_replicates call in replicate_rmse
+REPLICATE_CHUNK = 1 << 13  # row-replicate cells of counts replicate_rmse holds at once
 
 
 class ZeroConcurrenceError(ValueError):
@@ -194,6 +197,31 @@ def _fringe_error(dp, N: int):
     return ew.sqrt(p_smooth * (1.0 - p_smooth)) / (0.5 * math.sqrt(N))
 
 
+def _setting_trig(ph: PhaseSettings) -> tuple[float, float, float, float, float]:
+    """(sin w1, cos w1, sin w2, cos w2, det = sin(w2 - w1)) of the settings ph, by libm."""
+    return (math.sin(ph.w1), math.cos(ph.w1), math.sin(ph.w2), math.cos(ph.w2),
+            math.sin(ph.w2 - ph.w1))
+
+
+def _estimate(dp1, dp2, trig, C):
+    """The point estimates (V_a, V_p) of fringes dp1, dp2, and c^2 + s^2, elementwise.
+
+    The one statement of the estimates, for _invert_batch and replicate_rmse.
+    trig is _setting_trig of the settings: floats, or (m, 1) columns beside
+    (m, K) fringes, one row per observation, as C is too. The formulas and
+    branch choices are those of the scalar reference.solve_visibility.
+    """
+    sin1, cos1, sin2, cos2, det = trig
+    c = (dp1 * sin2 - dp2 * sin1) / det
+    s = (dp2 * cos1 - dp1 * cos2) / det
+    amp_sq = c * c + s * s
+    # both fringes zero (for fringes of counts, amp_sq is 0 exactly when
+    # hypot(c, s) is): the phase is undefined and taken as 0
+    phase = ew.where(amp_sq == 0.0, 0.0, ew.atan2(s, c))
+    # arctan2 lies in [-pi, pi]: wrapping to (-pi, pi] moves only -pi
+    return ew.hypot(c, s) / C, ew.where(phase == -math.pi, math.pi, phase), amp_sq
+
+
 def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
     """Invert fringes dp1, dp2 into (V_a, V_p, dV_a, dV_p), elementwise.
 
@@ -201,35 +229,27 @@ def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
     entbase.elementwise helpers: floats give Python floats with the bits of
     the array call's elements, and make no numpy call but the six of
     arctan2, hypot and sin, whose libm counterparts may give other bits.
-    Both errors come from the Jacobian of (dp1, dp2) -> (V_a, V_p) and the
-    fringe errors D1, D2; with phi = V_p,
+    The estimates are _estimate's. Both errors come from the Jacobian of
+    (dp1, dp2) -> (V_a, V_p) and the fringe errors D1, D2; with phi = V_p,
 
         dV_a = hypot(sin(w2 - phi) D1, sin(phi - w1) D2) / (C |sin(w2 - w1)|).
 
-    The formulas and branch choices are those of the scalar
-    reference.solve_visibility and reference.propagate_errors, which derive
-    them. Needs C > 0; PhaseSettings already rejects degenerate settings.
+    The formulas are those of the scalar reference.propagate_errors, which
+    derives them. Needs C > 0; PhaseSettings already rejects degenerate
+    settings.
     """
-    sin1, cos1 = math.sin(ph.w1), math.cos(ph.w1)
-    sin2, cos2 = math.sin(ph.w2), math.cos(ph.w2)
-    det = math.sin(ph.w2 - ph.w1)
+    trig = _setting_trig(ph)
+    v_a_hat, v_p_hat, amp_sq = _estimate(dp1, dp2, trig, C)
+    det = trig[4]
     d1, d2 = _fringe_error(dp1, N), _fringe_error(dp2, N)
-    c = (dp1 * sin2 - dp2 * sin1) / det
-    s = (dp2 * cos1 - dp1 * cos2) / det
-    amp_sq = c * c + s * s
-    # both fringes zero (for fringes of counts, amp_sq is 0 exactly when
-    # hypot(c, s) is): the phase is undefined and taken as 0, its error as the cap pi
-    dead = amp_sq == 0.0
-    phase = ew.where(dead, 0.0, ew.atan2(s, c))
-    # arctan2 lies in [-pi, pi]: wrapping to (-pi, pi] moves only -pi
-    v_p_hat = ew.where(phase == -math.pi, math.pi, phase)
-    # a dead row divides by nan, not by 0 (which raises on floats), and so gets the
-    # cap pi: nan < pi is false
-    dv_p = ew.hypot(dp2 * d1, dp1 * d2) / (ew.where(dead, math.nan, amp_sq) * abs(det))
+    # a dead row (both fringes zero) divides by nan, not by 0 (which raises on
+    # floats), and so gets the cap pi: nan < pi is false
+    dv_p = (ew.hypot(dp2 * d1, dp1 * d2)
+            / (ew.where(amp_sq == 0.0, math.nan, amp_sq) * abs(det)))
     dv_p = ew.where(dv_p < math.pi, dv_p, math.pi)
     dv_a = (ew.hypot(ew.sin(ph.w2 - v_p_hat) * d1, ew.sin(v_p_hat - ph.w1) * d2)
             / (C * abs(det)))
-    return ew.hypot(c, s) / C, v_p_hat, dv_a, dv_p
+    return v_a_hat, v_p_hat, dv_a, dv_p
 
 
 def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_setting: int,
@@ -286,21 +306,47 @@ def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
                               N_used=N_per_setting, C_used=conc, xi_used=xi)
 
 
-def replicate_rmse(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
-                   N_per_setting: int, replicates: int,
-                   rng: np.random.Generator) -> tuple[float, float]:
-    """Root-mean-square errors of (V_a_hat, V_p_hat) over Monte Carlo replicates.
+def replicate_rmse(rows, replicates: int) -> tuple[np.ndarray, np.ndarray]:
+    """Root-mean-square errors of (V_a_hat, V_p_hat) over Monte Carlo replicates, per row.
 
-    Replicates are drawn REPLICATE_CHUNK at a time from rng, so memory
-    stays flat however many are asked for; phase errors are wrapped to
-    (-pi, pi].
+    rows holds one observation (v_true, x, ph, N_per_setting, rng) per row,
+    and each gets `replicates` replicates. A row's counts are drawn from its
+    rng REPLICATE_CHUNK replicates at a time, as run_replicates draws them;
+    the fringes of a block of rows are then inverted together, estimates
+    only, by _estimate, and each row's squared errors are summed chunk by
+    chunk. A block holds at most REPLICATE_CHUNK row-replicate cells of
+    counts (or one row's chunk), so memory stays flat however many rows or
+    replicates are asked for. A row's RMSE is that of its one-row call;
+    rows sharing a generator draw from it in row order, as consecutive
+    one-row calls would. Phase errors are wrapped to (-pi, pi]. Returns two
+    (rows,) arrays.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    sq_a = sq_p = 0.0
-    for start in range(0, replicates, REPLICATE_CHUNK):
-        est = run_replicates(v_true, x, ph, N_per_setting,
-                             min(REPLICATE_CHUNK, replicates - start), rng)
-        sq_a += float(np.sum(np.square(est.V_a_hat - v_true.V_a)))
-        sq_p += float(np.sum(np.square(_wrap_phases(est.V_p_hat - v_true.V_p))))
-    return math.sqrt(sq_a / replicates), math.sqrt(sq_p / replicates)
+    rngs, draws, columns = [], [], []
+    for v_true, x, ph, n, rng in rows:
+        if n < 1:
+            raise ValueError("need at least one trial")
+        _, conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
+        rngs.append(rng)
+        draws.append((n, p_cs))
+        columns.append((*_setting_trig(effective), conc, v_true.V_a, v_true.V_p))
+    n_col = np.array([n for n, _ in draws], dtype=np.int64)[:, None]
+    columns = np.array(columns).T[..., None]  # each an (m, 1) column
+    chunk = min(replicates, REPLICATE_CHUNK)
+    per_block = max(1, REPLICATE_CHUNK // chunk)
+    sq_a, sq_p = np.zeros(len(rngs)), np.zeros(len(rngs))
+    for lo in range(0, len(rngs), per_block):
+        block = slice(lo, lo + per_block)
+        n_b = n_col[block]
+        *trig, conc, v_a, v_p = columns[:, block]
+        for start in range(0, replicates, chunk):
+            size = (min(chunk, replicates - start), 2)
+            n_c = np.stack([rng.binomial(n, p_cs, size=size)
+                            for rng, (n, p_cs) in zip(rngs[block], draws[block])])
+            # (n_ac - n_c) / N, no int64 overflow
+            dp1, dp2 = (((n_b - n) - n) / n_b for n in (n_c[..., 0], n_c[..., 1]))
+            est_a, est_p, _ = _estimate(dp1, dp2, trig, conc)
+            sq_a[block] += np.sum(np.square(est_a - v_a), axis=1)
+            sq_p[block] += np.sum(np.square(_wrap_phases(est_p - v_p)), axis=1)
+    return np.sqrt(sq_a / replicates), np.sqrt(sq_p / replicates)

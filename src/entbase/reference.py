@@ -173,14 +173,13 @@ def memory_dephasing_channel(t: float, tau_c: float) -> KrausChannel:
 
 def apply_independent_channels(rho: DensityMatrix4, left: KrausChannel,
                                right: KrausChannel) -> DensityMatrix4:
-    """Apply one channel per arm: rho -> sum_ij (Ki x Kj) rho (Ki x Kj)^dagger."""
-    m = rho.entries
-    out = np.zeros((4, 4), dtype=complex)
-    for kl in left.operators:
-        for kr in right.operators:
-            op = np.kron(kl, kr)
-            out += op @ m @ op.conj().T
-    return DensityMatrix4(out)
+    """Apply one channel per arm: rho -> sum_ij (Ki x Kj) rho (Ki x Kj)^dagger.
+
+    One einsum stacks every Kronecker product Ki x Kj (row (a, b), column
+    (c, d)), and the terms are summed over the pairs in (i, j) order.
+    """
+    ops = np.einsum("iac,jbd->ijabcd", left.operators, right.operators).reshape(-1, 4, 4)
+    return DensityMatrix4(np.sum(ops @ rho.entries @ ops.conj().transpose(0, 2, 1), axis=0))
 
 
 _X_PATTERN = {(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)}

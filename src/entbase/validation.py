@@ -370,10 +370,10 @@ def check_estimator_slope_mc():
     v = qcore.AstroVisibility(0.7, 0.9)
     ns = [10 ** 3, 10 ** 4, 10 ** 5]
     for seed in (5, 606):
-        log_rmse = [math.log10(protocol.replicate_rmse(
-            v, x, _SETTINGS, n, 200, np.random.default_rng(protocol.derive_seed(seed, n)))[0])
-            for n in ns]
-        slope = np.polyfit(np.log10(ns), log_rmse, 1)[0]
+        rmse_a, _ = protocol.replicate_rmse(
+            [(v, x, _SETTINGS, n, np.random.default_rng(protocol.derive_seed(seed, n)))
+             for n in ns], 200)
+        slope = np.polyfit(np.log10(ns), np.log10(rmse_a), 1)[0]
         assert abs(slope + 0.5) <= 0.05, f"slope {slope:.3f} (seed {seed})"
 
 
@@ -382,16 +382,16 @@ def check_resource_scaling_mc():
     # postselected share is xi/2, RMSE(V_a) C sqrt(xi) and RMSE(V_p) sqrt(xi) stay
     # constant over C and xi; V_a C is held fixed, so only the resource varies
     budget, grid = 10 ** 5, (0.3, 0.6, 1.0)
-    prod_a, prod_p = {}, {}
-    for conc in grid:
-        for xi in grid:
-            x = qcore.XState(a=1.0 - xi, g=xi / 2, f=xi / 2, h=0.0, w_a=conc * xi / 2)
-            rng = np.random.default_rng(protocol.derive_seed(606, int(1000 * conc + 10 * xi)))
-            rmse_a, rmse_p = protocol.replicate_rmse(
-                qcore.AstroVisibility(0.21 / conc, 0.9), x, _SETTINGS,
-                int(round(budget * xi / 2.0)), 200, rng)
-            prod_a[conc, xi] = rmse_a * conc * math.sqrt(xi)
-            prod_p[conc, xi] = rmse_p * math.sqrt(xi)
+    points = [(conc, xi) for conc in grid for xi in grid]
+    rmse_a, rmse_p = protocol.replicate_rmse(
+        [(qcore.AstroVisibility(0.21 / conc, 0.9),
+          qcore.XState(a=1.0 - xi, g=xi / 2, f=xi / 2, h=0.0, w_a=conc * xi / 2), _SETTINGS,
+          int(round(budget * xi / 2.0)),
+          np.random.default_rng(protocol.derive_seed(606, int(1000 * conc + 10 * xi))))
+         for conc, xi in points], 200)
+    prod_a = {(conc, xi): r * conc * math.sqrt(xi)
+              for (conc, xi), r in zip(points, rmse_a.tolist())}
+    prod_p = {(conc, xi): r * math.sqrt(xi) for (conc, xi), r in zip(points, rmse_p.tolist())}
     for name, prods in (("RMSE(V_a) C sqrt(xi)", prod_a), ("RMSE(V_p) sqrt(xi)", prod_p)):
         mean = np.mean(list(prods.values()))
         for key, val in prods.items():

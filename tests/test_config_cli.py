@@ -519,6 +519,16 @@ class TestMalformedNumbersExit1:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # a list that starts with a negative number, which argparse took for an option
+    @pytest.mark.parametrize("values_args", [["--values", "-1,0"], ["--values=-1,0"],
+                                             ["--val", "-1,0"], ["--val=-1,0"]],
+                             ids=["spaced", "joined", "abbreviated", "abbreviated-joined"])
+    def test_negative_first_value_in_any_form(self, tmp_path, capsys, values_args):
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        assert main(["sweep", write_config(tmp_path, cfg), "--param", "B", *values_args]) == 1
+        assert capsys.readouterr().err == \
+            "invalid config: sweep.B: baseline must be nonnegative\n"
+
     @pytest.mark.parametrize("theta_grid, key", [
         ({"half_span": 0.05, "count": 1_000_001}, "theta_grid.count"),
         ({"half_span": 1e-4, "count": 11}, "theta_grid.half_span"),

@@ -137,8 +137,10 @@ def cases(draw):
     numbers = st.lists(value, min_size=1, max_size=6).map(lambda vs: ",".join(map(repr, vs)))
     values = draw(st.one_of(numbers, numbers, numbers,
                             st.sampled_from(["", "abc", "1,,2", "nan", "inf"])))
+    # the list as its own token or joined to the option: both forms must read it alike
+    values_args = draw(st.sampled_from([[f"--values={values}"], ["--values", values]]))
     replicates = str(draw(st.integers(-1, 50)))
-    return cfg, ["sweep", "--param", param, f"--values={values}", "--mc-replicates", replicates]
+    return cfg, ["sweep", "--param", param, *values_args, "--mc-replicates", replicates]
 
 
 @contextlib.contextmanager
@@ -174,12 +176,15 @@ def _assert_finite_or_null(value, where="summary.json"):
 @given(case=cases())
 @settings(max_examples=200, deadline=None)
 # one case per declared outcome: exit 0; -inf rate cells at R_E = 0; exit 2 on a dead
-# resource; a sweep with a dead row, whose RMSE cells stay empty
+# resource; a sweep with a dead row, whose RMSE cells stay empty; a spaced list whose
+# negative first value the value check names
 @example(case=(base_config({"kind": "ideal"}), ["run"]))
 @example(case=({**base_config({"kind": "ideal"}), "rates": {"R_E": 0, "R_T": 1}}, ["run"]))
 @example(case=(base_config({"kind": "amplitude_damping", "L0": 1e-300}), ["run"]))
 @example(case=(base_config({"kind": "amplitude_damping", "L0": 1e-300}),
                ["sweep", "--param", "B", "--values=0,20", "--mc-replicates", "5"]))
+@example(case=(base_config({"kind": "ideal"}),
+               ["sweep", "--param", "B", "--values", "-1,0", "--mc-replicates", "5"]))
 def test_mutated_config_exits_cleanly(case):
     cfg, command = case
     with tempfile.TemporaryDirectory() as tmp, _inside(tmp), warnings.catch_warnings():
@@ -193,6 +198,8 @@ def test_mutated_config_exits_cleanly(case):
         assert code in (0, 1, 2), err
         if code == 1:
             assert err.startswith(("invalid config: ", "invalid arguments: ")), err
+            # a sweep always gives its list, in either form: only its value check may refuse it
+            assert "argument --values" not in err, err
         elif code == 2:
             assert err.startswith(tuple(f"runtime error: {name}: " for name in RUNTIME_ERRORS)), \
                 err

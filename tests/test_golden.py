@@ -1,11 +1,12 @@
 """Byte-identity contract: `run` and `sweep` outputs for a fixed seed do not drift.
 
-The digests pin `run` on the three bundled configs, four sweeps of the fiber
-config (over B, over N with Monte Carlo replicates, over the channel's L0 with
-replicates, and over R_E) and the CSV of scripts/rate_vs_baseline.py at its
-default arguments. A refactor must keep them; an intended change to these
-bytes (for example a new seed scheme) is declared in docs/schema.md and
-CHANGES.md and updates the digests in the same change.
+The digests pin `run` on the three bundled configs, five sweeps of the fiber
+config (over B, over N with Monte Carlo replicates, once with more replicates
+than one chunk, over the channel's L0 with replicates, and over R_E) and the
+CSV of scripts/rate_vs_baseline.py at its default arguments. A refactor must
+keep them; an intended change to these bytes (for example a new seed scheme)
+is declared in docs/schema.md and CHANGES.md and updates the digests in the
+same change.
 `intensity.csv` is left out: its dirty map is a BLAS matrix product whose last
 bits depend on the BLAS build. The `run` digests were recorded under run seed
 scheme v2 (docs/schema.md#Seeding), which changed the estimate columns of
@@ -59,6 +60,9 @@ SWEEP_DIGESTS = {
         "aba437874c8bd6acc3c5a335fbfdb9af9e56cdad87d354e2646d2445a98c5d6b",
     ("--param", "R_E", "--values", "0.05,0.25,0.5,0.75,1"):
         "60899fbe49fb21474ae8f64ef59172df5d16de4e0c07545d20acb71545f31d1f",
+    # more replicates than protocol.REPLICATE_CHUNK: each row's RMSE sums two chunks
+    ("--param", "N", "--values", "1000,2000", "--mc-replicates", "8195"):
+        "6e897574bce06bc8a3e078d88bf6f269e9753ea6b4a3f4ae8d9b17c0becb9096",
 }
 
 RATE_SCRIPT_DIGEST = "bd00403528498c0a081887111c8d3e2407e412ae4c0f4d6147867fa23b685eee"
@@ -84,7 +88,8 @@ def test_run_outputs_are_pinned(tmp_path, name):
         assert digest(tmp_path / "out" / file_name) == RUN_DIGESTS[name, file_name], file_name
 
 
-@pytest.mark.parametrize("args", list(SWEEP_DIGESTS), ids=["B", "N-mc", "L0-mc", "R_E"])
+@pytest.mark.parametrize("args", list(SWEEP_DIGESTS), ids=["B", "N-mc", "L0-mc", "R_E",
+                                                          "N-mc-chunk-crossing"])
 def test_sweep_outputs_are_pinned(tmp_path, args):
     assert main(["sweep", bundled_config(tmp_path, "fiber_two_source"), *args]) == 0
     assert digest(tmp_path / "out" / "sweep.csv") == SWEEP_DIGESTS[args]

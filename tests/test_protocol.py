@@ -1,3 +1,5 @@
+import cmath
+import json
 import math
 
 import numpy as np
@@ -13,6 +15,9 @@ from entbase.channels import (
 )
 from entbase import elementwise as ew
 from entbase import protocol
+from entbase.cli import main
+from entbase.config import parse_config
+from entbase.imaging import true_visibility
 from entbase.protocol import (
     DegeneratePhasesError,
     PhaseSettings,
@@ -469,13 +474,14 @@ class TestRunReplicates:
             joined = np.concatenate([getattr(p, field) for p in parts])
             assert np.array_equal(getattr(whole, field), joined)
 
-        unchunked = replicate_rmse(v, x, DEFAULT, 3000, 8, np.random.default_rng(11))
+        unchunked = replicate_rmse([(v, x, DEFAULT, 3000, np.random.default_rng(11))], 8)
         monkeypatch.setattr(protocol, "REPLICATE_CHUNK", 3)
-        chunked = replicate_rmse(v, x, DEFAULT, 3000, 8, np.random.default_rng(11))
-        assert chunked == pytest.approx(unchunked, rel=1e-13)
+        chunked = replicate_rmse([(v, x, DEFAULT, 3000, np.random.default_rng(11))], 8)
+        assert np.concatenate(chunked) == pytest.approx(np.concatenate(unchunked), rel=1e-13)
         errs = whole.V_p_hat - v.V_p
         wrapped = [wrap_phase(e) for e in errs]
-        assert unchunked[1] == pytest.approx(math.sqrt(np.mean(np.square(wrapped))), rel=1e-13)
+        assert unchunked[1][0] == pytest.approx(math.sqrt(np.mean(np.square(wrapped))),
+                                                rel=1e-13)
 
     def test_matches_scalar_statistics(self):
         v = AstroVisibility(0.7, 0.9)
@@ -518,7 +524,127 @@ class TestRunReplicates:
         with pytest.raises(DegenerateResourceError):
             run_replicates(v, XState(a=1.0, g=0.0, f=0.0, h=0.0, w_a=0.0), DEFAULT, 100, 5, gen)
         with pytest.raises(ValueError, match="replicate"):
-            replicate_rmse(v, ideal_bell_xstate(), DEFAULT, 100, 0, gen)
+            replicate_rmse([(v, ideal_bell_xstate(), DEFAULT, 100, gen)], 0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            replicate_rmse([(v, ideal_bell_xstate(), DEFAULT, 100, gen),
+                            (v, ideal_bell_xstate(), DEFAULT, 0, gen)], 5)
+        with pytest.raises(ZeroConcurrenceError):
+            replicate_rmse([(v, xstate_dephasing(1.0, 1.0), DEFAULT, 100, gen)], 5)
+
+
+# (v_true, x, ph, N, seed): rows that differ in visibility, state, settings and N; N = 2
+# makes dead replicates (both fringes zero), N = 1 fringes of +-1 only
+RMSE_ROWS = [
+    (AstroVisibility(0.4, -2.0), resource_with(0.7, 0.8), DEFAULT, 3000, 11),
+    (AstroVisibility(0.9, 1.1), resource_with(0.3, 0.5, w_p=0.4), PhaseSettings(0.3, 2.5),
+     100, 12),
+    (AstroVisibility(0.0, 0.0), ideal_bell_xstate(), PhaseSettings(-1.2, 0.4), 2, 13),
+    (AstroVisibility(1.0, math.pi), xstate_dephasing(0.3, 0.6), PhaseSettings(-2.0, 2.0),
+     2 ** 53 + 1, 14),
+    (AstroVisibility(0.7, 0.9), xstate_depolarizing(0.05, 0.1), PhaseSettings(0.0, 1.5), 1, 15),
+]
+
+
+def observations(rows, rng=None):
+    """replicate_rmse rows, each with a generator of its own seed unless rng is given."""
+    return [(v, x, ph, n, rng or np.random.default_rng(seed)) for v, x, ph, n, seed in rows]
+
+
+def rmse_by_chunked_replicates(v, x, ph, n, replicates, rng):
+    """The reference: run_replicates a chunk at a time, each chunk's squares summed to a float."""
+    sq_a = sq_p = 0.0
+    for start in range(0, replicates, protocol.REPLICATE_CHUNK):
+        est = run_replicates(v, x, ph, n, min(protocol.REPLICATE_CHUNK, replicates - start),
+                             rng)
+        sq_a += float(np.sum(np.square(est.V_a_hat - v.V_a)))
+        sq_p += float(np.sum(np.square(protocol._wrap_phases(est.V_p_hat - v.V_p))))
+    return math.sqrt(sq_a / replicates), math.sqrt(sq_p / replicates)
+
+
+# (replicates, REPLICATE_CHUNK): one block of every row; chunks crossing the cap; and
+# small caps that split the rows into blocks of two rows, or of one row and three chunks
+ROW_BLOCKINGS = [(1, None), (550, None), (protocol.REPLICATE_CHUNK + 3, None), (8, 20), (8, 3)]
+
+
+class TestReplicateRmseRows:
+    @pytest.mark.parametrize("replicates, cap", ROW_BLOCKINGS,
+                             ids=["one", "one-block", "chunk-crossing", "blocks-of-two",
+                                  "blocks-of-one"])
+    def test_rows_are_their_one_row_calls(self, monkeypatch, replicates, cap):
+        if cap is not None:
+            monkeypatch.setattr(protocol, "REPLICATE_CHUNK", cap)
+        rows = replicate_rmse(observations(RMSE_ROWS), replicates)
+        for i, row in enumerate(RMSE_ROWS):
+            one = replicate_rmse(observations([row]), replicates)
+            want = rmse_by_chunked_replicates(*row[:4], replicates,
+                                              np.random.default_rng(row[4]))
+            for k in (0, 1):
+                assert bits(rows[k][i]) == bits(one[k][0]) == bits(want[k]), (i, k)
+
+    @pytest.mark.parametrize("replicates, cap", ROW_BLOCKINGS[1:],
+                             ids=["one-block", "chunk-crossing", "blocks-of-two",
+                                  "blocks-of-one"])
+    def test_rows_sharing_a_generator_draw_in_row_order(self, monkeypatch, replicates, cap):
+        if cap is not None:
+            monkeypatch.setattr(protocol, "REPLICATE_CHUNK", cap)
+        rows = replicate_rmse(observations(RMSE_ROWS, np.random.default_rng(5)), replicates)
+        gen = np.random.default_rng(5)
+        for i, row in enumerate(RMSE_ROWS):
+            one = replicate_rmse(observations([row], gen), replicates)
+            assert bits([rows[0][i], rows[1][i]]).tolist() == bits(
+                [one[0][0], one[1][0]]).tolist(), i
+
+    def test_inverts_estimates_only_in_bounded_blocks(self, monkeypatch):
+        shapes = []
+        estimate = protocol._estimate
+
+        def recorded(dp1, dp2, trig, C):
+            shapes.append(dp1.shape)
+            return estimate(dp1, dp2, trig, C)
+
+        def no_error_bars(dp, N):
+            raise AssertionError("the RMSE needs no error bars")
+
+        monkeypatch.setattr(protocol, "_estimate", recorded)
+        monkeypatch.setattr(protocol, "_fringe_error", no_error_bars)
+        monkeypatch.setattr(protocol, "REPLICATE_CHUNK", 20)
+        replicate_rmse(observations(RMSE_ROWS), 8)
+        assert shapes == [(2, 8), (2, 8), (1, 8)]
+        shapes.clear()
+        replicate_rmse(observations(RMSE_ROWS[:2]), 45)
+        assert shapes == [(1, 20), (1, 20), (1, 5)] * 2
+
+
+@pytest.mark.parametrize("channel, param, values, dead", [
+    ({"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "mu_L", "1.0,0.5,1.0,0.2", {0, 2}),
+    ({"kind": "amplitude_damping", "L0": 1.0}, "B", "0.5,2000,1,5000", {1, 3}),
+], ids=["zero-concurrence", "no-weight"])
+def test_sweep_rows_beside_dead_rows_are_one_row_calls(tmp_path, channel, param, values,
+                                                      dead):
+    # a dead row (C = 0, or nan with no coincidence weight) keeps empty RMSE cells; a
+    # live row r gets the one-row call on default_rng(derive_seed(seed, r))
+    raw = {"sky": {"sources": [{"theta": -0.01, "flux": 1.0}, {"theta": 0.01, "flux": 0.6}]},
+           "wavelength": 1.0, "baselines": {"B_max": 40.0, "count": 12},
+           "channel": channel, "phase_settings": {"w1": 0.2, "w2": 1.4},
+           "N_per_setting": 2000, "seed": 9, "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["sweep", str(path), "--param", param, "--values", values,
+                 "--mc-replicates", "40"]) == 0
+    rows = [r.split(",") for r in (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]]
+    for r, (value, row) in enumerate(zip(map(float, values.split(",")), rows)):
+        if r in dead:
+            assert row[6:] == ["", ""] and (row[2] == "nan" or float(row[2]) == 0.0)
+            continue
+        cfg = parse_config({**raw, "channel": {**channel, param: value}}
+                           if param in channel else raw)
+        b = value if param == "B" else cfg.plan.B_m
+        v_c = true_visibility(cfg.sky, b)
+        one = replicate_rmse([(AstroVisibility(abs(v_c), cmath.phase(v_c)),
+                               cfg.channel.resource_factory()(b), cfg.settings,
+                               cfg.n_per_setting,
+                               np.random.default_rng(derive_seed(cfg.seed, r)))], 40)
+        assert row[6:] == ["%.17g" % one[0][0], "%.17g" % one[1][0]], r
 
 
 # an (n,) call of this length runs full SIMD vectors and a remainder

@@ -26,7 +26,7 @@ MUTANTS = [
      "ew.sqrt((1.0 - lambda_L) * (1.0 - lambda_R))",
      "ew.sqrt(1.0 - lambda_L) * (1.0 - lambda_R)"),
     ("x-form-closure", reference, "apply_independent_channels",
-     "op @ m @ op.conj().T", "op @ m @ op.T"),
+     "ops.conj().transpose(0, 2, 1)", "ops.transpose(0, 2, 1)"),
     ("ideal-limit-fringe", protocol, "postselect", "p_c = q_c / total", "p_c = q_ac / total"),
     ("projector-oracle", protocol, "raw_probabilities",
      "fringe = 2.0 * v.V_a", "fringe = -2.0 * v.V_a"),
