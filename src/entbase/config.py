@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,9 +29,6 @@ from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
            "check_swept_values"]
-
-CHANNEL_KINDS = ("ideal", "amplitude_damping", "dephasing", "depolarizing",
-                 "memory_swap", "custom_rate")
 
 # bounds on theta_grid.count and baselines.count: one key must not be able to ask
 # for gigabytes of map or of baseline plan
@@ -127,46 +125,56 @@ def _channel_param(obj: dict, key: str) -> float:
     return _in_range("channel", key, _number(obj, "channel", key), CHANNEL_PARAM_RULES[key])
 
 
+def _fiber_xstate(B, L0):
+    loss = fiber_loss_prob(B / 2.0, L0)  # equal arms, source midway
+    return xstate_amplitude_damping(loss, loss)
+
+
+def _depol_fiber_xstate(B, beta):
+    kappa = depol_prob(B, beta)  # both arms span the whole fiber
+    return xstate_depolarizing(kappa, kappa)
+
+
+# Each channel kind's parameter forms, in the order the parser tries them: the keys
+# a form requires -> its builder, called as build(B, **params) for the XState at
+# baseline B. memory_swap also takes an optional sign; custom_rate's table gives
+# the coincidence fraction (rate_norm_fn), its resource is ideal.
+CHANNEL_TABLE = {
+    "ideal": {(): lambda B: ideal_bell_xstate()},
+    "amplitude_damping": {
+        ("L0",): _fiber_xstate,
+        ("lambda_L", "lambda_R"):
+            lambda B, lambda_L, lambda_R: xstate_amplitude_damping(lambda_L, lambda_R)},
+    "dephasing": {("mu_L", "mu_R"): lambda B, mu_L, mu_R: xstate_dephasing(mu_L, mu_R)},
+    "depolarizing": {
+        ("beta",): _depol_fiber_xstate,
+        ("kappa_L", "kappa_R"):
+            lambda B, kappa_L, kappa_R: xstate_depolarizing(kappa_L, kappa_R)},
+    "memory_swap": {("t1", "t2", "tau_c"):
+                    lambda B, t1, t2, tau_c, sign=+1: swap_memories(t1, t2, tau_c, sign)},
+    "custom_rate": {("table",): lambda B, table: ideal_bell_xstate()},
+}
+CHANNEL_KINDS = tuple(CHANNEL_TABLE)
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     kind: str
     params: dict = field(default_factory=dict)
 
     def resource_factory(self):
-        """Baseline -> XState callable for this channel.
+        """Baseline -> XState callable for this channel: its form's CHANNEL_TABLE builder.
 
         A baseline array, or parameters held as (n,) arrays (a sweep over one
         of them), give the (n,) array state; a resource that depends on
         neither is one float state, whatever the baseline.
         """
+        if self.kind not in CHANNEL_TABLE:
+            raise ConfigError("channel.kind", f"unknown kind {self.kind!r}")
         p = self.params
-        if self.kind in ("ideal", "custom_rate"):
-            return lambda B: ideal_bell_xstate()
-        if self.kind == "amplitude_damping":
-            if "L0" in p:
-                L0 = p["L0"]
-
-                def fiber_factory(B):
-                    loss = fiber_loss_prob(B / 2.0, L0)  # equal arms, source midway
-                    return xstate_amplitude_damping(loss, loss)
-
-                return fiber_factory
-            return lambda B: xstate_amplitude_damping(p["lambda_L"], p["lambda_R"])
-        if self.kind == "dephasing":
-            return lambda B: xstate_dephasing(p["mu_L"], p["mu_R"])
-        if self.kind == "depolarizing":
-            if "beta" in p:
-                beta = p["beta"]
-
-                def depol_fiber_factory(B):
-                    kappa = depol_prob(B, beta)  # both arms span the whole fiber
-                    return xstate_depolarizing(kappa, kappa)
-
-                return depol_fiber_factory
-            return lambda B: xstate_depolarizing(p["kappa_L"], p["kappa_R"])
-        if self.kind == "memory_swap":
-            return lambda B: swap_memories(p["t1"], p["t2"], p["tau_c"], p.get("sign", +1))
-        raise ConfigError("channel.kind", f"unknown kind {self.kind!r}")
+        build = next(build for keys, build in CHANNEL_TABLE[self.kind].items()
+                     if all(key in p for key in keys))
+        return partial(build, **p)
 
     def rate_norm_fn(self):
         """Optional override of the coincidence fraction; tabulated for custom_rate.
@@ -182,54 +190,30 @@ class ChannelConfig:
 
 
 def _parse_channel(obj) -> ChannelConfig:
+    """The channel through CHANNEL_TABLE: unknown keys, then one form, then its values."""
     ctx = "channel"
     if not isinstance(obj, dict):
         raise ConfigError(ctx, "expected an object")
     kind = obj.get("kind")
-    if kind not in CHANNEL_KINDS:
+    if kind not in CHANNEL_KINDS:  # compared, not hashed: a list or object kind is refused too
         raise ConfigError(f"{ctx}.kind", f"must be one of {', '.join(CHANNEL_KINDS)}")
-    params: dict = {}
-    if kind == "ideal":
-        _require_keys(obj, ctx, ("kind",))
-    elif kind == "amplitude_damping":
-        _require_keys(obj, ctx, ("kind",), ("L0", "lambda_L", "lambda_R"))
-        if "L0" in obj:
-            if "lambda_L" in obj or "lambda_R" in obj:
-                raise ConfigError(f"{ctx}.L0", "give either L0 or lambda_L/lambda_R, not both")
-            params["L0"] = _channel_param(obj, "L0")
-        else:
-            for key in ("lambda_L", "lambda_R"):
-                if key not in obj:
-                    raise ConfigError(f"{ctx}.{key}", "missing required key")
-                params[key] = _channel_param(obj, key)
-    elif kind == "dephasing":
-        _require_keys(obj, ctx, ("kind", "mu_L", "mu_R"))
-        for key in ("mu_L", "mu_R"):
-            params[key] = _channel_param(obj, key)
-    elif kind == "depolarizing":
-        _require_keys(obj, ctx, ("kind",), ("beta", "kappa_L", "kappa_R"))
-        if "beta" in obj:
-            if "kappa_L" in obj or "kappa_R" in obj:
-                raise ConfigError(f"{ctx}.beta", "give either beta or kappa_L/kappa_R, not both")
-            params["beta"] = _channel_param(obj, "beta")
-        else:
-            for key in ("kappa_L", "kappa_R"):
-                if key not in obj:
-                    raise ConfigError(f"{ctx}.{key}", "missing required key")
-                params[key] = _channel_param(obj, key)
-    elif kind == "memory_swap":
-        _require_keys(obj, ctx, ("kind", "t1", "t2", "tau_c"), ("sign",))
-        for key in ("t1", "t2", "tau_c"):
-            params[key] = _channel_param(obj, key)
-        if "sign" in obj:
-            sign = obj["sign"]
-            # an integer sign is a JSON integer, as for every integer key: not 1.0, not true
-            is_integer = isinstance(sign, int) and not isinstance(sign, bool)
-            if not (sign in ("+", "-") or is_integer and sign in (1, -1)):
-                raise ConfigError(f"{ctx}.sign", "must be '+', '-', 1 or -1")
-            params["sign"] = +1 if sign in ("+", 1) else -1
-    elif kind == "custom_rate":
-        _require_keys(obj, ctx, ("kind", "table"))
+    forms = tuple(CHANNEL_TABLE[kind])
+    # the first form given a key of; with none given, the last names its missing keys
+    form = next((keys for keys in forms if any(key in obj for key in keys)), forms[-1])
+    others = tuple(key for keys in forms if keys != form for key in keys)
+    _require_keys(obj, ctx, ("kind", *form), others + (("sign",) if kind == "memory_swap" else ()))
+    if any(key in obj for key in others):
+        raise ConfigError(f"{ctx}.{form[0]}",
+                          f"give either {' or '.join('/'.join(keys) for keys in forms)}, not both")
+    params = {key: _channel_param(obj, key) for key in form if key in CHANNEL_PARAM_RULES}
+    if "sign" in obj:
+        sign = obj["sign"]
+        # an integer sign is a JSON integer, as for every integer key: not 1.0, not true
+        is_integer = isinstance(sign, int) and not isinstance(sign, bool)
+        if not (sign in ("+", "-") or is_integer and sign in (1, -1)):
+            raise ConfigError(f"{ctx}.sign", "must be '+', '-', 1 or -1")
+        params["sign"] = +1 if sign in ("+", 1) else -1
+    if "table" in obj:
         table = obj["table"]
         if (not isinstance(table, list) or len(table) < 2
                 or any(not isinstance(row, list) or len(row) != 2 for row in table)):

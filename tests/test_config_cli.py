@@ -160,6 +160,100 @@ class TestConfigParsing:
             load_config("/nonexistent/path.json")
 
 
+KINDS_MESSAGE = ("channel.kind: must be one of ideal, amplitude_damping, dephasing, "
+                 "depolarizing, memory_swap, custom_rate")
+SWAP = {"t1": 0.1, "t2": 0.2, "tau_c": 1.0}
+TABLE = [[0.0, 0.5], [10.0, 0.3]]
+
+# (channel object, the message `run` exits 1 with) for each structural channel error:
+# a kind that is none of the kinds, an unknown key of each kind, each missing key of
+# each form, both forms at once, and the keys with parsers of their own (sign, table)
+CHANNEL_MESSAGES = [
+    ([], "channel: expected an object"),
+    ({}, KINDS_MESSAGE),
+    ({"kind": "fiber"}, KINDS_MESSAGE),
+    ({"kind": ""}, KINDS_MESSAGE),
+    ({"kind": None}, KINDS_MESSAGE),
+    ({"kind": []}, KINDS_MESSAGE),
+    ({"kind": {}}, KINDS_MESSAGE),
+    ({"kind": "ideal", "mu_L": 0.1}, "channel.mu_L: unknown key"),
+    ({"kind": "amplitude_damping", "L0": 5.0, "mu_L": 0.1}, "channel.mu_L: unknown key"),
+    ({"kind": "amplitude_damping", "L0": 5.0, "lambda_L": 0.1, "zeta": 1},
+     "channel.zeta: unknown key"),
+    ({"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2, "L0": 5.0}, "channel.L0: unknown key"),
+    ({"kind": "dephasing", "bogus": 1}, "channel.bogus: unknown key"),
+    ({"kind": "depolarizing", "beta": 0.3, "sign": "-"}, "channel.sign: unknown key"),
+    ({"kind": "memory_swap", **SWAP, "table": TABLE}, "channel.table: unknown key"),
+    ({"kind": "custom_rate", "table": TABLE, "sign": "-"}, "channel.sign: unknown key"),
+    ({"kind": "amplitude_damping"}, "channel.lambda_L: missing required key"),
+    ({"kind": "amplitude_damping", "lambda_R": 0.2}, "channel.lambda_L: missing required key"),
+    ({"kind": "amplitude_damping", "lambda_L": 0.1}, "channel.lambda_R: missing required key"),
+    ({"kind": "dephasing"}, "channel.mu_L: missing required key"),
+    ({"kind": "dephasing", "mu_R": 0.2}, "channel.mu_L: missing required key"),
+    ({"kind": "dephasing", "mu_L": 0.1}, "channel.mu_R: missing required key"),
+    ({"kind": "depolarizing"}, "channel.kappa_L: missing required key"),
+    ({"kind": "depolarizing", "kappa_R": 0.2}, "channel.kappa_L: missing required key"),
+    ({"kind": "depolarizing", "kappa_L": 0.1}, "channel.kappa_R: missing required key"),
+    ({"kind": "memory_swap", "sign": "-"}, "channel.t1: missing required key"),
+    ({"kind": "memory_swap", "t2": 0.2, "tau_c": 1.0}, "channel.t1: missing required key"),
+    ({"kind": "memory_swap", "t1": 0.1, "tau_c": 1.0}, "channel.t2: missing required key"),
+    ({"kind": "memory_swap", "t1": 0.1, "t2": 0.2}, "channel.tau_c: missing required key"),
+    ({"kind": "custom_rate"}, "channel.table: missing required key"),
+    ({"kind": "amplitude_damping", "L0": 5.0, "lambda_L": 0.1},
+     "channel.L0: give either L0 or lambda_L/lambda_R, not both"),
+    ({"kind": "amplitude_damping", "L0": 5.0, "lambda_R": 0.2},
+     "channel.L0: give either L0 or lambda_L/lambda_R, not both"),
+    ({"kind": "depolarizing", "beta": 0.3, "kappa_L": 0.1, "kappa_R": 0.2},
+     "channel.beta: give either beta or kappa_L/kappa_R, not both"),
+    ({"kind": "depolarizing", "beta": 0.3, "kappa_R": 0.2},
+     "channel.beta: give either beta or kappa_L/kappa_R, not both"),
+    ({"kind": "dephasing", "mu_L": "0.1", "mu_R": 0.2}, "channel.mu_L: expected a finite number"),
+    ({"kind": "amplitude_damping", "L0": -1}, "channel.L0: value -1.0 must be positive"),
+    ({"kind": "memory_swap", **SWAP, "sign": "plus"},
+     "channel.sign: must be '+', '-', 1 or -1"),
+    ({"kind": "memory_swap", **SWAP, "sign": 1.0}, "channel.sign: must be '+', '-', 1 or -1"),
+    ({"kind": "custom_rate", "table": [[0.0, 0.5]]},
+     "channel.table: expected a list of [baseline, rate] pairs"),
+    ({"kind": "custom_rate", "table": [[0.0, 0.5], [1.0, "x"]]},
+     "channel.table[1]: expected a pair of finite numbers"),
+    ({"kind": "custom_rate", "table": [[1.0, 0.5], [1.0, 0.3]]},
+     "channel.table: baselines must be strictly increasing"),
+    ({"kind": "custom_rate", "table": [[0.0, 0.6], [1.0, 0.3]]},
+     "channel.table: normalized rate 0.6 outside [0, 0.5]"),
+]
+
+
+@pytest.mark.parametrize("channel, message", CHANNEL_MESSAGES,
+                         ids=[f"{i}-{message.split(':')[0]}"
+                              for i, (_, message) in enumerate(CHANNEL_MESSAGES)])
+def test_channel_error_message(tmp_path, capsys, channel, message):
+    cfg = base_config(channel=channel, output_dir=str(tmp_path / "out"))
+    assert main(["run", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# every multi-key form of config.CHANNEL_TABLE, as (kind, required keys)
+MULTI_KEY_FORMS = [(kind, keys) for kind, forms in config.CHANNEL_TABLE.items()
+                   for keys in forms if len(keys) > 1]
+
+
+@pytest.mark.parametrize("kind, keys", MULTI_KEY_FORMS,
+                         ids=[f"{kind}-{keys[-1]}" for kind, keys in MULTI_KEY_FORMS])
+def test_missing_key_is_named_before_a_bad_value(kind, keys):
+    # as in every other section: all of a form's keys are checked before any value
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_config(channel={"kind": kind, **{key: "x" for key in keys[:-1]}}))
+    assert str(err.value) == f"channel.{keys[-1]}: missing required key"
+
+
+def test_every_table_form_has_example_params():
+    examples = {(kind, tuple(key for key in params if key != "sign"))
+                for kind, params in CHANNEL_FORMS}
+    assert examples == {(kind, keys) for kind, forms in config.CHANNEL_TABLE.items()
+                        for keys in forms}
+
+
 class TestRunCommand:
     def test_bundled_example(self, tmp_path, monkeypatch):
         cfg = json.loads((CONFIG_DIR / "ideal_two_source.json").read_text())

@@ -50,7 +50,7 @@ def _count(limit):
 
 
 VALUES_BY_KEY = {
-    "kind": st.sampled_from([*CHANNEL_KINDS, "fiber", ""]),
+    "kind": st.sampled_from([*CHANNEL_KINDS, "fiber", "", [], {}]),
     "spacing": st.sampled_from(["linear", "log", "", 1]),
     "sign": st.sampled_from(["+", "-", 1, -1, 1.0, True, 0, "x"]),
     "N_per_setting": st.one_of(_count(10 ** 5), st.sampled_from([2 ** 63, 2 ** 63 + 1])),

@@ -1,3 +1,4 @@
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -34,6 +35,8 @@ def test_error_scaling_study(tmp_path, monkeypatch, capsys):
     assert len(res_rows) == 10
     out = capsys.readouterr().out
     assert "slope" in out
+    # 12 rows (3 sample sizes, a 3 x 3 resource grid) of 25 replicates, timed in-process
+    assert re.search(r"^replicate_rmse: 300 row-replicates in \d+\.\d{6} s$", out, re.M)
 
 
 def test_bundled_configs_run(tmp_path, monkeypatch):

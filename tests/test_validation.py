@@ -42,7 +42,7 @@ MUTANTS = [
      "p = 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))",
      "p = 1.0 - 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))"),
     ("depol-x-bound", channels, "depol_x_param", "kappa_R / 9.0", "kappa_R / 3.0"),
-    ("fiber-rate-line", config, "ChannelConfig.resource_factory",
+    ("fiber-rate-line", config, "_fiber_xstate",
      "fiber_loss_prob(B / 2.0, L0)", "fiber_loss_prob(B, L0)"),
     ("depol-rate-asymptote", channels, "log_rate_depol_approx", "- 0.8 * u", "- 0.4 * u"),
     ("forward-visibility", imaging, "true_visibility", "-2j * math.pi", "-1j * math.pi"),
@@ -79,7 +79,8 @@ def test_check_fails_on_mutant(monkeypatch, name, module, qualname, old, new):
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     mutant = namespace[attr]
     monkeypatch.setattr(owner, attr, mutant)
-    for table in (validation._KRAUS, validation._CLOSED):  # they hold the functions themselves
+    # these tables hold the functions themselves
+    for table in (validation._KRAUS, validation._CLOSED, *config.CHANNEL_TABLE.values()):
         for key, fn in list(table.items()):
             if fn is original:
                 monkeypatch.setitem(table, key, mutant)
