@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, check_swept_values, load_config
+from . import elementwise as ew
+from .config import ConfigError, load_config, swept_config
 from .imaging import observe_and_image, resolution, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
@@ -192,42 +193,38 @@ def _sky_visibility(sky, B: float) -> AstroVisibility:
 
 def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
               gnuplot: bool = False) -> int:
-    base = load_config(config_path)
     swept = np.asarray(values, dtype=float)
     n = swept.size
-    # every value is checked, one array per section, before any row is computed
-    changed = check_swept_values(base, param, swept)
-    # every row at once: the swept array stands in for its parameter. N, w1
-    # and w2 leave the resource as it is, and R_E, R_T only scale the rate.
-    channel, rates = changed.get("channel", base.channel), changed.get("rates", base.rates)
-    b_eval = swept if param in ("B", "L") else base.plan.B_m
-    resource = channel.resource_factory()(b_eval)
+    # the config, then the swept array through its section's parser, before any row is
+    # computed: the array stands in for its parameter in every row at once. N, w1 and
+    # w2 leave the resource as it is, and R_E, R_T only scale the rate.
+    cfg = swept_config(load_config(config_path), param, swept)
+    b_eval = swept if param in ("B", "L") else cfg.plan.B_m
+    resource = cfg.channel.resource_factory()(b_eval)
     # each figure as one float per row: a float figure is the same in every row
     xi, conc, r_norm, r_abs = (
         column.tolist() if isinstance(column, np.ndarray) else [float(column)] * n
-        for column in resource_figures(resource, b_eval, rates, channel.rate_norm_fn()))
+        for column in resource_figures(resource, b_eval, cfg.rates, cfg.channel.rate_norm_fn()))
     ln_r, log10_r = _log_rate_columns(r_abs)
     rmse_a, rmse_p = [""] * n, [""] * n
     # C is nan with no coincidence weight and 0 with no coherence: a dead
     # resource, whose RMSE cells stay empty
     live = [i for i, c in enumerate(conc) if c > 0.0] if mc_replicates > 0 else []
     if live:
-        settings = changed.get("settings", [base.settings] * n)
-        n_per_setting = changed.get("n_per_setting", [base.n_per_setting] * n)
         # the sky at the evaluation baseline, the same in every row unless B is swept
-        fixed_v = None if param in ("B", "L") else _sky_visibility(base.sky, b_eval)
+        fixed_v = None if param in ("B", "L") else _sky_visibility(cfg.sky, b_eval)
         # each row draws from its own generator; one replicate_rmse call inverts them all
         observations = [
-            (_sky_visibility(base.sky, swept.item(r)) if fixed_v is None else fixed_v,
-             resource.row(r), settings[r], n_per_setting[r],
-             np.random.default_rng(derive_seed(base.seed, r)))
+            (_sky_visibility(cfg.sky, swept.item(r)) if fixed_v is None else fixed_v,
+             resource.row(r), cfg.settings.row(r), ew.item(cfg.n_per_setting, r),
+             np.random.default_rng(derive_seed(cfg.seed, r)))
             for r in live]
         va, vp = replicate_rmse(observations, mc_replicates)
         for r, a, p in zip(live, va.tolist(), vp.tolist()):
             rmse_a[r], rmse_p[r] = "%.17g" % a, "%.17g" % p
     rows = zip(swept.tolist(), xi, conc, r_norm, ln_r, log10_r, rmse_a, rmse_p)
 
-    outdir = Path(base.output_dir)
+    outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "sweep.csv", SWEEP_HEADER, SWEEP_TEMPLATE, rows)
     if gnuplot:

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import elementwise as ew
 from .channels import (
     RateModel,
     depol_prob,
@@ -28,7 +29,7 @@ from .imaging import BaselinePlan, SkyModel, default_theta_grid
 from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
-           "check_swept_values"]
+           "swept_config"]
 
 # bounds on theta_grid.count and baselines.count: one key must not be able to ask
 # for gigabytes of map or of baseline plan
@@ -68,6 +69,8 @@ def _number(obj: dict, context: str, key: str, default=None):
     if key not in obj:
         return default
     val = obj[key]
+    if isinstance(val, np.ndarray):  # a swept column, never JSON; its values are finite
+        return val
     if not _is_finite_number(val):
         raise ConfigError(f"{context}.{key}" if context else key, "expected a finite number")
     return float(val)
@@ -100,8 +103,10 @@ _STORAGE_TIME = _Range(lambda v: v < 0.0, "storage time must be nonnegative")
 
 
 def _in_range(context: str, key: str, value: float, rule: _Range) -> float:
-    if rule.broken(value):
-        raise ConfigError(f"{context}.{key}", rule.message.format(value=value))
+    broken = rule.broken(value)
+    if ew.any_set(broken):
+        raise ConfigError(f"{context}.{key}",
+                          rule.message.format(value=ew.first_set(value, broken)))
     return value
 
 
@@ -109,8 +114,7 @@ def _positive(context: str, key: str, value: float) -> float:
     return _in_range(context, key, value, _POSITIVE)
 
 
-# The range of every numeric channel parameter; parse_config checks a value
-# and check_swept_values a whole swept array through this table.
+# The range of every numeric channel parameter, each one a sweep may set.
 CHANNEL_PARAM_RULES = {
     "lambda_L": _UNIT_INTERVAL, "lambda_R": _UNIT_INTERVAL,
     "mu_L": _UNIT_INTERVAL, "mu_R": _UNIT_INTERVAL,
@@ -301,17 +305,13 @@ class ScenarioConfig:
         return np.linspace(-half_span, half_span, count)
 
 
-def _phase_settings(w1, w2) -> PhaseSettings:
+def _parse_settings(obj) -> PhaseSettings:
+    _require_keys(obj, "phase_settings", ("w1", "w2"))
+    w1, w2 = _number(obj, "phase_settings", "w1"), _number(obj, "phase_settings", "w2")
     try:
         return PhaseSettings(w1, w2)
     except ValueError as exc:
         raise ConfigError("phase_settings", str(exc)) from exc
-
-
-def _parse_settings(obj) -> PhaseSettings:
-    _require_keys(obj, "phase_settings", ("w1", "w2"))
-    return _phase_settings(_number(obj, "phase_settings", "w1"),
-                           _number(obj, "phase_settings", "w2"))
 
 
 def _check_n_per_setting(n: int) -> int:
@@ -320,17 +320,13 @@ def _check_n_per_setting(n: int) -> int:
     return n
 
 
-def _rate_model(R_E, R_T) -> RateModel:
-    """RateModel(R_E, R_T), floats or a swept (n,) array, its ValueError a ConfigError."""
+def _parse_rates(obj) -> RateModel:
+    _require_keys(obj, "rates", ("R_E", "R_T"))
+    R_E, R_T = _number(obj, "rates", "R_E"), _number(obj, "rates", "R_T")
     try:
         return RateModel(R_E, R_T)
     except ValueError as exc:
         raise ConfigError("rates", str(exc)) from exc
-
-
-def _parse_rates(obj) -> RateModel:
-    _require_keys(obj, "rates", ("R_E", "R_T"))
-    return _rate_model(_number(obj, "rates", "R_E"), _number(obj, "rates", "R_T"))
 
 
 def parse_config(obj: dict) -> ScenarioConfig:
@@ -388,27 +384,21 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config(obj)
 
 
-def check_swept_values(cfg: ScenarioConfig, name: str, values: np.ndarray) -> dict:
-    """The ScenarioConfig fields that sweeping parameter name over values changes.
+def swept_config(cfg: ScenarioConfig, name: str, values: np.ndarray) -> ScenarioConfig:
+    """cfg with parameter name holding values, an (n,) array of finite floats: one row each.
 
-    values is the (n,) array of finite swept values; each section is checked
-    once for the whole array. A rejected sweep raises the ConfigError that
-    parse_config raises for cfg's JSON with the parameter set to the first
-    value, in list order, that it rejects, formatted from that value as a
-    Python float. A sweep adds checks of its own: `sweep.N_per_setting` for
-    an N that is not a positive integer, `sweep.param.<name>` for an
-    unknown name and `sweep.B`/`sweep.L` for a negative baseline.
-
-    Each field holds the whole sweep: n_per_setting as a list of ints,
-    settings as a list of PhaseSettings, one per value, and rates or channel
-    as one RateModel or ChannelConfig holding values in place of the swept
-    parameter. Empty for B and L, which set the evaluation baseline of a
-    sweep row, not a config field.
+    The section that holds name is parsed again by its own parser, values in
+    place of the number, so a rejected sweep raises the ConfigError that
+    parse_config raises for the config holding the first value it rejects.
+    A sweep's own checks: `sweep.N_per_setting` for an N that is not a
+    positive integer (a swept N is an int64 array), `sweep.param.<name>` for
+    an unknown name and `sweep.B`/`sweep.L` for a negative baseline (a row's
+    evaluation baseline, not a config field: cfg comes back as it is).
     """
     if name in ("B", "L"):
         if (values < 0.0).any():
             raise ConfigError(f"sweep.{name}", "baseline must be nonnegative")
-        return {}
+        return cfg
     if name in ("N", "N_per_setting"):
         not_positive_integer = (values < 1.0) | (values % 1.0 != 0.0)
         # the integral floats above MAX_TRIALS = 2**63 - 1 start at 2**63, which is a
@@ -420,21 +410,14 @@ def check_swept_values(cfg: ScenarioConfig, name: str, values: np.ndarray) -> di
                 raise ConfigError("sweep.N_per_setting",
                                   f"value {values.item(i)} is not a positive integer")
             _check_n_per_setting(int(values.item(i)))
-        return {"n_per_setting": values.astype(np.int64).tolist()}
+        return replace(cfg, n_per_setting=values.astype(np.int64))
     if name in ("R_E", "R_T"):
-        return {"rates": _rate_model(**{"R_E": cfg.rates.R_E, "R_T": cfg.rates.R_T,
-                                        name: values})}
-    if name in ("w1", "w2"):
-        settings = {"w1": cfg.settings.w1, "w2": cfg.settings.w2}
-        return {"settings": [_phase_settings(**{**settings, name: value})
-                             for value in values.tolist()]}
-    rule = CHANNEL_PARAM_RULES.get(name)
-    if rule is None:
+        section, parse, obj = "rates", _parse_rates, vars(cfg.rates)
+    elif name in ("w1", "w2"):
+        section, parse, obj = "settings", _parse_settings, vars(cfg.settings)
+    elif name in CHANNEL_PARAM_RULES:
+        section, parse = "channel", _parse_channel
+        obj = {"kind": cfg.channel.kind, **cfg.channel.params}
+    else:
         raise ConfigError(f"sweep.param.{name}", "not a sweepable parameter")
-    kind, params = cfg.channel.kind, cfg.channel.params
-    if name not in params:  # a key the form does not take: the full parse names the error
-        _parse_channel({"kind": kind, **params, name: values.item(0)})
-    bad = rule.broken(values)
-    if bad.any():
-        _in_range("channel", name, values.item(bad.argmax()), rule)
-    return {"channel": ChannelConfig(kind, {**params, name: values})}
+    return replace(cfg, **{section: parse({**obj, name: values})})

@@ -73,3 +73,8 @@ def first_set(values, flags):
     array (a message then formats it as it formats a float); values itself for a
     bool flag."""
     return values.item(flags.argmax()) if isinstance(flags, np.ndarray) else values
+
+
+def item(values, i: int):
+    """Entry i of an (n,) array as a Python number; a float is each of its entries."""
+    return values.item(i) if isinstance(values, np.ndarray) else values

@@ -60,17 +60,28 @@ class DegeneratePhasesError(ValueError):
 
 @dataclass(frozen=True)
 class PhaseSettings:
-    """The two controllable resource-phase offsets used to invert the fringe."""
+    """The two controllable resource-phase offsets used to invert the fringe: floats,
+    or (n,) arrays for a sweep over one of them."""
 
     w1: float
     w2: float
 
     def __post_init__(self):
+        gap = self.w2 - self.w1  # an array exactly when a setting is one
+        if type(gap) is np.ndarray:
+            w1s, w2s = np.broadcast_arrays(self.w1, self.w2)
+            for w1, w2 in zip(w1s.tolist(), w2s.tolist()):
+                PhaseSettings(w1, w2)  # each pair by the float check below
+            return
         if not (math.isfinite(self.w1) and math.isfinite(self.w2)):
             raise DegeneratePhasesError("phase settings must be finite")
-        if abs(math.sin(self.w2 - self.w1)) < MIN_PHASE_SEPARATION:
+        if abs(math.sin(gap)) < MIN_PHASE_SEPARATION:
             raise DegeneratePhasesError(
                 f"settings {self.w1}, {self.w2} are degenerate (|sin(w2-w1)| < {MIN_PHASE_SEPARATION})")
+
+    def row(self, i: int) -> "PhaseSettings":
+        """Settings i of array settings, as float settings; float settings are each row."""
+        return PhaseSettings(ew.item(self.w1, i), ew.item(self.w2, i))
 
 
 @dataclass(frozen=True)

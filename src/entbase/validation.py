@@ -166,6 +166,9 @@ def check_postselection_normalization():
         if q_c + q_ac > 0.0:
             p_c, p_ac = protocol.postselect(q_c, q_ac)
             assert p_c + p_ac == 1.0
+    for q_c, q_ac in rng.uniform(0.0, 0.5, size=(200, 2)).tolist():  # any pair, not a state's
+        p_c, p_ac = protocol.postselect(q_c, q_ac)
+        assert p_c + p_ac == 1.0
 
 
 def check_estimator_round_trip():

@@ -18,15 +18,16 @@ from hypothesis import strategies as st
 
 from conftest import CHANNEL_FORMS, SWEPT_CASES, SWEPT_IDS, SWEPT_VALUES
 from entbase import cli, config, reference, validation
+from entbase import elementwise as ew
 from entbase.channels import DegenerateCoherenceWarning, RateModel
 from entbase.cli import main
 from entbase.config import (
     CHANNEL_PARAM_RULES,
     ChannelConfig,
     ConfigError,
-    check_swept_values,
     load_config,
     parse_config,
+    swept_config,
 )
 from entbase.imaging import default_theta_grid, resource_figures
 
@@ -574,6 +575,20 @@ class TestSweepValidation:
         assert capsys.readouterr().err == f"invalid config: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, values, message", [
+        (dict(rates={"R_E": 2.0, "R_T": 1.0}), "0.1,1.5", "rates: R_E = 2.0 outside [0, 1]"),
+        (dict(channel={"kind": "dephasing", "mu_L": 1.5, "mu_R": 0.2}), "0.1,0.2",
+         "channel.mu_L: value 1.5 outside [0, 1]"),
+    ], ids=["bad-rates-before-bad-value", "bad-configured-value-under-good-ones"])
+    def test_base_config_is_checked_first(self, tmp_path, capsys, overrides, values, message):
+        # the config is checked whole, as run checks it, before the swept values
+        cfg = base_config(**{"channel": {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2},
+                             "output_dir": str(tmp_path / "out"), **overrides})
+        assert main(["sweep", write_config(tmp_path, cfg), "--param", "mu_L",
+                     "--values", values]) == 1
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestMalformedNumbersExit1:
     """Non-finite, boolean and out-of-range numbers are config errors naming their key."""
@@ -735,50 +750,6 @@ def edited(raw: dict, name: str, value: float) -> dict:
     return out
 
 
-def field_row(column, i):
-    """Entry i of a check_swept_values field, as parse_config holds it for value i alone."""
-    if isinstance(column, list):
-        return column[i]
-    item = lambda v: v.item(i) if isinstance(v, np.ndarray) else v  # noqa: E731
-    if isinstance(column, RateModel):
-        return RateModel(item(column.R_E), item(column.R_T))
-    return ChannelConfig(column.kind, {key: item(v) for key, v in column.params.items()})
-
-
-def assert_same_config(swept, reference):
-    for f in fields(reference):
-        assert np.array_equal(getattr(swept, f.name), getattr(reference, f.name)), f.name
-    assert type(swept.n_per_setting) is int
-
-
-class TestCheckSweptValues:
-    """The config with one swept value, replace(base, **check_swept_values(...) at that
-    value), against a full re-parse of the edited config.
-
-    check_swept_values checks one section as an array; the full parse is the reference.
-    """
-
-    def test_every_sweepable_parameter_is_covered(self):
-        covered = {name for name, *_ in SWEEP_CASES}
-        assert set(CHANNEL_PARAM_RULES) | {"N", "R_E", "R_T", "w1", "w2"} <= covered
-
-    @pytest.mark.parametrize("name, channel, valid, invalid", SWEEP_CASES,
-                             ids=[f"{c[0]}-{c[1]['kind']}" for c in SWEEP_CASES])
-    def test_matches_full_parse(self, name, channel, valid, invalid):
-        raw = base_config(channel=channel, rates={"R_E": 0.9, "R_T": 1e6},
-                          phase_settings={"w1": 0.1, "w2": 1.4})
-        base = parse_config(raw)
-        if valid is not None:
-            changed = check_swept_values(base, name, np.array([valid]))
-            swept = replace(base, **{key: field_row(column, 0) for key, column in changed.items()})
-            assert_same_config(swept, parse_config(edited(raw, name, valid)))
-        with pytest.raises(ConfigError) as direct:
-            parse_config(edited(raw, name, invalid))
-        with pytest.raises(ConfigError) as swept_err:
-            check_swept_values(base, name, np.array([valid or invalid, invalid]))
-        assert swept_err.value.key == direct.value.key
-
-
 # (valid, any) values of each swept name: "any" mixes invalid values with the
 # edges of each range, and for w1/w2 settings at and near the other one (degenerate)
 _EDGES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 + 2 ** -52, 1.0 - 2 ** -53])
@@ -832,29 +803,51 @@ SWEPT_FORMS = [(name, kind, params) for name in SWEPT_DRAWS for kind, params in 
                                                            if name in p}]
 
 
-@pytest.mark.parametrize("name, kind, params", SWEPT_FORMS,
-                         ids=["-".join((name, "on", kind, *params))
-                              for name, kind, params in SWEPT_FORMS])
+# SWEEP_CASES as fixed inputs: each valid value alone, then followed by the invalid one
+FIXED_SWEEPS = [(name, channel["kind"], {k: v for k, v in channel.items() if k != "kind"},
+                 values)
+                for name, channel, valid, invalid in SWEEP_CASES
+                for values in (([valid], [valid, invalid]) if valid is not None else ([invalid],))]
+
+
+def test_sweep_cases_cover_every_sweepable_parameter():
+    sweepable = set(CHANNEL_PARAM_RULES) | {"N", "R_E", "R_T", "w1", "w2"}
+    assert sweepable <= {name for name, *_ in SWEEP_CASES} and sweepable <= set(SWEPT_DRAWS)
+
+
+@pytest.mark.parametrize(
+    "name, kind, params, fixed",
+    [(*form, None) for form in SWEPT_FORMS] + FIXED_SWEEPS,
+    ids=["-".join((name, "on", kind, *params)) for name, kind, params in SWEPT_FORMS]
+    + ["-".join((name, "on", kind, *params, "values", *map(str, values)))
+       for name, kind, params, values in FIXED_SWEEPS])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
-def test_check_swept_values_is_the_full_parse_of_each_value(name, kind, params, data):
-    """check_swept_values accepts exactly when a full parse accepts each value in turn,
-    and otherwise raises the first failing value's key and message."""
-    values = data.draw(swept_value_lists(name))
+def test_swept_config_is_the_full_parse_of_each_value(name, kind, params, fixed, data):
+    """swept_config accepts exactly when a full parse accepts each value in turn, and
+    otherwise raises the first failing value's key and message; row i of the swept
+    config is the full parse of value i. The values are fixed or drawn."""
+    values = fixed or data.draw(swept_value_lists(name))
     raw = base_config(channel={"kind": kind, **params}, rates={"R_E": 0.9, "R_T": 1e6},
                       phase_settings={"w1": 0.1, "w2": 1.4})
-    base = parse_config(raw)
     verdicts = [full_parse_verdict(raw, name, value) for value in values]
     first_failure = next((v for v in verdicts if v is not None), None)
     try:
-        changed = check_swept_values(base, name, np.array(values))
+        cfg = swept_config(parse_config(raw), name, np.array(values))
     except ConfigError as exc:
         assert (exc.key, str(exc)) == first_failure
         return
     assert first_failure is None
     for i, value in enumerate(values):
-        swept = replace(base, **{key: field_row(column, i) for key, column in changed.items()})
-        assert_same_config(swept, parse_config(edited(raw, name, value)))
+        reference = parse_config(edited(raw, name, value))
+        row = replace(
+            cfg, settings=cfg.settings.row(i), n_per_setting=ew.item(cfg.n_per_setting, i),
+            rates=RateModel(ew.item(cfg.rates.R_E, i), ew.item(cfg.rates.R_T, i)),
+            channel=ChannelConfig(cfg.channel.kind, {key: ew.item(v, i)
+                                                     for key, v in cfg.channel.params.items()}))
+        for f in fields(reference):
+            assert np.array_equal(getattr(row, f.name), getattr(reference, f.name)), f.name
+        assert type(row.n_per_setting) is int
 
 
 class TestSweptNRange:
@@ -877,9 +870,9 @@ class TestSweptNRange:
                                           (2.0 ** 63 - 1024, 9223372036854774784)],
                              ids=["2**62", "largest-below-2**63"])
     def test_accepted_as_the_exact_int(self, tmp_path, value, n):
-        changed = check_swept_values(parse_config(base_config()), "N", np.array([1.0, value]))
-        assert changed == {"n_per_setting": [1, n]}
-        assert type(changed["n_per_setting"][1]) is int
+        swept = swept_config(parse_config(base_config()), "N", np.array([1.0, value]))
+        assert swept.n_per_setting.tolist() == [1, n]
+        assert type(ew.item(swept.n_per_setting, 1)) is int
         cfg = base_config(output_dir=str(tmp_path / "out"))
         assert main(["sweep", write_config(tmp_path, cfg), "--param", "N",
                      "--values", repr(value)]) == 0
