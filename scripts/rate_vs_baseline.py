@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from entbase.channels import RateModel, log_rate_depol_approx
-from entbase.config import ChannelConfig
-from entbase.imaging import resource_figures
+from entbase.validation import channel_rates
 
 
 def main():
@@ -31,24 +30,19 @@ def main():
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     baselines = np.linspace(0.0, args.B_max, args.points)
-    # the resources and rates `sweep` computes for these channels, all baselines at once
-    fiber = ChannelConfig("amplitude_damping", {"L0": args.L0}).resource_factory()
-    depol = ChannelConfig("depolarizing", {"beta": args.beta}).resource_factory()
-    r_fiber = resource_figures(fiber(baselines), baselines, rates, None)[3]
-    r_depol = resource_figures(depol(baselines), baselines, rates, None)[3]
-
-    rows = []
-    for b, r_f, r_d in zip(baselines.tolist(), r_fiber.tolist(), r_depol.tolist()):
-        approx = log_rate_depol_approx(b, args.beta, rates)
-        # R_ideal_norm = 0.5: perfect distribution
-        rows.append((b, r_f, r_d, 0.5, approx.value if approx.in_regime else math.nan))
+    # the rates `sweep` computes for these channels, the curves `entbase validate` checks
+    r_fiber = channel_rates("amplitude_damping", {"L0": args.L0}, rates, baselines)[0]
+    r_depol = channel_rates("depolarizing", {"beta": args.beta}, rates, baselines)[0]
 
     path = outdir / "rate_vs_baseline.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("B,R_fiber_norm,R_depol_norm,R_ideal_norm,ln_R_depol_approx\n")
-        for row in rows:
+        for b, r_f, r_d in zip(baselines.tolist(), r_fiber.tolist(), r_depol.tolist()):
+            approx = log_rate_depol_approx(b, args.beta, rates)
+            # R_ideal_norm = 0.5: perfect distribution
+            row = (b, r_f, r_d, 0.5, approx.value if approx.in_regime else math.nan)
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({baselines.size} rows)")
     print(f"fiber slope check: d(ln R)/dB = {-1 / (2 * args.L0):.6f} expected")
 
 

@@ -48,13 +48,8 @@ class DegenerateCoherenceWarning(UserWarning):
     """The depolarized inner coherence changed sign and was folded into its phase."""
 
 
-def _outside_unit_interval(p):
-    """nan, or off [0, 1] (which covers +-inf): per element for an array."""
-    return (p != p) | (p < 0.0) | (p > 1.0)
-
-
 def _check_probability(name: str, p: float) -> float:
-    bad = _outside_unit_interval(p)
+    bad = (p != p) | (p < 0.0) | (p > 1.0)  # nan, or off [0, 1]: per element for an array
     if ew.any_set(bad):
         raise ValueError(f"{name} = {ew.first_set(p, bad)} outside [0, 1]")
     return p.astype(float) if isinstance(p, np.ndarray) else float(p)
@@ -68,10 +63,7 @@ class RateModel:
     R_T: float
 
     def __post_init__(self):
-        # a float each, or (n,) arrays for a sweep over one of them
-        bad = _outside_unit_interval(self.R_E)
-        if ew.any_set(bad):
-            raise ValueError(f"R_E = {ew.first_set(self.R_E, bad)} outside [0, 1]")
+        _check_probability("R_E", self.R_E)  # a float each, or (n,) arrays for a sweep
         if ew.any_set(self.R_T <= 0.0):
             raise ValueError("R_T must be positive")
 

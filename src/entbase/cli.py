@@ -72,45 +72,30 @@ def _write_csv(path: Path, header, template: str, rows):
 
 
 def _resource_state(x: XState) -> list:
-    """summary.json's resource_state: x's 4x4 density matrix as rows of [re, im] pairs.
-
-    Built from the fields XState has already checked. Each upper coherence is
-    the conjugate of the lower one, so a lower imaginary part 0.0 is -0.0 above.
-    """
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = x.a, x.g, x.f, x.h
-    m[2, 1] = x.w_a * np.exp(1j * x.w_p)
-    m[3, 0] = x.z_a * np.exp(1j * x.z_p)
-    m[1, 2], m[0, 3] = np.conj(m[2, 1]), np.conj(m[3, 0])
+    """summary.json's resource_state: x's 4x4 density matrix as rows of [re, im] pairs."""
+    m = x.density_matrix()
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _emit_gnuplot(outdir: Path, kind: str):
-    lines = [
-        "set datafile separator ','",
-        "set key autotitle columnhead",
+    plots = [
+        "set output 'visibility.png'",
+        "set xlabel 'baseline'",
+        "set ylabel 'visibility amplitude'",
+        "plot 'visibility.csv' using 1:2 with lines, '' using 1:4:6 with yerrorbars",
+        "set output 'intensity.png'",
+        "set xlabel 'angle [rad]'",
+        "set ylabel 'intensity'",
+        "plot 'intensity.csv' using 1:2 with lines, '' using 1:3 with lines, "
+        "'' using 1:4 with lines",
+    ] if kind == "run" else [
+        "set output 'sweep.png'",
+        "set xlabel 'swept value'",
+        "set ylabel 'ln R_M'",
+        "plot 'sweep.csv' using 1:5 with linespoints",
     ]
-    if kind == "run":
-        lines += [
-            "set terminal pngcairo size 900,600",
-            "set output 'visibility.png'",
-            "set xlabel 'baseline'",
-            "set ylabel 'visibility amplitude'",
-            "plot 'visibility.csv' using 1:2 with lines, '' using 1:4:6 with yerrorbars",
-            "set output 'intensity.png'",
-            "set xlabel 'angle [rad]'",
-            "set ylabel 'intensity'",
-            "plot 'intensity.csv' using 1:2 with lines, '' using 1:3 with lines, "
-            "'' using 1:4 with lines",
-        ]
-    else:
-        lines += [
-            "set terminal pngcairo size 900,600",
-            "set output 'sweep.png'",
-            "set xlabel 'swept value'",
-            "set ylabel 'ln R_M'",
-            "plot 'sweep.csv' using 1:5 with linespoints",
-        ]
+    lines = ["set datafile separator ','", "set key autotitle columnhead",
+             "set terminal pngcairo size 900,600", *plots]
     (outdir / "plot.gp").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -185,8 +170,11 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     return 0
 
 
-def _sky_visibility(sky, B: float) -> AstroVisibility:
-    """The true visibility of the sky at baseline B, as the protocol takes it."""
+def _sky_visibility(sky, B: float, key: str) -> AstroVisibility:
+    """The true visibility of the sky at baseline B, as the protocol takes it; a phase
+    2 pi B theta / lambda beyond the float range is the config fault of B at key."""
+    if not math.isfinite(sky.max_phase(B)):
+        raise ConfigError(key, f"value {B}: phase 2 pi B theta / lambda overflows")
     v_c = true_visibility(sky, B)
     return AstroVisibility(abs(v_c), cmath.phase(v_c))
 
@@ -211,12 +199,12 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
     # resource, whose RMSE cells stay empty
     live = [i for i, c in enumerate(conc) if c > 0.0] if mc_replicates > 0 else []
     if live:
-        # the sky at the evaluation baseline, the same in every row unless B is swept
-        fixed_v = None if param in ("B", "L") else _sky_visibility(cfg.sky, b_eval)
-        # each row draws from its own generator; one replicate_rmse call inverts them all
+        # the sky at each row's evaluation baseline (the base config's B_max has passed
+        # its phase check); each row draws from its own generator, and one
+        # replicate_rmse call inverts them all
         observations = [
-            (_sky_visibility(cfg.sky, swept.item(r)) if fixed_v is None else fixed_v,
-             resource.row(r), cfg.settings.row(r), ew.item(cfg.n_per_setting, r),
+            (_sky_visibility(cfg.sky, ew.item(b_eval, r), f"sweep.{param}"), resource.row(r),
+             cfg.settings.row(r), ew.item(cfg.n_per_setting, r),
              np.random.default_rng(derive_seed(cfg.seed, r)))
             for r in live]
         va, vp = replicate_rmse(observations, mc_replicates)

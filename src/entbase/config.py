@@ -25,7 +25,7 @@ from .channels import (
     xstate_dephasing,
     xstate_depolarizing,
 )
-from .imaging import BaselinePlan, SkyModel, default_theta_grid
+from .imaging import BaselinePlan, SkyModel, default_theta_span
 from .protocol import MAX_TRIALS, PhaseSettings
 
 __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
@@ -293,14 +293,12 @@ class ScenarioConfig:
     rates: RateModel
     seed: int
     output_dir: str
-    # (half_span, count) of an explicit theta_grid; None for default_theta_grid
-    theta_span: tuple | None
+    # (half_span, count) of theta_grid, or of the default grid
+    theta_span: tuple
 
     @property
     def theta_grid(self) -> np.ndarray:
         """The map's theta grid, built on each read: only `run` reads it."""
-        if self.theta_span is None:
-            return default_theta_grid(self.sky, self.plan.B_m)
         half_span, count = self.theta_span
         return np.linspace(-half_span, half_span, count)
 
@@ -350,7 +348,10 @@ def parse_config(obj: dict) -> ScenarioConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir", "expected a nonempty string")
 
-    theta_span = None
+    # the default grid's half-span grows as wavelength / B_max: its faults name those
+    half_span, count = default_theta_span(sky, plan.B_m)
+    span_key = "baselines.B_max" if isinstance(obj["baselines"], dict) else "baselines"
+    phase_key = "wavelength"
     if "theta_grid" in obj:
         tg = obj["theta_grid"]
         _require_keys(tg, "theta_grid", ("half_span", "count"))
@@ -364,11 +365,19 @@ def parse_config(obj: dict) -> ScenarioConfig:
         if count is None or not 2 <= count <= MAX_THETA_POINTS:
             raise ConfigError("theta_grid.count",
                               f"must be an integer in [2, {MAX_THETA_POINTS}]")
-        theta_span = (half_span, count)
+        span_key = phase_key = "theta_grid.half_span"
+    # run's phases 2 pi B theta / lambda, up to B_max: over the map's span, twice the
+    # half-span that covers the sources, and at the sources in true_visibility
+    if not math.isfinite(2.0 * half_span):
+        raise ConfigError(span_key, f"theta grid span overflows at half-span {half_span}")
+    if not (math.isfinite(2.0 * math.pi / wavelength * plan.B_m * (2.0 * half_span))
+            and math.isfinite(sky.max_phase(plan.B_m))):
+        raise ConfigError(phase_key, f"phase 2 pi B theta / lambda overflows at "
+                                     f"B = {plan.B_m} on the grid of half-span {half_span}")
 
     return ScenarioConfig(sky=sky, plan=plan, channel=channel, settings=settings,
                           n_per_setting=n_per_setting, rates=rates, seed=seed,
-                          output_dir=output_dir, theta_span=theta_span)
+                          output_dir=output_dir, theta_span=(half_span, count))
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -31,6 +31,7 @@ __all__ = [
     "ObservationReport",
     "SkyModel",
     "default_theta_grid",
+    "default_theta_span",
     "observe_and_image",
     "reconstruct_intensity",
     "resolution",
@@ -72,6 +73,8 @@ class SkyModel:
         total_flux = sum(fl for _, fl in sources)
         if total_flux <= 0.0:
             raise ValueError("total flux must be positive")
+        if total_flux == math.inf:  # the visibility would divide by it
+            raise ValueError("total flux overflows")
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
         object.__setattr__(self, "sources", sources)
@@ -81,6 +84,11 @@ class SkyModel:
     def extent(self) -> float:
         """Largest source offset |theta|: a grid must reach it to hold the sky."""
         return max(abs(t) for t, _ in self.sources)
+
+    def max_phase(self, B: float) -> float:
+        """The largest |2 pi B theta / lambda| of true_visibility at B, in its order of
+        operations: not finite exactly where one of its phases overflows."""
+        return 2.0 * math.pi * B * self.extent / self.wavelength
 
 
 @dataclass(frozen=True)
@@ -220,13 +228,20 @@ GRID_POINTS_PER_BEAM = 8
 GRID_MAX_POINTS = 1024
 
 
-def default_theta_grid(sky: SkyModel, B_m: float) -> np.ndarray:
-    """Symmetric grid covering the sources plus a few beam widths, beam oversampled."""
+def default_theta_span(sky: SkyModel, B_m: float) -> tuple[float, int]:
+    """(half_span, count) of the default grid; half_span is inf for a beam past the float range."""
     beam = resolution(B_m, sky.wavelength)
     half_span = 1.5 * sky.extent + 3.0 * beam
     step = beam / GRID_POINTS_PER_BEAM
-    n_half = min((GRID_MAX_POINTS - 1) // 2, max(8, int(math.ceil(half_span / step))))
-    return np.linspace(-half_span, half_span, 2 * n_half + 1)
+    cells = half_span / step if step > 0.0 else math.inf
+    cap = (GRID_MAX_POINTS - 1) // 2  # also for an inf or nan count of cells
+    return half_span, 2 * (max(8, math.ceil(cells)) if cells < cap else cap) + 1
+
+
+def default_theta_grid(sky: SkyModel, B_m: float) -> np.ndarray:
+    """Symmetric grid covering the sources plus a few beam widths, beam oversampled."""
+    half_span, count = default_theta_span(sky, B_m)
+    return np.linspace(-half_span, half_span, count)
 
 
 def sky_intensity_on_grid(sky: SkyModel, theta_grid) -> np.ndarray:

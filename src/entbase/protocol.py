@@ -270,7 +270,7 @@ def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_settin
     Each setting adds a known offset to the resource's coherence phase; both
     settings' postselected p_c are computed once, the counts come from the
     stream in row order, and the fringes are inverted with the effective
-    phases by _invert_batch. Returns (V_a, V_p, dV_a, dV_p), C and xi.
+    phases by _invert_batch into the VisibilityEstimate returned.
     """
     if N_per_setting < 1:
         raise ValueError("need at least one trial")
@@ -287,7 +287,8 @@ def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_settin
         # (n_ac - n_c) / N, no int64 overflow
         dp1, dp2 = (((N_per_setting - n) - n) / N_per_setting
                     for n in (n_c[..., 0], n_c[..., 1]))
-    return _invert_batch(dp1, dp2, N_per_setting, effective, conc), conc, xi
+    return VisibilityEstimate(*_invert_batch(dp1, dp2, N_per_setting, effective, conc),
+                              N_used=N_per_setting, C_used=conc, xi_used=xi)
 
 
 def run_replicates(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
@@ -299,10 +300,7 @@ def run_replicates(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     consecutive calls on the same generator reproduces it exactly. The
     estimate fields of the result are (replicates,) arrays.
     """
-    (v_a, v_p, dv_a, dv_p), conc, xi = _observe(v_true, x, ph, N_per_setting, rng,
-                                                (replicates, 2))
-    return VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
-                              N_used=N_per_setting, C_used=conc, xi_used=xi)
+    return _observe(v_true, x, ph, N_per_setting, rng, (replicates, 2))
 
 
 def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
@@ -312,9 +310,7 @@ def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     Its draw takes the stream's next two counts, so consecutive calls on one
     generator give the rows of a single (calls, 2) draw.
     """
-    (v_a, v_p, dv_a, dv_p), conc, xi = _observe(v_true, x, ph, N_per_setting, rng, None)
-    return VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
-                              N_used=N_per_setting, C_used=conc, xi_used=xi)
+    return _observe(v_true, x, ph, N_per_setting, rng, None)
 
 
 def replicate_rmse(rows, replicates: int) -> tuple[np.ndarray, np.ndarray]:

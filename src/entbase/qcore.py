@@ -162,6 +162,16 @@ class XState:
             return self
         return XState(*[getattr(self, name).item(i) for name in _FIELD_NAMES])
 
+    def density_matrix(self) -> np.ndarray:
+        """The 4x4 density matrix of a float state, fields placed as above; each upper
+        coherence is the conjugate of the lower one, so an imaginary part 0.0 is -0.0 above."""
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0], m[1, 1], m[2, 2], m[3, 3] = self.a, self.g, self.f, self.h
+        m[2, 1] = self.w_a * np.exp(1j * self.w_p)
+        m[3, 0] = self.z_a * np.exp(1j * self.z_p)
+        m[1, 2], m[0, 3] = np.conj(m[2, 1]), np.conj(m[3, 0])
+        return m
+
     def with_phase_offset(self, delta: float) -> "XState":
         """Same float state with the inner-coherence phase advanced by delta."""
         return XState(self.a, self.g, self.f, self.h,

@@ -1,8 +1,9 @@
 """Reference routes the runtime is checked against; `run` and `sweep` never import it.
 
 - The operator-sum route: full 4x4 density matrices, eigen-validated, with
-  single-qubit Kraus channels applied per arm. ``to_density`` builds the
-  matrix of an ``XState``; ``extract_xstate`` reads an X-form matrix back.
+  single-qubit Kraus channels applied per arm. ``to_density`` checks the
+  matrix ``XState.density_matrix`` lays out; ``extract_xstate`` reads an
+  X-form matrix back.
 - The 16-dimensional projector route to the coincidence probabilities.
 - The scalar inversion and error propagation behind ``protocol._invert_batch``.
 - The complex full-plane dirty map, and ``find_peaks`` to count map peaks.
@@ -81,13 +82,7 @@ class DensityMatrix4:
 
 def to_density(x: XState) -> DensityMatrix4:
     """The density matrix of x, with the coherences where XState places them."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = x.a, x.g, x.f, x.h
-    m[2, 1] = x.w_a * np.exp(1j * x.w_p)
-    m[1, 2] = np.conj(m[2, 1])
-    m[3, 0] = x.z_a * np.exp(1j * x.z_p)
-    m[0, 3] = np.conj(m[3, 0])
-    return DensityMatrix4(m)
+    return DensityMatrix4(x.density_matrix())
 
 
 @dataclass(frozen=True, eq=False)

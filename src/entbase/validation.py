@@ -17,6 +17,7 @@ closed-form/projector-oracle agreement check is the canary for sign
 mistakes in the coincidence formulas: flipping the fringe sign in either
 route makes it fail immediately. The Monte Carlo checks (``[mc]``) draw
 from fixed derived seeds and are deterministic.
+The paper's two studies live here too, so that scripts/ writes what the checks assert.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import channels, config, imaging, protocol, qcore, reference
 
-__all__ = ["CHECKS", "run_all"]
+__all__ = ["CHECKS", "channel_rates", "n_slope", "rmse_vs_n", "rmse_vs_resource", "run_all"]
 
 
 _KRAUS = {
@@ -268,7 +269,7 @@ def check_depol_x_bound():
             assert -1e-15 <= x <= 1.0 / 3.0 + 1e-15, f"x={x} at ({k_l}, {k_r})"
 
 
-def _channel_rates(kind: str, params: dict, rates: channels.RateModel, baselines):
+def channel_rates(kind: str, params: dict, rates: channels.RateModel, baselines):
     """(R_M_norm, R_M) arrays over a baseline array, by the route `sweep` takes."""
     channel = config.ChannelConfig(kind, params)
     resource = channel.resource_factory()(baselines)
@@ -296,7 +297,7 @@ def check_fiber_rate_line():
                              (channels.RateModel(1.0, 1e6), 12.0, 31)):
         bs = np.linspace(0.0, 6 * l0, count)
         logs = []
-        for b, r_abs in zip(bs, _channel_rates("amplitude_damping", {"L0": l0}, rates, bs)[1]):
+        for b, r_abs in zip(bs, channel_rates("amplitude_damping", {"L0": l0}, rates, bs)[1]):
             direct = math.log(r_abs)
             shortcut = channels.log_rate_fiber(b, l0, rates)
             assert abs(direct - shortcut) <= 1e-12, f"ln R_M off the fiber law at B = {b}"
@@ -314,13 +315,13 @@ def check_depol_rate_asymptote():
     assert np.all(np.exp(-beta * bs) <= 0.01)
     far = np.array([40.0, 60.0, 100.0])
     for rates in (channels.RateModel(1.0, 1.0), channels.RateModel(0.8, 1e6)):
-        for bl, r_abs in zip(bs, _channel_rates("depolarizing", {"beta": beta}, rates, bs)[1]):
+        for bl, r_abs in zip(bs, channel_rates("depolarizing", {"beta": beta}, rates, bs)[1]):
             exact = math.log(r_abs)
             approx = channels.log_rate_depol_approx(bl, beta, rates)
             assert approx.in_regime
             assert abs(approx.value - exact) <= 0.01, f"approx off by {approx.value - exact:.4f}"
         # the rate flattens onto R_M = (5/18) R_E R_T, the paper's 0.28
-        r_norm, r_abs = _channel_rates("depolarizing", {"beta": beta}, rates, far)
+        r_norm, r_abs = channel_rates("depolarizing", {"beta": beta}, rates, far)
         for ratio in (*r_norm.tolist(), *(r_abs / (rates.R_E * rates.R_T)).tolist()):
             assert abs(ratio - 5.0 / 18.0) <= 1e-6 and round(ratio, 2) == 0.28, f"ratio {ratio}"
         assert not channels.log_rate_depol_approx(0.0, beta, rates).in_regime
@@ -367,40 +368,66 @@ def check_resolvability():
         assert n_peaks == expected, f"{factor}x threshold: {n_peaks} peaks"
 
 
+# The error-scaling study (at C = 1, the scheme of Gottesman, Jennewein and Croke),
+# written by scripts/error_scaling_study.py: the RMSE of the estimates against N and
+# against the resource's concurrence C and subspace weight xi.
+_STUDY_GRID = (0.3, 0.6, 1.0)
+
+
+def rmse_vs_n(seed: int, replicates: int) -> list:
+    """(N, rmse_V_a, rmse_V_p) of the ideal resource per N, row N seeded derive_seed(seed, N)."""
+    v, x = qcore.AstroVisibility(0.7, 0.9), channels.ideal_bell_xstate()
+    ns = (10 ** 3, 10 ** 4, 10 ** 5)
+    rmse_a, rmse_p = protocol.replicate_rmse(
+        [(v, x, _SETTINGS, n, np.random.default_rng(protocol.derive_seed(seed, n)))
+         for n in ns], replicates)
+    return list(zip(ns, rmse_a.tolist(), rmse_p.tolist()))
+
+
+def n_slope(table) -> float:
+    """The log-log slope of RMSE(V_a) against N over the rows of rmse_vs_n; -1/2 expected."""
+    ns, rmse_a, _ = zip(*table)
+    return float(np.polyfit(np.log10(ns), np.log10(rmse_a), 1)[0])
+
+
+def rmse_vs_resource(seed: int, replicates: int, budget: int) -> list:
+    """(C, xi, N_post, rmse_V_a, rmse_V_p, rmse_V_a C sqrt(xi), rmse_V_p sqrt(xi)) per cell.
+
+    The dephasing-form state of each (C, xi) of a 3 x 3 grid, C outer, gets the
+    postselected share N_post = round(budget xi / 2) of the budget of modes per
+    setting; V_a C = 0.21 holds the fringe fixed. Cell (C, xi) is seeded
+    derive_seed(seed, int(1000 C + 10 xi)).
+    """
+    cells = [(conc, xi, int(round(budget * xi / 2.0))) for conc in _STUDY_GRID
+             for xi in _STUDY_GRID]
+    rmse_a, rmse_p = protocol.replicate_rmse(
+        [(qcore.AstroVisibility(0.21 / conc, 0.9),
+          qcore.XState(a=1.0 - xi, g=xi / 2, f=xi / 2, h=0.0, w_a=conc * xi / 2), _SETTINGS,
+          n_post, np.random.default_rng(protocol.derive_seed(seed, int(1000 * conc + 10 * xi))))
+         for conc, xi, n_post in cells], replicates)
+    return [(conc, xi, n_post, r_a, r_p, r_a * conc * math.sqrt(xi), r_p * math.sqrt(xi))
+            for (conc, xi, n_post), r_a, r_p in zip(cells, rmse_a.tolist(), rmse_p.tolist())]
+
+
 def check_estimator_slope_mc():
     # RMSE(V_a) falls as N^-1/2: the log-log slope over three decades of N
-    x = channels.ideal_bell_xstate()
-    v = qcore.AstroVisibility(0.7, 0.9)
-    ns = [10 ** 3, 10 ** 4, 10 ** 5]
     for seed in (5, 606):
-        rmse_a, _ = protocol.replicate_rmse(
-            [(v, x, _SETTINGS, n, np.random.default_rng(protocol.derive_seed(seed, n)))
-             for n in ns], 200)
-        slope = np.polyfit(np.log10(ns), np.log10(rmse_a), 1)[0]
+        slope = n_slope(rmse_vs_n(seed, 200))
         assert abs(slope + 0.5) <= 0.05, f"slope {slope:.3f} (seed {seed})"
 
 
 def check_resource_scaling_mc():
-    # the paper's claim: at a fixed incident budget of 1e5 modes per setting, whose
-    # postselected share is xi/2, RMSE(V_a) C sqrt(xi) and RMSE(V_p) sqrt(xi) stay
-    # constant over C and xi; V_a C is held fixed, so only the resource varies
-    budget, grid = 10 ** 5, (0.3, 0.6, 1.0)
-    points = [(conc, xi) for conc in grid for xi in grid]
-    rmse_a, rmse_p = protocol.replicate_rmse(
-        [(qcore.AstroVisibility(0.21 / conc, 0.9),
-          qcore.XState(a=1.0 - xi, g=xi / 2, f=xi / 2, h=0.0, w_a=conc * xi / 2), _SETTINGS,
-          int(round(budget * xi / 2.0)),
-          np.random.default_rng(protocol.derive_seed(606, int(1000 * conc + 10 * xi))))
-         for conc, xi in points], 200)
-    prod_a = {(conc, xi): r * conc * math.sqrt(xi)
-              for (conc, xi), r in zip(points, rmse_a.tolist())}
-    prod_p = {(conc, xi): r * math.sqrt(xi) for (conc, xi), r in zip(points, rmse_p.tolist())}
+    # the paper's claim: at a fixed incident budget of 1e5 modes per setting,
+    # RMSE(V_a) C sqrt(xi) and RMSE(V_p) sqrt(xi) stay constant over C and xi
+    prod_a, prod_p = {}, {}
+    for conc, xi, _, _, _, a_scaled, p_scaled in rmse_vs_resource(606, 200, 10 ** 5):
+        prod_a[conc, xi], prod_p[conc, xi] = a_scaled, p_scaled
     for name, prods in (("RMSE(V_a) C sqrt(xi)", prod_a), ("RMSE(V_p) sqrt(xi)", prod_p)):
         mean = np.mean(list(prods.values()))
         for key, val in prods.items():
             assert abs(val / mean - 1.0) <= 0.20, f"{name} {val / mean:.3f}x its mean at {key}"
-    for xi in grid:  # the phase error is C-independent at each weight
-        vals = [prod_p[conc, xi] for conc in grid]
+    for xi in _STUDY_GRID:  # the phase error is C-independent at each weight
+        vals = [prod_p[conc, xi] for conc in _STUDY_GRID]
         assert all(abs(val / np.mean(vals) - 1.0) <= 0.20 for val in vals), \
             f"RMSE(V_p) depends on C at xi = {xi}"
 

@@ -64,7 +64,6 @@ class TestConfigParsing:
         def built(*args):
             raise AssertionError("theta grid built")
 
-        monkeypatch.setattr(config, "default_theta_grid", built)
         monkeypatch.setattr(config.np, "linspace", built)
         default = parse_config(base_config())
         explicit = parse_config(base_config(theta_grid={"half_span": 0.05, "count": 11}))
@@ -149,7 +148,9 @@ class TestConfigParsing:
         ([{"theta": 0.01, "flux": 1.0}, {"theta": 0.02, "flux": -0.5}],
          "source 1: flux -0.5 must be nonnegative"),
         ([{"theta": 0.01, "flux": 0.0}], "total flux must be positive"),
-    ], ids=["offset", "negative-flux", "zero-total-flux"])
+        ([{"theta": -0.01, "flux": 1e308}, {"theta": 0.01, "flux": 1e308}],
+         "total flux overflows"),
+    ], ids=["offset", "negative-flux", "zero-total-flux", "overflowing-total-flux"])
     def test_sky_rules(self, sources, fragment):
         with pytest.raises(ConfigError) as err:
             parse_config(base_config(sky={"sources": sources}))
@@ -651,6 +652,61 @@ class TestMalformedNumbersExit1:
         assert code == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+OVERFLOW_CASES = [
+    (dict(theta_grid={"half_span": 1e308, "count": 3}), ["run"],
+     "theta_grid.half_span: theta grid span overflows at half-span 1e+308"),
+    (dict(theta_grid={"half_span": 8.9e307, "count": 5}), ["run"],
+     "theta_grid.half_span: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid "
+     "of half-span 8.9e+307"),
+    (dict(baselines={"B_max": 1e-308, "count": 2}), ["run"],
+     "baselines.B_max: theta grid span overflows at half-span 1.5e+308"),
+    (dict(baselines={"B_max": 5e-309, "count": 2}), ["run"],
+     "baselines.B_max: theta grid span overflows at half-span inf"),
+    (dict(baselines=[5e-309, 1e-308]), ["run"],
+     "baselines: theta grid span overflows at half-span 1.5e+308"),
+    (dict(wavelength=1e-307), ["run"],
+     "wavelength: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid of "
+     "half-span 0.015"),
+    (dict(wavelength=1e-310), ["run"],
+     "wavelength: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid of "
+     "half-span 0.015"),
+    (dict(baselines=[1.0, 1e308]), ["run"],
+     "wavelength: phase 2 pi B theta / lambda overflows at B = 1e+308 on the grid of "
+     "half-span 0.015"),
+    ({}, ["sweep", "--param", "B", "--values", "10,1e308", "--mc-replicates", "3"],
+     "sweep.B: value 1e+308: phase 2 pi B theta / lambda overflows"),
+    ({}, ["sweep", "--param", "L", "--values", "3e307,10", "--mc-replicates", "3"],
+     "sweep.L: value 3e+307: phase 2 pi B theta / lambda overflows"),
+]
+
+
+class TestOverflowingPhasesExit1:
+    """A theta grid or a phase 2 pi B theta / lambda beyond the float range is a config
+    error naming its key, with no numpy warning on the way."""
+
+    @pytest.mark.parametrize("overrides, command, message", OVERFLOW_CASES, ids=[
+        "half-span-span", "half-span-phase", "B_max-span", "B_max-beam", "list-span",
+        "wavelength-phase", "wavelength-reciprocal", "list-B-phase", "sweep-B", "sweep-L"])
+    def test_exit_1_names_the_key(self, tmp_path, capsys, overrides, command, message):
+        path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out"),
+                                                  **overrides))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command[0], path, *command[1:]]) == 1
+        assert capsys.readouterr().err == f"invalid config: {message}\n"
+        assert not caught
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_without_replicates_evaluates_no_visibility(self, tmp_path):
+        # the rate columns alone hold at any finite baseline
+        path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
+        assert main(["sweep", path, "--param", "B", "--values", "10,1e308"]) == 0
+
+    def test_bundled_configs_pass(self):
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            load_config(str(path))
 
 
 class TestArgumentErrorsExit1:

@@ -2,8 +2,11 @@
 
 The digests pin `run` on the three bundled configs, five sweeps of the fiber
 config (over B, over N with Monte Carlo replicates, once with more replicates
-than one chunk, over the channel's L0 with replicates, and over R_E) and the
-CSV of scripts/rate_vs_baseline.py at its default arguments. A refactor must
+than one chunk, over the channel's L0 with replicates, and over R_E), the
+CSV of scripts/rate_vs_baseline.py at its default arguments and both CSVs of
+scripts/error_scaling_study.py at the sizes tests/test_scripts.py runs it
+with (the study's digests were recorded before its tables moved into
+entbase.validation). A refactor must
 keep them; an intended change to these bytes (for example a new seed scheme)
 is declared in docs/schema.md and CHANGES.md and updates the digests in the
 same change.
@@ -34,7 +37,7 @@ import pytest
 from entbase.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-RATE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "rate_vs_baseline.py"
+SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
 
 RUN_DIGESTS = {
     ("ideal_two_source", "visibility.csv"):
@@ -67,6 +70,12 @@ SWEEP_DIGESTS = {
 
 RATE_SCRIPT_DIGEST = "bd00403528498c0a081887111c8d3e2407e412ae4c0f4d6147867fa23b685eee"
 
+STUDY_ARGS = ["--replicates", "25", "--budget", "20000"]
+STUDY_DIGESTS = {
+    "rmse_vs_n.csv": "99bf1e701c878497d4d06ce50f0c7c6cdab5da4846d162681f55abd61d55951c",
+    "rmse_vs_resource.csv": "245264382c91019e3a0cb0fdd86b2517d706087b04e4690368d3b6ed5af59530",
+}
+
 
 def bundled_config(tmp_path, name):
     """The bundled config `name`, written to tmp_path with its output there too."""
@@ -95,7 +104,17 @@ def test_sweep_outputs_are_pinned(tmp_path, args):
     assert digest(tmp_path / "out" / "sweep.csv") == SWEEP_DIGESTS[args]
 
 
+def run_script(monkeypatch, name, argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPT_DIR / name), run_name="__main__")
+
+
 def test_rate_script_output_is_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [RATE_SCRIPT.name, "--out", str(tmp_path)])
-    runpy.run_path(str(RATE_SCRIPT), run_name="__main__")
+    run_script(monkeypatch, "rate_vs_baseline.py", ["--out", str(tmp_path)])
     assert digest(tmp_path / "rate_vs_baseline.csv") == RATE_SCRIPT_DIGEST
+
+
+def test_study_script_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    run_script(monkeypatch, "error_scaling_study.py", [*STUDY_ARGS, "--out", str(tmp_path)])
+    for name, expected in STUDY_DIGESTS.items():
+        assert digest(tmp_path / name) == expected, name

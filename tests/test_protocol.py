@@ -327,18 +327,6 @@ class TestRunObservation:
         b = run_observation(v, x, DEFAULT, 10000, np.random.default_rng(5))
         assert a == b
 
-    def test_estimator_consistency_slope(self):
-        v = AstroVisibility(0.7, 0.9)
-        x = ideal_bell_xstate()
-        ns = [1000, 10000, 100000]
-        log_rmse = []
-        for n in ns:
-            gen = np.random.default_rng(derive_seed(2, n))
-            errs = [run_observation(v, x, DEFAULT, n, gen).V_a_hat - 0.7 for _ in range(80)]
-            log_rmse.append(math.log10(math.sqrt(np.mean(np.square(errs)))))
-        slope = np.polyfit(np.log10(ns), log_rmse, 1)[0]
-        assert abs(slope + 0.5) <= 0.08
-
     def test_fringe_bound(self, rng):
         gen = np.random.default_rng(derive_seed(8))
         for _ in range(30):

@@ -50,6 +50,8 @@ MUTANTS = [
      "b_pos[0] + 2.0 * image", "b_pos[0] + image"),
     ("error-bar-coverage[mc]", protocol, "_fringe_error",
      "/ (0.5 * math.sqrt(N))", "/ math.sqrt(N)"),
+    ("estimator-slope[mc]", protocol, "replicate_rmse", "- n) / n_b", "- n) / np.sqrt(n_b)"),
+    ("resource-scaling[mc]", protocol, "_estimate", "ew.hypot(c, s) / C", "ew.hypot(c, s)"),
 ]
 
 
