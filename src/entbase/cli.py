@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elementwise as ew
-from .config import ConfigError, load_config, swept_config
+from .config import MAX_PHASE, ConfigError, load_config, swept_config
 from .imaging import observe_and_image, resolution, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
@@ -172,9 +172,14 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
 
 def _sky_visibility(sky, B: float, key: str) -> AstroVisibility:
     """The true visibility of the sky at baseline B, as the protocol takes it; a phase
-    2 pi B theta / lambda beyond the float range is the config fault of B at key."""
-    if not math.isfinite(sky.max_phase(B)):
+    2 pi B theta / lambda beyond the float range, or beyond MAX_PHASE, is the config
+    fault of B at key."""
+    phase = sky.max_phase(B)
+    if not math.isfinite(phase):
         raise ConfigError(key, f"value {B}: phase 2 pi B theta / lambda overflows")
+    if phase > MAX_PHASE:
+        raise ConfigError(key, f"value {B}: phase 2 pi B theta / lambda reaches {phase} rad, "
+                               f"beyond the {MAX_PHASE:.0f} rad that cos and sin resolve")
     v_c = true_visibility(sky, B)
     return AstroVisibility(abs(v_c), cmath.phase(v_c))
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -35,6 +36,10 @@ __all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "par
 # for gigabytes of map or of baseline plan
 MAX_THETA_POINTS = 1_000_000
 MAX_BASELINES = 1_000_000
+# the largest phase 2 pi B theta / lambda a config may ask run or sweep to evaluate: a
+# double near 2**30 rad is spaced 2**-22 = 2.4e-7 rad from the next, so cos and sin keep
+# about seven digits there; past 2**53 rad the spacing exceeds 2 pi and they carry none
+MAX_PHASE = 2.0 ** 30
 
 class ConfigError(ValueError):
     """Invalid scenario config; carries the offending key."""
@@ -365,15 +370,27 @@ def parse_config(obj: dict) -> ScenarioConfig:
         if count is None or not 2 <= count <= MAX_THETA_POINTS:
             raise ConfigError("theta_grid.count",
                               f"must be an integer in [2, {MAX_THETA_POINTS}]")
+        # below the smallest normal double the grid's points may round together; the
+        # default grid's step, wavelength / (32 B_max) or more, stays above 1e-309
+        # wherever the phase check below passes, and its points stay distinct
+        if 2.0 * half_span / (count - 1) < sys.float_info.min:
+            raise ConfigError("theta_grid.half_span", f"theta grid step underflows at "
+                                                      f"half-span {half_span} and count {count}")
         span_key = phase_key = "theta_grid.half_span"
     # run's phases 2 pi B theta / lambda, up to B_max: over the map's span, twice the
     # half-span that covers the sources, and at the sources in true_visibility
     if not math.isfinite(2.0 * half_span):
         raise ConfigError(span_key, f"theta grid span overflows at half-span {half_span}")
-    if not (math.isfinite(2.0 * math.pi / wavelength * plan.B_m * (2.0 * half_span))
-            and math.isfinite(sky.max_phase(plan.B_m))):
+    grid_phase = 2.0 * math.pi / wavelength * plan.B_m * (2.0 * half_span)
+    source_phase = sky.max_phase(plan.B_m)
+    if not (math.isfinite(grid_phase) and math.isfinite(source_phase)):
         raise ConfigError(phase_key, f"phase 2 pi B theta / lambda overflows at "
                                      f"B = {plan.B_m} on the grid of half-span {half_span}")
+    phase = max(grid_phase, source_phase)
+    if phase > MAX_PHASE:
+        raise ConfigError(phase_key, f"phase 2 pi B theta / lambda reaches {phase} rad at "
+                                     f"B = {plan.B_m} on the grid of half-span {half_span}, "
+                                     f"beyond the {MAX_PHASE:.0f} rad that cos and sin resolve")
 
     return ScenarioConfig(sky=sky, plan=plan, channel=channel, settings=settings,
                           n_per_setting=n_per_setting, rates=rates, seed=seed,

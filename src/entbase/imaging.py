@@ -17,13 +17,7 @@ import numpy as np
 from .channels import RateModel
 # module-level names on purpose: the benchmark tracer rebinds them to time the protocol layer
 from .protocol import PhaseSettings, VisibilityEstimate, derive_seed, run_observation
-from .qcore import (
-    AstroVisibility,
-    DegenerateResourceError,
-    XState,
-    concurrence_subspace,
-    subspace_weight,
-)
+from .qcore import AstroVisibility, XState, concurrence_subspace, subspace_weight
 
 __all__ = [
     "BaselinePlan",
@@ -291,10 +285,7 @@ def resource_figures(x: XState, B: float, rates: RateModel,
     against each other.
     """
     xi = subspace_weight(x)
-    try:
-        conc = concurrence_subspace(x)
-    except DegenerateResourceError:
-        conc = math.nan
+    conc = concurrence_subspace(x)
     r_norm = 0.5 * xi if rate_norm_fn is None else rate_norm_fn(B)
     return xi, conc, r_norm, r_norm * rates.R_E * rates.R_T
 

@@ -176,7 +176,9 @@ def _setting_probabilities(v_true: AstroVisibility, x: XState,
     postselected correlated-click probability at setting i.
     """
     xi = subspace_weight(x)
-    conc = concurrence_subspace(x)  # raises DegenerateResourceError when xi = 0
+    if xi <= 0.0:
+        raise DegenerateResourceError("g + f = 0: the resource never produces coincidences")
+    conc = concurrence_subspace(x)
     if conc <= 0.0:
         raise ZeroConcurrenceError("resource concurrence is zero")
     effective = PhaseSettings(x.w_p + ph.w1, x.w_p + ph.w2)

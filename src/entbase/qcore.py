@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import elementwise as ew
+
 XSTATE_SLACK = 1e-9
 
 __all__ = [
@@ -184,16 +186,11 @@ _FIELD_NAMES = tuple(f.name for f in fields(XState))
 def concurrence_subspace(x: XState) -> float:
     """Entanglement retained inside the one-photon-per-side block: 2*w_a/(g+f).
 
-    A float state with g + f = 0 raises DegenerateResourceError; an array
-    state gets nan at each such element instead, so one dead state does not
-    void the others.
+    A dead state (g + f = 0) has no concurrence: it is nan, for a float state
+    and for each such element of an array state alike.
     """
     xi = x.g + x.f
-    if isinstance(xi, np.ndarray):
-        xi = np.where(xi > 0.0, xi, math.nan)
-    elif xi <= 0.0:
-        raise DegenerateResourceError("g + f = 0: the resource never produces coincidences")
-    return 2.0 * x.w_a / xi
+    return 2.0 * x.w_a / ew.where(xi > 0.0, xi, math.nan)
 
 
 def subspace_weight(x: XState) -> float:

@@ -16,7 +16,7 @@ binomials, is built in error-bars-cramer-rao itself. The
 closed-form/projector-oracle agreement check is the canary for sign
 mistakes in the coincidence formulas: flipping the fringe sign in either
 route makes it fail immediately. The Monte Carlo checks (``[mc]``) draw
-from fixed derived seeds and are deterministic.
+from fixed seeds and are deterministic.
 The paper's two studies live here too, so that scripts/ writes what the checks assert.
 """
 
@@ -71,22 +71,23 @@ def check_kraus_completeness():
 def check_channel_closed_forms():
     bell = reference.make_bell_psi(0.0)
     grid = np.linspace(0.0, 1.0, 11)
+    # the 11 x 11 grid, and an off-grid asymmetric pair
+    points = [(p_l, p_r) for p_l in grid for p_r in grid] + [(0.3, 0.55)]
     for name in _KRAUS:
-        for p_l in grid:
-            for p_r in grid:
-                via_kraus = reference.apply_independent_channels(
-                    bell, _KRAUS[name](p_l), _KRAUS[name](p_r))
-                with warnings.catch_warnings():
-                    # asymmetric-arm depolarization past x = 1/4 flips the coherence sign
-                    warnings.simplefilter("ignore", channels.DegenerateCoherenceWarning)
-                    closed = reference.to_density(_CLOSED[name](p_l, p_r))
-                diff = np.max(np.abs(via_kraus.entries - closed.entries))
-                assert diff <= 1e-12, f"{name}({p_l}, {p_r}): entrywise gap {diff:.3e}"
+        for p_l, p_r in points:
+            via_kraus = reference.apply_independent_channels(
+                bell, _KRAUS[name](p_l), _KRAUS[name](p_r))
+            with warnings.catch_warnings():
+                # asymmetric-arm depolarization past x = 1/4 flips the coherence sign
+                warnings.simplefilter("ignore", channels.DegenerateCoherenceWarning)
+                closed = reference.to_density(_CLOSED[name](p_l, p_r))
+            diff = np.max(np.abs(via_kraus.entries - closed.entries))
+            assert diff <= 1e-12, f"{name}({p_l}, {p_r}): entrywise gap {diff:.3e}"
 
 
 def check_xform_closure():
     bell = reference.make_bell_psi(0.0)
-    grid = _union(np.linspace(0.05, 0.95, 4), np.linspace(0.0, 1.0, 5))
+    grid = _union(np.linspace(0.05, 0.95, 4), np.linspace(0.0, 1.0, 5), [0.3])
     for left_name, left in _KRAUS.items():
         for right_name, right in _KRAUS.items():
             for p_l in grid:
@@ -145,29 +146,53 @@ def check_ideal_limit_fringe():
 
 
 def check_projector_oracle():
+    cases = []
     for seed in (11, 404, 1234):
         rng = np.random.default_rng(seed)
         for _ in range(100):
             v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
-            x = reference.random_xstate(rng)
-            closed = protocol.raw_probabilities(v, x)
-            oracle = reference.raw_probabilities_oracle(reference.make_astro_state(v),
-                                                        reference.to_density(x))
-            gap = max(abs(closed[0] - oracle[0]), abs(closed[1] - oracle[1]))
-            assert gap <= 1e-12, f"oracle disagrees by {gap:.3e} (seed {seed})"
+            cases.append((v, reference.random_xstate(rng), f"seed {seed}"))
+    # a flat fringe: no visibility, a random state
+    cases.append((qcore.AstroVisibility(0.0, 0.0),
+                  reference.random_xstate(np.random.default_rng(1234)), "V_a = 0"))
+    # Bell resources over 17 phases, whose oracle fringe is the ideal 0.5 (1 - V_a cos(V_p - delta))
+    v = qcore.AstroVisibility(0.9, 0.4)
+    for delta in np.linspace(-math.pi, math.pi, 17):
+        bell = reference.make_bell_psi(delta)
+        cases.append((v, reference.extract_xstate(bell), f"Bell delta {delta}"))
+        p_c, _ = protocol.postselect(*reference.raw_probabilities_oracle(
+            reference.make_astro_state(v), bell))
+        gap = abs(p_c - 0.5 * (1.0 - v.V_a * math.cos(v.V_p - delta)))
+        assert gap <= 1e-12, f"oracle off the Bell fringe by {gap:.3e} at delta {delta}"
+    for v, x, label in cases:
+        closed = protocol.raw_probabilities(v, x)
+        oracle = reference.raw_probabilities_oracle(reference.make_astro_state(v),
+                                                    reference.to_density(x))
+        gap = max(abs(closed[0] - oracle[0]), abs(closed[1] - oracle[1]))
+        assert gap <= 1e-12, f"oracle disagrees by {gap:.3e} ({label})"
 
 
 def check_postselection_normalization():
     rng = np.random.default_rng(12)
-    for _ in range(50):
-        v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
-        x = reference.random_xstate(rng)
-        q_c, q_ac = protocol.raw_probabilities(v, x)
+    draws = [(rng.uniform(), rng.uniform(-math.pi, math.pi), reference.random_xstate(rng))
+             for _ in range(50)]
+    pairs = rng.uniform(0.0, 0.5, size=(200, 2)).tolist()  # any pair, not a state's
+    # the amplitude's edges: V_a = 0, and V_a = 1 on fully coherent states in phase
+    # with the sky, whose q_c is 0 up to rounding
+    for v_a in (0.0, 1.0):
+        for _ in range(10):
+            a, g, f, h = rng.dirichlet(np.ones(4))
+            v_p = rng.uniform(-math.pi, math.pi)
+            draws.append((v_a, v_p, qcore.XState(a, g, f, h, w_a=math.sqrt(g * f), w_p=v_p)))
+    for v_a, v_p, x in draws:
+        q_c, q_ac = protocol.raw_probabilities(qcore.AstroVisibility(v_a, v_p), x)
+        for q in (q_c, q_ac):
+            assert -1e-15 <= q <= 0.5 + 1e-15, f"q = {q} outside [0, 1/2] at V_a = {v_a}"
         assert abs(q_c + q_ac - 0.5 * (x.g + x.f)) <= 1e-12
         if q_c + q_ac > 0.0:
             p_c, p_ac = protocol.postselect(q_c, q_ac)
             assert p_c + p_ac == 1.0
-    for q_c, q_ac in rng.uniform(0.0, 0.5, size=(200, 2)).tolist():  # any pair, not a state's
+    for q_c, q_ac in pairs:
         p_c, p_ac = protocol.postselect(q_c, q_ac)
         assert p_c + p_ac == 1.0
 
@@ -263,10 +288,13 @@ def check_memory_swap_composition():
 
 
 def check_depol_x_bound():
-    for k_l in np.linspace(0.0, 1.0, 11):
-        for k_r in np.linspace(0.0, 1.0, 11):
-            x = channels.depol_x_param(k_l, k_r)
-            assert -1e-15 <= x <= 1.0 / 3.0 + 1e-15, f"x={x} at ({k_l}, {k_r})"
+    # a dense grid over [0, 1]^2, edges included, in one array call
+    kappa = _union(np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 201))
+    k_l, k_r = (grid.ravel() for grid in np.meshgrid(kappa, kappa))
+    x = channels.depol_x_param(k_l, k_r)
+    bad = (x < -1e-15) | (x > 1.0 / 3.0 + 1e-15)
+    i = int(bad.argmax())
+    assert not bad[i], f"x={x[i]} at ({k_l[i]}, {k_r[i]})"
 
 
 def channel_rates(kind: str, params: dict, rates: channels.RateModel, baselines):
@@ -328,25 +356,54 @@ def check_depol_rate_asymptote():
 
 
 def check_forward_visibility():
+    # |V| <= 1 on seeded skies of 1 to 6 sources, |theta| <= 0.05, flux in [0.1, 3] and
+    # B in [0, 500], and on skies at the corners of that domain
     rng = np.random.default_rng(21)
-    for _ in range(30):
-        n = rng.integers(1, 6)
-        sky = imaging.SkyModel(tuple((rng.uniform(-0.05, 0.05), rng.uniform(0.1, 2.0))
-                                     for _ in range(n)), wavelength=1.0)
-        for b in rng.uniform(0.0, 500.0, size=5):
-            assert abs(imaging.true_visibility(sky, b)) <= 1.0 + 1e-12
-    sky2 = imaging.SkyModel(((-0.01, 1.0), (0.01, 1.0)), wavelength=1.0)
-    null_b = 1.0 / (2 * 0.02)
+    cases = []
+    for _ in range(60):
+        n = rng.integers(1, 7)
+        sources = tuple((rng.uniform(-0.05, 0.05), rng.uniform(0.1, 3.0)) for _ in range(n))
+        cases.append((sources, rng.uniform(0.0, 500.0, size=5)))
+    corners = (((-0.05, 0.1),), ((0.05, 3.0),),
+               tuple((theta, flux) for theta in (-0.05, 0.0, 0.05) for flux in (0.1, 3.0)))
+    cases += [(sources, (0.0, 300.0, 500.0)) for sources in corners]
+    for sources, bs in cases:
+        sky = imaging.SkyModel(sources, wavelength=1.0)
+        for b in bs:
+            assert abs(imaging.true_visibility(sky, b)) <= 1.0 + 1e-12, f"|V| > 1 at B = {b}"
+    # two equal sources sep apart: V = cos(pi B sep), null at B = 1/(2 sep)
+    sep = 0.02
+    sky2 = imaging.SkyModel(((-sep / 2, 1.0), (sep / 2, 1.0)), wavelength=1.0)
+    null_b = 1.0 / (2 * sep)
+    for b in (*np.linspace(0.0, 80.0, 23).tolist(), 0.5 * null_b, null_b):
+        gap = abs(imaging.true_visibility(sky2, b) - math.cos(math.pi * b * sep))
+        assert gap <= 1e-12, f"two-source visibility off cos(pi B sep) by {gap:.3e} at B = {b}"
     assert abs(imaging.true_visibility(sky2, null_b)) <= 1e-12
+
+
+def _exact_samples(sky, plan):
+    """(baselines, visibilities) arrays of the plan's exact visibilities of the sky."""
+    return (np.array(plan.baselines),
+            np.array([imaging.true_visibility(sky, b) for b in plan.baselines]))
 
 
 def check_reconstruction_hermitian():
     sky = imaging.SkyModel(((-0.01, 1.0), (0.012, 0.7)), wavelength=1.0)
     plan = imaging.BaselinePlan.linear(60.0, 32)
-    bs = np.array(plan.baselines)
-    vs = np.array([imaging.true_visibility(sky, b) for b in plan.baselines])
-    # the default grid, and a fine one spanning many rotation blocks of the map
-    for grid in (imaging.default_theta_grid(sky, plan.B_m), np.linspace(-0.05, 0.05, 1001)):
+    # noisy samples out to B = 1e4, whose k theta reaches 2 pi 1e4 x 0.1 ~ 6 300 rad
+    rng = np.random.default_rng(1234)
+    far = np.array(imaging.BaselinePlan.linear(1e4, 500).baselines)
+    noisy = rng.uniform(0.0, 0.9, size=far.size) * np.exp(
+        1j * rng.uniform(-math.pi, math.pi, size=far.size))
+    # the default grid, a fine one spanning many rotation blocks of the map, another
+    # sky and plan on a grid of 151 points, and the noisy samples on 4 001 points
+    cases = [(*_exact_samples(sky, plan), imaging.default_theta_grid(sky, plan.B_m)),
+             (*_exact_samples(sky, plan), np.linspace(-0.05, 0.05, 1001)),
+             (*_exact_samples(imaging.SkyModel(((-0.013, 1.0), (0.008, 0.6)), wavelength=1.0),
+                              imaging.BaselinePlan.linear(70.0, 48)),
+              np.linspace(-0.03, 0.03, 151)),
+             (far, noisy, np.linspace(-0.1, 0.1, 4001))]
+    for bs, vs, grid in cases:
         raw = reference.dirty_image_complex(bs, vs, grid, 1.0)
         scale = np.max(np.abs(raw.real))
         assert np.max(np.abs(raw.imag)) <= 1e-12 * max(1.0, scale)
@@ -356,16 +413,24 @@ def check_reconstruction_hermitian():
 
 
 def check_resolvability():
+    # one peak below the threshold baseline 1/(2 sep) and two above it; at four times
+    # the threshold, each within one grid cell of its source
     sep = 0.02
     sky = imaging.SkyModel(((-sep / 2, 1.0), (sep / 2, 1.0)), wavelength=1.0)
     threshold = 1.0 / (2 * sep)
     grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
-    for factor, expected in ((0.5, 1), (2.0, 2)):
-        plan = imaging.BaselinePlan.linear(factor * threshold, 48)
+    # (B_max / threshold, baselines, peaks, placed within a cell)
+    for factor, count, expected, placed in ((0.5, 48, 1, False), (2.0, 48, 2, False),
+                                            (4.0, 64, 2, True)):
+        plan = imaging.BaselinePlan.linear(factor * threshold, count)
         vs = [imaging.true_visibility(sky, b) for b in plan.baselines]
         rec = imaging.reconstruct_intensity(plan.baselines, vs, grid, 1.0)
-        n_peaks = len(reference.find_peaks(rec))
-        assert n_peaks == expected, f"{factor}x threshold: {n_peaks} peaks"
+        peaks = reference.find_peaks(rec)
+        assert len(peaks) == expected, f"{factor}x threshold: {len(peaks)} peaks"
+        if placed:
+            for peak, target in zip(peaks, (-sep / 2, sep / 2)):
+                assert abs(grid[peak] - target) <= (grid[1] - grid[0]) * (1.0 + 1e-9), \
+                    f"{factor}x threshold: peak at {grid[peak]}, source at {target}"
 
 
 # The error-scaling study (at C = 1, the scheme of Gottesman, Jennewein and Croke),
@@ -433,16 +498,22 @@ def check_resource_scaling_mc():
 
 
 def check_error_bar_coverage_mc():
-    # one-sigma bars cover 68.27% of replicates; with 10 000 of them four
-    # binomial sigmas are 0.019, so a bar 10% too wide or narrow fails
-    x = channels.ideal_bell_xstate()
-    v = qcore.AstroVisibility(0.7, 0.9)
-    rng = np.random.default_rng(protocol.derive_seed(6))
-    est = protocol.run_replicates(v, x, _SETTINGS, 100_000, 10_000, rng)
-    cover_a = np.mean(np.abs(est.V_a_hat - v.V_a) <= est.dV_a)
-    cover_p = np.mean(np.abs(protocol._wrap_phases(est.V_p_hat - v.V_p)) <= est.dV_p)
-    for name, cover in (("dV_a", cover_a), ("dV_p", cover_p)):
-        assert abs(cover - 0.6827) <= 0.019, f"{name} covers {cover:.4f}, expected 0.6827"
+    # one-sigma bars cover 68.27% of replicates; with 20 000 of them four binomial
+    # sigmas are 0.013, so a bar 5% too wide or narrow fails. The ideal resource at
+    # N = 10^5, and resources of C = 1, 0.45 and 0.78 at three amplitudes at N = 10^4
+    cases = [(channels.ideal_bell_xstate(), 0.7, 10 ** 5, protocol.derive_seed(6))]
+    cases += [(x, v_a, 10 ** 4, 17)
+              for x in (channels.ideal_bell_xstate(), channels.xstate_dephasing(0.55, 0.0),
+                        channels.xstate_depolarizing(0.15, 0.15))
+              for v_a in (0.3, 0.7, 1.0)]
+    for x, v_a, n, seed in cases:
+        v = qcore.AstroVisibility(v_a, 0.9)
+        est = protocol.run_replicates(v, x, _SETTINGS, n, 20_000, np.random.default_rng(seed))
+        cover_a = np.mean(np.abs(est.V_a_hat - v.V_a) <= est.dV_a)
+        cover_p = np.mean(np.abs(protocol._wrap_phases(est.V_p_hat - v.V_p)) <= est.dV_p)
+        for name, cover in (("dV_a", cover_a), ("dV_p", cover_p)):
+            assert abs(cover - 0.6827) <= 0.013, \
+                f"{name} covers {cover:.4f}, expected 0.6827 (C = {est.C_used}, V_a = {v_a})"
 
 
 def check_five_sigma_coverage_mc():
@@ -454,18 +525,20 @@ def check_five_sigma_coverage_mc():
 
 
 def check_fringe_bound_mc():
-    rng = np.random.default_rng(31)
-    draws = np.random.default_rng(protocol.derive_seed(7))
-    for _ in range(25):
-        x = reference.random_xstate(rng, with_outer=False)
-        if x.g + x.f <= 1e-3 or x.w_a <= 1e-6:
-            continue
-        v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
-        n = 5000
-        _, conc, _, p_cs = protocol._setting_probabilities(v, x, _SETTINGS)
-        n_c = draws.binomial(n, p_cs)
-        dp = ((n - n_c) - n_c) / n  # (n_ac - n_c) / N at each setting
-        assert np.all(np.abs(dp) <= v.V_a * conc + 5.0 / math.sqrt(n))
+    # (state seed, count seed, states, N)
+    for state_seed, draw_seed, states, n in ((31, 7, 25, 5000), (1234, 8, 30, 2000)):
+        rng = np.random.default_rng(state_seed)
+        draws = np.random.default_rng(protocol.derive_seed(draw_seed))
+        for _ in range(states):
+            x = reference.random_xstate(rng, with_outer=False)
+            if x.g + x.f <= 1e-3 or x.w_a <= 1e-6:
+                continue
+            v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
+            _, conc, _, p_cs = protocol._setting_probabilities(v, x, _SETTINGS)
+            n_c = draws.binomial(n, p_cs)
+            dp = ((n - n_c) - n_c) / n  # (n_ac - n_c) / N at each setting
+            assert np.all(np.abs(dp) <= v.V_a * conc + 5.0 / math.sqrt(n)), \
+                f"fringe {dp} beyond V_a C + 5/sqrt(N) at N = {n}"
 
 
 def check_imaging_peaks_mc():

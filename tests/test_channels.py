@@ -28,8 +28,6 @@ from entbase.config import ChannelConfig, _parse_channel
 from entbase.imaging import resource_figures
 from entbase.qcore import XState, concurrence_subspace, subspace_weight
 
-probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
 
 class TestClosedFormStates:
     def test_damping_limits(self):
@@ -81,12 +79,6 @@ class TestClosedFormStates:
             x = xstate_depolarizing(kappa_l, np.zeros(4))
         assert len(caught) == 1
         assert list(x.w_p) == [math.pi, 0.0, math.pi, math.pi]
-
-    @given(probabilities, probabilities)
-    @settings(max_examples=60, deadline=None)
-    def test_x_param_bound(self, k_l, k_r):
-        x = depol_x_param(k_l, k_r)
-        assert -1e-15 <= x <= 1.0 / 3.0 + 1e-15
 
     @pytest.mark.parametrize("builder", [xstate_amplitude_damping, xstate_dephasing,
                                          xstate_depolarizing])
@@ -202,10 +194,6 @@ class TestLogRateLaws:
         out = log_rate_depol_approx(1e9, 1.0, rates)
         assert isinstance(out, DepolRateApprox) and out.in_regime
         assert abs(out.value - (math.log(rates.max_rate) + math.log(5.0 / 9.0))) <= 1e-12
-
-    def test_out_of_regime_flag(self):
-        out = log_rate_depol_approx(0.0, 1.0, RateModel(1.0, 1.0))
-        assert not out.in_regime
 
 
 def test_ideal_bell_helper():

@@ -679,16 +679,38 @@ OVERFLOW_CASES = [
      "sweep.B: value 1e+308: phase 2 pi B theta / lambda overflows"),
     ({}, ["sweep", "--param", "L", "--values", "3e307,10", "--mc-replicates", "3"],
      "sweep.L: value 3e+307: phase 2 pi B theta / lambda overflows"),
+    # a grid step below the smallest normal double, whose points round together
+    (dict(sky={"sources": [{"theta": 0, "flux": 1}]},
+          theta_grid={"half_span": 5e-324, "count": 5}), ["run"],
+     "theta_grid.half_span: theta grid step underflows at half-span 5e-324 and count 5"),
+    # finite phases past MAX_PHASE, where cos and sin lose their digits
+    (dict(wavelength=2.94e-286, baselines=[1.55e16, 4.66e16]), ["run"],
+     "wavelength: phase 2 pi B theta / lambda reaches 2.9877187276996805e+301 rad at "
+     "B = 4.66e+16 on the grid of half-span 0.015, beyond the 1073741824 rad that cos and "
+     "sin resolve"),
+    (dict(theta_grid={"half_span": 1e8, "count": 5}), ["run"],
+     "theta_grid.half_span: phase 2 pi B theta / lambda reaches 50265482457.43669 rad at "
+     "B = 40.0 on the grid of half-span 100000000.0, beyond the 1073741824 rad that cos and "
+     "sin resolve"),
+    ({}, ["sweep", "--param", "B", "--values", "10,1e12", "--mc-replicates", "3"],
+     "sweep.B: value 1000000000000.0: phase 2 pi B theta / lambda reaches "
+     "62831853071.79586 rad, beyond the 1073741824 rad that cos and sin resolve"),
+    ({}, ["sweep", "--param", "L", "--values", "10,1e12", "--mc-replicates", "3"],
+     "sweep.L: value 1000000000000.0: phase 2 pi B theta / lambda reaches "
+     "62831853071.79586 rad, beyond the 1073741824 rad that cos and sin resolve"),
 ]
 
 
 class TestOverflowingPhasesExit1:
-    """A theta grid or a phase 2 pi B theta / lambda beyond the float range is a config
-    error naming its key, with no numpy warning on the way."""
+    """A theta grid or a phase 2 pi B theta / lambda beyond the float range, a grid step
+    that underflows and a phase past MAX_PHASE are config errors naming their key, with
+    no numpy warning on the way."""
 
     @pytest.mark.parametrize("overrides, command, message", OVERFLOW_CASES, ids=[
         "half-span-span", "half-span-phase", "B_max-span", "B_max-beam", "list-span",
-        "wavelength-phase", "wavelength-reciprocal", "list-B-phase", "sweep-B", "sweep-L"])
+        "wavelength-phase", "wavelength-reciprocal", "list-B-phase", "sweep-B", "sweep-L",
+        "half-span-step", "wavelength-unresolved", "half-span-unresolved", "sweep-B-unresolved",
+        "sweep-L-unresolved"])
     def test_exit_1_names_the_key(self, tmp_path, capsys, overrides, command, message):
         path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out"),
                                                   **overrides))
@@ -698,6 +720,38 @@ class TestOverflowingPhasesExit1:
         assert capsys.readouterr().err == f"invalid config: {message}\n"
         assert not caught
         assert not (tmp_path / "out").exists()
+
+    def test_phase_bound_is_max_phase(self):
+        # the grid's phase 2 pi B (2 half_span) / lambda just under MAX_PHASE and just past
+        half_span = config.MAX_PHASE / (2.0 * math.pi * 40.0 * 2.0)
+        parse_config(base_config(theta_grid={"half_span": half_span * (1 - 1e-12), "count": 5}))
+        with pytest.raises(ConfigError, match=r"^theta_grid\.half_span: phase .* beyond the "
+                                              r"1073741824 rad"):
+            parse_config(base_config(theta_grid={"half_span": half_span * (1 + 1e-12),
+                                                 "count": 5}))
+
+    def test_grid_step_bound_is_smallest_normal(self, tmp_path):
+        # a step of exactly the smallest normal double keeps the points distinct and runs
+        one = {"sources": [{"theta": 0, "flux": 1}]}
+        half_span = 2.0 * sys.float_info.min
+        path = write_config(tmp_path, base_config(
+            sky=one, theta_grid={"half_span": half_span, "count": 5},
+            output_dir=str(tmp_path / "out")))
+        assert main(["run", path]) == 0
+        with pytest.raises(ConfigError, match=r"^theta_grid\.half_span: theta grid step "
+                                              r"underflows"):
+            parse_config(base_config(sky=one, theta_grid={"half_span": 0.5 * half_span,
+                                                          "count": 5}))
+
+    def test_default_grid_step_below_normal_runs(self, tmp_path):
+        # the default grid's step can pass below the smallest normal double where the
+        # phase checks hold, yet its points stay distinct, so it needs no step check
+        cfg = base_config(sky={"sources": [{"theta": 0, "flux": 1}]}, wavelength=1e-300,
+                          baselines={"B_max": 1e7, "count": 12, "spacing": "linear"},
+                          output_dir=str(tmp_path / "out"))
+        half_span, count = parse_config(cfg).theta_span
+        assert 2.0 * half_span / (count - 1) < sys.float_info.min
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
 
     def test_sweep_without_replicates_evaluates_no_visibility(self, tmp_path):
         # the rate columns alone hold at any finite baseline

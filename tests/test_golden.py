@@ -32,6 +32,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entbase.cli import main
@@ -70,6 +71,11 @@ SWEEP_DIGESTS = {
 
 RATE_SCRIPT_DIGEST = "bd00403528498c0a081887111c8d3e2407e412ae4c0f4d6147867fa23b685eee"
 
+# the numpy the digests were recorded with; a ufunc's last bits may differ on another
+# numpy build or CPU, so a failure names both versions
+RECORDED_NUMPY = "2.4.6"
+NUMPY_NOTE = f"digests recorded with numpy {RECORDED_NUMPY}, running numpy {np.__version__}"
+
 STUDY_ARGS = ["--replicates", "25", "--budget", "20000"]
 STUDY_DIGESTS = {
     "rmse_vs_n.csv": "99bf1e701c878497d4d06ce50f0c7c6cdab5da4846d162681f55abd61d55951c",
@@ -94,14 +100,15 @@ def digest(path: Path) -> str:
 def test_run_outputs_are_pinned(tmp_path, name):
     assert main(["run", bundled_config(tmp_path, name)]) == 0
     for file_name in ("visibility.csv", "summary.json"):
-        assert digest(tmp_path / "out" / file_name) == RUN_DIGESTS[name, file_name], file_name
+        assert digest(tmp_path / "out" / file_name) == RUN_DIGESTS[name, file_name], \
+            f"{file_name} ({NUMPY_NOTE})"
 
 
 @pytest.mark.parametrize("args", list(SWEEP_DIGESTS), ids=["B", "N-mc", "L0-mc", "R_E",
                                                           "N-mc-chunk-crossing"])
 def test_sweep_outputs_are_pinned(tmp_path, args):
     assert main(["sweep", bundled_config(tmp_path, "fiber_two_source"), *args]) == 0
-    assert digest(tmp_path / "out" / "sweep.csv") == SWEEP_DIGESTS[args]
+    assert digest(tmp_path / "out" / "sweep.csv") == SWEEP_DIGESTS[args], NUMPY_NOTE
 
 
 def run_script(monkeypatch, name, argv):
@@ -111,10 +118,10 @@ def run_script(monkeypatch, name, argv):
 
 def test_rate_script_output_is_pinned(tmp_path, monkeypatch, capsys):
     run_script(monkeypatch, "rate_vs_baseline.py", ["--out", str(tmp_path)])
-    assert digest(tmp_path / "rate_vs_baseline.csv") == RATE_SCRIPT_DIGEST
+    assert digest(tmp_path / "rate_vs_baseline.csv") == RATE_SCRIPT_DIGEST, NUMPY_NOTE
 
 
 def test_study_script_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     run_script(monkeypatch, "error_scaling_study.py", [*STUDY_ARGS, "--out", str(tmp_path)])
     for name, expected in STUDY_DIGESTS.items():
-        assert digest(tmp_path / name) == expected, name
+        assert digest(tmp_path / name) == expected, f"{name} ({NUMPY_NOTE})"

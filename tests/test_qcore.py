@@ -10,7 +10,6 @@ from conftest import xstate_strategy
 from entbase.qcore import (
     FLOAT_CHECK_MAX,
     AstroVisibility,
-    DegenerateResourceError,
     XState,
     concurrence_subspace,
     subspace_weight,
@@ -116,26 +115,6 @@ class TestKrausConstructors:
             make(1.1)
 
 
-class TestChannelApplication:
-    def test_damped_bell_matches_closed_form(self):
-        lam_l, lam_r = 0.3, 0.55
-        out = apply_independent_channels(make_bell_psi(0.0),
-                                         kraus_amplitude_damping(lam_l),
-                                         kraus_amplitude_damping(lam_r)).entries
-        expected = np.zeros((4, 4), complex)
-        expected[0, 0] = 0.5 * (lam_l + lam_r)
-        expected[1, 1] = 0.5 * (1 - lam_r)
-        expected[2, 2] = 0.5 * (1 - lam_l)
-        expected[1, 2] = expected[2, 1] = 0.5 * math.sqrt((1 - lam_l) * (1 - lam_r))
-        assert np.max(np.abs(out - expected)) <= 1e-12
-
-    def test_mixed_mechanisms_stay_x_form(self):
-        out = apply_independent_channels(make_bell_psi(0.0),
-                                         kraus_amplitude_damping(0.3),
-                                         kraus_dephasing(0.5))
-        extract_xstate(out)
-
-
 class TestExtractXState:
     def test_dephased_values(self):
         out = apply_independent_channels(make_bell_psi(0.0),
@@ -187,10 +166,12 @@ class TestConcurrenceAndWeight:
         x = XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=0.0)
         assert concurrence_wootters_x(x) == 0.0
 
-    def test_degenerate_resource_raises(self):
-        x = XState(a=1.0, g=0.0, f=0.0, h=0.0, w_a=0.0)
-        with pytest.raises(DegenerateResourceError):
-            concurrence_subspace(x)
+    def test_dead_state_has_nan_concurrence(self):
+        # a float state and an array state's element alike
+        assert math.isnan(concurrence_subspace(XState(a=1.0, g=0.0, f=0.0, h=0.0, w_a=0.0)))
+        conc = concurrence_subspace(XState(a=np.array([1.0, 0.0]), g=np.array([0.0, 0.5]),
+                                           f=np.array([0.0, 0.5]), h=0.0, w_a=np.array([0.0, 0.5])))
+        assert math.isnan(conc[0]) and conc[1] == 1.0
 
     def test_subspace_weight_examples(self):
         assert abs(subspace_weight(XState(a=0.5, g=0.25, f=0.25, h=0.0, w_a=0.25)) - 0.5) <= 1e-15

@@ -52,7 +52,24 @@ MUTANTS = [
      "/ (0.5 * math.sqrt(N))", "/ math.sqrt(N)"),
     ("estimator-slope[mc]", protocol, "replicate_rmse", "- n) / n_b", "- n) / np.sqrt(n_b)"),
     ("resource-scaling[mc]", protocol, "_estimate", "ew.hypot(c, s) / C", "ew.hypot(c, s)"),
+    ("channel-map-properties", reference, "apply_independent_channels",
+     "ops.conj().transpose(0, 2, 1)", "ops.transpose(0, 2, 1)"),
+    ("concurrence-monotone", channels, "xstate_dephasing",
+     "(1.0 - mu_L) * (1.0 - mu_R)", "(1.0 - mu_L) * (0.5 + mu_R)"),
+    ("rate-monotonicity", imaging, "resource_figures",
+     "r_norm = 0.5 * xi if", "r_norm = 0.5 * (1.0 - xi) if"),
+    ("two-source-resolvability", reference, "find_peaks",
+     "(mid > arr[:-2]) & (mid > arr[2:])", "(mid > arr[:-2]) | (mid > arr[2:])"),
+    ("five-sigma-coverage[mc]", protocol, "_fringe_error",
+     "/ (0.5 * math.sqrt(N))", "/ (5.0 * math.sqrt(N))"),
+    ("fringe-bound[mc]", protocol, "raw_probabilities",
+     "fringe = 2.0 * v.V_a", "fringe = 2.3 * v.V_a"),
+    ("imaging-peaks[mc]", imaging, "observe_and_image", "np.exp(1j * v_p)", "np.exp(2j * v_p)"),
 ]
+
+
+def test_every_check_has_a_mutant():
+    assert {m[0] for m in MUTANTS} == {name for name, _ in CHECKS}
 
 
 def test_wall_clock_bounds_name_checks():
