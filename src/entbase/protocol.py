@@ -58,7 +58,7 @@ class DegeneratePhasesError(ValueError):
     """The two phase settings do not span the fringe; the linear system is singular."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class PhaseSettings:
     """The two controllable resource-phase offsets used to invert the fringe: floats,
     or (n,) arrays for a sweep over one of them."""
@@ -84,7 +84,7 @@ class PhaseSettings:
         return PhaseSettings(ew.item(self.w1, i), ew.item(self.w2, i))
 
 
-@dataclass(frozen=True)
+@dataclass
 class VisibilityEstimate:
     """Point estimates with one-sigma errors plus the resource figures used.
 

@@ -2,9 +2,11 @@
 
 Populations and coherences are indexed in the basis |00>, |01>, |10>, |11>
 with the left network arm as the most significant slot. Everything here is a
-pure function of its inputs; constructed values are immutable and safe to
-share across tasks. The full density-matrix route these closed forms are
-checked against is in ``entbase.reference``.
+pure function of its inputs. Every record is checked when it is constructed,
+no entbase code rebinds a field afterwards, and the array fields of an
+XState are read-only, so a record is safe to share across tasks. The full
+density-matrix route these closed forms are checked against is in
+``entbase.reference``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def wrap_phase(phi: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class AstroVisibility:
     """Complex visibility as (amplitude, phase); the coherence of the sky state.
 
@@ -55,8 +57,8 @@ class AstroVisibility:
             raise ValueError("visibility must be finite")
         if self.V_a < 0.0 or self.V_a > 1.0 + 1e-12:
             raise ValueError(f"V_a = {self.V_a} outside [0, 1]")
-        object.__setattr__(self, "V_a", min(float(self.V_a), 1.0))
-        object.__setattr__(self, "V_p", wrap_phase(float(self.V_p)))
+        self.V_a = min(float(self.V_a), 1.0)
+        self.V_p = wrap_phase(float(self.V_p))
 
 
 # The XState rules, in the order a violation is reported: _broken_rules
@@ -107,7 +109,7 @@ def _check_floats(a, g, f, h, w_a, z_a, total):
 FLOAT_CHECK_MAX = 16
 
 
-@dataclass(frozen=True)
+@dataclass
 class XState:
     """Two-qubit state with support only on the main and anti diagonals.
 
@@ -144,8 +146,7 @@ class XState:
         for name, column in zip(_FIELD_NAMES, columns):
             column[:] = getattr(self, name)
         columns.flags.writeable = False  # before the views are taken, which inherit it
-        for name, column in zip(_FIELD_NAMES, columns):
-            object.__setattr__(self, name, column)
+        self.a, self.g, self.f, self.h, self.w_a, self.w_p, self.z_a, self.z_p = columns
         if probe.size <= FLOAT_CHECK_MAX:
             suspects = range(probe.size)
         else:  # one check of the arrays finds the first invalid state, if any

@@ -241,11 +241,23 @@ class TestValidation:
                 assert np.array_equal([getattr(x.row(i), n) for n in FIELD_NAMES], row,
                                       equal_nan=True)
 
-    def test_array_state_is_read_only_and_broadcast(self):
-        x = XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=np.array([0.5, 0.25]))
-        assert x.g.shape == x.z_p.shape == (2,)
-        with pytest.raises(ValueError):
-            x.w_a[0] = 0.0
+    # the records are plain dataclasses: read-only array fields are what keeps
+    # a checked array state as it was checked
+    @pytest.mark.parametrize("array_fields", [FIELD_NAMES, ("w_a", "z_p")],
+                             ids=["all-arrays", "floats-and-arrays"])
+    def test_array_state_is_read_only_and_broadcast(self, array_fields):
+        row = dict(a=0.1, g=0.4, f=0.4, h=0.1, w_a=0.3, w_p=0.2, z_a=0.05, z_p=-0.1)
+        given = {name: np.array([value, value]) if name in array_fields else value
+                 for name, value in row.items()}
+        x = XState(**given)
+        for name in FIELD_NAMES:
+            column = getattr(x, name)
+            assert column.shape == (2,) and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        for name in array_fields:  # the state holds copies: its inputs stay writable
+            given[name][0] = 0.0
+            assert getattr(x, name)[0] == row[name]
         with pytest.raises(ValueError, match="w_a = 0.75 exceeds"):
             XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=np.array([0.5, 0.75, 0.9]))
 
