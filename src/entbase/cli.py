@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import elementwise as ew
-from .config import MAX_PHASE, ConfigError, load_config, swept_config
+from .config import ConfigError, check_phase, load_config, parse_sweep_args, swept_config
 from .imaging import observe_and_image, resolution, resource_figures, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
@@ -170,20 +170,6 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     return 0
 
 
-def _sky_visibility(sky, B: float, key: str) -> AstroVisibility:
-    """The true visibility of the sky at baseline B, as the protocol takes it; a phase
-    2 pi B theta / lambda beyond the float range, or beyond MAX_PHASE, is the config
-    fault of B at key."""
-    phase = sky.max_phase(B)
-    if not math.isfinite(phase):
-        raise ConfigError(key, f"value {B}: phase 2 pi B theta / lambda overflows")
-    if phase > MAX_PHASE:
-        raise ConfigError(key, f"value {B}: phase 2 pi B theta / lambda reaches {phase} rad, "
-                               f"beyond the {MAX_PHASE:.0f} rad that cos and sin resolve")
-    v_c = true_visibility(sky, B)
-    return AstroVisibility(abs(v_c), cmath.phase(v_c))
-
-
 def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
               gnuplot: bool = False) -> int:
     swept = np.asarray(values, dtype=float)
@@ -204,14 +190,17 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
     # resource, whose RMSE cells stay empty
     live = [i for i, c in enumerate(conc) if c > 0.0] if mc_replicates > 0 else []
     if live:
-        # the sky at each row's evaluation baseline (the base config's B_max has passed
-        # its phase check); each row draws from its own generator, and one
-        # replicate_rmse call inverts them all
-        observations = [
-            (_sky_visibility(cfg.sky, ew.item(b_eval, r), f"sweep.{param}"), resource.row(r),
-             cfg.settings.row(r), ew.item(cfg.n_per_setting, r),
-             np.random.default_rng(derive_seed(cfg.seed, r)))
-            for r in live]
+        # the sky at each row's evaluation baseline, once its phase passes check_phase
+        # (the base config's B_max has passed it); each row draws from its own
+        # generator, and one replicate_rmse call inverts them all
+        observations = []
+        for r in live:
+            b = ew.item(b_eval, r)
+            check_phase(f"sweep.{param}", b, (cfg.sky.max_phase(b),))
+            v_c = true_visibility(cfg.sky, b)
+            observations.append((AstroVisibility(abs(v_c), cmath.phase(v_c)), resource.row(r),
+                                 cfg.settings.row(r), ew.item(cfg.n_per_setting, r),
+                                 np.random.default_rng(derive_seed(cfg.seed, r))))
         va, vp = replicate_rmse(observations, mc_replicates)
         for r, a, p in zip(live, va.tolist(), vp.tolist()):
             rmse_a[r], rmse_p[r] = "%.17g" % a, "%.17g" % p
@@ -228,18 +217,6 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
 def cmd_validate() -> int:
     from . import validation  # the suite and its references stay out of run and sweep
     return 0 if validation.run_all() else 1
-
-
-def _parse_values(raw: str) -> np.ndarray:
-    try:
-        values = np.array([float(v) for v in raw.split(",") if v.strip() != ""])
-    except ValueError:
-        raise ConfigError("sweep.values", f"not a comma-separated number list: {raw!r}")
-    if not values.size:
-        raise ConfigError("sweep.values", f"no values given: {raw!r}")
-    if not np.isfinite(values).all():
-        raise ConfigError("sweep.values", f"values must be finite: {raw!r}")
-    return values
 
 
 class _ArgumentsError(Exception):
@@ -304,10 +281,9 @@ def main(argv=None) -> int:
         if args.verb == "run":
             return cmd_run(args.config, gnuplot=args.gnuplot)
         if args.verb == "sweep":
-            if args.mc_replicates < 0:
-                raise ConfigError("sweep.mc_replicates", "must be nonnegative")
-            return cmd_sweep(args.config, args.param, _parse_values(args.values),
-                             mc_replicates=args.mc_replicates, gnuplot=args.gnuplot)
+            values, replicates = parse_sweep_args(args.values, args.mc_replicates)
+            return cmd_sweep(args.config, args.param, values, mc_replicates=replicates,
+                             gnuplot=args.gnuplot)
         return cmd_validate()
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

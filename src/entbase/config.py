@@ -29,8 +29,8 @@ from .channels import (
 from .imaging import BaselinePlan, SkyModel, default_theta_span
 from .protocol import MAX_TRIALS, PhaseSettings
 
-__all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "load_config", "parse_config",
-           "swept_config"]
+__all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "check_phase", "load_config",
+           "parse_config", "parse_sweep_args", "swept_config"]
 
 # bounds on theta_grid.count and baselines.count: one key must not be able to ask
 # for gigabytes of map or of baseline plan
@@ -49,15 +49,50 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
+def _key(context: str, key: str) -> str:
+    """The dotted name of key in the section context ("" at the top level)."""
+    return f"{context}.{key}" if context else key
+
+
+class _RepeatedNames(dict):
+    """A JSON object that gives a name twice (the last value stands); `repeated` names it."""
+
+
+def _json_object(pairs: list) -> dict:
+    """The dict json.load builds of an object's pairs, a _RepeatedNames if a name repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        obj = _RepeatedNames(obj)
+        obj.repeated = next(name for name in obj if names.count(name) > 1)
+    return obj
+
+
 def _require_keys(obj: dict, context: str, required: tuple, optional: tuple = ()):
     if not isinstance(obj, dict):
         raise ConfigError(context, "expected an object")
+    if isinstance(obj, _RepeatedNames):
+        raise ConfigError(_key(context, obj.repeated), "duplicate key")
     for key in sorted(obj):
         if key not in required and key not in optional:
-            raise ConfigError(f"{context}.{key}" if context else key, "unknown key")
+            raise ConfigError(_key(context, key), "unknown key")
     for key in required:
         if key not in obj:
-            raise ConfigError(f"{context}.{key}" if context else key, "missing required key")
+            raise ConfigError(_key(context, key), "missing required key")
+
+
+def check_phase(key: str, B: float, phases: tuple, half_span: float | None = None):
+    """The phase limit of run and sweep: each phase 2 pi B theta / lambda at baseline B is
+    finite and at most MAX_PHASE, or it is the config fault at key. parse_config gives the
+    map's half_span, which the message names; a sweep row names its value B instead."""
+    finite = all(map(math.isfinite, phases))
+    if finite and max(phases) <= MAX_PHASE:
+        return
+    value = f"value {B}: " if half_span is None else ""
+    what = f"reaches {max(phases)} rad" if finite else "overflows"
+    where = f" at B = {B} on the grid of half-span {half_span}" if half_span is not None else ""
+    beyond = f", beyond the {MAX_PHASE:.0f} rad that cos and sin resolve" if finite else ""
+    raise ConfigError(key, f"{value}phase 2 pi B theta / lambda {what}{where}{beyond}")
 
 
 def _is_finite_number(val) -> bool:
@@ -68,26 +103,6 @@ def _is_finite_number(val) -> bool:
         return math.isfinite(val)
     except OverflowError:  # an integer literal beyond the float range
         return False
-
-
-def _number(obj: dict, context: str, key: str, default=None):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if isinstance(val, np.ndarray):  # a swept column, never JSON; its values are finite
-        return val
-    if not _is_finite_number(val):
-        raise ConfigError(f"{context}.{key}" if context else key, "expected a finite number")
-    return float(val)
-
-
-def _integer(obj: dict, context: str, key: str, default=None):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{context}.{key}" if context else key, "expected an integer")
-    return int(val)
 
 
 class _Range(NamedTuple):
@@ -107,16 +122,45 @@ _POSITIVE = _Range(lambda v: v <= 0.0, "value {value} must be positive")
 _STORAGE_TIME = _Range(lambda v: v < 0.0, "storage time must be nonnegative")
 
 
-def _in_range(context: str, key: str, value: float, rule: _Range) -> float:
-    broken = rule.broken(value)
+def _number(obj: dict, context: str, key: str, default=None, rule: _Range | None = None):
+    """obj[key], a finite float or a swept (n,) array, in rule's range if given; else default."""
+    if key not in obj:
+        return default
+    val = obj[key]
+    if not isinstance(val, np.ndarray):  # a swept column is never JSON
+        if not _is_finite_number(val):
+            raise ConfigError(_key(context, key), "expected a finite number")
+        val = float(val)
+    broken = rule is not None and rule.broken(val)
     if ew.any_set(broken):
-        raise ConfigError(f"{context}.{key}",
-                          rule.message.format(value=ew.first_set(value, broken)))
-    return value
+        raise ConfigError(_key(context, key), rule.message.format(value=ew.first_set(val, broken)))
+    return val
 
 
-def _positive(context: str, key: str, value: float) -> float:
-    return _in_range(context, key, value, _POSITIVE)
+def _integer(obj: dict, context: str, key: str, default=None, bounds: tuple = ()):
+    """obj[key], a JSON integer (not a bool), within bounds (lo, hi) if given; default if absent."""
+    if key not in obj:
+        return default
+    val = obj[key]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(_key(context, key), "expected an integer")
+    if bounds and not bounds[0] <= val <= bounds[1]:
+        raise ConfigError(_key(context, key), "must be an integer in [{}, {}]".format(*bounds))
+    return int(val)
+
+
+def _record(key: str, make, *args):
+    """make(*args), a record whose own checks' ValueError is the config fault at key."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
+def _parse_numbers(obj, context: str, names: tuple, make=lambda *numbers: numbers):
+    """make(*numbers) of the section context, which holds exactly the numbers names."""
+    _require_keys(obj, context, names)
+    return _record(context, make, *(_number(obj, context, name) for name in names))
 
 
 # The range of every numeric channel parameter, each one a sweep may set.
@@ -127,11 +171,6 @@ CHANNEL_PARAM_RULES = {
     "L0": _POSITIVE, "beta": _POSITIVE,
     "t1": _STORAGE_TIME, "t2": _STORAGE_TIME, "tau_c": _POSITIVE,
 }
-
-
-def _channel_param(obj: dict, key: str) -> float:
-    """obj[key] as a finite float within its CHANNEL_PARAM_RULES range."""
-    return _in_range("channel", key, _number(obj, "channel", key), CHANNEL_PARAM_RULES[key])
 
 
 def _fiber_xstate(B, L0):
@@ -214,7 +253,8 @@ def _parse_channel(obj) -> ChannelConfig:
     if any(key in obj for key in others):
         raise ConfigError(f"{ctx}.{form[0]}",
                           f"give either {' or '.join('/'.join(keys) for keys in forms)}, not both")
-    params = {key: _channel_param(obj, key) for key in form if key in CHANNEL_PARAM_RULES}
+    params = {key: _number(obj, ctx, key, rule=CHANNEL_PARAM_RULES[key])
+              for key in form if key in CHANNEL_PARAM_RULES}
     if "sign" in obj:
         sign = obj["sign"]
         # an integer sign is a JSON integer, as for every integer key: not 1.0, not true
@@ -248,15 +288,9 @@ def _parse_sky(obj, wavelength: float) -> SkyModel:
     sources = obj["sources"]
     if not isinstance(sources, list) or not sources:
         raise ConfigError(f"{ctx}.sources", "expected a nonempty list")
-    parsed = []
-    for i, src in enumerate(sources):
-        sctx = f"{ctx}.sources[{i}]"
-        _require_keys(src, sctx, ("theta", "flux"))
-        parsed.append((_number(src, sctx, "theta"), _number(src, sctx, "flux")))
-    try:
-        return SkyModel(tuple(parsed), wavelength)
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}.sources", str(exc)) from exc
+    parsed = tuple(_parse_numbers(src, f"{ctx}.sources[{i}]", ("theta", "flux"))
+                   for i, src in enumerate(sources))
+    return _record(f"{ctx}.sources", SkyModel, parsed, wavelength)
 
 
 def _parse_baselines(obj) -> BaselinePlan:
@@ -267,15 +301,10 @@ def _parse_baselines(obj) -> BaselinePlan:
         for i, b in enumerate(obj):
             if not _is_finite_number(b):
                 raise ConfigError(f"{ctx}[{i}]", "expected a finite number")
-        try:
-            return BaselinePlan(tuple(float(b) for b in obj))
-        except ValueError as exc:
-            raise ConfigError(ctx, str(exc)) from exc
+        return _record(ctx, BaselinePlan, tuple(float(b) for b in obj))
     _require_keys(obj, ctx, ("B_max", "count"), ("spacing",))
-    b_max = _positive(ctx, "B_max", _number(obj, ctx, "B_max"))
-    count = _integer(obj, ctx, "count")
-    if count is None or not 1 <= count <= MAX_BASELINES:
-        raise ConfigError(f"{ctx}.count", f"must be an integer in [1, {MAX_BASELINES}]")
+    b_max = _number(obj, ctx, "B_max", rule=_POSITIVE)
+    count = _integer(obj, ctx, "count", bounds=(1, MAX_BASELINES))
     spacing = obj.get("spacing", "linear")
     if spacing != "linear":
         raise ConfigError(f"{ctx}.spacing", "only 'linear' spacing is supported")
@@ -308,41 +337,26 @@ class ScenarioConfig:
         return np.linspace(-half_span, half_span, count)
 
 
-def _parse_settings(obj) -> PhaseSettings:
-    _require_keys(obj, "phase_settings", ("w1", "w2"))
-    w1, w2 = _number(obj, "phase_settings", "w1"), _number(obj, "phase_settings", "w2")
-    try:
-        return PhaseSettings(w1, w2)
-    except ValueError as exc:
-        raise ConfigError("phase_settings", str(exc)) from exc
+def _parse_n_per_setting(obj: dict) -> int:
+    return _integer(obj, "", "N_per_setting", 100_000, (1, MAX_TRIALS))
 
 
-def _check_n_per_setting(n: int) -> int:
-    if not 1 <= n <= MAX_TRIALS:
-        raise ConfigError("N_per_setting", f"must be an integer in [1, {MAX_TRIALS}]")
-    return n
-
-
-def _parse_rates(obj) -> RateModel:
-    _require_keys(obj, "rates", ("R_E", "R_T"))
-    R_E, R_T = _number(obj, "rates", "R_E"), _number(obj, "rates", "R_T")
-    try:
-        return RateModel(R_E, R_T)
-    except ValueError as exc:
-        raise ConfigError("rates", str(exc)) from exc
+_parse_settings = partial(_parse_numbers, context="phase_settings", names=("w1", "w2"),
+                          make=PhaseSettings)
+_parse_rates = partial(_parse_numbers, context="rates", names=("R_E", "R_T"), make=RateModel)
 
 
 def parse_config(obj: dict) -> ScenarioConfig:
     _require_keys(obj, "", ("sky", "wavelength", "baselines", "channel"),
                   ("phase_settings", "N_per_setting", "rates", "seed", "output_dir",
                    "theta_grid"))
-    wavelength = _positive("", "wavelength", _number(obj, "", "wavelength"))
+    wavelength = _number(obj, "", "wavelength", rule=_POSITIVE)
     sky = _parse_sky(obj["sky"], wavelength)
     plan = _parse_baselines(obj["baselines"])
     channel = _parse_channel(obj["channel"])
     settings = (_parse_settings(obj["phase_settings"]) if "phase_settings" in obj
                 else PhaseSettings(0.0, 0.5 * math.pi))
-    n_per_setting = _check_n_per_setting(_integer(obj, "", "N_per_setting", 100_000))
+    n_per_setting = _parse_n_per_setting(obj)
     rates = _parse_rates(obj["rates"]) if "rates" in obj else RateModel(1.0, 1.0)
 
     seed = _integer(obj, "", "seed", 0)
@@ -360,16 +374,13 @@ def parse_config(obj: dict) -> ScenarioConfig:
     if "theta_grid" in obj:
         tg = obj["theta_grid"]
         _require_keys(tg, "theta_grid", ("half_span", "count"))
-        half_span = _positive("theta_grid", "half_span", _number(tg, "theta_grid", "half_span"))
+        half_span = _number(tg, "theta_grid", "half_span", rule=_POSITIVE)
         if half_span < sky.extent:
             # the sky deposit would pile the outer sources onto the edge cells
             raise ConfigError("theta_grid.half_span",
                               f"value {half_span} does not cover the source at "
                               f"|theta| = {sky.extent}")
-        count = _integer(tg, "theta_grid", "count")
-        if count is None or not 2 <= count <= MAX_THETA_POINTS:
-            raise ConfigError("theta_grid.count",
-                              f"must be an integer in [2, {MAX_THETA_POINTS}]")
+        count = _integer(tg, "theta_grid", "count", bounds=(2, MAX_THETA_POINTS))
         # below the smallest normal double the grid's points may round together; the
         # default grid's step, wavelength / (32 B_max) or more, stays above 1e-309
         # wherever the phase check below passes, and its points stay distinct
@@ -381,16 +392,8 @@ def parse_config(obj: dict) -> ScenarioConfig:
     # half-span that covers the sources, and at the sources in true_visibility
     if not math.isfinite(2.0 * half_span):
         raise ConfigError(span_key, f"theta grid span overflows at half-span {half_span}")
-    grid_phase = 2.0 * math.pi / wavelength * plan.B_m * (2.0 * half_span)
-    source_phase = sky.max_phase(plan.B_m)
-    if not (math.isfinite(grid_phase) and math.isfinite(source_phase)):
-        raise ConfigError(phase_key, f"phase 2 pi B theta / lambda overflows at "
-                                     f"B = {plan.B_m} on the grid of half-span {half_span}")
-    phase = max(grid_phase, source_phase)
-    if phase > MAX_PHASE:
-        raise ConfigError(phase_key, f"phase 2 pi B theta / lambda reaches {phase} rad at "
-                                     f"B = {plan.B_m} on the grid of half-span {half_span}, "
-                                     f"beyond the {MAX_PHASE:.0f} rad that cos and sin resolve")
+    check_phase(phase_key, plan.B_m, (2.0 * math.pi / wavelength * plan.B_m * (2.0 * half_span),
+                                      sky.max_phase(plan.B_m)), half_span)
 
     return ScenarioConfig(sky=sky, plan=plan, channel=channel, settings=settings,
                           n_per_setting=n_per_setting, rates=rates, seed=seed,
@@ -400,7 +403,7 @@ def parse_config(obj: dict) -> ScenarioConfig:
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -408,6 +411,22 @@ def load_config(path: str) -> ScenarioConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config", "top level must be an object")
     return parse_config(obj)
+
+
+def parse_sweep_args(raw_values: str, mc_replicates: int) -> tuple[np.ndarray, int]:
+    """sweep's --values, a comma-separated list, as the (n,) array of finite floats
+    swept_config takes, and --mc-replicates, nonnegative; the count is checked first."""
+    if mc_replicates < 0:
+        raise ConfigError("sweep.mc_replicates", "must be nonnegative")
+    try:
+        values = np.array([float(v) for v in raw_values.split(",") if v.strip() != ""])
+    except ValueError:
+        raise ConfigError("sweep.values", f"not a comma-separated number list: {raw_values!r}")
+    if not values.size:
+        raise ConfigError("sweep.values", f"no values given: {raw_values!r}")
+    if not np.isfinite(values).all():
+        raise ConfigError("sweep.values", f"values must be finite: {raw_values!r}")
+    return values, mc_replicates
 
 
 def swept_config(cfg: ScenarioConfig, name: str, values: np.ndarray) -> ScenarioConfig:
@@ -435,7 +454,7 @@ def swept_config(cfg: ScenarioConfig, name: str, values: np.ndarray) -> Scenario
             if not_positive_integer[i]:
                 raise ConfigError("sweep.N_per_setting",
                                   f"value {values.item(i)} is not a positive integer")
-            _check_n_per_setting(int(values.item(i)))
+            _parse_n_per_setting({"N_per_setting": int(values.item(i))})
         return replace(cfg, n_per_setting=values.astype(np.int64))
     if name in ("R_E", "R_T"):
         section, parse, obj = "rates", _parse_rates, vars(cfg.rates)

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MIN_PHASE_SEPARATION = 1e-6
+P_C_ROUNDING = 2.0 ** -49  # 8 ulps of 1: how far a full fringe's rounding may carry p_c
 MAX_TRIALS = int(np.iinfo(np.int64).max)  # largest N numpy's binomial sampler accepts
 REPLICATE_CHUNK = 1 << 13  # row-replicate cells of counts replicate_rmse holds at once
 
@@ -187,7 +188,9 @@ def _setting_probabilities(v_true: AstroVisibility, x: XState,
         q_c, q_ac = raw_probabilities(v_true, x.with_phase_offset(offset))
         p_c, _ = postselect(q_c, q_ac)
         if not (0.0 <= p_c <= 1.0):
-            raise ValueError(f"p_c = {p_c} outside [0, 1]")
+            if not (-P_C_ROUNDING <= p_c <= 1.0 + P_C_ROUNDING):
+                raise ValueError(f"p_c = {p_c} outside [0, 1]")
+            p_c = min(max(p_c, 0.0), 1.0)
         p_cs.append(p_c)
     return xi, conc, effective, p_cs
 

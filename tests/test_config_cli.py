@@ -60,6 +60,13 @@ class TestConfigParsing:
         assert cfg.rates.R_E == 1.0 and cfg.rates.R_T == 1.0
         assert cfg.output_dir == "out"
 
+    @pytest.mark.parametrize("wavelength", [0.0, -1.0])
+    def test_top_level_range_fault_names_the_bare_key(self, wavelength):
+        with pytest.raises(ConfigError, match=rf"^wavelength: value {wavelength} must be "
+                                              r"positive$") as exc:
+            parse_config(base_config(wavelength=wavelength))
+        assert exc.value.key == "wavelength"
+
     def test_theta_grid_is_built_where_read(self, monkeypatch):
         def built(*args):
             raise AssertionError("theta grid built")
@@ -286,6 +293,19 @@ class TestRunCommand:
         code = main(["run", write_config(tmp_path, cfg)])
         assert code == 2
         assert "DegenerateResource" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "N", "--values",
+                                                    "100,200", "--mc-replicates", "5"]],
+                             ids=["run", "sweep"])
+    def test_full_fringe_state_exit_0(self, tmp_path, capsys, command):
+        # C rounds to 1 + 2e-16 here, so the first setting's p_c comes out at -5.6e-17
+        cfg = base_config(sky={"sources": [{"theta": 0, "flux": 1}]},
+                          baselines={"B_max": 10, "count": 4},
+                          channel={"kind": "amplitude_damping", "lambda_L": 0.004453664655359336,
+                                   "lambda_R": 0.00445366819128524},
+                          N_per_setting=1000, seed=1, output_dir=str(tmp_path / "out"))
+        assert main([command[0], write_config(tmp_path, cfg), *command[1:]]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unnormalizable_map_exit_2(self, tmp_path, capsys):
         # where the depolarizing coherence changes sign (C = 0.001 at B = 13.3) an
@@ -629,6 +649,13 @@ class TestMalformedNumbersExit1:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_replicates_are_named_before_the_values(self, tmp_path, capsys):
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        assert main(["sweep", write_config(tmp_path, cfg), "--param", "B", "--values", "10,nan",
+                     "--mc-replicates", "-1"]) == 1
+        assert capsys.readouterr().err == \
+            "invalid config: sweep.mc_replicates: must be nonnegative\n"
+
     # a list that starts with a negative number, which argparse took for an option
     @pytest.mark.parametrize("values_args", [["--values", "-1,0"], ["--values=-1,0"],
                                              ["--val", "-1,0"], ["--val=-1,0"]],
@@ -651,6 +678,28 @@ class TestMalformedNumbersExit1:
                      "--values", "10,20"])
         assert code == 1
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestDuplicateKeysExit1:
+    """A name given twice in one JSON object is a config error naming its dotted key."""
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"seed": 11,', '"seed": 11, "seed": 12,', "seed"),
+        ('"L0": 10.0', '"L0": 10.0, "L0": 10.0', "channel.L0"),
+        ('{"theta": 0.01, "flux": 1.0}', '{"theta": 0.01, "flux": 1.0, "theta": 0.02}',
+         "sky.sources[1].theta"),
+    ], ids=["top-level", "nested", "in-a-list"])
+    def test_exit_1_names_the_key(self, tmp_path, capsys, old, new, key):
+        text = (CONFIG_DIR / "fiber_two_source.json").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        text = text.replace(old, new).replace('"out/fiber_two_source"',
+                                              json.dumps(str(tmp_path / "out")))
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        for command in (["run"], ["sweep", "--param", "N", "--values", "100,200"]):
+            assert main([command[0], str(path), *command[1:]]) == 1
+            assert capsys.readouterr().err == f"invalid config: {key}: duplicate key\n"
         assert not (tmp_path / "out").exists()
 
 

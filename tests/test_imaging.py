@@ -221,7 +221,7 @@ class TestResolution:
             resolution(0.0, 1.0)
 
 
-class TestIntensityError:
+class TestSummaryErrorFigures:
     """summary.json's dI, dI_scale and error_regime."""
 
     def test_amplitude_only(self, monkeypatch, tmp_path):

@@ -112,6 +112,23 @@ class TestSampling:
                 got = np.array([getattr(e, field) for e in rows])
                 assert np.array_equal(got.view(np.int64), getattr(whole, field).view(np.int64))
 
+    @pytest.mark.parametrize("v_p, p_c", [(0.0, 0.0), (math.pi, 1.0)], ids=["below-0", "above-1"])
+    def test_full_fringe_rounding_is_clamped(self, v_p, p_c):
+        # w_a one ulp above sqrt(g f) leaves p_c about 1e-16 outside [0, 1]
+        x = XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=math.nextafter(0.5, 1.0))
+        v = AstroVisibility(1.0, v_p)
+        raw = postselect(*raw_probabilities(v, x))[0]
+        assert raw != p_c and abs(raw - p_c) <= protocol.P_C_ROUNDING
+        assert protocol._setting_probabilities(v, x, DEFAULT)[3][0] == p_c
+        est = run_observation(v, x, DEFAULT, 500, np.random.default_rng(0))
+        assert abs(est.V_a_hat * math.cos(est.V_p_hat) - math.cos(v_p)) <= 1e-12
+
+    def test_p_c_beyond_rounding_raises(self):
+        x = XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=0.5 + 1e-10)  # within XState's slack
+        with pytest.raises(ValueError, match=r"^p_c = -1\.0\d*e-10 outside \[0, 1\]$"):
+            run_observation(AstroVisibility(1.0, 0.0), x, DEFAULT, 500,
+                            np.random.default_rng(0))
+
     def test_counts_validation(self):
         with pytest.raises(ValueError, match="at least one trial"):
             run_observation(AstroVisibility(0.5, 0.0), ideal_bell_xstate(), DEFAULT, 0,
@@ -359,27 +376,6 @@ class TestRunReplicates:
             assert_matches_scalar(batch, zero, zero, 100, ph, 0.6)
             assert np.all(batch[1] == 0.0) and np.all(batch[3] == math.pi)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10 ** 6, 2 ** 53 + 1, protocol.MAX_TRIALS])
-    def test_scalar_call_matches_array_call(self, rng, n):
-        # run_observation inverts one row as Python floats: each result is a Python
-        # float and has the bits of the array call's element
-        for ph in (DEFAULT, PhaseSettings(0.3, 2.5), PhaseSettings(-1.2, 0.4),
-                   PhaseSettings(0.3, -0.3), PhaseSettings(-0.4, 0.4)):
-            n_c = rng.integers(0, n + 1, size=(40, 2))
-            n_c[0] = n // 2  # both fringes zero when n is even
-            n_c[1] = (0, n)  # p_c = 0 at the first setting, 1 at the second
-            n_c[2] = (n, 0)
-            n_c[3] = n_c[3, 0]  # equal fringes: an exact tie at PhaseSettings(-0.4, 0.4)
-            dp = ((n - n_c) - n_c) / n
-            conc = rng.uniform(0.05, 1.0)
-            batch = protocol._invert_batch(dp[:, 0], dp[:, 1], n, ph, conc)
-            for k in range(len(dp)):
-                one = protocol._invert_batch(float(dp[k, 0]), float(dp[k, 1]), n, ph, conc)
-                for got, want in zip(one, batch):
-                    assert type(got) is float
-                    got = np.float64(got)
-                    assert got.view(np.int64) == want[k].view(np.int64), (ph, k, got, want[k])
-
     def test_counts_follow_the_scalar_chain(self, rng):
         v = AstroVisibility(0.7, 0.9)
         x = resource_with(0.6, 0.5, w_p=0.3)
@@ -602,6 +598,9 @@ class TestFloatInversion:
     @example((10, 0, 0, -2.0, 2.0), 0.5)             # arctan2 gives -pi, reported as pi
     @example((10, 9, 9, -2.0, 2.0), 0.5)             # V_p = -0.0
     @example((2 ** 53 + 1, 1, 2 ** 52, 0.3, -1.1), 0.2)  # N above 2**53
+    @example((1, 1, 0, -1.2, 0.4), 0.05)            # N = 1: p_c = 1, then 0
+    @example((protocol.MAX_TRIALS, 0, protocol.MAX_TRIALS, 0.3, -0.3), 0.05)  # p_c edges, -w1
+    @example((protocol.MAX_TRIALS, 2 ** 62 + 1, 3, 0.3, 2.5), 0.9)  # interior counts, top N
     @settings(max_examples=300, deadline=None)
     def test_float_call_matches_array_elements(self, row, conc):
         N, n1, n2, w1, w2 = row
