@@ -10,8 +10,8 @@ resource scaling laws. ``run_replicates`` runs many independent
 replicates of one observation as array maths on a single generator;
 ``run_observation`` is its one-replicate case, whose one row is inverted
 as Python floats by the same statement. ``replicate_rmse`` draws the
-replicates of many observations, each from its own generator, and
-inverts all of them to estimates alone at once.
+replicates of many observations, each from its own generator and one
+setting at a time, and inverts all of them to estimates alone at once.
 """
 
 from __future__ import annotations
@@ -322,42 +322,48 @@ def replicate_rmse(rows, replicates: int) -> tuple[np.ndarray, np.ndarray]:
     """Root-mean-square errors of (V_a_hat, V_p_hat) over Monte Carlo replicates, per row.
 
     rows holds one observation (v_true, x, ph, N_per_setting, rng) per row,
-    and each gets `replicates` replicates. A row's counts are drawn from its
-    rng REPLICATE_CHUNK replicates at a time, as run_replicates draws them;
-    the fringes of a block of rows are then inverted together, estimates
-    only, by _estimate, and each row's squared errors are summed chunk by
-    chunk. A block holds at most REPLICATE_CHUNK row-replicate cells of
-    counts (or one row's chunk), so memory stays flat however many rows or
-    replicates are asked for. A row's RMSE is that of its one-row call;
-    rows sharing a generator draw from it in row order, as consecutive
-    one-row calls would. Phase errors are wrapped to (-pi, pi]. Returns two
-    (rows,) arrays.
+    and each gets `replicates` replicates. A row's counts are drawn one
+    setting at a time, REPLICATE_CHUNK replicates at a time (sweep seed
+    scheme v3): setting 1's from its rng, setting 2's from that rng's first
+    spawned child, rng.spawn(1)[0]. Each draw keeps one p, so numpy sets its
+    binomial sampler up once per column; run_replicates' (K, 2) draw
+    alternates p and sets it up again on every count. The fringes of a
+    block of rows are then inverted together, estimates only, by _estimate,
+    and each row's squared errors are summed chunk by chunk. A block holds
+    at most REPLICATE_CHUNK row-replicate cells of counts per setting (or
+    one row's chunk), so memory stays flat however many rows or replicates
+    are asked for. Each setting's stream is the row's own, so chunk
+    boundaries do not change it and a row's RMSE is that of its one-row
+    call; rows sharing a generator draw from it in row order, as
+    consecutive one-row calls would. Phase errors are wrapped to (-pi, pi].
+    Returns two (rows,) arrays.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    rngs, draws, columns = [], [], []
+    streams, draws, columns = [], [], []
     for v_true, x, ph, n, rng in rows:
         if n < 1:
             raise ValueError("need at least one trial")
         _, conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
-        rngs.append(rng)
+        # spawning leaves rng's own stream where it is
+        streams.append((rng, rng.spawn(1)[0]))
         draws.append((n, p_cs))
         columns.append((*_setting_trig(effective), conc, v_true.V_a, v_true.V_p))
     n_col = np.array([n for n, _ in draws], dtype=np.int64)[:, None]
     columns = np.array(columns).T[..., None]  # each an (m, 1) column
     chunk = min(replicates, REPLICATE_CHUNK)
     per_block = max(1, REPLICATE_CHUNK // chunk)
-    sq_a, sq_p = np.zeros(len(rngs)), np.zeros(len(rngs))
-    for lo in range(0, len(rngs), per_block):
+    sq_a, sq_p = np.zeros(len(streams)), np.zeros(len(streams))
+    for lo in range(0, len(streams), per_block):
         block = slice(lo, lo + per_block)
         n_b = n_col[block]
         *trig, conc, v_a, v_p = columns[:, block]
         for start in range(0, replicates, chunk):
-            size = (min(chunk, replicates - start), 2)
-            n_c = np.stack([rng.binomial(n, p_cs, size=size)
-                            for rng, (n, p_cs) in zip(rngs[block], draws[block])])
+            size = min(chunk, replicates - start)
+            n_c = np.array([[gen.binomial(n, p, size=size) for gen, p in zip(gens, p_cs)]
+                            for gens, (n, p_cs) in zip(streams[block], draws[block])])
             # (n_ac - n_c) / N, no int64 overflow
-            dp1, dp2 = (((n_b - n) - n) / n_b for n in (n_c[..., 0], n_c[..., 1]))
+            dp1, dp2 = (((n_b - n) - n) / n_b for n in (n_c[:, 0], n_c[:, 1]))
             est_a, est_p, _ = _estimate(dp1, dp2, trig, conc)
             sq_a[block] += np.sum(np.square(est_a - v_a), axis=1)
             sq_p[block] += np.sum(np.square(_wrap_phases(est_p - v_p)), axis=1)

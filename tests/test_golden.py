@@ -23,7 +23,10 @@ moved in its last digit (docs/schema.md#Outputs of `run`). All six `run`
 digests were re-recorded when `dV_a` came to be propagated through the same
 Jacobian as `dV_p`, which changed the `dV_a` column of `visibility.csv` and
 the `dI` of `summary.json` (docs/schema.md#Error bars); the sweep and
-rate-script digests are unchanged.
+rate-script digests are unchanged. The three Monte Carlo sweep digests and
+both study digests were re-recorded under sweep seed scheme v3, which draws
+each row's replicates by setting column and so changed only the RMSE
+columns (docs/schema.md#Seeding).
 """
 
 import hashlib
@@ -59,14 +62,14 @@ SWEEP_DIGESTS = {
     ("--param", "B", "--values", "0,10,20,30,40,50,60"):
         "ce91af08a2a6573d7e725143034578c059683366aba49adfc72e7a3fc2fd8b6b",
     ("--param", "N", "--values", "1000,10000,100000", "--mc-replicates", "100"):
-        "c48080f236536e6c3ac8bb62539be8b688d93fa0c748bb9633358d03a9f83e8a",
+        "e5e0b97f2923ba1f4ca39b886869998b90eaf446e6eba7c9f79760c99655802b",
     ("--param", "L0", "--values", "2,5,10,20,40,80", "--mc-replicates", "50"):
-        "aba437874c8bd6acc3c5a335fbfdb9af9e56cdad87d354e2646d2445a98c5d6b",
+        "d602b31472e3b948d92a8204f2c08d724a743d7c09fd88ca7a63ed6e3f3f9889",
     ("--param", "R_E", "--values", "0.05,0.25,0.5,0.75,1"):
         "60899fbe49fb21474ae8f64ef59172df5d16de4e0c07545d20acb71545f31d1f",
     # more replicates than protocol.REPLICATE_CHUNK: each row's RMSE sums two chunks
     ("--param", "N", "--values", "1000,2000", "--mc-replicates", "8195"):
-        "6e897574bce06bc8a3e078d88bf6f269e9753ea6b4a3f4ae8d9b17c0becb9096",
+        "34bf7f610d5787b1ef32720691790662ea51895ea05c67630dbd03b1ea07e64c",
 }
 
 RATE_SCRIPT_DIGEST = "bd00403528498c0a081887111c8d3e2407e412ae4c0f4d6147867fa23b685eee"
@@ -78,8 +81,8 @@ NUMPY_NOTE = f"digests recorded with numpy {RECORDED_NUMPY}, running numpy {np._
 
 STUDY_ARGS = ["--replicates", "25", "--budget", "20000"]
 STUDY_DIGESTS = {
-    "rmse_vs_n.csv": "99bf1e701c878497d4d06ce50f0c7c6cdab5da4846d162681f55abd61d55951c",
-    "rmse_vs_resource.csv": "245264382c91019e3a0cb0fdd86b2517d706087b04e4690368d3b6ed5af59530",
+    "rmse_vs_n.csv": "bd051cce7034c47daea30d708d10407009da7ee5fa00672708cda0e286ed55c5",
+    "rmse_vs_resource.csv": "f25e9d49e9313e1a1302301712d13fef89340db0b78378e71c926ea82ad8e0db",
 }
 
 

@@ -359,6 +359,12 @@ class FixedCounts:
         return self.n_c
 
 
+def column_counts(v, x, ph, n, size, gens):
+    """(size, 2) correlated counts drawn by setting: setting i's column from gens[i]."""
+    p_cs = protocol._setting_probabilities(v, x, ph)[3]
+    return np.column_stack([g.binomial(n, p, size=size) for g, p in zip(gens, p_cs)])
+
+
 class TestRunReplicates:
     def test_batch_inversion_matches_scalar(self, rng):
         for ph in (DEFAULT, PhaseSettings(0.3, 2.5), PhaseSettings(-1.2, 0.4)):
@@ -404,7 +410,11 @@ class TestRunReplicates:
         monkeypatch.setattr(protocol, "REPLICATE_CHUNK", 3)
         chunked = replicate_rmse([(v, x, DEFAULT, 3000, np.random.default_rng(11))], 8)
         assert np.concatenate(chunked) == pytest.approx(np.concatenate(unchunked), rel=1e-13)
-        errs = whole.V_p_hat - v.V_p
+        gen = np.random.default_rng(11)
+        eff = PhaseSettings(x.w_p + DEFAULT.w1, x.w_p + DEFAULT.w2)
+        errs = [solve_visibility((3000 - 2 * int(c1)) / 3000, (3000 - 2 * int(c2)) / 3000, eff,
+                                 concurrence_subspace(x))[1] - v.V_p
+                for c1, c2 in column_counts(v, x, DEFAULT, 3000, 8, (gen, gen.spawn(1)[0]))]
         wrapped = [wrap_phase(e) for e in errs]
         assert unchunked[1][0] == pytest.approx(math.sqrt(np.mean(np.square(wrapped))),
                                                 rel=1e-13)
@@ -464,11 +474,14 @@ def observations(rows, rng=None):
 
 
 def rmse_by_chunked_replicates(v, x, ph, n, replicates, rng):
-    """The reference: run_replicates a chunk at a time, each chunk's squares summed to a float."""
+    """The reference: counts drawn a chunk at a time, setting 1's from rng and setting 2's
+    from rng.spawn(1)[0], inverted by run_replicates; each chunk's squares summed to a float."""
+    gens = (rng, rng.spawn(1)[0])
     sq_a = sq_p = 0.0
     for start in range(0, replicates, protocol.REPLICATE_CHUNK):
-        est = run_replicates(v, x, ph, n, min(protocol.REPLICATE_CHUNK, replicates - start),
-                             rng)
+        size = min(protocol.REPLICATE_CHUNK, replicates - start)
+        est = run_replicates(v, x, ph, n, size,
+                             FixedCounts(column_counts(v, x, ph, n, size, gens)))
         sq_a += float(np.sum(np.square(est.V_a_hat - v.V_a)))
         sq_p += float(np.sum(np.square(protocol._wrap_phases(est.V_p_hat - v.V_p))))
     return math.sqrt(sq_a / replicates), math.sqrt(sq_p / replicates)
@@ -558,6 +571,26 @@ def test_sweep_rows_beside_dead_rows_are_one_row_calls(tmp_path, channel, param,
                                cfg.n_per_setting,
                                np.random.default_rng(derive_seed(cfg.seed, r)))], 40)
         assert row[6:] == ["%.17g" % one[0][0], "%.17g" % one[1][0]], r
+
+
+def test_a_live_rows_rmse_cells_are_its_own(tmp_path):
+    # both settings' streams are the row's own: row 1's RMSE cells keep their bytes
+    # when the other rows' values change, and when row 0 is dead (mu_L = 1 gives C = 0)
+    raw = {"sky": {"sources": [{"theta": -0.01, "flux": 1.0}, {"theta": 0.01, "flux": 0.6}]},
+           "wavelength": 1.0, "baselines": {"B_max": 40.0, "count": 12},
+           "channel": {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2},
+           "phase_settings": {"w1": 0.2, "w2": 1.4}, "N_per_setting": 2000, "seed": 9,
+           "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    cells = []
+    for values in ("0.5,0.2,0.9", "0.7,0.2,0.3", "1.0,0.2,0.9"):
+        assert main(["sweep", str(path), "--param", "mu_L", "--values", values,
+                     "--mc-replicates", "40"]) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        cells.append([line.split(",")[6:] for line in lines])
+    assert cells[2][0] == ["", ""] and cells[0][0] != cells[1][0]
+    assert cells[0][1] == cells[1][1] == cells[2][1] != ["", ""]
 
 
 # an (n,) call of this length runs full SIMD vectors and a remainder
