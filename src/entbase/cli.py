@@ -52,23 +52,53 @@ SWEEP_HEADER = ("value", "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "rmse_V_a
 SWEEP_TEMPLATE = _csv_template(SWEEP_HEADER, {"rmse_V_a": "%s", "rmse_V_p": "%s"})
 
 
-def _log_rate_columns(r_abs) -> tuple[list, list]:
+def _log_rate_columns(r_abs):
     """The ln_R_M and log10_R_M columns of the rates r_abs: -inf where a rate is 0 or nan.
 
-    ln is libm's math.log element by element (np.log may differ from it in the
-    last bit); log10 is ln / ln(10), one IEEE division, the same bits in numpy.
+    A float rate gives two floats, an array of rates two arrays. ln is libm's
+    math.log element by element (np.log may differ from it in the last bit);
+    log10 is ln / ln(10), one IEEE division, the same bits in numpy.
     """
-    r_abs = np.asarray(r_abs, dtype=float)
+    if isinstance(r_abs, float):
+        ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
+        return ln_r, ln_r / math.log(10.0)
     positive = r_abs > 0.0
     ln_r = np.full(r_abs.shape, -math.inf)
     ln_r[positive] = list(map(math.log, r_abs[positive].tolist()))
-    return ln_r.tolist(), (ln_r / math.log(10.0)).tolist()
+    return ln_r, ln_r / math.log(10.0)
 
 
-def _write_csv(path: Path, header, template: str, rows):
+def _write_csv(path: Path, header, template: str, columns):
+    """Write header, then one row per cell of columns, one column per name, through template.
+
+    A column is an iterable with one cell per row, or a Python scalar: one cell for
+    every row. A scalar, and an array whose cells all hold the same bytes (so 0.0 and
+    -0.0, or two nan payloads, never merge), is formatted once into the row template;
+    only the other columns are formatted per row.
+    """
+    formats = template[:-1].split(",")
+    varying, n_rows = [], 0
+    for j, column in enumerate(columns):
+        if isinstance(column, np.ndarray):
+            n_rows = column.size
+            # a bytes comparison costs ~0.4 us, less than %.17g of two cells; an
+            # int64 view's == costs more and pages in 128 KB of numpy's int64 loops
+            cells = column.tobytes()
+            if cells != cells[:column.itemsize] * n_rows:
+                varying.append(column.tolist())
+                continue
+            column = column.item(0)
+        elif not isinstance(column, (int, float, str)):
+            varying.append(column)
+            continue
+        formats[j] = (formats[j] % column).replace("%", "%%")
+    row_template = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(template % row for row in rows)
+        if varying:
+            fh.writelines(row_template % row for row in zip(*varying))
+        else:  # every column formatted once: n_rows copies of one row
+            fh.write(row_template % () * n_rows)
 
 
 def _resource_state(x: XState) -> list:
@@ -123,13 +153,13 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     est = report.estimates
     ln_r, log10_r = _log_rate_columns(report.rate_abs)
     _write_csv(outdir / "visibility.csv", VISIBILITY_HEADER, VISIBILITY_TEMPLATE,
-               zip(report.baselines, map(abs, report.v_true),
-                   map(wrap_phase, map(cmath.phase, report.v_true)), est.V_a_hat,
-                   est.V_p_hat, est.dV_a, est.dV_p, est.xi_used, est.C_used, report.rate_norm,
-                   ln_r, log10_r, [est.N_used] * len(ln_r)))
+               (report.baselines, map(abs, report.v_true),
+                map(wrap_phase, map(cmath.phase, report.v_true)), est.V_a_hat,
+                est.V_p_hat, est.dV_a, est.dV_p, est.xi_used, est.C_used, report.rate_norm,
+                ln_r, log10_r, est.N_used))
     _write_csv(outdir / "intensity.csv", INTENSITY_HEADER, INTENSITY_TEMPLATE,
-               zip(report.theta_grid, report.intensity_true,
-                   report.intensity_exact, report.intensity_est))
+               (report.theta_grid, report.intensity_true,
+                report.intensity_exact, report.intensity_est))
 
     # the worst baseline has the largest amplitude trend scale 1/(C sqrt(xi R_X)),
     # the first one on ties; every resource figure below is taken there
@@ -180,16 +210,17 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
     cfg = swept_config(load_config(config_path), param, swept)
     b_eval = swept if param in ("B", "L") else cfg.plan.B_m
     resource = cfg.channel.resource_factory()(b_eval)
-    # each figure as one float per row: a float figure is the same in every row
+    # each figure an (n,) array, or one float when it is the same in every row
     xi, conc, r_norm, r_abs = (
-        column.tolist() if isinstance(column, np.ndarray) else [float(column)] * n
+        column if isinstance(column, np.ndarray) else float(column)
         for column in resource_figures(resource, b_eval, cfg.rates, cfg.channel.rate_norm_fn()))
     ln_r, log10_r = _log_rate_columns(r_abs)
-    rmse_a, rmse_p = [""] * n, [""] * n
+    rmse_a = rmse_p = ""
     # C is nan with no coincidence weight and 0 with no coherence: a dead
     # resource, whose RMSE cells stay empty
-    live = [i for i, c in enumerate(conc) if c > 0.0] if mc_replicates > 0 else []
+    live = [r for r in range(n) if ew.item(conc, r) > 0.0] if mc_replicates > 0 else []
     if live:
+        rmse_a, rmse_p = [""] * n, [""] * n
         # the sky at each row's evaluation baseline, once its phase passes check_phase
         # (the base config's B_max has passed it); each row draws from its own
         # generator, and one replicate_rmse call inverts them all
@@ -204,11 +235,11 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
         va, vp = replicate_rmse(observations, mc_replicates)
         for r, a, p in zip(live, va.tolist(), vp.tolist()):
             rmse_a[r], rmse_p[r] = "%.17g" % a, "%.17g" % p
-    rows = zip(swept.tolist(), xi, conc, r_norm, ln_r, log10_r, rmse_a, rmse_p)
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "sweep.csv", SWEEP_HEADER, SWEEP_TEMPLATE, rows)
+    _write_csv(outdir / "sweep.csv", SWEEP_HEADER, SWEEP_TEMPLATE,
+               (swept, xi, conc, r_norm, ln_r, log10_r, rmse_a, rmse_p))
     if gnuplot:
         _emit_gnuplot(outdir, "sweep")
     return 0

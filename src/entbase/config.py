@@ -418,12 +418,12 @@ def parse_sweep_args(raw_values: str, mc_replicates: int) -> tuple[np.ndarray, i
     swept_config takes, and --mc-replicates, nonnegative; the count is checked first."""
     if mc_replicates < 0:
         raise ConfigError("sweep.mc_replicates", "must be nonnegative")
-    try:
-        values = np.array([float(v) for v in raw_values.split(",") if v.strip() != ""])
+    if not raw_values.strip():
+        raise ConfigError("sweep.values", f"no values given: {raw_values!r}")
+    try:  # an empty entry, as in 1,,2 or 1,2, is no number either
+        values = np.array(list(map(float, raw_values.split(","))))
     except ValueError:
         raise ConfigError("sweep.values", f"not a comma-separated number list: {raw_values!r}")
-    if not values.size:
-        raise ConfigError("sweep.values", f"no values given: {raw_values!r}")
     if not np.isfinite(values).all():
         raise ConfigError("sweep.values", f"values must be finite: {raw_values!r}")
     return values, mc_replicates

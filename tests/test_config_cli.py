@@ -640,7 +640,10 @@ class TestMalformedNumbersExit1:
         ("nope", ",", "sweep.values"),
         ("nope", "1,2", "sweep.param.nope"),
         ("L", "10,-1", "sweep.L"),
-    ], ids=["nan-value", "huge-N", "empty-values", "unknown-param", "negative-L"])
+        ("B", "10,,20", "sweep.values"),
+        ("B", "10,20,", "sweep.values"),
+    ], ids=["nan-value", "huge-N", "empty-values", "unknown-param", "negative-L",
+            "empty-inner-value", "empty-last-value"])
     def test_sweep(self, tmp_path, capsys, param, values, key):
         cfg = base_config(output_dir=str(tmp_path / "out"))
         code = main(["sweep", write_config(tmp_path, cfg), "--param", param,
@@ -1053,6 +1056,54 @@ CELL_INTS = [0, 1, 2 ** 53 + 1, 2 ** 63 - 1, np.int64(2 ** 63 - 1)]
 CELL_RMSE = [None, 0.0017907626565792964, None, np.float64(math.nan), math.inf]
 
 
+def rendered(name: str, column):
+    """column as cmd_sweep passes it: an RMSE cell as text, empty for None."""
+    if not name.startswith("rmse"):
+        return column
+    if column is None or isinstance(column, float):
+        return "" if column is None else "%.17g" % column
+    return ["" if v is None else "%.17g" % v for v in column]
+
+
+ROWS = 20
+
+
+def sweep_columns(n_rows: int, **given):
+    """sweep.csv's columns over n_rows rows: the swept values 0, 1, ..., a constant array
+    of 0.5 in each figure and None (empty) in each RMSE column, unless given names it."""
+    default = {"value": np.arange(float(n_rows)), "rmse_V_a": None, "rmse_V_p": None}
+    return [given.get(name, default.get(name, np.full(n_rows, 0.5))) for name in cli.SWEEP_HEADER]
+
+
+def constant_except(n_rows: int, row: int) -> np.ndarray:
+    """0.5 in every row but row, which holds 0.25."""
+    column = np.full(n_rows, 0.5)
+    column[row] = 0.25
+    return column
+
+
+SWEEP = (cli.SWEEP_HEADER, cli.SWEEP_TEMPLATE)
+COLUMN_CASES = {
+    "minus-zero": (*SWEEP, sweep_columns(ROWS, xi=np.full(ROWS, -0.0)), ROWS),
+    # a column mixing the two zeros has two bit patterns, so it stays per cell
+    "mixed-zeros": (*SWEEP, sweep_columns(ROWS, xi=np.where(np.arange(ROWS) % 3, 0.0, -0.0)),
+                    ROWS),
+    "all-nan": (*SWEEP, sweep_columns(ROWS, C=np.full(ROWS, math.nan)), ROWS),
+    "inf": (*SWEEP, sweep_columns(ROWS, ln_R_M=np.full(ROWS, math.inf),
+                                  log10_R_M=np.full(ROWS, -math.inf)), ROWS),
+    "scalars": (*SWEEP, sweep_columns(ROWS, C=0.1, R_M_norm=1.0 / 3.0, ln_R_M=-math.inf), ROWS),
+    "huge-N": (cli.VISIBILITY_HEADER, cli.VISIBILITY_TEMPLATE,
+               [np.linspace(0.0, 1.0, ROWS)] + [np.full(ROWS, 0.5)] * 11 + [2 ** 53 + 1], ROWS),
+    "empty-rmse": (*SWEEP, sweep_columns(ROWS, C=np.linspace(0.0, 1.0, ROWS)), ROWS),
+    "one-row": (*SWEEP, sweep_columns(1, xi=np.array([-0.0]), C=0.25), 1),
+    "all-constant": (*SWEEP, sweep_columns(ROWS, value=np.full(ROWS, 7.0)), ROWS),
+    "constant-but-last": (*SWEEP, sweep_columns(ROWS, xi=constant_except(ROWS, -1)), ROWS),
+    "constant-but-middle": (*SWEEP, sweep_columns(ROWS, xi=constant_except(ROWS, 5)), ROWS),
+    # the length of a sweep --mc-replicates file
+    "short-constant": (*SWEEP, sweep_columns(3), 3),
+}
+
+
 class TestCsvTemplates:
     """Each file's %-template writes the bytes the per-cell rule wrote."""
 
@@ -1068,13 +1119,22 @@ class TestCsvTemplates:
             pool = pools.get(name, CELL_FLOATS)
             columns.append([pool[(k + j) % len(pool)] for k in range(2 * len(CELL_FLOATS))])
         reference_rows = list(zip(*columns))
-        # cmd_sweep renders the optional RMSE cells before the template sees them
-        rows = [tuple(("" if v is None else "%.17g" % v) if name.startswith("rmse") else v
-                      for name, v in zip(header, row)) for row in reference_rows]
-        cli._write_csv(tmp_path / "out.csv", header, template, rows)
+        cli._write_csv(tmp_path / "out.csv", header, template,
+                       [rendered(name, column) for name, column in zip(header, columns)])
         expected = ",".join(header) + "\n" + "".join(
             ",".join(map(reference_cell, row)) + "\n" for row in reference_rows)
         assert (tmp_path / "out.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("header, template, columns, n_rows", list(COLUMN_CASES.values()),
+                             ids=list(COLUMN_CASES))
+    def test_columns_match_the_cell_rule(self, tmp_path, header, template, columns, n_rows):
+        """A scalar or constant array column, formatted once, writes each row's cells."""
+        cli._write_csv(tmp_path / "out.csv", header, template,
+                       [rendered(name, column) for name, column in zip(header, columns)])
+        cells = [[column] * n_rows if column is None or isinstance(column, (int, float))
+                 else list(column) for column in columns]
+        expected = [",".join(header)] + [",".join(map(reference_cell, row)) for row in zip(*cells)]
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8").split("\n") == [*expected, ""]
 
 
 class TestValidateCommand:

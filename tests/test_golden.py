@@ -2,7 +2,8 @@
 
 The digests pin `run` on the three bundled configs, five sweeps of the fiber
 config (over B, over N with Monte Carlo replicates, once with more replicates
-than one chunk, over the channel's L0 with replicates, and over R_E), the
+than one chunk, over the channel's L0 with replicates, and over R_E), one
+sweep of the memory-swap config over t1, the
 CSV of scripts/rate_vs_baseline.py at its default arguments and both CSVs of
 scripts/error_scaling_study.py at the sizes tests/test_scripts.py runs it
 with (the study's digests were recorded before its tables moved into
@@ -59,17 +60,21 @@ RUN_DIGESTS = {
 }
 
 SWEEP_DIGESTS = {
-    ("--param", "B", "--values", "0,10,20,30,40,50,60"):
+    ("fiber_two_source", "--param", "B", "--values", "0,10,20,30,40,50,60"):
         "ce91af08a2a6573d7e725143034578c059683366aba49adfc72e7a3fc2fd8b6b",
-    ("--param", "N", "--values", "1000,10000,100000", "--mc-replicates", "100"):
+    ("fiber_two_source", "--param", "N", "--values", "1000,10000,100000",
+     "--mc-replicates", "100"):
         "e5e0b97f2923ba1f4ca39b886869998b90eaf446e6eba7c9f79760c99655802b",
-    ("--param", "L0", "--values", "2,5,10,20,40,80", "--mc-replicates", "50"):
+    ("fiber_two_source", "--param", "L0", "--values", "2,5,10,20,40,80", "--mc-replicates", "50"):
         "d602b31472e3b948d92a8204f2c08d724a743d7c09fd88ca7a63ed6e3f3f9889",
-    ("--param", "R_E", "--values", "0.05,0.25,0.5,0.75,1"):
+    ("fiber_two_source", "--param", "R_E", "--values", "0.05,0.25,0.5,0.75,1"):
         "60899fbe49fb21474ae8f64ef59172df5d16de4e0c07545d20acb71545f31d1f",
     # more replicates than protocol.REPLICATE_CHUNK: each row's RMSE sums two chunks
-    ("--param", "N", "--values", "1000,2000", "--mc-replicates", "8195"):
+    ("fiber_two_source", "--param", "N", "--values", "1000,2000", "--mc-replicates", "8195"):
         "34bf7f610d5787b1ef32720691790662ea51895ea05c67630dbd03b1ea07e64c",
+    # xi, R_M_norm and both log-rates are the same in every row, C is not
+    ("memory_swap_two_source", "--param", "t1", "--values", "0,0.25,0.5,1,2"):
+        "dc31483c020a0e7043a0f1efed9109164e840a3261b9024e51d04b70fa365e90",
 }
 
 RATE_SCRIPT_DIGEST = "bd00403528498c0a081887111c8d3e2407e412ae4c0f4d6147867fa23b685eee"
@@ -107,11 +112,12 @@ def test_run_outputs_are_pinned(tmp_path, name):
             f"{file_name} ({NUMPY_NOTE})"
 
 
-@pytest.mark.parametrize("args", list(SWEEP_DIGESTS), ids=["B", "N-mc", "L0-mc", "R_E",
-                                                          "N-mc-chunk-crossing"])
-def test_sweep_outputs_are_pinned(tmp_path, args):
-    assert main(["sweep", bundled_config(tmp_path, "fiber_two_source"), *args]) == 0
-    assert digest(tmp_path / "out" / "sweep.csv") == SWEEP_DIGESTS[args], NUMPY_NOTE
+@pytest.mark.parametrize("key", list(SWEEP_DIGESTS), ids=[
+    "B", "N-mc", "L0-mc", "R_E", "N-mc-chunk-crossing", "memory-swap-t1"])
+def test_sweep_outputs_are_pinned(tmp_path, key):
+    name, *args = key  # the bundled config, then the sweep's arguments
+    assert main(["sweep", bundled_config(tmp_path, name), *args]) == 0
+    assert digest(tmp_path / "out" / "sweep.csv") == SWEEP_DIGESTS[key], NUMPY_NOTE
 
 
 def run_script(monkeypatch, name, argv):
