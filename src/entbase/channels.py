@@ -142,9 +142,13 @@ def depol_prob(L: float, beta: float) -> float:
     return 1.0 - ew.exp(-beta * L / 2.0)
 
 
-def _coherence_survival(t: float, tau_c: float) -> float:
+def _check_storage_time(t: float):
     if ew.any_set(t < 0.0):
         raise ValueError("storage time must be nonnegative")
+
+
+def _coherence_survival(t: float, tau_c: float) -> float:
+    _check_storage_time(t)
     if ew.any_set(tau_c <= 0.0):
         raise ValueError("coherence time must be positive")
     return ew.exp(-t / tau_c)
@@ -172,6 +176,8 @@ def swap_memories(t1: float, t2: float, tau_c: float, outcome_sign: int = +1) ->
     """
     if outcome_sign not in (+1, -1):
         raise ValueError("outcome_sign must be +1 or -1")
+    _check_storage_time(t1)  # each time, not only their sum
+    _check_storage_time(t2)
     p = 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))
     # signed coherence of the p * rho(+/-) + (1-p) * rho(-/+) mixture
     coh = outcome_sign * (p * 0.5 + (1.0 - p) * (-0.5))

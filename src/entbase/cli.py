@@ -29,27 +29,16 @@ from .protocol import (  # noqa: F401
     derive_seed, replicate_rmse, run_observation, scaling_laws)
 from .qcore import AstroVisibility, XState, wrap_phase
 
-__all__ = ["main"]
-
-
-def _csv_template(header, formats=None) -> str:
-    """The %-template of one CSV row: %.17g per column unless formats names another.
-
-    %.17g writes each double as format(x, ".17g") would, in one call per row;
-    an integer column takes %d, since %.17g would round integers above 2**53.
-    """
-    formats = formats or {}
-    return ",".join(formats.get(name, "%.17g") for name in header) + "\n"
+__all__ = ["main", "write_csv"]
 
 
 VISIBILITY_HEADER = ("B", "V_a_true", "V_p_true", "V_a_hat", "V_p_hat", "dV_a", "dV_p",
                      "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "N")
-VISIBILITY_TEMPLATE = _csv_template(VISIBILITY_HEADER, {"N": "%d"})
+VISIBILITY_FORMATS = {"N": "%d"}
 INTENSITY_HEADER = ("theta", "I_true", "I_exact", "I_est")
-INTENSITY_TEMPLATE = _csv_template(INTENSITY_HEADER)
 SWEEP_HEADER = ("value", "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "rmse_V_a", "rmse_V_p")
 # the RMSE cells arrive as text: "%.17g" of the value, or empty when there is none
-SWEEP_TEMPLATE = _csv_template(SWEEP_HEADER, {"rmse_V_a": "%s", "rmse_V_p": "%s"})
+SWEEP_FORMATS = {"rmse_V_a": "%s", "rmse_V_p": "%s"}
 
 
 def _log_rate_columns(r_abs):
@@ -68,15 +57,21 @@ def _log_rate_columns(r_abs):
     return ln_r, ln_r / math.log(10.0)
 
 
-def _write_csv(path: Path, header, template: str, columns):
-    """Write header, then one row per cell of columns, one column per name, through template.
+def write_csv(path: Path, header, columns, formats=None):
+    """Write path, creating its directory: header, then one row per cell of columns.
+
+    Every CSV the package and its scripts write goes through here. A cell is
+    %.17g of its value (what format(x, ".17g") writes, in one call per row)
+    unless formats maps its column's name to another %-format: %d for an
+    integer column, since %.17g would round integers above 2**53. Rows end in
+    "\n" on every platform.
 
     A column is an iterable with one cell per row, or a Python scalar: one cell for
     every row. A scalar, and an array whose cells all hold the same bytes (so 0.0 and
     -0.0, or two nan payloads, never merge), is formatted once into the row template;
     only the other columns are formatted per row.
     """
-    formats = template[:-1].split(",")
+    formats = [(formats or {}).get(name, "%.17g") for name in header]
     varying, n_rows = [], 0
     for j, column in enumerate(columns):
         if isinstance(column, np.ndarray):
@@ -93,6 +88,7 @@ def _write_csv(path: Path, header, template: str, columns):
             continue
         formats[j] = (formats[j] % column).replace("%", "%%")
     row_template = ",".join(formats) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if varying:
@@ -148,18 +144,16 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         rate_norm_fn=cfg.channel.rate_norm_fn())
 
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     est = report.estimates
     ln_r, log10_r = _log_rate_columns(report.rate_abs)
-    _write_csv(outdir / "visibility.csv", VISIBILITY_HEADER, VISIBILITY_TEMPLATE,
-               (report.baselines, map(abs, report.v_true),
-                map(wrap_phase, map(cmath.phase, report.v_true)), est.V_a_hat,
-                est.V_p_hat, est.dV_a, est.dV_p, est.xi_used, est.C_used, report.rate_norm,
-                ln_r, log10_r, est.N_used))
-    _write_csv(outdir / "intensity.csv", INTENSITY_HEADER, INTENSITY_TEMPLATE,
-               (report.theta_grid, report.intensity_true,
-                report.intensity_exact, report.intensity_est))
+    write_csv(outdir / "visibility.csv", VISIBILITY_HEADER,
+              (report.baselines, map(abs, report.v_true),
+               map(wrap_phase, map(cmath.phase, report.v_true)), est.V_a_hat,
+               est.V_p_hat, est.dV_a, est.dV_p, est.xi_used, est.C_used, report.rate_norm,
+               ln_r, log10_r, est.N_used), VISIBILITY_FORMATS)
+    write_csv(outdir / "intensity.csv", INTENSITY_HEADER,
+              (report.theta_grid, report.intensity_true,
+               report.intensity_exact, report.intensity_est))
 
     # the worst baseline has the largest amplitude trend scale 1/(C sqrt(xi R_X)),
     # the first one on ties; every resource figure below is taken there
@@ -237,9 +231,8 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
             rmse_a[r], rmse_p[r] = "%.17g" % a, "%.17g" % p
 
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "sweep.csv", SWEEP_HEADER, SWEEP_TEMPLATE,
-               (swept, xi, conc, r_norm, ln_r, log10_r, rmse_a, rmse_p))
+    write_csv(outdir / "sweep.csv", SWEEP_HEADER,
+              (swept, xi, conc, r_norm, ln_r, log10_r, rmse_a, rmse_p), SWEEP_FORMATS)
     if gnuplot:
         _emit_gnuplot(outdir, "sweep")
     return 0

@@ -72,17 +72,19 @@ _RULE_MESSAGES = (
     "coherence magnitudes must be nonnegative",
     "w_a = {w_a} exceeds sqrt(g*f), state not positive",
     "z_a = {z_a} exceeds sqrt(a*h), state not positive",
+    "phases w_p = {w_p} and z_p = {z_p} must be finite",
 )
 
 
-def _broken_rules(a, g, f, h, w_a, z_a, total, sqrt) -> tuple:
+def _broken_rules(a, g, f, h, w_a, w_p, z_a, z_p, total, sqrt) -> tuple:
     """Each XState rule's violation flag, in _RULE_MESSAGES order.
 
     The one statement of the rules, written with operators alone so that it
     flags a float and each element of an (n,) array alike; sqrt is math.sqrt
     or np.sqrt, both correctly rounded. A population must be finite and in
     [0, 1] up to rounding, a coherence magnitude a nonnegative number (not
-    nan); (p > 0) * p is max(p, 0) wherever the earlier rules hold.
+    nan), a phase finite (p - p is 0 for a finite p, nan otherwise);
+    (p > 0) * p is max(p, 0) wherever the earlier rules hold.
     """
     return (
         (a != a) | (a < -1e-12) | (a > 1.0 + 1e-12),
@@ -93,15 +95,16 @@ def _broken_rules(a, g, f, h, w_a, z_a, total, sqrt) -> tuple:
         (w_a != w_a) | (z_a != z_a) | (w_a < 0.0) | (z_a < 0.0),
         w_a > sqrt((g > 0.0) * g * ((f > 0.0) * f)) + XSTATE_SLACK,
         z_a > sqrt((a > 0.0) * a * ((h > 0.0) * h)) + XSTATE_SLACK,
+        w_p - w_p + (z_p - z_p) != 0.0,
     )
 
 
-def _check_floats(a, g, f, h, w_a, z_a, total):
+def _check_floats(a, g, f, h, w_a, w_p, z_a, z_p, total):
     """Raise the message of the first XState rule that these float fields break."""
-    broken = _broken_rules(a, g, f, h, w_a, z_a, total, math.sqrt)
+    broken = _broken_rules(a, g, f, h, w_a, w_p, z_a, z_p, total, math.sqrt)
     if True in broken:
         raise ValueError(_RULE_MESSAGES[broken.index(True)].format(
-            a=a, g=g, f=f, h=h, w_a=w_a, z_a=z_a, total=total))
+            a=a, g=g, f=f, h=h, w_a=w_a, w_p=w_p, z_a=z_a, z_p=z_p, total=total))
 
 
 # Up to this many states, an array state is checked one float state at a
@@ -133,12 +136,13 @@ class XState:
     z_p: float = 0.0
 
     def __post_init__(self):
-        a, g, f, h, w_a, z_a = self.a, self.g, self.f, self.h, self.w_a, self.z_a
+        a, g, f, h, w_a, w_p, z_a, z_p = (self.a, self.g, self.f, self.h,
+                                          self.w_a, self.w_p, self.z_a, self.z_p)
         total = a + g + f + h
         # the sum of every field is an array exactly when some field is one
-        probe = total + w_a + self.w_p + z_a + self.z_p
+        probe = total + w_a + w_p + z_a + z_p
         if type(probe) is not np.ndarray:
-            _check_floats(a, g, f, h, w_a, z_a, total)
+            _check_floats(a, g, f, h, w_a, w_p, z_a, z_p, total)
             return
         if probe.ndim != 1:
             raise ValueError("array fields must be one-dimensional")
@@ -150,14 +154,14 @@ class XState:
         if probe.size <= FLOAT_CHECK_MAX:
             suspects = range(probe.size)
         else:  # one check of the arrays finds the first invalid state, if any
-            a, g, f, h, w_a, _, z_a, _ = columns
+            a, g, f, h, w_a, w_p, z_a, z_p = columns
             with np.errstate(invalid="ignore"):  # nan and inf fields are flagged, not warned of
                 invalid = np.logical_or.reduce(
-                    _broken_rules(a, g, f, h, w_a, z_a, a + g + f + h, np.sqrt))
+                    _broken_rules(a, g, f, h, w_a, w_p, z_a, z_p, a + g + f + h, np.sqrt))
             suspects = invalid.nonzero()[0][:1]
         for i in suspects:
-            a, g, f, h, w_a, _, z_a, _ = columns[:, i].tolist()
-            _check_floats(a, g, f, h, w_a, z_a, a + g + f + h)
+            a, g, f, h, w_a, w_p, z_a, z_p = columns[:, i].tolist()
+            _check_floats(a, g, f, h, w_a, w_p, z_a, z_p, a + g + f + h)
 
     def row(self, i: int) -> "XState":
         """State i of an array state, as a float state; a float state is each of its rows."""

@@ -121,6 +121,16 @@ class TestMemories:
         x = swap_memories(tau * math.log(2.0), tau * math.log(2.0), tau)
         assert abs(x.w_a - 0.125) <= 1e-15
 
+    # each pair's own storage time is checked, not only the sum of the two
+    @pytest.mark.parametrize("t1, t2", [
+        (-1.0, 5.0), (5.0, -1.0),
+        (np.array([1.0, -1.0, 2.0]), np.array([0.0, 5.0, 1.0])),
+        (np.array([1.0, 2.0]), np.array([0.0, -0.5])),
+    ], ids=["t1", "t2", "array-t1", "array-t2"])
+    def test_swap_rejects_a_negative_storage_time(self, t1, t2):
+        with pytest.raises(ValueError, match="^storage time must be nonnegative$"):
+            swap_memories(t1, t2, 1.0)
+
 
 def rate(x, rates):
     """R_M of the resource x, as `run` and `sweep` compute it."""

@@ -325,6 +325,36 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "out" / "plot.gp").exists()
 
+    # the columns each plot draws, by name: x, y and, for error bars, the error
+    PLOTTED = {
+        "run": {"visibility.csv": [("B", "V_a_true"), ("B", "V_a_hat", "dV_a")],
+                "intensity.csv": [("theta", "I_true"), ("theta", "I_exact"),
+                                  ("theta", "I_est")]},
+        "sweep": {"sweep.csv": [("value", "ln_R_M")]},
+    }
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_gnuplot_columns_are_the_plotted_names(self, tmp_path, verb):
+        """Each `using` column number of plot.gp is the place of its column in the CSV's header."""
+        cfg = base_config(output_dir=str(tmp_path / "out"))
+        extra = ["--param", "B", "--values", "0,10,20"] if verb == "sweep" else []
+        assert main([verb, write_config(tmp_path, cfg), *extra, "--gnuplot"]) == 0
+        headers = {"visibility.csv": cli.VISIBILITY_HEADER, "intensity.csv": cli.INTENSITY_HEADER,
+                   "sweep.csv": cli.SWEEP_HEADER}
+        plotted, data_file = {}, None
+        for line in (tmp_path / "out" / "plot.gp").read_text(encoding="utf-8").splitlines():
+            if not line.startswith("plot "):
+                continue
+            for name, using in re.findall(r"'([^']*)' using ([\d:]+)", line):
+                data_file = name or data_file  # '' plots the previous file again
+                header = headers[data_file]
+                plotted.setdefault(data_file, []).append(
+                    tuple(header[int(k) - 1] for k in using.split(":")))
+        assert plotted == self.PLOTTED[verb]
+        for data_file in plotted:  # the header the file holds is the one read above
+            first = (tmp_path / "out" / data_file).read_text(encoding="utf-8").split("\n")[0]
+            assert tuple(first.split(",")) == headers[data_file]
+
     def test_summary_is_strict_json_at_zero_entangled_rate(self, tmp_path):
         # R_E = 0 makes the trend scales infinite; RFC 8259 has no Infinity or NaN
         cfg = base_config(rates={"R_E": 0.0, "R_T": 1.0}, output_dir=str(tmp_path / "out"))
@@ -510,7 +540,7 @@ def test_sweep_rows_are_the_per_value_figures(kind, params, name, data):
     values = data.draw(st.lists(SWEPT_VALUES[name], min_size=1, max_size=6))
     raw = base_config(channel={"kind": kind, **params}, rates={"R_E": 0.8, "R_T": 1e6})
     base = parse_config(raw)
-    expected = [",".join(cli.SWEEP_HEADER) + "\n"]
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateCoherenceWarning)  # kappa past x = 1/4
         for value in values:
@@ -520,14 +550,17 @@ def test_sweep_rows_are_the_per_value_figures(kind, params, name, data):
                 channel = ChannelConfig(kind, {**channel.params, name: value})
             xi, conc, r_norm, r_abs = resource_figures(
                 channel.resource_factory()(b), b, base.rates, channel.rate_norm_fn())
-            expected.append(cli.SWEEP_TEMPLATE % (value, xi, conc, r_norm,
-                                                  *reference_log_rates(r_abs), "", ""))
+            rows.append((value, xi, conc, r_norm, *reference_log_rates(r_abs), "", ""))
         with tempfile.TemporaryDirectory() as tmp:
+            # the expected file: every row's cells, formatted per row
+            cli.write_csv(Path(tmp) / "expected.csv", cli.SWEEP_HEADER,
+                          [list(column) for column in zip(*rows)], cli.SWEEP_FORMATS)
+            expected = (Path(tmp) / "expected.csv").read_bytes()
             path = write_config(Path(tmp), {**raw, "output_dir": str(Path(tmp) / "out")})
             assert main(["sweep", path, "--param", name,
                          "--values", ",".join(map(repr, values))]) == 0
-            got = (Path(tmp) / "out" / "sweep.csv").read_text(encoding="utf-8")
-    assert got == "".join(expected)
+            got = (Path(tmp) / "out" / "sweep.csv").read_bytes()
+    assert got == expected
 
 
 def test_sweep_warns_of_a_fold_once(tmp_path):
@@ -1082,7 +1115,7 @@ def constant_except(n_rows: int, row: int) -> np.ndarray:
     return column
 
 
-SWEEP = (cli.SWEEP_HEADER, cli.SWEEP_TEMPLATE)
+SWEEP = (cli.SWEEP_HEADER, cli.SWEEP_FORMATS)
 COLUMN_CASES = {
     "minus-zero": (*SWEEP, sweep_columns(ROWS, xi=np.full(ROWS, -0.0)), ROWS),
     # a column mixing the two zeros has two bit patterns, so it stays per cell
@@ -1092,7 +1125,7 @@ COLUMN_CASES = {
     "inf": (*SWEEP, sweep_columns(ROWS, ln_R_M=np.full(ROWS, math.inf),
                                   log10_R_M=np.full(ROWS, -math.inf)), ROWS),
     "scalars": (*SWEEP, sweep_columns(ROWS, C=0.1, R_M_norm=1.0 / 3.0, ln_R_M=-math.inf), ROWS),
-    "huge-N": (cli.VISIBILITY_HEADER, cli.VISIBILITY_TEMPLATE,
+    "huge-N": (cli.VISIBILITY_HEADER, cli.VISIBILITY_FORMATS,
                [np.linspace(0.0, 1.0, ROWS)] + [np.full(ROWS, 0.5)] * 11 + [2 ** 53 + 1], ROWS),
     "empty-rmse": (*SWEEP, sweep_columns(ROWS, C=np.linspace(0.0, 1.0, ROWS)), ROWS),
     "one-row": (*SWEEP, sweep_columns(1, xi=np.array([-0.0]), C=0.25), 1),
@@ -1105,36 +1138,44 @@ COLUMN_CASES = {
 
 
 class TestCsvTemplates:
-    """Each file's %-template writes the bytes the per-cell rule wrote."""
+    """write_csv, with each file's column formats, writes the bytes the per-cell rule wrote."""
 
-    @pytest.mark.parametrize("header, template", [
-        (cli.VISIBILITY_HEADER, cli.VISIBILITY_TEMPLATE),
-        (cli.INTENSITY_HEADER, cli.INTENSITY_TEMPLATE),
-        (cli.SWEEP_HEADER, cli.SWEEP_TEMPLATE),
+    @pytest.mark.parametrize("header, formats", [
+        (cli.VISIBILITY_HEADER, cli.VISIBILITY_FORMATS),
+        (cli.INTENSITY_HEADER, None),
+        (cli.SWEEP_HEADER, cli.SWEEP_FORMATS),
     ], ids=["visibility", "intensity", "sweep"])
-    def test_rows_match_the_cell_rule(self, tmp_path, header, template):
+    def test_rows_match_the_cell_rule(self, tmp_path, header, formats):
         pools = {"N": CELL_INTS, "rmse_V_a": CELL_RMSE, "rmse_V_p": CELL_RMSE}
         columns = []
         for j, name in enumerate(header):
             pool = pools.get(name, CELL_FLOATS)
             columns.append([pool[(k + j) % len(pool)] for k in range(2 * len(CELL_FLOATS))])
         reference_rows = list(zip(*columns))
-        cli._write_csv(tmp_path / "out.csv", header, template,
-                       [rendered(name, column) for name, column in zip(header, columns)])
+        cli.write_csv(tmp_path / "out.csv", header,
+                      [rendered(name, column) for name, column in zip(header, columns)], formats)
         expected = ",".join(header) + "\n" + "".join(
             ",".join(map(reference_cell, row)) + "\n" for row in reference_rows)
         assert (tmp_path / "out.csv").read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("header, template, columns, n_rows", list(COLUMN_CASES.values()),
+    @pytest.mark.parametrize("header, formats, columns, n_rows", list(COLUMN_CASES.values()),
                              ids=list(COLUMN_CASES))
-    def test_columns_match_the_cell_rule(self, tmp_path, header, template, columns, n_rows):
+    def test_columns_match_the_cell_rule(self, tmp_path, header, formats, columns, n_rows):
         """A scalar or constant array column, formatted once, writes each row's cells."""
-        cli._write_csv(tmp_path / "out.csv", header, template,
-                       [rendered(name, column) for name, column in zip(header, columns)])
+        cli.write_csv(tmp_path / "out.csv", header,
+                      [rendered(name, column) for name, column in zip(header, columns)], formats)
         cells = [[column] * n_rows if column is None or isinstance(column, (int, float))
                  else list(column) for column in columns]
         expected = [",".join(header)] + [",".join(map(reference_cell, row)) for row in zip(*cells)]
         assert (tmp_path / "out.csv").read_text(encoding="utf-8").split("\n") == [*expected, ""]
+
+    def test_creates_the_directory_and_takes_any_format(self, tmp_path):
+        """The missing directories are made; a %s column writes str of each cell, %d an int."""
+        path = tmp_path / "a" / "b" / "out.csv"
+        cli.write_csv(path, ("C", "N", "rmse"), ([0.3, 1.0], (7, 2 ** 53 + 1), np.full(2, 0.1)),
+                      {"C": "%s", "N": "%d"})
+        assert path.read_bytes() == (b"C,N,rmse\n0.3,7,0.10000000000000001\n"
+                                     b"1.0,9007199254740993,0.10000000000000001\n")
 
 
 class TestValidateCommand:

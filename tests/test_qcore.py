@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import xstate_strategy
+from entbase.protocol import DegeneratePhasesError, PhaseSettings, run_observation
 from entbase.qcore import (
     FLOAT_CHECK_MAX,
     AstroVisibility,
@@ -276,6 +277,29 @@ class TestValidation:
             XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=w_a)
         with pytest.raises(ValueError, match="^w_a = 0.75 exceeds"):
             XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=np.where(np.isnan(w_a), 0.5, w_a))
+
+    @pytest.mark.parametrize("field", ["w_p", "z_p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_rejected(self, field, value):
+        phases = {"w_p": 0.0, "z_p": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^phases w_p = {phases['w_p']} and "
+                                             f"z_p = {phases['z_p']} must be finite$"):
+            XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=0.5, **phases)
+
+    @pytest.mark.parametrize("pad", [0, FLOAT_CHECK_MAX], ids=["float-checks", "array-check"])
+    def test_array_state_reports_its_first_non_finite_phase(self, pad):
+        w_p = np.array([0.5, math.inf, math.nan] + [0.5] * pad)
+        with pytest.raises(ValueError, match="^phases w_p = inf and z_p = 0.0 must be finite$"):
+            XState(a=0.0, g=0.5, f=0.5, h=0.0, w_a=0.5, w_p=w_p)
+
+    def test_a_non_finite_phase_never_reaches_the_inversion(self):
+        """run_observation on a nan-phase resource names the state, not the valid settings."""
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="^phases w_p = nan") as caught:
+            run_observation(AstroVisibility(0.5, 0.2),
+                            XState(0.0, 0.5, 0.5, 0.0, 0.5, w_p=math.nan),
+                            PhaseSettings(0.0, math.pi / 2), 100, rng)
+        assert not isinstance(caught.value, DegeneratePhasesError)
 
     def test_entries_are_immutable(self):
         m = make_bell_psi(0.0)
