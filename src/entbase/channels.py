@@ -2,10 +2,12 @@
 
 Closed-form resource states for independent per-arm amplitude damping,
 dephasing and depolarization, parameter maps for lossy/birefringent fiber
-and finite-lifetime memories, entanglement swapping of stored pairs, and
-the closed-form log-rate laws that the rate of `imaging.resource_figures`
-is checked against. ``entbase.reference`` holds the operator-sum route
-that each closed form is checked against.
+and finite-lifetime memories, entanglement swapping of stored pairs, the
+rate model with `resource_figures` (a resource's xi, C and coincidence
+rate: the only rate code, which `run` and `sweep` call once over their
+baselines), and the closed-form log-rate laws that rate is checked against.
+``entbase.reference`` holds the operator-sum route that each closed form is
+checked against.
 
 The resource builders take floats, or (n,) arrays for n resources at once
 (one `sweep`), and give an XState of the same kind; the arithmetic is the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elementwise as ew
-from .qcore import XState
+from .qcore import XState, concurrence_subspace, subspace_weight
 
 __all__ = [
     "DegenerateCoherenceWarning",
@@ -34,6 +36,7 @@ __all__ = [
     "log_rate_depol_approx",
     "log_rate_fiber",
     "memory_xstate",
+    "resource_figures",
     "swap_memories",
     "xstate_amplitude_damping",
     "xstate_dephasing",
@@ -71,6 +74,23 @@ class RateModel:
     def max_rate(self) -> float:
         """Coincidence rate with a pristine resource: R_E * R_T / 2."""
         return 0.5 * self.R_E * self.R_T
+
+
+def resource_figures(x: XState, B: float, rates: RateModel,
+                     rate_norm_fn) -> tuple[float, float, float, float]:
+    """(xi, C, R_M_norm, R_M) of the resource x at baseline B.
+
+    R_M_norm is the coincidence fraction R_M / (R_E R_T): xi/2, unless
+    rate_norm_fn is not None and overrides it with rate_norm_fn(B)
+    (e.g. a tabulated repeater-chain rate). C is nan for a dead resource
+    (xi = 0). An array state, a baseline array or rates holding an array
+    (one sweep) give the figures elementwise, as arrays that broadcast
+    against each other.
+    """
+    xi = subspace_weight(x)
+    conc = concurrence_subspace(x)
+    r_norm = 0.5 * xi if rate_norm_fn is None else rate_norm_fn(B)
+    return xi, conc, r_norm, r_norm * rates.R_E * rates.R_T
 
 
 def ideal_bell_xstate(w_p: float = 0.0) -> XState:
@@ -126,30 +146,31 @@ def xstate_depolarizing(kappa_L: float, kappa_R: float) -> XState:
 
 def fiber_loss_prob(L: float, L0: float) -> float:
     """Loss probability in a fiber of length L with attenuation length L0."""
-    if ew.any_set(L < 0.0):
+    # each rule flags nan too, per element for an array
+    if ew.any_set((L != L) | (L < 0.0)):
         raise ValueError("fiber length must be nonnegative")
-    if ew.any_set(L0 <= 0.0):
+    if ew.any_set((L0 != L0) | (L0 <= 0.0)):
         raise ValueError("attenuation length must be positive")
     return 1.0 - ew.exp(-L / L0)
 
 
 def depol_prob(L: float, beta: float) -> float:
     """Per-arm depolarization probability for a birefringent fiber of total length L."""
-    if ew.any_set(L < 0.0):
+    if ew.any_set((L != L) | (L < 0.0)):
         raise ValueError("fiber length must be nonnegative")
-    if ew.any_set(beta <= 0.0):
+    if ew.any_set((beta != beta) | (beta <= 0.0)):
         raise ValueError("inverse attenuation length must be positive")
     return 1.0 - ew.exp(-beta * L / 2.0)
 
 
 def _check_storage_time(t: float):
-    if ew.any_set(t < 0.0):
+    if ew.any_set((t != t) | (t < 0.0)):
         raise ValueError("storage time must be nonnegative")
 
 
 def _coherence_survival(t: float, tau_c: float) -> float:
     _check_storage_time(t)
-    if ew.any_set(tau_c <= 0.0):
+    if ew.any_set((tau_c != tau_c) | (tau_c <= 0.0)):
         raise ValueError("coherence time must be positive")
     return ew.exp(-t / tau_c)
 

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import elementwise as ew
+from .channels import resource_figures
 from .config import ConfigError, check_phase, load_config, parse_sweep_args, swept_config
-from .imaging import observe_and_image, resolution, resource_figures, true_visibility
+from .imaging import observe_and_image, resolution, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
 from .config import parse_config  # noqa: F401
@@ -41,20 +42,25 @@ SWEEP_HEADER = ("value", "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "rmse_V_a
 SWEEP_FORMATS = {"rmse_V_a": "%s", "rmse_V_p": "%s"}
 
 
-def _log_rate_columns(r_abs):
-    """The ln_R_M and log10_R_M columns of the rates r_abs: -inf where a rate is 0 or nan.
+def _resource_table(cfg, baselines):
+    """cfg's channel resource at baselines, built once, and its table columns xi, C,
+    R_M_norm, ln_R_M and log10_R_M, for `run` and `sweep` alike.
 
-    A float rate gives two floats, an array of rates two arrays. ln is libm's
-    math.log element by element (np.log may differ from it in the last bit);
-    log10 is ln / ln(10), one IEEE division, the same bits in numpy.
+    baselines is an (n,) array or one float. A column is an (n,) array, or one float
+    when it is the same in every row. ln_R_M is -inf where the rate is 0 or nan, else
+    libm's math.log element by element (np.log may differ from it in the last bit);
+    log10_R_M is ln_R_M / ln(10), one IEEE division, the same bits in numpy.
     """
-    if isinstance(r_abs, float):
+    resource = cfg.channel.resource_factory()(baselines)
+    xi, conc, r_norm, r_abs = resource_figures(resource, baselines, cfg.rates,
+                                               cfg.channel.rate_norm_fn())
+    if isinstance(r_abs, np.ndarray):
+        positive = r_abs > 0.0
+        ln_r = np.full(r_abs.shape, -math.inf)
+        ln_r[positive] = list(map(math.log, r_abs[positive].tolist()))
+    else:
         ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
-        return ln_r, ln_r / math.log(10.0)
-    positive = r_abs > 0.0
-    ln_r = np.full(r_abs.shape, -math.inf)
-    ln_r[positive] = list(map(math.log, r_abs[positive].tolist()))
-    return ln_r, ln_r / math.log(10.0)
+    return resource, (xi, conc, r_norm, ln_r, ln_r / math.log(10.0))
 
 
 def write_csv(path: Path, header, columns, formats=None):
@@ -136,31 +142,28 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     cfg = load_config(config_path)
     if len(cfg.plan.baselines) < 2:  # sweep evaluates one baseline; the map needs two
         raise ConfigError("baselines", "run needs at least two baselines to image")
-    resource_factory = cfg.channel.resource_factory()
     report = observe_and_image(
-        sky=cfg.sky, plan=cfg.plan, resource_factory=resource_factory,
+        sky=cfg.sky, plan=cfg.plan, resource_factory=cfg.channel.resource_factory(),
         settings=cfg.settings, n_per_setting=cfg.n_per_setting, seed=cfg.seed,
-        rates=cfg.rates, theta_grid=cfg.theta_grid,
-        rate_norm_fn=cfg.channel.rate_norm_fn())
+        theta_grid=cfg.theta_grid)
+    resource, table = _resource_table(cfg, report.baselines)
+    xi, conc, r_norm = table[:3]
 
     outdir = Path(cfg.output_dir)
     est = report.estimates
-    ln_r, log10_r = _log_rate_columns(report.rate_abs)
     write_csv(outdir / "visibility.csv", VISIBILITY_HEADER,
               (report.baselines, map(abs, report.v_true),
                map(wrap_phase, map(cmath.phase, report.v_true)), est.V_a_hat,
-               est.V_p_hat, est.dV_a, est.dV_p, est.xi_used, est.C_used, report.rate_norm,
-               ln_r, log10_r, est.N_used), VISIBILITY_FORMATS)
+               est.V_p_hat, est.dV_a, est.dV_p, *table, est.N_used), VISIBILITY_FORMATS)
     write_csv(outdir / "intensity.csv", INTENSITY_HEADER,
               (report.theta_grid, report.intensity_true,
                report.intensity_exact, report.intensity_est))
 
     # the worst baseline has the largest amplitude trend scale 1/(C sqrt(xi R_X)),
     # the first one on ties; every resource figure below is taken there
-    worst = int(np.argmin(est.C_used * np.sqrt(est.xi_used)))
-    c_worst = est.C_used[worst]
-    resource = resource_factory(cfg.plan.baselines[worst])
-    scales = scaling_laws(resource, cfg.rates.R_E)  # R_X: the network-supplied photon fraction
+    worst = int(np.argmin(conc * np.sqrt(xi)))
+    c_worst, state = ew.item(conc, worst), resource.row(worst)
+    scales = scaling_laws(state, cfg.rates.R_E)  # R_X: the network-supplied photon fraction
     max_dva, max_dvp = float(est.dV_a.max()), float(est.dV_p.max())
     summary = {
         "channel": cfg.channel.kind,
@@ -170,9 +173,9 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         "N_per_setting": cfg.n_per_setting,
         "seed": cfg.seed,
         "resolution": resolution(cfg.plan.B_m, cfg.sky.wavelength),
-        "xi": est.xi_used[worst],
+        "xi": ew.item(xi, worst),
         "C": c_worst,
-        "R_M_norm": report.rate_norm[worst],
+        "R_M_norm": ew.item(r_norm, worst),
         "dVa_scale": scales.dV_a_scale,
         "dVp_scale": scales.dV_p_scale,
         "dI": math.hypot(max_dva, max_dvp),
@@ -182,7 +185,7 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         "low_confidence": max_dva > LOW_CONFIDENCE_DVA or max_dvp > LOW_CONFIDENCE_DVP,
         # estimates more than three of their dV_a above |V| = 1, imaged unclipped
         "n_above_unit": int(np.count_nonzero(est.V_a_hat > 1.0 + 3.0 * est.dV_a + 1e-12)),
-        "resource_state": _resource_state(resource),
+        "resource_state": _resource_state(state),
     }
     # RFC 8259 has no NaN or Infinity: a non-finite figure (the trend scales at R_E = 0) is null
     summary = {key: None if isinstance(v, float) and not math.isfinite(v) else v
@@ -203,12 +206,8 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
     # w2 leave the resource as it is, and R_E, R_T only scale the rate.
     cfg = swept_config(load_config(config_path), param, swept)
     b_eval = swept if param in ("B", "L") else cfg.plan.B_m
-    resource = cfg.channel.resource_factory()(b_eval)
-    # each figure an (n,) array, or one float when it is the same in every row
-    xi, conc, r_norm, r_abs = (
-        column if isinstance(column, np.ndarray) else float(column)
-        for column in resource_figures(resource, b_eval, cfg.rates, cfg.channel.rate_norm_fn()))
-    ln_r, log10_r = _log_rate_columns(r_abs)
+    resource, table = _resource_table(cfg, b_eval)
+    conc = table[1]
     rmse_a = rmse_p = ""
     # C is nan with no coincidence weight and 0 with no coherence: a dead
     # resource, whose RMSE cells stay empty
@@ -232,7 +231,7 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
 
     outdir = Path(cfg.output_dir)
     write_csv(outdir / "sweep.csv", SWEEP_HEADER,
-              (swept, xi, conc, r_norm, ln_r, log10_r, rmse_a, rmse_p), SWEEP_FORMATS)
+              (swept, *table, rmse_a, rmse_p), SWEEP_FORMATS)
     if gnuplot:
         _emit_gnuplot(outdir, "sweep")
     return 0

@@ -403,11 +403,14 @@ def parse_config(obj: dict) -> ScenarioConfig:
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=_json_object)
+            try:
+                obj = json.load(fh, object_pairs_hook=_json_object)
+            # malformed JSON, bytes that are not UTF-8, an integer past Python's digit
+            # limit (ValueErrors all), or nesting deeper than the decoder recurses
+            except (ValueError, RecursionError) as exc:
+                raise ConfigError("config", f"{path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config", "top level must be an object")
     return parse_config(obj)

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import RateModel
 # module-level names on purpose: the benchmark tracer rebinds them to time the protocol layer
 from .protocol import PhaseSettings, VisibilityEstimate, derive_seed, run_observation
-from .qcore import AstroVisibility, XState, concurrence_subspace, subspace_weight
+from .qcore import AstroVisibility
 
 __all__ = [
     "BaselinePlan",
@@ -29,7 +28,6 @@ __all__ = [
     "observe_and_image",
     "reconstruct_intensity",
     "resolution",
-    "resource_figures",
     "sky_intensity_on_grid",
     "true_visibility",
 ]
@@ -265,61 +263,40 @@ class ObservationReport:
     baselines: np.ndarray
     v_true: np.ndarray            # complex
     estimates: VisibilityEstimate
-    rate_norm: np.ndarray         # R_M / (R_E R_T)
-    rate_abs: np.ndarray
     theta_grid: np.ndarray
     intensity_true: np.ndarray
     intensity_exact: np.ndarray
     intensity_est: np.ndarray
 
 
-def resource_figures(x: XState, B: float, rates: RateModel,
-                     rate_norm_fn) -> tuple[float, float, float, float]:
-    """(xi, C, R_M_norm, R_M) of the resource x at baseline B.
-
-    R_M_norm is the coincidence fraction R_M / (R_E R_T): xi/2, unless
-    rate_norm_fn is not None and overrides it with rate_norm_fn(B)
-    (e.g. a tabulated repeater-chain rate). C is nan for a dead resource
-    (xi = 0). An array state, a baseline array or rates holding an array
-    (one sweep) give the figures elementwise, as arrays that broadcast
-    against each other.
-    """
-    xi = subspace_weight(x)
-    conc = concurrence_subspace(x)
-    r_norm = 0.5 * xi if rate_norm_fn is None else rate_norm_fn(B)
-    return xi, conc, r_norm, r_norm * rates.R_E * rates.R_T
-
-
 def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
                       settings: PhaseSettings, n_per_setting: int, seed: int,
-                      rates: RateModel, theta_grid, rate_norm_fn=None) -> ObservationReport:
+                      theta_grid) -> ObservationReport:
     """Full pipeline: per-baseline protocol runs, then dirty-map reconstruction.
 
     resource_factory maps a baseline to the XState supplied by the network
     at that separation. One generator, default_rng(derive_seed(seed)), serves
     the whole run (run seed scheme v2): baseline i's correlated-click counts
     are row i of one rng.binomial(N, P, size=(n, 2)) draw over the settings'
-    probabilities P, whichever way the loop is split. rate_norm_fn is passed
-    to resource_figures. Estimates are imaged as they are, never clipped
-    to |V| = 1.
+    probabilities P, whichever way the loop is split. Estimates are imaged
+    as they are, never clipped to |V| = 1.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     baselines = np.array(plan.baselines)
     v_true = np.empty(baselines.size, dtype=complex)
     rng = np.random.default_rng(derive_seed(seed))
-    # rows: V_a_hat, V_p_hat, dV_a, dV_p, C, xi, R_M_norm, R_M
-    columns = np.empty((8, baselines.size))
+    # rows: V_a_hat, V_p_hat, dV_a, dV_p, C, xi
+    columns = np.empty((6, baselines.size))
     for idx, B in enumerate(plan.baselines):
         v_c = true_visibility(sky, B)
         x = resource_factory(B)
-        _, _, norm, r_abs = resource_figures(x, B, rates, rate_norm_fn)
         v = AstroVisibility(abs(v_c), cmath.phase(v_c))
         # raises DegenerateResourceError for a dead resource
         est = run_observation(v, x, settings, n_per_setting, rng)
         v_true[idx] = v_c
         columns[:, idx] = (est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p,
-                           est.C_used, est.xi_used, norm, r_abs)
-    v_a, v_p, dv_a, dv_p, conc, xi, rate_norm, rate_abs = columns
+                           est.C_used, est.xi_used)
+    v_a, v_p, dv_a, dv_p, conc, xi = columns
     v_est = v_a * np.exp(1j * v_p)
 
     # theta_grid by keyword: the benchmark tracer reads it from there
@@ -332,8 +309,6 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
         v_true=v_true,
         estimates=VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
                                      N_used=n_per_setting, C_used=conc, xi_used=xi),
-        rate_norm=rate_norm,
-        rate_abs=rate_abs,
         theta_grid=theta_grid,
         intensity_true=sky_intensity_on_grid(sky, theta_grid),
         intensity_exact=intensity_exact,

@@ -301,7 +301,7 @@ def channel_rates(kind: str, params: dict, rates: channels.RateModel, baselines)
     """(R_M_norm, R_M) arrays over a baseline array, by the route `sweep` takes."""
     channel = config.ChannelConfig(kind, params)
     resource = channel.resource_factory()(baselines)
-    return imaging.resource_figures(resource, baselines, rates, channel.rate_norm_fn())[2:]
+    return channels.resource_figures(resource, baselines, rates, channel.rate_norm_fn())[2:]
 
 
 def check_rate_monotonicity():
@@ -316,7 +316,7 @@ def check_rate_monotonicity():
         grids["kappa"] = [channels.xstate_depolarizing(p, p)
                           for p in _union(np.linspace(0, 0.75, 12), np.linspace(0, 0.75, 15))]
     for family, states in grids.items():
-        rs = [imaging.resource_figures(x, 0.0, rates, None)[3] for x in states]
+        rs = [channels.resource_figures(x, 0.0, rates, None)[3] for x in states]
         assert _non_increasing(rs, 1e-15), f"rate not monotone in {family}"
 
 
@@ -549,8 +549,7 @@ def check_imaging_peaks_mc():
     grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
     plan = imaging.BaselinePlan.linear(4.0 / (2 * sep), 64)
     rep = imaging.observe_and_image(sky, plan, lambda B: channels.ideal_bell_xstate(),
-                                    _SETTINGS, 10 ** 6, seed=1010,
-                                    rates=channels.RateModel(1.0, 1.0), theta_grid=grid)
+                                    _SETTINGS, 10 ** 6, seed=1010, theta_grid=grid)
     peaks = reference.find_peaks(rep.intensity_est)
     assert len(peaks) == 2, f"{len(peaks)} peaks"
     for peak, target in zip(peaks, (-sep / 2, sep / 2)):

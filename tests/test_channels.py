@@ -19,13 +19,13 @@ from entbase.channels import (
     log_rate_depol_approx,
     log_rate_fiber,
     memory_xstate,
+    resource_figures,
     swap_memories,
     xstate_amplitude_damping,
     xstate_dephasing,
     xstate_depolarizing,
 )
 from entbase.config import ChannelConfig, _parse_channel
-from entbase.imaging import resource_figures
 from entbase.qcore import XState, concurrence_subspace, subspace_weight
 
 
@@ -130,6 +130,31 @@ class TestMemories:
     def test_swap_rejects_a_negative_storage_time(self, t1, t2):
         with pytest.raises(ValueError, match="^storage time must be nonnegative$"):
             swap_memories(t1, t2, 1.0)
+
+
+# a call with one nan length, time or scale v, and the message that names that input
+NAN_CASES = {
+    "fiber-L": (lambda v: fiber_loss_prob(v, 10.0), "fiber length must be nonnegative"),
+    "fiber-L0": (lambda v: fiber_loss_prob(1.0, v), "attenuation length must be positive"),
+    "depol-L": (lambda v: depol_prob(v, 0.2), "fiber length must be nonnegative"),
+    "depol-beta": (lambda v: depol_prob(1.0, v), "inverse attenuation length must be positive"),
+    "memory-t": (lambda v: memory_xstate(v, 1.0), "storage time must be nonnegative"),
+    "memory-tau_c": (lambda v: memory_xstate(1.0, v), "coherence time must be positive"),
+    "swap-t1": (lambda v: swap_memories(v, 0.0, 1.0), "storage time must be nonnegative"),
+    "swap-t2": (lambda v: swap_memories(0.0, v, 1.0), "storage time must be nonnegative"),
+    "swap-tau_c": (lambda v: swap_memories(0.5, 0.2, v), "coherence time must be positive"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, np.array([1.0, math.nan, 2.0])],
+                         ids=["float", "array"])
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_nan_input_is_named(case, value):
+    """A nan is refused by the rule of its input, for a float and an array element alike,
+    not passed on as a nan probability or blamed on the state it would build."""
+    call, message = NAN_CASES[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(value)
 
 
 def rate(x, rates):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import CHANNEL_FORMS, SWEPT_CASES, SWEPT_IDS, SWEPT_VALUES
 from entbase import cli, config, reference, validation
 from entbase import elementwise as ew
-from entbase.channels import DegenerateCoherenceWarning, RateModel
+from entbase.channels import DegenerateCoherenceWarning, RateModel, resource_figures
 from entbase.cli import main
 from entbase.config import (
     CHANNEL_PARAM_RULES,
@@ -29,7 +29,7 @@ from entbase.config import (
     parse_config,
     swept_config,
 )
-from entbase.imaging import default_theta_grid, resource_figures
+from entbase.imaging import default_theta_grid
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -563,6 +563,41 @@ def test_sweep_rows_are_the_per_value_figures(kind, params, name, data):
     assert got == expected
 
 
+@pytest.mark.parametrize("kind, params", CHANNEL_FORMS,
+                         ids=["-".join((kind, *params)) for kind, params in CHANNEL_FORMS])
+def test_run_resource_columns_are_the_per_baseline_figures(tmp_path, kind, params):
+    """visibility.csv's xi, C, R_M_norm, ln_R_M and log10_R_M cells, and summary.json's
+    figures and resource_state at the worst baseline, are what resource_factory and
+    resource_figures give each baseline alone, in every channel form."""
+    # baselines up to 3: every form's C stays well above 0, the depolarizing beta
+    # form's too (its coherence changes sign past B = 13.9)
+    raw = base_config(channel={"kind": kind, **params}, rates={"R_E": 0.8, "R_T": 1e6},
+                      baselines={"B_max": 3.0, "count": 9}, output_dir=str(tmp_path / "out"))
+    cfg = parse_config(raw)
+    factory, rate_norm_fn = cfg.channel.resource_factory(), cfg.channel.rate_norm_fn()
+    figures = [resource_figures(factory(b), b, cfg.rates, rate_norm_fn)
+               for b in cfg.plan.baselines]
+    assert min(conc for _, conc, _, _ in figures) > 0.3
+    expected = [["%.17g" % cell for cell in (xi, conc, r_norm, *reference_log_rates(r_abs))]
+                for xi, conc, r_norm, r_abs in figures]
+    # the first baseline of the largest amplitude trend scale 1/(C sqrt(xi R_X))
+    worst = min(range(len(figures)), key=lambda i: figures[i][1] * math.sqrt(figures[i][0]))
+    m = factory(cfg.plan.baselines[worst]).density_matrix()
+
+    assert main(["run", write_config(tmp_path, raw)]) == 0
+    with open(tmp_path / "out" / "visibility.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    start = rows[0].index("xi")
+    assert rows[0][start:start + 5] == ["xi", "C", "R_M_norm", "ln_R_M", "log10_R_M"]
+    assert [row[start:start + 5] for row in rows[1:]] == expected
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+    assert [repr(summary[key]) for key in ("xi", "C", "R_M_norm")] == \
+        [repr(float(cell)) for cell in figures[worst][:3]]
+    # json text of both, so a -0.0 imaginary part differs from 0.0
+    assert json.dumps(summary["resource_state"]) == \
+        json.dumps(np.stack([m.real, m.imag], axis=-1).tolist())
+
+
 def test_sweep_warns_of_a_fold_once(tmp_path):
     cfg = base_config(channel={"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.0},
                       output_dir=str(tmp_path / "out"))
@@ -736,6 +771,30 @@ class TestDuplicateKeysExit1:
         for command in (["run"], ["sweep", "--param", "N", "--values", "100,200"]):
             assert main([command[0], str(path), *command[1:]]) == 1
             assert capsys.readouterr().err == f"invalid config: {key}: duplicate key\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnreadableJsonExit1:
+    """A file that json.load cannot decode is a config error naming the file, whatever
+    the decoder raises: not UTF-8, nested past its recursion limit, or an integer literal
+    past Python's int-digit limit."""
+
+    @pytest.mark.parametrize("prefix, key, literal", [
+        (b"\xff\xfe", "seed", "3"),
+        (b"", "sky", "[" * 100_000 + "]" * 100_000),
+        pytest.param(b"", "seed", "1" + "0" * 4999, marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no int-digit limit")),
+    ], ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "N", "--values", "100"]],
+                             ids=["run", "sweep"])
+    def test_exit_1_names_the_file(self, tmp_path, capsys, prefix, key, literal, command):
+        # the config, with the value at key written as the raw JSON text literal
+        text = json.dumps(base_config(output_dir=str(tmp_path / "out"), **{key: "LITERAL"}))
+        path = tmp_path / "cfg.json"
+        path.write_bytes(prefix + text.replace('"LITERAL"', literal).encode("utf-8"))
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"invalid config: config: {path} is not valid JSON: ")
         assert not (tmp_path / "out").exists()
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from entbase import imaging, protocol
-from entbase.channels import RateModel, fiber_loss_prob, ideal_bell_xstate, xstate_amplitude_damping
+from entbase.channels import (
+    RateModel, fiber_loss_prob, ideal_bell_xstate, resource_figures, xstate_amplitude_damping)
 from entbase.imaging import (
     BaselinePlan,
     SkyModel,
@@ -15,7 +16,6 @@ from entbase.imaging import (
     observe_and_image,
     reconstruct_intensity,
     resolution,
-    resource_figures,
     sky_intensity_on_grid,
     true_visibility,
 )
@@ -25,7 +25,6 @@ from entbase.qcore import AstroVisibility, XState
 from entbase.reference import dirty_image_complex, find_peaks
 
 SETTINGS = PhaseSettings(0.0, 0.5 * math.pi)
-RATES = RateModel(1.0, 1.0)
 
 
 def two_source_sky(sep=0.02, wavelength=1.0, flux2=1.0):
@@ -268,6 +267,16 @@ class TestResourceFigures:
         assert xi.tolist() == [0.0, 1.0] and math.isnan(conc[0]) and conc[1] == 1.0
         assert r_norm.tolist() == [0.0, 0.5] and r_abs.tolist() == [0.0, 0.125]
 
+    def test_fiber_rates_follow_line(self):
+        # over a baseline array, the route `run` and `sweep` take
+        l0, rates = 10.0, RateModel(0.8, 1e6)
+        baselines = np.array(BaselinePlan.linear(6 * l0, 12).baselines)
+        loss = fiber_loss_prob(baselines / 2, l0)
+        r_abs = resource_figures(xstate_amplitude_damping(loss, loss), baselines, rates, None)[3]
+        for b, r in zip(baselines, r_abs):
+            expected = math.log(rates.max_rate) - b / (2 * l0)
+            assert abs(math.log(r) - expected) <= 1e-12
+
 
 class TestObserveAndImage:
     def test_end_to_end_ideal(self):
@@ -276,8 +285,7 @@ class TestObserveAndImage:
         plan = BaselinePlan.linear(2.0 / (2 * sep), 32)
         grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
         report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
-                                   SETTINGS, 200000, seed=5, rates=RATES,
-                                   theta_grid=grid)
+                                   SETTINGS, 200000, seed=5, theta_grid=grid)
         exact_peaks = find_peaks(report.intensity_exact)
         est_peaks = find_peaks(report.intensity_est)
         assert len(est_peaks) == len(exact_peaks)
@@ -291,19 +299,6 @@ class TestObserveAndImage:
                               baselines={"B_max": 40.0, "count": 16},  # |V| = 1 everywhere
                               N_per_setting=100000, seed=6)
         assert summary["low_confidence"] is False
-
-    def test_fiber_rates_follow_line(self):
-        sky = two_source_sky()
-        l0 = 10.0
-        plan = BaselinePlan.linear(6 * l0, 12)
-        factory = lambda B: xstate_amplitude_damping(
-            fiber_loss_prob(B / 2, l0), fiber_loss_prob(B / 2, l0))
-        report = observe_and_image(sky, plan, factory, SETTINGS, 1000, seed=9,
-                                   rates=RateModel(0.8, 1e6),
-                                   theta_grid=default_theta_grid(sky, plan.B_m))
-        for b, r in zip(report.baselines, report.rate_abs):
-            expected = math.log(RateModel(0.8, 1e6).max_rate) - b / (2 * l0)
-            assert abs(math.log(r) - expected) <= 1e-12
 
     def test_single_trial_flags_low_confidence(self, tmp_path):
         assert run_summary(tmp_path, N_per_setting=1)["low_confidence"] is True
@@ -329,8 +324,7 @@ class TestObserveAndImage:
         plan = BaselinePlan.linear(60.0, 50)
         n = 3000
         report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(), SETTINGS, n,
-                                   seed=4, rates=RATES,
-                                   theta_grid=default_theta_grid(sky, plan.B_m))
+                                   seed=4, theta_grid=default_theta_grid(sky, plan.B_m))
         probs = []
         for b in plan.baselines:
             v_c = true_visibility(sky, b)
@@ -355,8 +349,7 @@ class TestObserveAndImage:
             gaps = []
             for seed in range(5):
                 report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
-                                           SETTINGS, n, seed=seed, rates=RATES,
-                                           theta_grid=grid)
+                                           SETTINGS, n, seed=seed, theta_grid=grid)
                 gaps.append(np.linalg.norm(report.intensity_est - report.intensity_exact))
             return float(np.mean(gaps))
 

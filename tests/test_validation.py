@@ -56,7 +56,7 @@ MUTANTS = [
      "ops.conj().transpose(0, 2, 1)", "ops.transpose(0, 2, 1)"),
     ("concurrence-monotone", channels, "xstate_dephasing",
      "(1.0 - mu_L) * (1.0 - mu_R)", "(1.0 - mu_L) * (0.5 + mu_R)"),
-    ("rate-monotonicity", imaging, "resource_figures",
+    ("rate-monotonicity", channels, "resource_figures",
      "r_norm = 0.5 * xi if", "r_norm = 0.5 * (1.0 - xi) if"),
     ("two-source-resolvability", reference, "find_peaks",
      "(mid > arr[:-2]) & (mid > arr[2:])", "(mid > arr[:-2]) | (mid > arr[2:])"),
