@@ -28,11 +28,18 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--out", default="out/error_scaling")
     args = ap.parse_args()
+    for option, value, low in (("--replicates", args.replicates, 1), ("--seed", args.seed, 0)):
+        if value < low:
+            ap.exit(1, f"invalid arguments: {option}: must be at least {low}, not {value}\n")
 
     # the tables' in-process time, nearly all of it replicate_rmse's (unlike the process's)
     start = time.perf_counter()
     by_n = rmse_vs_n(args.seed, args.replicates)
-    by_resource = rmse_vs_resource(args.seed, args.replicates, args.budget)
+    try:
+        by_resource = rmse_vs_resource(args.seed, args.replicates, args.budget)
+    except (ValueError, OverflowError):  # numpy's binomial takes N in [1, 2**63 - 1]
+        ap.exit(1, f"invalid arguments: --budget: {args.budget} gives a cell "
+                   f"N_post = round(budget xi / 2) outside [1, 2**63 - 1]\n")
     seconds = time.perf_counter() - start
 
     outdir = Path(args.out)

@@ -15,7 +15,7 @@ import numpy as np
 
 from entbase.channels import RateModel, log_rate_depol_approx
 from entbase.cli import write_csv
-from entbase.validation import channel_rates
+from entbase.config import ChannelConfig
 
 
 def main():
@@ -26,12 +26,20 @@ def main():
     ap.add_argument("--points", type=int, default=81)
     ap.add_argument("--out", default="out/rates")
     args = ap.parse_args()
+    for option, value, ok, rule in (
+            ("--points", args.points, args.points >= 0, "nonnegative"),
+            ("--B-max", args.B_max, 0.0 <= args.B_max < math.inf, "finite and nonnegative"),
+            ("--L0", args.L0, 0.0 < args.L0 < math.inf, "finite and positive"),
+            ("--beta", args.beta, 0.0 < args.beta < math.inf, "finite and positive")):
+        if not ok:
+            ap.exit(1, f"invalid arguments: {option}: must be {rule}, not {value}\n")
 
     rates = RateModel(1.0, 1.0)
     baselines = np.linspace(0.0, args.B_max, args.points)
-    # the rates `sweep` computes for these channels, the curves `entbase validate` checks
-    r_fiber = channel_rates("amplitude_damping", {"L0": args.L0}, rates, baselines)[0]
-    r_depol = channel_rates("depolarizing", {"beta": args.beta}, rates, baselines)[0]
+    # the R_M_norm columns `sweep` writes for these channels, the curves `entbase validate` checks
+    r_fiber, r_depol = (ChannelConfig(kind, params).resource_table(baselines, rates)[1][2]
+                        for kind, params in (("amplitude_damping", {"L0": args.L0}),
+                                             ("depolarizing", {"beta": args.beta})))
 
     approx = [log_rate_depol_approx(b, args.beta, rates) for b in baselines.tolist()]
     path = Path(args.out) / "rate_vs_baseline.csv"

@@ -4,8 +4,9 @@ Closed-form resource states for independent per-arm amplitude damping,
 dephasing and depolarization, parameter maps for lossy/birefringent fiber
 and finite-lifetime memories, entanglement swapping of stored pairs, the
 rate model with `resource_figures` (a resource's xi, C and coincidence
-rate: the only rate code, which `run` and `sweep` call once over their
-baselines), and the closed-form log-rate laws that rate is checked against.
+rate: the only rate code, which `config.ChannelConfig.resource_table` calls
+once over the baselines), and the closed-form log-rate laws that rate is
+checked against.
 ``entbase.reference`` holds the operator-sum route that each closed form is
 checked against.
 

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import elementwise as ew
-from .channels import resource_figures
 from .config import ConfigError, check_phase, load_config, parse_sweep_args, swept_config
 from .imaging import observe_and_image, resolution, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
@@ -42,27 +41,6 @@ SWEEP_HEADER = ("value", "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "rmse_V_a
 SWEEP_FORMATS = {"rmse_V_a": "%s", "rmse_V_p": "%s"}
 
 
-def _resource_table(cfg, baselines):
-    """cfg's channel resource at baselines, built once, and its table columns xi, C,
-    R_M_norm, ln_R_M and log10_R_M, for `run` and `sweep` alike.
-
-    baselines is an (n,) array or one float. A column is an (n,) array, or one float
-    when it is the same in every row. ln_R_M is -inf where the rate is 0 or nan, else
-    libm's math.log element by element (np.log may differ from it in the last bit);
-    log10_R_M is ln_R_M / ln(10), one IEEE division, the same bits in numpy.
-    """
-    resource = cfg.channel.resource_factory()(baselines)
-    xi, conc, r_norm, r_abs = resource_figures(resource, baselines, cfg.rates,
-                                               cfg.channel.rate_norm_fn())
-    if isinstance(r_abs, np.ndarray):
-        positive = r_abs > 0.0
-        ln_r = np.full(r_abs.shape, -math.inf)
-        ln_r[positive] = list(map(math.log, r_abs[positive].tolist()))
-    else:
-        ln_r = math.log(r_abs) if r_abs > 0.0 else -math.inf
-    return resource, (xi, conc, r_norm, ln_r, ln_r / math.log(10.0))
-
-
 def write_csv(path: Path, header, columns, formats=None):
     """Write path, creating its directory: header, then one row per cell of columns.
 
@@ -73,9 +51,9 @@ def write_csv(path: Path, header, columns, formats=None):
     "\n" on every platform.
 
     A column is an iterable with one cell per row, or a Python scalar: one cell for
-    every row. A scalar, and an array whose cells all hold the same bytes (so 0.0 and
-    -0.0, or two nan payloads, never merge), is formatted once into the row template;
-    only the other columns are formatted per row.
+    every row. A scalar, and a nonempty array whose cells all hold the same bytes (so
+    0.0 and -0.0, or two nan payloads, never merge), is formatted once into the row
+    template; only the other columns are formatted per row (an empty array: no rows).
     """
     formats = [(formats or {}).get(name, "%.17g") for name in header]
     varying, n_rows = [], 0
@@ -85,7 +63,7 @@ def write_csv(path: Path, header, columns, formats=None):
             # a bytes comparison costs ~0.4 us, less than %.17g of two cells; an
             # int64 view's == costs more and pages in 128 KB of numpy's int64 loops
             cells = column.tobytes()
-            if cells != cells[:column.itemsize] * n_rows:
+            if not n_rows or cells != cells[:column.itemsize] * n_rows:
                 varying.append(column.tolist())
                 continue
             column = column.item(0)
@@ -146,7 +124,7 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
         sky=cfg.sky, plan=cfg.plan, resource_factory=cfg.channel.resource_factory(),
         settings=cfg.settings, n_per_setting=cfg.n_per_setting, seed=cfg.seed,
         theta_grid=cfg.theta_grid)
-    resource, table = _resource_table(cfg, report.baselines)
+    resource, table = cfg.channel.resource_table(report.baselines, cfg.rates)
     xi, conc, r_norm = table[:3]
 
     outdir = Path(cfg.output_dir)
@@ -154,7 +132,7 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     write_csv(outdir / "visibility.csv", VISIBILITY_HEADER,
               (report.baselines, map(abs, report.v_true),
                map(wrap_phase, map(cmath.phase, report.v_true)), est.V_a_hat,
-               est.V_p_hat, est.dV_a, est.dV_p, *table, est.N_used), VISIBILITY_FORMATS)
+               est.V_p_hat, est.dV_a, est.dV_p, *table, cfg.n_per_setting), VISIBILITY_FORMATS)
     write_csv(outdir / "intensity.csv", INTENSITY_HEADER,
               (report.theta_grid, report.intensity_true,
                report.intensity_exact, report.intensity_est))
@@ -206,7 +184,7 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
     # w2 leave the resource as it is, and R_E, R_T only scale the rate.
     cfg = swept_config(load_config(config_path), param, swept)
     b_eval = swept if param in ("B", "L") else cfg.plan.B_m
-    resource, table = _resource_table(cfg, b_eval)
+    resource, table = cfg.channel.resource_table(b_eval, cfg.rates)
     conc = table[1]
     rmse_a = rmse_p = ""
     # C is nan with no coincidence weight and 0 with no coherence: a dead

@@ -21,6 +21,7 @@ from .channels import (
     depol_prob,
     fiber_loss_prob,
     ideal_bell_xstate,
+    resource_figures,
     swap_memories,
     xstate_amplitude_damping,
     xstate_dephasing,
@@ -231,10 +232,22 @@ class ChannelConfig:
         """
         if self.kind != "custom_rate":
             return None
-        table = self.params["table"]
-        bs = np.array([row[0] for row in table])
-        rs = np.array([row[1] for row in table])
+        bs, rs = np.array(self.params["table"]).T
         return lambda B: np.interp(B, bs, rs)
+
+    def resource_table(self, baselines, rates: RateModel):
+        """(resource, (xi, C, R_M_norm, ln_R_M, log10_R_M)) at baselines, an (n,) array or one
+        float: the resource, built once, and its columns, each an (n,) array or one float.
+        ln_R_M is -inf where the rate is 0 or nan, else libm's math.log element by element
+        (np.log may differ in the last bit). run, sweep, validate and the rate script call it."""
+        resource = self.resource_factory()(baselines)
+        xi, conc, r_norm, r_abs = resource_figures(resource, baselines, rates,
+                                                   self.rate_norm_fn())
+        r_abs = np.asarray(r_abs, dtype=float)
+        ln_r = np.full(r_abs.shape, -math.inf)
+        ln_r[r_abs > 0.0] = list(map(math.log, r_abs[r_abs > 0.0].tolist()))
+        ln_r = ln_r[()]  # one float for one rate
+        return resource, (xi, conc, r_norm, ln_r, ln_r / math.log(10.0))
 
 
 def _parse_channel(obj) -> ChannelConfig:

@@ -254,11 +254,8 @@ def sky_intensity_on_grid(sky: SkyModel, theta_grid) -> np.ndarray:
 
 @dataclass(eq=False)
 class ObservationReport:
-    """Everything produced by one end-to-end observation run.
-
-    Per-baseline quantities are (n,) arrays in baseline order; the
-    estimates' C_used and xi_used are the resource figures of each baseline.
-    """
+    """Everything produced by one end-to-end observation run; per-baseline
+    quantities are (n,) arrays in baseline order."""
 
     baselines: np.ndarray
     v_true: np.ndarray            # complex
@@ -285,8 +282,8 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
     baselines = np.array(plan.baselines)
     v_true = np.empty(baselines.size, dtype=complex)
     rng = np.random.default_rng(derive_seed(seed))
-    # rows: V_a_hat, V_p_hat, dV_a, dV_p, C, xi
-    columns = np.empty((6, baselines.size))
+    # rows: V_a_hat, V_p_hat, dV_a, dV_p
+    columns = np.empty((4, baselines.size))
     for idx, B in enumerate(plan.baselines):
         v_c = true_visibility(sky, B)
         x = resource_factory(B)
@@ -294,9 +291,8 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
         # raises DegenerateResourceError for a dead resource
         est = run_observation(v, x, settings, n_per_setting, rng)
         v_true[idx] = v_c
-        columns[:, idx] = (est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p,
-                           est.C_used, est.xi_used)
-    v_a, v_p, dv_a, dv_p, conc, xi = columns
+        columns[:, idx] = (est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p)
+    v_a, v_p, dv_a, dv_p = columns
     v_est = v_a * np.exp(1j * v_p)
 
     # theta_grid by keyword: the benchmark tracer reads it from there
@@ -307,8 +303,7 @@ def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
     return ObservationReport(
         baselines=baselines,
         v_true=v_true,
-        estimates=VisibilityEstimate(V_a_hat=v_a, V_p_hat=v_p, dV_a=dv_a, dV_p=dv_p,
-                                     N_used=n_per_setting, C_used=conc, xi_used=xi),
+        estimates=VisibilityEstimate(v_a, v_p, dv_a, dv_p),
         theta_grid=theta_grid,
         intensity_true=sky_intensity_on_grid(sky, theta_grid),
         intensity_exact=intensity_exact,

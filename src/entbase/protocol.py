@@ -87,20 +87,13 @@ class PhaseSettings:
 
 @dataclass
 class VisibilityEstimate:
-    """Point estimates with one-sigma errors plus the resource figures used.
-
-    From run_replicates the four estimate fields are (K,) arrays, one entry
-    per replicate; in an ObservationReport every field but N_used is an (n,)
-    array, one entry per baseline.
-    """
+    """Point estimates with their one-sigma errors: floats from run_observation, (K,)
+    arrays (one per replicate) from run_replicates, (n,) in an ObservationReport."""
 
     V_a_hat: float
     V_p_hat: float
     dV_a: float
     dV_p: float
-    N_used: int
-    C_used: float
-    xi_used: float
 
 
 def raw_probabilities(v: AstroVisibility, x: XState) -> tuple[float, float]:
@@ -170,14 +163,13 @@ def scaling_laws(x: XState, R_X: float) -> ScalingLaws:
 
 
 def _setting_probabilities(v_true: AstroVisibility, x: XState,
-                           ph: PhaseSettings) -> tuple[float, float, PhaseSettings, list]:
-    """(xi, C, effective settings, (p_c1, p_c2)) of one observation of v_true with x.
+                           ph: PhaseSettings) -> tuple[float, PhaseSettings, list]:
+    """(C, effective settings, (p_c1, p_c2)) of one observation of v_true with x.
 
     The effective settings add the resource's own phase to ph; p_ci is the
     postselected correlated-click probability at setting i.
     """
-    xi = subspace_weight(x)
-    if xi <= 0.0:
+    if subspace_weight(x) <= 0.0:
         raise DegenerateResourceError("g + f = 0: the resource never produces coincidences")
     conc = concurrence_subspace(x)
     if conc <= 0.0:
@@ -192,7 +184,7 @@ def _setting_probabilities(v_true: AstroVisibility, x: XState,
                 raise ValueError(f"p_c = {p_c} outside [0, 1]")
             p_c = min(max(p_c, 0.0), 1.0)
         p_cs.append(p_c)
-    return xi, conc, effective, p_cs
+    return conc, effective, p_cs
 
 
 def _wrap_phases(phi: np.ndarray) -> np.ndarray:
@@ -279,7 +271,7 @@ def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_settin
     """
     if N_per_setting < 1:
         raise ValueError("need at least one trial")
-    xi, conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
+    conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
     if size is None:
         # two scalar draws take the same stream values as one row of a (k, 2)
         # draw, without a list-p draw's broadcasting. Each count is a Python
@@ -292,8 +284,7 @@ def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_settin
         # (n_ac - n_c) / N, no int64 overflow
         dp1, dp2 = (((N_per_setting - n) - n) / N_per_setting
                     for n in (n_c[..., 0], n_c[..., 1]))
-    return VisibilityEstimate(*_invert_batch(dp1, dp2, N_per_setting, effective, conc),
-                              N_used=N_per_setting, C_used=conc, xi_used=xi)
+    return VisibilityEstimate(*_invert_batch(dp1, dp2, N_per_setting, effective, conc))
 
 
 def run_replicates(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
@@ -344,7 +335,7 @@ def replicate_rmse(rows, replicates: int) -> tuple[np.ndarray, np.ndarray]:
     for v_true, x, ph, n, rng in rows:
         if n < 1:
             raise ValueError("need at least one trial")
-        _, conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
+        conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
         # spawning leaves rng's own stream where it is
         streams.append((rng, rng.spawn(1)[0]))
         draws.append((n, p_cs))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import channels, config, imaging, protocol, qcore, reference
 
-__all__ = ["CHECKS", "channel_rates", "n_slope", "rmse_vs_n", "rmse_vs_resource", "run_all"]
+__all__ = ["CHECKS", "n_slope", "rmse_vs_n", "rmse_vs_resource", "run_all"]
 
 
 _KRAUS = {
@@ -297,13 +297,6 @@ def check_depol_x_bound():
     assert not bad[i], f"x={x[i]} at ({k_l[i]}, {k_r[i]})"
 
 
-def channel_rates(kind: str, params: dict, rates: channels.RateModel, baselines):
-    """(R_M_norm, R_M) arrays over a baseline array, by the route `sweep` takes."""
-    channel = config.ChannelConfig(kind, params)
-    resource = channel.resource_factory()(baselines)
-    return channels.resource_figures(resource, baselines, rates, channel.rate_norm_fn())[2:]
-
-
 def check_rate_monotonicity():
     rates = channels.RateModel(1.0, 1.0)
     unit = _union(np.linspace(0, 1, 12), np.linspace(0, 1, 15))
@@ -324,12 +317,10 @@ def check_fiber_rate_line():
     for rates, l0, count in ((channels.RateModel(0.8, 1e6), 10.0, 25),
                              (channels.RateModel(1.0, 1e6), 12.0, 31)):
         bs = np.linspace(0.0, 6 * l0, count)
-        logs = []
-        for b, r_abs in zip(bs, channel_rates("amplitude_damping", {"L0": l0}, rates, bs)[1]):
-            direct = math.log(r_abs)
+        logs = config.ChannelConfig("amplitude_damping", {"L0": l0}).resource_table(bs, rates)[1][3]
+        for b, ln_r in zip(bs.tolist(), logs.tolist()):
             shortcut = channels.log_rate_fiber(b, l0, rates)
-            assert abs(direct - shortcut) <= 1e-12, f"ln R_M off the fiber law at B = {b}"
-            logs.append(direct)
+            assert abs(ln_r - shortcut) <= 1e-12, f"ln R_M off the fiber law at B = {b}"
         coeffs = np.polyfit(bs, logs, 1)
         assert abs(coeffs[0] + 1.0 / (2.0 * l0)) <= 1e-9, f"slope {coeffs[0]} at L0 = {l0}"
         residual = np.max(np.abs(np.polyval(coeffs, bs) - logs))
@@ -342,15 +333,15 @@ def check_depol_rate_asymptote():
     bs = _union(np.linspace(5.0, 40.0, 15), np.arange(5.0, 41.0, 1.0))
     assert np.all(np.exp(-beta * bs) <= 0.01)
     far = np.array([40.0, 60.0, 100.0])
+    channel = config.ChannelConfig("depolarizing", {"beta": beta})
     for rates in (channels.RateModel(1.0, 1.0), channels.RateModel(0.8, 1e6)):
-        for bl, r_abs in zip(bs, channel_rates("depolarizing", {"beta": beta}, rates, bs)[1]):
-            exact = math.log(r_abs)
+        for bl, exact in zip(bs.tolist(), channel.resource_table(bs, rates)[1][3].tolist()):
             approx = channels.log_rate_depol_approx(bl, beta, rates)
             assert approx.in_regime
             assert abs(approx.value - exact) <= 0.01, f"approx off by {approx.value - exact:.4f}"
         # the rate flattens onto R_M = (5/18) R_E R_T, the paper's 0.28
-        r_norm, r_abs = channel_rates("depolarizing", {"beta": beta}, rates, far)
-        for ratio in (*r_norm.tolist(), *(r_abs / (rates.R_E * rates.R_T)).tolist()):
+        _, (_, _, r_norm, ln_r, _) = channel.resource_table(far, rates)
+        for ratio in (*r_norm.tolist(), *(np.exp(ln_r) / (rates.R_E * rates.R_T)).tolist()):
             assert abs(ratio - 5.0 / 18.0) <= 1e-6 and round(ratio, 2) == 0.28, f"ratio {ratio}"
         assert not channels.log_rate_depol_approx(0.0, beta, rates).in_regime
 
@@ -513,7 +504,8 @@ def check_error_bar_coverage_mc():
         cover_p = np.mean(np.abs(protocol._wrap_phases(est.V_p_hat - v.V_p)) <= est.dV_p)
         for name, cover in (("dV_a", cover_a), ("dV_p", cover_p)):
             assert abs(cover - 0.6827) <= 0.013, \
-                f"{name} covers {cover:.4f}, expected 0.6827 (C = {est.C_used}, V_a = {v_a})"
+                f"{name} covers {cover:.4f}, expected 0.6827 " \
+                f"(C = {qcore.concurrence_subspace(x)}, V_a = {v_a})"
 
 
 def check_five_sigma_coverage_mc():
@@ -534,7 +526,7 @@ def check_fringe_bound_mc():
             if x.g + x.f <= 1e-3 or x.w_a <= 1e-6:
                 continue
             v = qcore.AstroVisibility(rng.uniform(), rng.uniform(-math.pi, math.pi))
-            _, conc, _, p_cs = protocol._setting_probabilities(v, x, _SETTINGS)
+            conc, _, p_cs = protocol._setting_probabilities(v, x, _SETTINGS)
             n_c = draws.binomial(n, p_cs)
             dp = ((n - n_c) - n_c) / n  # (n_ac - n_c) / N at each setting
             assert np.all(np.abs(dp) <= v.V_a * conc + 5.0 / math.sqrt(n)), \

@@ -1193,6 +1193,10 @@ COLUMN_CASES = {
     "constant-but-middle": (*SWEEP, sweep_columns(ROWS, xi=constant_except(ROWS, 5)), ROWS),
     # the length of a sweep --mc-replicates file
     "short-constant": (*SWEEP, sweep_columns(3), 3),
+    # an empty array is no constant column: the file holds the header alone
+    "zero-rows": (*SWEEP, sweep_columns(0), 0),
+    "zero-rows-beside-scalars": (*SWEEP, sweep_columns(0, xi=0.5, C=0.25, R_M_norm=0.25,
+                                                       ln_R_M=-1.0, log10_R_M=-0.5), 0),
 }
 
 

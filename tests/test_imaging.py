@@ -45,8 +45,8 @@ def run_summary(tmp_path, **overrides):
 
 def fixed_estimates(monkeypatch, **fields):
     """Make every baseline of a run report the same VisibilityEstimate, built from fields."""
-    monkeypatch.setattr(imaging, "run_observation", lambda v, x, ph, n, rng: (
-        VisibilityEstimate(N_used=n, C_used=1.0, xi_used=1.0, **fields)))
+    monkeypatch.setattr(imaging, "run_observation",
+                        lambda v, x, ph, n, rng: VisibilityEstimate(**fields))
 
 
 def exact_samples(sky, plan):
@@ -328,7 +328,7 @@ class TestObserveAndImage:
         probs = []
         for b in plan.baselines:
             v_c = true_visibility(sky, b)
-            _, conc, effective, p_cs = protocol._setting_probabilities(
+            conc, effective, p_cs = protocol._setting_probabilities(
                 AstroVisibility(abs(v_c), cmath.phase(v_c)), ideal_bell_xstate(), SETTINGS)
             probs.append(p_cs)
         rng = np.random.default_rng(protocol.derive_seed(4))

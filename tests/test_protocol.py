@@ -119,7 +119,7 @@ class TestSampling:
         v = AstroVisibility(1.0, v_p)
         raw = postselect(*raw_probabilities(v, x))[0]
         assert raw != p_c and abs(raw - p_c) <= protocol.P_C_ROUNDING
-        assert protocol._setting_probabilities(v, x, DEFAULT)[3][0] == p_c
+        assert protocol._setting_probabilities(v, x, DEFAULT)[2][0] == p_c
         est = run_observation(v, x, DEFAULT, 500, np.random.default_rng(0))
         assert abs(est.V_a_hat * math.cos(est.V_p_hat) - math.cos(v_p)) <= 1e-12
 
@@ -332,7 +332,7 @@ class TestRunObservation:
         assert est.V_a_hat >= 0.0
         assert -math.pi < est.V_p_hat <= math.pi
         assert est.dV_a >= 0.0 and est.dV_p >= 0.0
-        assert est.N_used == 50000 and est.C_used == 1.0 and est.xi_used == 1.0
+        assert list(vars(est)) == ["V_a_hat", "V_p_hat", "dV_a", "dV_p"]  # estimates only
         assert {type(v) for v in (est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p)} == {float}
 
 
@@ -361,7 +361,7 @@ class FixedCounts:
 
 def column_counts(v, x, ph, n, size, gens):
     """(size, 2) correlated counts drawn by setting: setting i's column from gens[i]."""
-    p_cs = protocol._setting_probabilities(v, x, ph)[3]
+    p_cs = protocol._setting_probabilities(v, x, ph)[2]
     return np.column_stack([g.binomial(n, p, size=size) for g, p in zip(gens, p_cs)])
 
 
@@ -393,8 +393,7 @@ class TestRunReplicates:
         dps = [[((n - int(c)) - int(c)) / n for c in row] for row in n_c]
         dp1, dp2 = np.array(dps).T
         assert_matches_scalar((est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p),
-                              dp1, dp2, n, eff, est.C_used)
-        assert (est.N_used, est.C_used, est.xi_used) == (n, concurrence_subspace(x), 0.5)
+                              dp1, dp2, n, eff, concurrence_subspace(x))
 
     def test_chunked_draws_match_one_draw(self, monkeypatch):
         v = AstroVisibility(0.4, -2.0)
@@ -430,7 +429,7 @@ class TestRunReplicates:
                 for w in (DEFAULT.w1, DEFAULT.w2)]
         n_c = np.random.default_rng(4).binomial(n, p_cs, size=(400, 2))
         scalar = [scalar_inversion((n - 2 * int(c1)) / n, (n - 2 * int(c2)) / n, n, eff,
-                                   batch.C_used) for c1, c2 in n_c]
+                                   concurrence_subspace(x)) for c1, c2 in n_c]
         for index, field in enumerate(("V_a_hat", "V_p_hat", "dV_a")):
             ref = np.array([e[index] for e in scalar])
             got = getattr(batch, field)

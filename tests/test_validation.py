@@ -44,6 +44,9 @@ MUTANTS = [
     ("depol-x-bound", channels, "depol_x_param", "kappa_R / 9.0", "kappa_R / 3.0"),
     ("fiber-rate-line", config, "_fiber_xstate",
      "fiber_loss_prob(B / 2.0, L0)", "fiber_loss_prob(B, L0)"),
+    # the ln_R_M column run and sweep write is the one the rate checks read
+    ("fiber-rate-line", config, "ChannelConfig.resource_table",
+     "map(math.log,", "map(math.log1p,"),
     ("depol-rate-asymptote", channels, "log_rate_depol_approx", "- 0.8 * u", "- 0.4 * u"),
     ("forward-visibility", imaging, "true_visibility", "-2j * math.pi", "-1j * math.pi"),
     ("reconstruction-hermitian", imaging, "_dirty_map",
@@ -84,8 +87,12 @@ def test_check(name, check):
     assert elapsed < WALL_CLOCK_BOUNDS.get(name, float("inf")), f"{name} took {elapsed:.2f} s"
 
 
-@pytest.mark.parametrize("name, module, qualname, old, new", MUTANTS,
-                         ids=[case[0] for case in MUTANTS])
+# a check's first mutant is named by the check alone, a further one by its function too
+MUTANT_IDS = [name if name not in [m[0] for m in MUTANTS[:i]] else f"{name}:{qualname}"
+              for i, (name, _, qualname, *_) in enumerate(MUTANTS)]
+
+
+@pytest.mark.parametrize("name, module, qualname, old, new", MUTANTS, ids=MUTANT_IDS)
 def test_check_fails_on_mutant(monkeypatch, name, module, qualname, old, new):
     *owner_path, attr = qualname.split(".")
     owner = module
