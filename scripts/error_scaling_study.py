@@ -22,6 +22,7 @@ from entbase.validation import n_slope, rmse_vs_n, rmse_vs_resource
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.error = lambda message: ap.exit(1, f"invalid arguments: {message}\n")
     ap.add_argument("--replicates", type=int, default=200)
     ap.add_argument("--budget", type=int, default=100_000,
                     help="incident-photon budget per phase setting")
@@ -30,7 +31,7 @@ def main():
     args = ap.parse_args()
     for option, value, low in (("--replicates", args.replicates, 1), ("--seed", args.seed, 0)):
         if value < low:
-            ap.exit(1, f"invalid arguments: {option}: must be at least {low}, not {value}\n")
+            ap.error(f"{option}: must be at least {low}, not {value}")
 
     # the tables' in-process time, nearly all of it replicate_rmse's (unlike the process's)
     start = time.perf_counter()
@@ -38,8 +39,8 @@ def main():
     try:
         by_resource = rmse_vs_resource(args.seed, args.replicates, args.budget)
     except (ValueError, OverflowError):  # numpy's binomial takes N in [1, 2**63 - 1]
-        ap.exit(1, f"invalid arguments: --budget: {args.budget} gives a cell "
-                   f"N_post = round(budget xi / 2) outside [1, 2**63 - 1]\n")
+        ap.error(f"--budget: {args.budget} gives a cell "
+                 f"N_post = round(budget xi / 2) outside [1, 2**63 - 1]")
     seconds = time.perf_counter() - start
 
     outdir = Path(args.out)

@@ -6,7 +6,7 @@ and finite-lifetime memories, entanglement swapping of stored pairs, the
 rate model with `resource_figures` (a resource's xi, C and coincidence
 rate: the only rate code, which `config.ChannelConfig.resource_table` calls
 once over the baselines), and the closed-form log-rate laws that rate is
-checked against.
+checked against; `PARAM_RULES`, the one statement of each parameter's range.
 ``entbase.reference`` holds the operator-sum route that each closed form is
 checked against.
 
@@ -20,16 +20,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import elementwise as ew
 from .qcore import XState, concurrence_subspace, subspace_weight
 
 __all__ = [
+    "PARAM_RULES",
     "DegenerateCoherenceWarning",
-    "DepolRateApprox",
     "RateModel",
+    "Range",
+    "check_param",
     "depol_prob",
     "depol_x_param",
     "fiber_loss_prob",
@@ -44,19 +46,48 @@ __all__ = [
     "xstate_depolarizing",
 ]
 
-# Outside this regime the asymptotic depolarized-rate expansion is unreliable.
-DEPOL_REGIME_THRESHOLD = 0.01
-
 
 class DegenerateCoherenceWarning(UserWarning):
     """The depolarized inner coherence changed sign and was folded into its phase."""
 
 
-def _check_probability(name: str, p: float) -> float:
-    bad = (p != p) | (p < 0.0) | (p > 1.0)  # nan, or off [0, 1]: per element for an array
-    if ew.any_set(bad):
-        raise ValueError(f"{name} = {ew.first_set(p, bad)} outside [0, 1]")
-    return p.astype(float) if isinstance(p, np.ndarray) else float(p)
+class Range(NamedTuple):
+    """A numeric range: broken(value) flags a value outside it, nan included, with operators
+    alone, so per element for an (n,) array; message, formatted with value=, names why."""
+
+    broken: Callable
+    message: str
+
+    def fault(self, value) -> str | None:
+        """The message for value, or for an (n,) array's first element, outside the range."""
+        broken = self.broken(value)
+        if ew.any_set(broken):
+            return self.message.format(value=ew.first_set(value, broken))
+
+
+_nonnegative = partial(Range, lambda v: (v != v) | (v < 0.0))  # [0, inf), given its message
+PROBABILITY = Range(lambda v: (v != v) | (v < 0.0) | (v > 1.0), "value {value} outside [0, 1]")
+# also the range of config's wavelength, baselines.B_max and theta_grid.half_span
+POSITIVE = Range(lambda v: (v != v) | (v <= 0.0), "value {value} must be positive")
+
+# The range of each decoherence and rate parameter, which every function taking it and
+# config's parser check; lambda, mu and kappa are entbase.reference's one-arm Kraus maps'.
+PARAM_RULES = {
+    **dict.fromkeys(("lambda_L", "lambda_R", "mu_L", "mu_R", "kappa_L", "kappa_R", "R_E",
+                     "lambda", "mu", "kappa"), PROBABILITY),
+    **dict.fromkeys(("L0", "beta", "tau_c", "R_T"), POSITIVE),
+    **dict.fromkeys(("t1", "t2", "t"), _nonnegative("storage time must be nonnegative")),
+    "B": _nonnegative("baseline must be nonnegative"),
+    "L": _nonnegative("fiber length must be nonnegative"),
+}
+
+
+def check_param(name: str, value):
+    """value, a float or an (n,) array, if in PARAM_RULES[name]; else ValueError(name: fault)."""
+    fault = PARAM_RULES[name].fault(value)
+    if fault is not None:
+        raise ValueError(f"{name}: {fault}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,9 +98,8 @@ class RateModel:
     R_T: float
 
     def __post_init__(self):
-        _check_probability("R_E", self.R_E)  # a float each, or (n,) arrays for a sweep
-        if ew.any_set(self.R_T <= 0.0):
-            raise ValueError("R_T must be positive")
+        check_param("R_E", self.R_E)  # a float each, or (n,) arrays for a sweep
+        check_param("R_T", self.R_T)
 
     @property
     def max_rate(self) -> float:
@@ -101,8 +131,8 @@ def ideal_bell_xstate(w_p: float = 0.0) -> XState:
 
 def xstate_amplitude_damping(lambda_L: float, lambda_R: float) -> XState:
     """Resource after independent photon loss with probability lambda per arm."""
-    lambda_L = _check_probability("lambda_L", lambda_L)
-    lambda_R = _check_probability("lambda_R", lambda_R)
+    check_param("lambda_L", lambda_L)
+    check_param("lambda_R", lambda_R)
     return XState(
         a=0.5 * (lambda_L + lambda_R),
         g=0.5 * (1.0 - lambda_R),
@@ -114,8 +144,8 @@ def xstate_amplitude_damping(lambda_L: float, lambda_R: float) -> XState:
 
 def xstate_dephasing(mu_L: float, mu_R: float) -> XState:
     """Resource after independent phase randomization per arm; populations untouched."""
-    mu_L = _check_probability("mu_L", mu_L)
-    mu_R = _check_probability("mu_R", mu_R)
+    check_param("mu_L", mu_L)
+    check_param("mu_R", mu_R)
     return XState(a=0.0, g=0.5, f=0.5, h=0.0,
                   w_a=0.5 * (1.0 - mu_L) * (1.0 - mu_R))
 
@@ -133,8 +163,8 @@ def xstate_depolarizing(kappa_L: float, kappa_R: float) -> XState:
     (w_a = |1/2 - 2x|, w_p = pi) and a DegenerateCoherenceWarning is issued,
     once per call however many array elements fold.
     """
-    kappa_L = _check_probability("kappa_L", kappa_L)
-    kappa_R = _check_probability("kappa_R", kappa_R)
+    check_param("kappa_L", kappa_L)
+    check_param("kappa_R", kappa_R)
     x = depol_x_param(kappa_L, kappa_R)
     coh = 0.5 - 2.0 * x
     folded = coh < 0.0
@@ -147,32 +177,21 @@ def xstate_depolarizing(kappa_L: float, kappa_R: float) -> XState:
 
 def fiber_loss_prob(L: float, L0: float) -> float:
     """Loss probability in a fiber of length L with attenuation length L0."""
-    # each rule flags nan too, per element for an array
-    if ew.any_set((L != L) | (L < 0.0)):
-        raise ValueError("fiber length must be nonnegative")
-    if ew.any_set((L0 != L0) | (L0 <= 0.0)):
-        raise ValueError("attenuation length must be positive")
+    check_param("L", L)
+    check_param("L0", L0)
     return 1.0 - ew.exp(-L / L0)
 
 
 def depol_prob(L: float, beta: float) -> float:
     """Per-arm depolarization probability for a birefringent fiber of total length L."""
-    if ew.any_set((L != L) | (L < 0.0)):
-        raise ValueError("fiber length must be nonnegative")
-    if ew.any_set((beta != beta) | (beta <= 0.0)):
-        raise ValueError("inverse attenuation length must be positive")
+    check_param("L", L)
+    check_param("beta", beta)
     return 1.0 - ew.exp(-beta * L / 2.0)
 
 
-def _check_storage_time(t: float):
-    if ew.any_set((t != t) | (t < 0.0)):
-        raise ValueError("storage time must be nonnegative")
-
-
 def _coherence_survival(t: float, tau_c: float) -> float:
-    _check_storage_time(t)
-    if ew.any_set((tau_c != tau_c) | (tau_c <= 0.0)):
-        raise ValueError("coherence time must be positive")
+    check_param("t", t)
+    check_param("tau_c", tau_c)
     return ew.exp(-t / tau_c)
 
 
@@ -198,8 +217,8 @@ def swap_memories(t1: float, t2: float, tau_c: float, outcome_sign: int = +1) ->
     """
     if outcome_sign not in (+1, -1):
         raise ValueError("outcome_sign must be +1 or -1")
-    _check_storage_time(t1)  # each time, not only their sum
-    _check_storage_time(t2)
+    check_param("t1", t1)  # each time, not only their sum
+    check_param("t2", t2)
     p = 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))
     # signed coherence of the p * rho(+/-) + (1-p) * rho(-/+) mixture
     coh = outcome_sign * (p * 0.5 + (1.0 - p) * (-0.5))
@@ -210,35 +229,24 @@ def swap_memories(t1: float, t2: float, tau_c: float, outcome_sign: int = +1) ->
 def log_rate_fiber(B: float, L0: float, rates: RateModel) -> float:
     """Natural log of the coincidence rate for an equal-arm lossy fiber link.
 
-    Linear in the baseline: log(R_E*R_T/2) - B/(2*L0).
+    Linear in the baseline: log(R_E*R_T/2) - B/(2*L0), per element for an (n,) array B.
     """
-    if B < 0.0:
-        raise ValueError("baseline must be nonnegative")
-    if L0 <= 0.0:
-        raise ValueError("attenuation length must be positive")
+    check_param("B", B)
+    check_param("L0", L0)
     return math.log(rates.max_rate) - B / (2.0 * L0)
 
 
-@dataclass(frozen=True)
-class DepolRateApprox:
-    """Asymptotic log-rate value plus whether the long-fiber regime applies."""
-
-    value: float
-    in_regime: bool
-
-
-def log_rate_depol_approx(L: float, beta: float, rates: RateModel) -> DepolRateApprox:
-    """Long-fiber approximation to the log coincidence rate under depolarization.
+def log_rate_depol_approx(L: float, beta: float, rates: RateModel) -> tuple:
+    """(value, in_regime): the long-fiber approximation to the log coincidence rate
+    under depolarization, and whether it applies; each an (n,) array for an (n,) array L.
 
     log(R_E*R_T/2) + log(5/9) - 0.8*exp(-beta*L/2), valid when
     exp(-beta*L) is small; in_regime is False once exp(-beta*L) > 0.01.
     The subspace weight expands as 5/9 - (4/9)u + (8/9)u^2 in
     u = exp(-beta*L/2), so the first-order log correction is -(4/5)u.
     """
-    if L < 0.0:
-        raise ValueError("fiber length must be nonnegative")
-    if beta <= 0.0:
-        raise ValueError("inverse attenuation length must be positive")
-    u = math.exp(-beta * L / 2.0)
+    check_param("L", L)
+    check_param("beta", beta)
+    u = ew.exp(-beta * L / 2.0)
     value = math.log(rates.max_rate) + math.log(5.0 / 9.0) - 0.8 * u
-    return DepolRateApprox(value=value, in_regime=(u * u <= DEPOL_REGIME_THRESHOLD))
+    return value, u * u <= 0.01

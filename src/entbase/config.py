@@ -11,12 +11,13 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import elementwise as ew
 from .channels import (
+    PARAM_RULES,
+    POSITIVE,
+    Range,
     RateModel,
     depol_prob,
     fiber_loss_prob,
@@ -106,24 +107,7 @@ def _is_finite_number(val) -> bool:
         return False
 
 
-class _Range(NamedTuple):
-    """A numeric range: broken(value) flags a value outside it, message names why.
-
-    broken is written with operators alone, so it flags a float and each
-    element of an (n,) array alike; message is formatted with value=.
-    """
-
-    broken: Callable
-    message: str
-
-
-_UNIT_INTERVAL = _Range(lambda v: (v != v) | (v < 0.0) | (v > 1.0),
-                        "value {value} outside [0, 1]")
-_POSITIVE = _Range(lambda v: v <= 0.0, "value {value} must be positive")
-_STORAGE_TIME = _Range(lambda v: v < 0.0, "storage time must be nonnegative")
-
-
-def _number(obj: dict, context: str, key: str, default=None, rule: _Range | None = None):
+def _number(obj: dict, context: str, key: str, default=None, rule: Range | None = None):
     """obj[key], a finite float or a swept (n,) array, in rule's range if given; else default."""
     if key not in obj:
         return default
@@ -132,9 +116,9 @@ def _number(obj: dict, context: str, key: str, default=None, rule: _Range | None
         if not _is_finite_number(val):
             raise ConfigError(_key(context, key), "expected a finite number")
         val = float(val)
-    broken = rule is not None and rule.broken(val)
-    if ew.any_set(broken):
-        raise ConfigError(_key(context, key), rule.message.format(value=ew.first_set(val, broken)))
+    fault = None if rule is None else rule.fault(val)
+    if fault is not None:
+        raise ConfigError(_key(context, key), fault)
     return val
 
 
@@ -161,17 +145,8 @@ def _record(key: str, make, *args):
 def _parse_numbers(obj, context: str, names: tuple, make=lambda *numbers: numbers):
     """make(*numbers) of the section context, which holds exactly the numbers names."""
     _require_keys(obj, context, names)
-    return _record(context, make, *(_number(obj, context, name) for name in names))
-
-
-# The range of every numeric channel parameter, each one a sweep may set.
-CHANNEL_PARAM_RULES = {
-    "lambda_L": _UNIT_INTERVAL, "lambda_R": _UNIT_INTERVAL,
-    "mu_L": _UNIT_INTERVAL, "mu_R": _UNIT_INTERVAL,
-    "kappa_L": _UNIT_INTERVAL, "kappa_R": _UNIT_INTERVAL,
-    "L0": _POSITIVE, "beta": _POSITIVE,
-    "t1": _STORAGE_TIME, "t2": _STORAGE_TIME, "tau_c": _POSITIVE,
-}
+    return _record(context, make, *(_number(obj, context, name, rule=PARAM_RULES.get(name))
+                                    for name in names))
 
 
 def _fiber_xstate(B, L0):
@@ -204,6 +179,9 @@ CHANNEL_TABLE = {
     "custom_rate": {("table",): lambda B, table: ideal_bell_xstate()},
 }
 CHANNEL_KINDS = tuple(CHANNEL_TABLE)
+# every numeric channel parameter, each one a sweep may set
+CHANNEL_PARAMS = tuple(key for forms in CHANNEL_TABLE.values() for keys in forms
+                       for key in keys if key in PARAM_RULES)
 
 
 @dataclass(frozen=True)
@@ -266,8 +244,8 @@ def _parse_channel(obj) -> ChannelConfig:
     if any(key in obj for key in others):
         raise ConfigError(f"{ctx}.{form[0]}",
                           f"give either {' or '.join('/'.join(keys) for keys in forms)}, not both")
-    params = {key: _number(obj, ctx, key, rule=CHANNEL_PARAM_RULES[key])
-              for key in form if key in CHANNEL_PARAM_RULES}
+    params = {key: _number(obj, ctx, key, rule=PARAM_RULES[key])
+              for key in form if key in PARAM_RULES}
     if "sign" in obj:
         sign = obj["sign"]
         # an integer sign is a JSON integer, as for every integer key: not 1.0, not true
@@ -316,7 +294,7 @@ def _parse_baselines(obj) -> BaselinePlan:
                 raise ConfigError(f"{ctx}[{i}]", "expected a finite number")
         return _record(ctx, BaselinePlan, tuple(float(b) for b in obj))
     _require_keys(obj, ctx, ("B_max", "count"), ("spacing",))
-    b_max = _number(obj, ctx, "B_max", rule=_POSITIVE)
+    b_max = _number(obj, ctx, "B_max", rule=POSITIVE)
     count = _integer(obj, ctx, "count", bounds=(1, MAX_BASELINES))
     spacing = obj.get("spacing", "linear")
     if spacing != "linear":
@@ -363,7 +341,7 @@ def parse_config(obj: dict) -> ScenarioConfig:
     _require_keys(obj, "", ("sky", "wavelength", "baselines", "channel"),
                   ("phase_settings", "N_per_setting", "rates", "seed", "output_dir",
                    "theta_grid"))
-    wavelength = _number(obj, "", "wavelength", rule=_POSITIVE)
+    wavelength = _number(obj, "", "wavelength", rule=POSITIVE)
     sky = _parse_sky(obj["sky"], wavelength)
     plan = _parse_baselines(obj["baselines"])
     channel = _parse_channel(obj["channel"])
@@ -387,7 +365,7 @@ def parse_config(obj: dict) -> ScenarioConfig:
     if "theta_grid" in obj:
         tg = obj["theta_grid"]
         _require_keys(tg, "theta_grid", ("half_span", "count"))
-        half_span = _number(tg, "theta_grid", "half_span", rule=_POSITIVE)
+        half_span = _number(tg, "theta_grid", "half_span", rule=POSITIVE)
         if half_span < sky.extent:
             # the sky deposit would pile the outer sources onto the edge cells
             raise ConfigError("theta_grid.half_span",
@@ -457,8 +435,7 @@ def swept_config(cfg: ScenarioConfig, name: str, values: np.ndarray) -> Scenario
     evaluation baseline, not a config field: cfg comes back as it is).
     """
     if name in ("B", "L"):
-        if (values < 0.0).any():
-            raise ConfigError(f"sweep.{name}", "baseline must be nonnegative")
+        _number({name: values}, "sweep", name, rule=PARAM_RULES["B"])
         return cfg
     if name in ("N", "N_per_setting"):
         not_positive_integer = (values < 1.0) | (values % 1.0 != 0.0)
@@ -476,7 +453,7 @@ def swept_config(cfg: ScenarioConfig, name: str, values: np.ndarray) -> Scenario
         section, parse, obj = "rates", _parse_rates, vars(cfg.rates)
     elif name in ("w1", "w2"):
         section, parse, obj = "settings", _parse_settings, vars(cfg.settings)
-    elif name in CHANNEL_PARAM_RULES:
+    elif name in CHANNEL_PARAMS:
         section, parse = "channel", _parse_channel
         obj = {"kind": cfg.channel.kind, **cfg.channel.params}
     else:

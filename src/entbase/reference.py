@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .channels import _check_probability, _coherence_survival
+from .channels import _coherence_survival, check_param
 from .qcore import AstroVisibility, XState, wrap_phase
 
 HERMITICITY_TOL = 1e-12
@@ -132,7 +132,7 @@ def make_astro_state(v: AstroVisibility) -> DensityMatrix4:
 
 def kraus_amplitude_damping(lam: float) -> KrausChannel:
     """Photon-loss channel: {diag(1, sqrt(1-lam)), sqrt(lam)|0><1|}."""
-    lam = _check_probability("lambda", lam)
+    check_param("lambda", lam)
     k1 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex)
     k2 = np.array([[0.0, math.sqrt(lam)], [0.0, 0.0]], dtype=complex)
     return KrausChannel((k1, k2))
@@ -140,7 +140,7 @@ def kraus_amplitude_damping(lam: float) -> KrausChannel:
 
 def kraus_dephasing(mu: float) -> KrausChannel:
     """Phase-randomizing channel: {sqrt(1-mu) I, sqrt(mu)|0><0|, sqrt(mu)|1><1|}."""
-    mu = _check_probability("mu", mu)
+    check_param("mu", mu)
     k1 = math.sqrt(1.0 - mu) * np.eye(2, dtype=complex)
     k2 = np.array([[math.sqrt(mu), 0.0], [0.0, 0.0]], dtype=complex)
     k3 = np.array([[0.0, 0.0], [0.0, math.sqrt(mu)]], dtype=complex)
@@ -149,7 +149,7 @@ def kraus_dephasing(mu: float) -> KrausChannel:
 
 def kraus_depolarizing(kappa: float) -> KrausChannel:
     """Isotropic Pauli channel: {sqrt(1-kappa) I} + sqrt(kappa/3) {X, Y, Z}."""
-    kappa = _check_probability("kappa", kappa)
+    check_param("kappa", kappa)
     s = math.sqrt(kappa / 3.0)
     k1 = math.sqrt(1.0 - kappa) * np.eye(2, dtype=complex)
     kx = s * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -318,9 +318,8 @@ def check_fiber_rate_line():
                              (channels.RateModel(1.0, 1e6), 12.0, 31)):
         bs = np.linspace(0.0, 6 * l0, count)
         logs = config.ChannelConfig("amplitude_damping", {"L0": l0}).resource_table(bs, rates)[1][3]
-        for b, ln_r in zip(bs.tolist(), logs.tolist()):
-            shortcut = channels.log_rate_fiber(b, l0, rates)
-            assert abs(ln_r - shortcut) <= 1e-12, f"ln R_M off the fiber law at B = {b}"
+        off = np.abs(logs - channels.log_rate_fiber(bs, l0, rates))
+        assert off.max() <= 1e-12, f"ln R_M off the fiber law at B = {bs[off.argmax()]}"
         coeffs = np.polyfit(bs, logs, 1)
         assert abs(coeffs[0] + 1.0 / (2.0 * l0)) <= 1e-9, f"slope {coeffs[0]} at L0 = {l0}"
         residual = np.max(np.abs(np.polyval(coeffs, bs) - logs))
@@ -331,19 +330,18 @@ def check_depol_rate_asymptote():
     beta = 1.0
     # long links, exp(-beta B) <= 0.01, where the log approximation holds
     bs = _union(np.linspace(5.0, 40.0, 15), np.arange(5.0, 41.0, 1.0))
-    assert np.all(np.exp(-beta * bs) <= 0.01)
     far = np.array([40.0, 60.0, 100.0])
     channel = config.ChannelConfig("depolarizing", {"beta": beta})
     for rates in (channels.RateModel(1.0, 1.0), channels.RateModel(0.8, 1e6)):
-        for bl, exact in zip(bs.tolist(), channel.resource_table(bs, rates)[1][3].tolist()):
-            approx = channels.log_rate_depol_approx(bl, beta, rates)
-            assert approx.in_regime
-            assert abs(approx.value - exact) <= 0.01, f"approx off by {approx.value - exact:.4f}"
+        approx, in_regime = channels.log_rate_depol_approx(bs, beta, rates)
+        assert in_regime.all()
+        worst = max((approx - channel.resource_table(bs, rates)[1][3]).tolist(), key=abs)
+        assert abs(worst) <= 0.01, f"approx off by {worst:.4f}"
         # the rate flattens onto R_M = (5/18) R_E R_T, the paper's 0.28
         _, (_, _, r_norm, ln_r, _) = channel.resource_table(far, rates)
         for ratio in (*r_norm.tolist(), *(np.exp(ln_r) / (rates.R_E * rates.R_T)).tolist()):
             assert abs(ratio - 5.0 / 18.0) <= 1e-6 and round(ratio, 2) == 0.28, f"ratio {ratio}"
-        assert not channels.log_rate_depol_approx(0.0, beta, rates).in_regime
+        assert not channels.log_rate_depol_approx(0.0, beta, rates)[1]
 
 
 def check_forward_visibility():

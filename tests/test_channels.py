@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SWEPT_CASES, SWEPT_IDS, SWEPT_VALUES
+from entbase import reference
 from entbase.channels import (
+    PARAM_RULES,
     DegenerateCoherenceWarning,
-    DepolRateApprox,
     RateModel,
     depol_prob,
     depol_x_param,
@@ -66,11 +68,11 @@ class TestClosedFormStates:
         assert x.w_p == math.pi
 
     def test_array_parameters_name_their_first_bad_element(self):
-        with pytest.raises(ValueError, match=r"^mu_L = 1.5 outside \[0, 1\]$"):
+        with pytest.raises(ValueError, match=r"^mu_L: value 1.5 outside \[0, 1\]$"):
             xstate_dephasing(np.array([0.1, 1.5, -1.0]), 0.2)
-        with pytest.raises(ValueError, match=r"^R_E = nan outside \[0, 1\]$"):
+        with pytest.raises(ValueError, match=r"^R_E: value nan outside \[0, 1\]$"):
             RateModel(np.array([0.5, math.nan, 2.0]), 1.0)
-        with pytest.raises(ValueError, match="fiber length"):
+        with pytest.raises(ValueError, match="^L: fiber length must be nonnegative$"):
             fiber_loss_prob(np.array([1.0, -1.0]), 10.0)
 
     def test_fold_warns_once_per_array(self):
@@ -122,38 +124,67 @@ class TestMemories:
         assert abs(x.w_a - 0.125) <= 1e-15
 
     # each pair's own storage time is checked, not only the sum of the two
-    @pytest.mark.parametrize("t1, t2", [
-        (-1.0, 5.0), (5.0, -1.0),
-        (np.array([1.0, -1.0, 2.0]), np.array([0.0, 5.0, 1.0])),
-        (np.array([1.0, 2.0]), np.array([0.0, -0.5])),
+    @pytest.mark.parametrize("t1, t2, name", [
+        (-1.0, 5.0, "t1"), (5.0, -1.0, "t2"),
+        (np.array([1.0, -1.0, 2.0]), np.array([0.0, 5.0, 1.0]), "t1"),
+        (np.array([1.0, 2.0]), np.array([0.0, -0.5]), "t2"),
     ], ids=["t1", "t2", "array-t1", "array-t2"])
-    def test_swap_rejects_a_negative_storage_time(self, t1, t2):
-        with pytest.raises(ValueError, match="^storage time must be nonnegative$"):
+    def test_swap_rejects_a_negative_storage_time(self, t1, t2, name):
+        with pytest.raises(ValueError, match=f"^{name}: storage time must be nonnegative$"):
             swap_memories(t1, t2, 1.0)
 
 
-# a call with one nan length, time or scale v, and the message that names that input
-NAN_CASES = {
-    "fiber-L": (lambda v: fiber_loss_prob(v, 10.0), "fiber length must be nonnegative"),
-    "fiber-L0": (lambda v: fiber_loss_prob(1.0, v), "attenuation length must be positive"),
-    "depol-L": (lambda v: depol_prob(v, 0.2), "fiber length must be nonnegative"),
-    "depol-beta": (lambda v: depol_prob(1.0, v), "inverse attenuation length must be positive"),
-    "memory-t": (lambda v: memory_xstate(v, 1.0), "storage time must be nonnegative"),
-    "memory-tau_c": (lambda v: memory_xstate(1.0, v), "coherence time must be positive"),
-    "swap-t1": (lambda v: swap_memories(v, 0.0, 1.0), "storage time must be nonnegative"),
-    "swap-t2": (lambda v: swap_memories(0.0, v, 1.0), "storage time must be nonnegative"),
-    "swap-tau_c": (lambda v: swap_memories(0.5, 0.2, v), "coherence time must be positive"),
-}
+# (name, call): each public function that takes a PARAM_RULES parameter, called with
+# value v for it and valid values for the rest
+_RATES = RateModel(0.8, 1e6)
+PARAM_CALLS = [
+    ("lambda_L", lambda v: xstate_amplitude_damping(v, 0.1)),
+    ("lambda_R", lambda v: xstate_amplitude_damping(0.1, v)),
+    ("mu_L", lambda v: xstate_dephasing(v, 0.1)),
+    ("mu_R", lambda v: xstate_dephasing(0.1, v)),
+    ("kappa_L", lambda v: xstate_depolarizing(v, 0.1)),
+    ("kappa_R", lambda v: xstate_depolarizing(0.1, v)),
+    ("R_E", lambda v: RateModel(v, 1.0)),
+    ("R_T", lambda v: RateModel(1.0, v)),
+    ("lambda", reference.kraus_amplitude_damping),
+    ("mu", reference.kraus_dephasing),
+    ("kappa", reference.kraus_depolarizing),
+    ("L0", lambda v: fiber_loss_prob(1.0, v)),
+    ("L0", lambda v: log_rate_fiber(1.0, v, _RATES)),
+    ("beta", lambda v: depol_prob(1.0, v)),
+    ("beta", lambda v: log_rate_depol_approx(1.0, v, _RATES)),
+    ("tau_c", lambda v: memory_xstate(1.0, v)),
+    ("tau_c", lambda v: swap_memories(0.5, 0.2, v)),
+    ("tau_c", lambda v: reference.memory_dephasing_channel(1.0, v)),
+    ("t1", lambda v: swap_memories(v, 0.0, 1.0)),
+    ("t2", lambda v: swap_memories(0.0, v, 1.0)),
+    ("t", lambda v: memory_xstate(v, 1.0)),
+    ("t", lambda v: reference.memory_dephasing_channel(v, 1.0)),
+    ("B", lambda v: log_rate_fiber(v, 10.0, _RATES)),
+    ("L", lambda v: fiber_loss_prob(v, 10.0)),
+    ("L", lambda v: depol_prob(v, 0.2)),
+    ("L", lambda v: log_rate_depol_approx(v, 1.0, _RATES)),
+]
+# a function's second call of the same name is told apart by its number
+PARAM_CALL_IDS = [f"{name}-{[n for n, _ in PARAM_CALLS[:i]].count(name)}"
+                  for i, (name, _) in enumerate(PARAM_CALLS)]
 
 
-@pytest.mark.parametrize("value", [math.nan, np.array([1.0, math.nan, 2.0])],
-                         ids=["float", "array"])
-@pytest.mark.parametrize("case", NAN_CASES)
-def test_nan_input_is_named(case, value):
-    """A nan is refused by the rule of its input, for a float and an array element alike,
-    not passed on as a nan probability or blamed on the state it would build."""
-    call, message = NAN_CASES[case]
-    with pytest.raises(ValueError, match=f"^{message}$"):
+def test_param_calls_cover_every_rule():
+    assert {name for name, _ in PARAM_CALLS} == set(PARAM_RULES)
+
+
+# -1 lies outside every range: the unit interval, positive and nonnegative
+@pytest.mark.parametrize("value", [math.nan, np.array([0.5, math.nan, 2.0]), -1.0,
+                                   np.array([0.5, -1.0])],
+                         ids=["nan", "array-nan", "out-of-range", "array-out-of-range"])
+@pytest.mark.parametrize("name, call", PARAM_CALLS, ids=PARAM_CALL_IDS)
+def test_bad_parameter_is_named(name, call, value):
+    """A nan or out-of-range input is refused by its PARAM_RULES range, which names it,
+    for a float and an array element alike: not passed on as a nan probability or rate,
+    nor blamed on the state it would build."""
+    message = f"{name}: {PARAM_RULES[name].fault(value)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
 
 
@@ -226,9 +257,22 @@ class TestLogRateLaws:
 
     def test_depol_approx_constant_asymptote(self):
         rates = RateModel(1.0, 1.0)
-        out = log_rate_depol_approx(1e9, 1.0, rates)
-        assert isinstance(out, DepolRateApprox) and out.in_regime
-        assert abs(out.value - (math.log(rates.max_rate) + math.log(5.0 / 9.0))) <= 1e-12
+        value, in_regime = log_rate_depol_approx(1e9, 1.0, rates)
+        assert in_regime is True
+        assert abs(value - (math.log(rates.max_rate) + math.log(5.0 / 9.0))) <= 1e-12
+
+    def test_array_laws_are_the_float_laws_per_element(self):
+        """An (n,) array of baselines gives, bit for bit, each baseline's float result."""
+        rates = RateModel(0.8, 1e6)
+        bs = np.linspace(0.0, 60.0, 41)
+        fiber = log_rate_fiber(bs, 7.0, rates)
+        assert np.array_equal(_bits(fiber), _bits([log_rate_fiber(b, 7.0, rates)
+                                                   for b in bs.tolist()]))
+        value, in_regime = log_rate_depol_approx(bs, 0.3, rates)
+        singles = [log_rate_depol_approx(b, 0.3, rates) for b in bs.tolist()]
+        assert np.array_equal(_bits(value), _bits([v for v, _ in singles]))
+        assert in_regime.tolist() == [r for _, r in singles]
+        assert not in_regime[0] and in_regime[-1]
 
 
 def test_ideal_bell_helper():

@@ -22,7 +22,7 @@ from entbase import elementwise as ew
 from entbase.channels import DegenerateCoherenceWarning, RateModel, resource_figures
 from entbase.cli import main
 from entbase.config import (
-    CHANNEL_PARAM_RULES,
+    CHANNEL_PARAMS,
     ChannelConfig,
     ConfigError,
     load_config,
@@ -607,7 +607,7 @@ def test_sweep_warns_of_a_fold_once(tmp_path):
     assert len(caught) == 1
 
 
-# For each CHANNEL_PARAM_RULES key: a channel form that takes it, a valid value,
+# For each CHANNEL_PARAMS key: a channel form that takes it, a valid value,
 # an invalid one, and the message that names it.
 BAD_SWEPT_VALUES = [
     ("lambda_L", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, "0.4", "1.5",
@@ -635,12 +635,42 @@ BAD_SWEPT_VALUES = [
 ]
 
 
+# each channel parameter's first form in CHANNEL_FORMS, with valid values for the rest
+PARAM_FORMS = {name: next((kind, params) for kind, params in CHANNEL_FORMS if name in params)
+               for name in CHANNEL_PARAMS}
+
+
+@pytest.mark.parametrize("name", CHANNEL_PARAMS)
+@given(value=st.one_of(st.floats(-2.0, 3.0), st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 + 2 ** -52])))
+@settings(max_examples=40, deadline=None)
+def test_config_and_builder_agree_on_each_value(name, value):
+    """parse_config and the channel form's builder accept the same finite values of each
+    channel parameter and refuse the rest with one fault: `channel.<key>: X` against
+    `<key>: X`, both from channels.PARAM_RULES."""
+    kind, params = PARAM_FORMS[name]
+    params = {**params, name: value}
+    try:
+        parse_config(base_config(channel={"kind": kind, **params}))
+        config_fault = None
+    except ConfigError as exc:
+        config_fault = str(exc)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateCoherenceWarning)  # kappa past x = 1/4
+            ChannelConfig(kind, params).resource_factory()(7.5)
+        library_fault = None
+    except ValueError as exc:
+        library_fault = f"channel.{exc}"
+    assert config_fault == library_fault
+
+
 class TestSweepValidation:
     """Every swept value is checked before any row is computed, and a bad one exits 1
     with the key and message that a config holding it gets."""
 
     def test_every_rule_is_covered(self):
-        assert {case[0] for case in BAD_SWEPT_VALUES} == set(CHANNEL_PARAM_RULES)
+        assert {case[0] for case in BAD_SWEPT_VALUES} == set(CHANNEL_PARAMS)
 
     @pytest.mark.parametrize("name, channel, good, bad, message", BAD_SWEPT_VALUES,
                              ids=[case[0] for case in BAD_SWEPT_VALUES])
@@ -665,7 +695,7 @@ class TestSweepValidation:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, values, message", [
-        (dict(rates={"R_E": 2.0, "R_T": 1.0}), "0.1,1.5", "rates: R_E = 2.0 outside [0, 1]"),
+        (dict(rates={"R_E": 2.0, "R_T": 1.0}), "0.1,1.5", "rates.R_E: value 2.0 outside [0, 1]"),
         (dict(channel={"kind": "dephasing", "mu_L": 1.5, "mu_R": 0.2}), "0.1,0.2",
          "channel.mu_L: value 1.5 outside [0, 1]"),
     ], ids=["bad-rates-before-bad-value", "bad-configured-value-under-good-ones"])
@@ -1053,8 +1083,8 @@ def full_parse_verdict(raw: dict, name: str, value: float):
 # that do not (lambda_L on an L0 fiber) and on the ideal channel, which takes none
 SWEPT_FORMS = [(name, kind, params) for name in SWEPT_DRAWS for kind, params in CHANNEL_FORMS
                if kind == "ideal" or name in params
-               or name in CHANNEL_PARAM_RULES and kind in {k for k, p in CHANNEL_FORMS
-                                                           if name in p}]
+               or name in CHANNEL_PARAMS and kind in {k for k, p in CHANNEL_FORMS
+                                                      if name in p}]
 
 
 # SWEEP_CASES as fixed inputs: each valid value alone, then followed by the invalid one
@@ -1065,7 +1095,7 @@ FIXED_SWEEPS = [(name, channel["kind"], {k: v for k, v in channel.items() if k !
 
 
 def test_sweep_cases_cover_every_sweepable_parameter():
-    sweepable = set(CHANNEL_PARAM_RULES) | {"N", "R_E", "R_T", "w1", "w2"}
+    sweepable = set(CHANNEL_PARAMS) | {"N", "R_E", "R_T", "w1", "w2"}
     assert sweepable <= {name for name, *_ in SWEEP_CASES} and sweepable <= set(SWEPT_DRAWS)
 
 

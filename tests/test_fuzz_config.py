@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from conftest import CHANNEL_FORMS, SWEPT_VALUES
 from entbase.cli import main
-from entbase.config import CHANNEL_KINDS, CHANNEL_PARAM_RULES
+from entbase.config import CHANNEL_KINDS, CHANNEL_PARAMS
 
 RUNTIME_ERRORS = ("DegenerateResourceError", "ZeroConcurrenceError", "NonPositiveMapError")
 # the non-finite cells docs/schema.md declares: a dead resource's C, the log of a
@@ -129,10 +129,10 @@ def cases(draw):
     if draw(st.booleans()):
         return cfg, ["run"]
     channel = cfg.get("channel")
-    takes = [*CONFIG_PARAMS, *(p for p in channel if p in CHANNEL_PARAM_RULES)] \
+    takes = [*CONFIG_PARAMS, *(p for p in channel if p in CHANNEL_PARAMS)] \
         if isinstance(channel, dict) else list(CONFIG_PARAMS)
     param = draw(st.one_of(st.sampled_from(takes), st.sampled_from(takes),
-                           st.sampled_from([*CONFIG_PARAMS, *CHANNEL_PARAM_RULES, "bogus"])))
+                           st.sampled_from([*CONFIG_PARAMS, *CHANNEL_PARAMS, "bogus"])))
     value = st.one_of(IN_RANGE.get(param, ANY_VALUE), ANY_VALUE)
     numbers = st.lists(value, min_size=1, max_size=6).map(lambda vs: ",".join(map(repr, vs)))
     values = draw(st.one_of(numbers, numbers, numbers,

@@ -32,7 +32,8 @@ def test_rate_vs_baseline_zero_points(tmp_path, monkeypatch, capsys):
         "B,R_fiber_norm,R_depol_norm,R_ideal_norm,ln_R_depol_approx\n")
 
 
-# an out-of-range option exits 1 with a message that names it, before any file is written
+# an out-of-range or malformed option exits 1 with a message that names it, before any file
+# is written
 BAD_ARGUMENTS = [
     ("rate_vs_baseline.py", ["--points", "-1"], "--points: must be nonnegative, not -1"),
     ("rate_vs_baseline.py", ["--B-max", "-5"], "--B-max: must be finite and nonnegative, not -5.0"),
@@ -40,8 +41,10 @@ BAD_ARGUMENTS = [
      "--B-max: must be finite and nonnegative, not inf"),
     ("rate_vs_baseline.py", ["--L0", "0"], "--L0: must be finite and positive, not 0.0"),
     ("rate_vs_baseline.py", ["--beta", "nan"], "--beta: must be finite and positive, not nan"),
+    ("rate_vs_baseline.py", ["--points", "abc"], "argument --points: invalid int value: 'abc'"),
     ("error_scaling_study.py", ["--replicates", "0"], "--replicates: must be at least 1, not 0"),
     ("error_scaling_study.py", ["--seed", "-1"], "--seed: must be at least 0, not -1"),
+    ("error_scaling_study.py", ["--budget", "1e5"], "argument --budget: invalid int value: '1e5'"),
     # N_post = round(3 * 0.3 / 2) = 0 at xi = 0.3, and 10**19 / 2 > 2**63 - 1 at xi = 1
     *(("error_scaling_study.py", ["--replicates", "2", "--budget", budget],
        f"--budget: {budget} gives a cell N_post = round(budget xi / 2) outside [1, 2**63 - 1]")
