@@ -226,14 +226,19 @@ def swap_memories(t1: float, t2: float, tau_c: float, outcome_sign: int = +1) ->
                   w_a=abs(coh), w_p=ew.where(coh >= 0.0, 0.0, math.pi))
 
 
+def _log_max_rate(rates: RateModel) -> float:
+    """ln rates.max_rate, -inf where that rate is 0: resource_table's ln_R_M rule."""
+    return math.log(rates.max_rate) if rates.max_rate > 0.0 else -math.inf
+
+
 def log_rate_fiber(B: float, L0: float, rates: RateModel) -> float:
     """Natural log of the coincidence rate for an equal-arm lossy fiber link.
 
-    Linear in the baseline: log(R_E*R_T/2) - B/(2*L0), per element for an (n,) array B.
+    Linear in the baseline: log(R_E*R_T/2) - B/(2*L0) (-inf at R_E = 0), per element for B.
     """
     check_param("B", B)
     check_param("L0", L0)
-    return math.log(rates.max_rate) - B / (2.0 * L0)
+    return _log_max_rate(rates) - B / (2.0 * L0)
 
 
 def log_rate_depol_approx(L: float, beta: float, rates: RateModel) -> tuple:
@@ -241,12 +246,12 @@ def log_rate_depol_approx(L: float, beta: float, rates: RateModel) -> tuple:
     under depolarization, and whether it applies; each an (n,) array for an (n,) array L.
 
     log(R_E*R_T/2) + log(5/9) - 0.8*exp(-beta*L/2), valid when
-    exp(-beta*L) is small; in_regime is False once exp(-beta*L) > 0.01.
+    exp(-beta*L) is small (-inf at R_E = 0); in_regime is False once exp(-beta*L) > 0.01.
     The subspace weight expands as 5/9 - (4/9)u + (8/9)u^2 in
     u = exp(-beta*L/2), so the first-order log correction is -(4/5)u.
     """
     check_param("L", L)
     check_param("beta", beta)
     u = ew.exp(-beta * L / 2.0)
-    value = math.log(rates.max_rate) + math.log(5.0 / 9.0) - 0.8 * u
+    value = _log_max_rate(rates) + math.log(5.0 / 9.0) - 0.8 * u
     return value, u * u <= 0.01

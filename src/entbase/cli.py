@@ -1,10 +1,11 @@
-"""Config-driven scenario runner.
+"""Config-driven scenario runner, and the package's one command line.
 
 Verbs: ``run <config>`` (single observation, writes visibility.csv,
 intensity.csv and summary.json), ``sweep <config> --param --values``
-(one CSV row per swept value), ``validate`` (invariant suite).
+(one CSV row per swept value), ``validate`` (invariant suite), ``study
+rates`` and ``study errors`` (the paper's two studies, written as CSVs).
 Exit codes: 0 success, 1 invalid config or arguments (message names the
-offending key or argument), 2 runtime failure (message names the error).
+offending key or option), 2 runtime failure (message names the error).
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ import functools
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import elementwise as ew
-from .config import ConfigError, check_phase, load_config, parse_sweep_args, swept_config
+from .channels import RateModel, log_rate_depol_approx
+from .config import (ChannelConfig, ConfigError, check_phase, check_study_option, load_config,
+                     parse_sweep_args, swept_config)
 from .imaging import observe_and_image, resolution, true_visibility
 # parse_config and run_observation are unused here but stay bound: the benchmark
 # tracer rebinds them by name
@@ -44,7 +48,7 @@ SWEEP_FORMATS = {"rmse_V_a": "%s", "rmse_V_p": "%s"}
 def write_csv(path: Path, header, columns, formats=None):
     """Write path, creating its directory: header, then one row per cell of columns.
 
-    Every CSV the package and its scripts write goes through here. A cell is
+    Every CSV the package writes (run, sweep and both study verbs) goes through here. A cell is
     %.17g of its value (what format(x, ".17g") writes, in one call per row)
     unless formats maps its column's name to another %-format: %d for an
     integer column, since %.17g would round integers above 2**53. Rows end in
@@ -220,6 +224,50 @@ def cmd_validate() -> int:
     return 0 if validation.run_all() else 1
 
 
+def cmd_study_rates(L0: float, beta: float, B_max: float, points: int, out: str) -> int:
+    """rate_vs_baseline.csv: the fiber, depolarizing and perfect-distribution rate curves."""
+    rates = RateModel(1.0, 1.0)
+    baselines = np.linspace(0.0, B_max, points)
+    # the R_M_norm columns `sweep` writes for these channels, the curves `entbase validate` checks
+    r_fiber, r_depol = (ChannelConfig(kind, params).resource_table(baselines, rates)[1][2]
+                        for kind, params in (("amplitude_damping", {"L0": L0}),
+                                             ("depolarizing", {"beta": beta})))
+    ln_approx, in_regime = log_rate_depol_approx(baselines, beta, rates)
+    path = Path(out) / "rate_vs_baseline.csv"
+    # R_ideal_norm = 0.5: perfect distribution
+    write_csv(path, ("B", "R_fiber_norm", "R_depol_norm", "R_ideal_norm", "ln_R_depol_approx"),
+              (baselines, r_fiber, r_depol, 0.5, np.where(in_regime, ln_approx, math.nan)))
+    print(f"wrote {path} ({baselines.size} rows)")
+    print(f"fiber slope check: d(ln R)/dB = {-1 / (2 * L0):.6f} expected")
+    return 0
+
+
+def cmd_study_errors(replicates: int, seed: int, budget: int, out: str) -> int:
+    """rmse_vs_n.csv and rmse_vs_resource.csv: validation's two error-scaling tables."""
+    from . import validation  # the studies and their references stay out of run and sweep
+    import numpy.random  # noqa: F401 -- numpy loads it on first use: here, out of the timing
+    if (fault := validation.budget_fault(budget)) is not None:
+        raise _ArgumentsError(f"--budget: {fault}")
+    # the tables' in-process time, nearly all of it replicate_rmse's (unlike the process's)
+    start = time.perf_counter()
+    by_n = validation.rmse_vs_n(seed, replicates)
+    by_resource = validation.rmse_vs_resource(seed, replicates, budget)
+    seconds = time.perf_counter() - start
+
+    path_n, path_r = Path(out) / "rmse_vs_n.csv", Path(out) / "rmse_vs_resource.csv"
+    write_csv(path_n, ("N", "rmse_V_a", "rmse_V_p"), zip(*by_n), {"N": "%d"})
+    print(f"wrote {path_n}; RMSE(V_a) log-log slope = {validation.n_slope(by_n):.3f} "
+          "(expect -0.5)")
+    # the grid's C and xi cells are str of the grid's floats: 0.3, not 0.29999999999999999
+    write_csv(path_r, ("C", "xi", "N_post", "rmse_V_a", "rmse_V_p", "rmse_V_a_CsqrtXi",
+                       "rmse_V_p_sqrtXi"),
+              zip(*by_resource), {"C": "%s", "xi": "%s", "N_post": "%d"})
+    print(f"wrote {path_r}")
+    row_replicates = (len(by_n) + len(by_resource)) * replicates
+    print(f"replicate_rmse: {row_replicates} row-replicates in {seconds:.6f} s")
+    return 0
+
+
 class _ArgumentsError(Exception):
     """Malformed command-line arguments; the message names the argument."""
 
@@ -253,7 +301,32 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--gnuplot", action="store_true")
 
     sub.add_parser("validate", help="run the invariant suite")
+
+    studies = sub.add_parser("study", help="write one of the paper's two study tables")
+    study = studies.add_subparsers(dest="study", required=True)
+    p_rates = study.add_parser("rates", help="coincidence rate against baseline")
+    p_rates.add_argument("--L0", type=float, default=10.0, help="fiber attenuation length")
+    p_rates.add_argument("--beta", type=float, default=0.1, help="depolarization inverse length")
+    p_rates.add_argument("--B-max", type=float, default=80.0)
+    p_rates.add_argument("--points", type=int, default=81)
+    p_rates.add_argument("--out", default="out/rates")
+    p_errors = study.add_parser("errors", help="visibility RMSE against N, C and xi")
+    p_errors.add_argument("--replicates", type=int, default=200)
+    p_errors.add_argument("--budget", type=int, default=100_000,
+                          help="incident-photon budget per phase setting")
+    p_errors.add_argument("--seed", type=int, default=42)
+    p_errors.add_argument("--out", default="out/error_scaling")
     return parser
+
+
+def _study_options(args, *options) -> list:
+    """The study options' values, as config.check_study_option passes them; a refused one
+    is an arguments error."""
+    try:
+        return [check_study_option(option, getattr(args, option[2:].replace("-", "_")))
+                for option in options]
+    except ConfigError as exc:
+        raise _ArgumentsError(exc) from None
 
 
 def _join_values(argv: list) -> list:
@@ -275,17 +348,22 @@ def _join_values(argv: list) -> list:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
-    except _ArgumentsError as exc:
-        print(f"invalid arguments: {exc}", file=sys.stderr)
-        return 1
-    try:
         if args.verb == "run":
             return cmd_run(args.config, gnuplot=args.gnuplot)
         if args.verb == "sweep":
             values, replicates = parse_sweep_args(args.values, args.mc_replicates)
             return cmd_sweep(args.config, args.param, values, mc_replicates=replicates,
                              gnuplot=args.gnuplot)
-        return cmd_validate()
+        if args.verb == "validate":
+            return cmd_validate()
+        if args.study == "rates":
+            return cmd_study_rates(*_study_options(args, "--L0", "--beta", "--B-max", "--points"),
+                                   args.out)
+        return cmd_study_errors(*_study_options(args, "--replicates", "--seed"), args.budget,
+                                args.out)
+    except _ArgumentsError as exc:
+        print(f"invalid arguments: {exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

@@ -31,8 +31,8 @@ from .channels import (
 from .imaging import BaselinePlan, SkyModel, default_theta_span
 from .protocol import MAX_TRIALS, PhaseSettings
 
-__all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "check_phase", "load_config",
-           "parse_config", "parse_sweep_args", "swept_config"]
+__all__ = ["ChannelConfig", "ConfigError", "ScenarioConfig", "check_phase", "check_study_option",
+           "load_config", "parse_config", "parse_sweep_args", "swept_config"]
 
 # bounds on theta_grid.count and baselines.count: one key must not be able to ask
 # for gigabytes of map or of baseline plan
@@ -217,7 +217,7 @@ class ChannelConfig:
         """(resource, (xi, C, R_M_norm, ln_R_M, log10_R_M)) at baselines, an (n,) array or one
         float: the resource, built once, and its columns, each an (n,) array or one float.
         ln_R_M is -inf where the rate is 0 or nan, else libm's math.log element by element
-        (np.log may differ in the last bit). run, sweep, validate and the rate script call it."""
+        (np.log may differ in the last bit). run, sweep, validate and study rates call it."""
         resource = self.resource_factory()(baselines)
         xi, conc, r_norm, r_abs = resource_figures(resource, baselines, rates,
                                                    self.rate_norm_fn())
@@ -421,6 +421,25 @@ def parse_sweep_args(raw_values: str, mc_replicates: int) -> tuple[np.ndarray, i
     if not np.isfinite(values).all():
         raise ConfigError("sweep.values", f"values must be finite: {raw_values!r}")
     return values, mc_replicates
+
+
+# The range of each option of the study verbs: --L0 and --beta are channel parameters and
+# --B-max a baseline, so PARAM_RULES states theirs; the counts and the seed have lower bounds
+STUDY_OPTIONS = {"--L0": PARAM_RULES["L0"], "--beta": PARAM_RULES["beta"],
+                 "--B-max": PARAM_RULES["B"],
+                 "--points": Range(lambda v: v < 0, "must be nonnegative, not {value}"),
+                 "--replicates": Range(lambda v: v < 1, "must be at least 1, not {value}"),
+                 "--seed": Range(lambda v: v < 0, "must be at least 0, not {value}")}
+
+
+def check_study_option(option: str, value):
+    """value of a study verb's option if in its STUDY_OPTIONS range (a float also finite:
+    a config number's rule); else the ConfigError at option."""
+    if isinstance(value, float):
+        _number({option: value}, "", option)
+    if (fault := STUDY_OPTIONS[option].fault(value)) is not None:
+        raise ConfigError(option, fault)
+    return value
 
 
 def swept_config(cfg: ScenarioConfig, name: str, values: np.ndarray) -> ScenarioConfig:

@@ -17,7 +17,7 @@ closed-form/projector-oracle agreement check is the canary for sign
 mistakes in the coincidence formulas: flipping the fringe sign in either
 route makes it fail immediately. The Monte Carlo checks (``[mc]``) draw
 from fixed seeds and are deterministic.
-The paper's two studies live here too, so that scripts/ writes what the checks assert.
+The paper's two studies live here too: `entbase study errors` writes what the checks assert.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import channels, config, imaging, protocol, qcore, reference
 
-__all__ = ["CHECKS", "n_slope", "rmse_vs_n", "rmse_vs_resource", "run_all"]
+__all__ = ["CHECKS", "budget_fault", "n_slope", "rmse_vs_n", "rmse_vs_resource", "run_all"]
 
 
 _KRAUS = {
@@ -423,7 +423,7 @@ def check_resolvability():
 
 
 # The error-scaling study (at C = 1, the scheme of Gottesman, Jennewein and Croke),
-# written by scripts/error_scaling_study.py: the RMSE of the estimates against N and
+# written by `entbase study errors`: the RMSE of the estimates against N and
 # against the resource's concurrence C and subspace weight xi.
 _STUDY_GRID = (0.3, 0.6, 1.0)
 
@@ -444,14 +444,25 @@ def n_slope(table) -> float:
     return float(np.polyfit(np.log10(ns), np.log10(rmse_a), 1)[0])
 
 
+def budget_fault(budget: int) -> str | None:
+    """Why rmse_vs_resource refuses budget, or None: some xi's N_post = round(budget xi / 2)
+    outside [1, protocol.MAX_TRIALS], the counts numpy's binomial sampler draws."""
+    # a budget clipped to [0, 2 MAX_TRIALS + 2] is refused alike, and budget xi is a float
+    clipped = min(max(budget, 0), 2 * protocol.MAX_TRIALS + 2)
+    if not all(1 <= round(clipped * xi / 2.0) <= protocol.MAX_TRIALS for xi in _STUDY_GRID):
+        return f"{budget} gives a cell N_post = round(budget xi / 2) outside [1, 2**63 - 1]"
+
+
 def rmse_vs_resource(seed: int, replicates: int, budget: int) -> list:
     """(C, xi, N_post, rmse_V_a, rmse_V_p, rmse_V_a C sqrt(xi), rmse_V_p sqrt(xi)) per cell.
 
     The dephasing-form state of each (C, xi) of a 3 x 3 grid, C outer, gets the
     postselected share N_post = round(budget xi / 2) of the budget of modes per
     setting; V_a C = 0.21 holds the fringe fixed. Cell (C, xi) is seeded
-    derive_seed(seed, int(1000 C + 10 xi)).
+    derive_seed(seed, int(1000 C + 10 xi)). A budget budget_fault refuses raises ValueError.
     """
+    if (fault := budget_fault(budget)) is not None:
+        raise ValueError(f"budget: {fault}")
     cells = [(conc, xi, int(round(budget * xi / 2.0))) for conc in _STUDY_GRID
              for xi in _STUDY_GRID]
     rmse_a, rmse_p = protocol.replicate_rmse(

@@ -274,6 +274,17 @@ class TestLogRateLaws:
         assert in_regime.tolist() == [r for _, r in singles]
         assert not in_regime[0] and in_regime[-1]
 
+    @pytest.mark.parametrize("bs", [30.0, np.linspace(0.0, 60.0, 5)], ids=["float", "array"])
+    def test_no_entangled_photons_give_minus_inf(self, bs):
+        """At R_E = 0 both laws give resource_table's ln_R_M of a zero rate: -inf."""
+        rates = RateModel(0.0, 1.0)
+        ln_r = ChannelConfig("amplitude_damping", {"L0": 7.0}).resource_table(bs, rates)[1][3]
+        assert np.all(ln_r == -math.inf)
+        assert np.all(log_rate_fiber(bs, 7.0, rates) == -math.inf)
+        value, in_regime = log_rate_depol_approx(bs, 0.3, rates)
+        assert np.all(value == -math.inf)
+        assert np.shape(value) == np.shape(in_regime) == np.shape(bs)
+
 
 def test_ideal_bell_helper():
     x = ideal_bell_xstate(0.4)

@@ -946,7 +946,10 @@ class TestArgumentErrorsExit1:
         (["sweep", "{cfg}", "--param", "B"], "--values"),
         (["sweep", "{cfg}", "--param", "B", "--values", "1,2", "--mc-replicates", "2.5"],
          "--mc-replicates"),
-    ], ids=["unknown-verb", "missing-param", "missing-values", "non-integer-replicates"])
+        (["study"], "study"),
+        (["study", "rates", "--L0"], "--L0"),
+    ], ids=["unknown-verb", "missing-param", "missing-values", "non-integer-replicates",
+            "missing-study", "option-without-value"])
     def test_exit_1(self, tmp_path, capsys, argv, name):
         cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
         assert main([arg.replace("{cfg}", cfg) for arg in argv]) == 1
@@ -959,6 +962,75 @@ class TestArgumentErrorsExit1:
             main(["sweep", "--help"])
         assert exc.value.code == 0
         assert "--mc-replicates" in capsys.readouterr().out
+
+
+# a study option out of its range or malformed exits 1 with a message that names it,
+# before any file is written
+BAD_STUDY_ARGUMENTS = [
+    ("rates", ["--points", "-1"], "--points: must be nonnegative, not -1"),
+    ("rates", ["--B-max", "-5"], "--B-max: baseline must be nonnegative"),
+    ("rates", ["--B-max", "inf"], "--B-max: expected a finite number"),
+    ("rates", ["--L0", "0"], "--L0: value 0.0 must be positive"),
+    ("rates", ["--beta", "nan"], "--beta: expected a finite number"),
+    ("rates", ["--points", "abc"], "argument --points: invalid int value: 'abc'"),
+    ("errors", ["--replicates", "0"], "--replicates: must be at least 1, not 0"),
+    ("errors", ["--seed", "-1"], "--seed: must be at least 0, not -1"),
+    ("errors", ["--budget", "1e5"], "argument --budget: invalid int value: '1e5'"),
+    # N_post = round(3 * 0.3 / 2) = 0 at xi = 0.3, and 10**19 / 2 > 2**63 - 1 at xi = 1;
+    # no cell of a negative budget has a trial, and 10**400 xi is no float
+    *(("errors", ["--replicates", "2", "--budget", budget],
+       f"--budget: {budget} gives a cell N_post = round(budget xi / 2) outside [1, 2**63 - 1]")
+      for budget in ("3", str(10 ** 20), "-5", str(10 ** 400))),
+]
+
+
+class TestStudyCommand:
+    """`study rates` and `study errors`: the paper's two tables, written through write_csv."""
+
+    def test_rate_vs_baseline(self, tmp_path, capsys):
+        assert main(["study", "rates", "--L0", "10", "--beta", "0.1", "--points", "21",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "rate_vs_baseline.csv").read_text().strip().splitlines()
+        assert rows[0].startswith("B,")
+        assert len(rows) == 22
+        data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        lns = np.log(data[:, 1])
+        slope = np.polyfit(data[:, 0], lns, 1)[0]
+        assert abs(slope + 1.0 / 20.0) <= 1e-9
+        assert capsys.readouterr().out == (
+            f"wrote {tmp_path / 'rate_vs_baseline.csv'} (21 rows)\n"
+            "fiber slope check: d(ln R)/dB = -0.050000 expected\n")
+
+    def test_rate_vs_baseline_zero_points(self, tmp_path):
+        assert main(["study", "rates", "--points", "0", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "rate_vs_baseline.csv").read_text() == (
+            "B,R_fiber_norm,R_depol_norm,R_ideal_norm,ln_R_depol_approx\n")
+
+    # the ids are cut at 60 characters: one budget has 401 digits
+    @pytest.mark.parametrize("verb, argv, message", BAD_STUDY_ARGUMENTS, ids=[
+        f"{verb} {' '.join(argv)}"[:60] for verb, argv, _ in BAD_STUDY_ARGUMENTS])
+    def test_out_of_range_argument_exits_1(self, tmp_path, capsys, verb, argv, message):
+        assert main(["study", verb, *argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"invalid arguments: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_error_scaling_study(self, tmp_path, capsys):
+        assert main(["study", "errors", "--replicates", "25", "--budget", "20000",
+                     "--out", str(tmp_path)]) == 0
+        n_rows = (tmp_path / "rmse_vs_n.csv").read_text().strip().splitlines()
+        assert len(n_rows) == 4
+        res_rows = (tmp_path / "rmse_vs_resource.csv").read_text().strip().splitlines()
+        assert len(res_rows) == 10
+        out = capsys.readouterr().out
+        assert re.search(rf"^wrote {re.escape(str(tmp_path / 'rmse_vs_n.csv'))}; "
+                         r"RMSE\(V_a\) log-log slope = -?\d\.\d{3} \(expect -0\.5\)$", out, re.M)
+        assert f"\nwrote {tmp_path / 'rmse_vs_resource.csv'}\n" in out
+        # 12 rows (3 sample sizes, a 3 x 3 resource grid) of 25 replicates, timed in-process
+        assert re.search(r"^replicate_rmse: 300 row-replicates in \d+\.\d{6} s$", out, re.M)
+
+    def test_resource_study_names_a_refused_budget_before_drawing(self):
+        with pytest.raises(ValueError, match=r"^budget: 3 gives a cell N_post"):
+            validation.rmse_vs_resource(1, 2, 3)
 
 
 class TestParserReuse:
