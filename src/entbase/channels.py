@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from operator import add, mul, truediv
 from typing import Callable, NamedTuple
 
 from . import elementwise as ew
@@ -179,20 +180,20 @@ def fiber_loss_prob(L: float, L0: float) -> float:
     """Loss probability in a fiber of length L with attenuation length L0."""
     check_param("L", L)
     check_param("L0", L0)
-    return 1.0 - ew.exp(-L / L0)
+    return 1.0 - ew.exp(ew.overflow_to_inf(truediv, -L, L0))
 
 
 def depol_prob(L: float, beta: float) -> float:
     """Per-arm depolarization probability for a birefringent fiber of total length L."""
     check_param("L", L)
     check_param("beta", beta)
-    return 1.0 - ew.exp(-beta * L / 2.0)
+    return 1.0 - ew.exp(ew.overflow_to_inf(mul, -beta, L) / 2.0)
 
 
 def _coherence_survival(t: float, tau_c: float) -> float:
     check_param("t", t)
     check_param("tau_c", tau_c)
-    return ew.exp(-t / tau_c)
+    return ew.exp(ew.overflow_to_inf(truediv, -t, tau_c))
 
 
 def memory_xstate(t: float, tau_c: float, sign: int = +1) -> XState:
@@ -219,7 +220,7 @@ def swap_memories(t1: float, t2: float, tau_c: float, outcome_sign: int = +1) ->
         raise ValueError("outcome_sign must be +1 or -1")
     check_param("t1", t1)  # each time, not only their sum
     check_param("t2", t2)
-    p = 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))
+    p = 0.5 * (1.0 + _coherence_survival(ew.overflow_to_inf(add, t1, t2), tau_c))
     # signed coherence of the p * rho(+/-) + (1-p) * rho(-/+) mixture
     coh = outcome_sign * (p * 0.5 + (1.0 - p) * (-0.5))
     return XState(a=0.0, g=0.5, f=0.5, h=0.0,
@@ -238,7 +239,8 @@ def log_rate_fiber(B: float, L0: float, rates: RateModel) -> float:
     """
     check_param("B", B)
     check_param("L0", L0)
-    return _log_max_rate(rates) - B / (2.0 * L0)
+    two_l0 = ew.overflow_to_inf(mul, 2.0, L0)
+    return _log_max_rate(rates) - ew.overflow_to_inf(truediv, B, two_l0)
 
 
 def log_rate_depol_approx(L: float, beta: float, rates: RateModel) -> tuple:
@@ -252,6 +254,6 @@ def log_rate_depol_approx(L: float, beta: float, rates: RateModel) -> tuple:
     """
     check_param("L", L)
     check_param("beta", beta)
-    u = ew.exp(-beta * L / 2.0)
+    u = ew.exp(ew.overflow_to_inf(mul, -beta, L) / 2.0)
     value = _log_max_rate(rates) + math.log(5.0 / 9.0) - 0.8 * u
     return value, u * u <= 0.01

@@ -45,22 +45,28 @@ SWEEP_HEADER = ("value", "xi", "C", "R_M_norm", "ln_R_M", "log10_R_M", "rmse_V_a
 SWEEP_FORMATS = {"rmse_V_a": "%s", "rmse_V_p": "%s"}
 
 
+# rows formatted by one % operation: a block's text is ~150 KB of sweep.csv
+CSV_BLOCK_ROWS = 1024
+
+
 def write_csv(path: Path, header, columns, formats=None):
     """Write path, creating its directory: header, then one row per cell of columns.
 
     Every CSV the package writes (run, sweep and both study verbs) goes through here. A cell is
-    %.17g of its value (what format(x, ".17g") writes, in one call per row)
-    unless formats maps its column's name to another %-format: %d for an
-    integer column, since %.17g would round integers above 2**53. Rows end in
-    "\n" on every platform.
+    %.17g of its value (what format(x, ".17g") writes) unless formats maps its column's name
+    to another %-format: %d for an integer column, since %.17g would round integers above
+    2**53. Rows end in "\n" on every platform.
 
     A column is an iterable with one cell per row, or a Python scalar: one cell for
     every row. A scalar, and a nonempty array whose cells all hold the same bytes (so
     0.0 and -0.0, or two nan payloads, never merge), is formatted once into the row
-    template; only the other columns are formatted per row (an empty array: no rows).
+    template; only the other columns are formatted per cell (an empty array: no rows).
+    The row count is an array column's size, else the first other column's length.
+    Rows are formatted CSV_BLOCK_ROWS at a time, by one % of the repeated row template
+    with the block's cells in row order.
     """
     formats = [(formats or {}).get(name, "%.17g") for name in header]
-    varying, n_rows = [], 0
+    varying, n_rows = [], None
     for j, column in enumerate(columns):
         if isinstance(column, np.ndarray):
             n_rows = column.size
@@ -72,17 +78,21 @@ def write_csv(path: Path, header, columns, formats=None):
                 continue
             column = column.item(0)
         elif not isinstance(column, (int, float, str)):
-            varying.append(column)
+            varying.append(list(column))
             continue
         formats[j] = (formats[j] % column).replace("%", "%%")
-    row_template = ",".join(formats) + "\n"
+    if n_rows is None:
+        n_rows = len(varying[0]) if varying else 0
+    row_template, k = ",".join(formats) + "\n", len(varying)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if varying:
-            fh.writelines(row_template % row for row in zip(*varying))
-        else:  # every column formatted once: n_rows copies of one row
-            fh.write(row_template % () * n_rows)
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+            m = min(CSV_BLOCK_ROWS, n_rows - lo)
+            cells = [None] * (m * k)  # row r's cell of varying column j sits at r k + j
+            for j, column in enumerate(varying):
+                cells[j::k] = column[lo:lo + m]
+            fh.write((row_template * m) % tuple(cells))
 
 
 def _resource_state(x: XState) -> list:

@@ -424,10 +424,12 @@ def parse_sweep_args(raw_values: str, mc_replicates: int) -> tuple[np.ndarray, i
 
 
 # The range of each option of the study verbs: --L0 and --beta are channel parameters and
-# --B-max a baseline, so PARAM_RULES states theirs; the counts and the seed have lower bounds
+# --B-max a baseline, so PARAM_RULES states theirs; --points is a baseline count, capped as
+# baselines.count is, and the other counts and the seed have lower bounds
 STUDY_OPTIONS = {"--L0": PARAM_RULES["L0"], "--beta": PARAM_RULES["beta"],
                  "--B-max": PARAM_RULES["B"],
-                 "--points": Range(lambda v: v < 0, "must be nonnegative, not {value}"),
+                 "--points": Range(lambda v: (v < 0) | (v > MAX_BASELINES),
+                                   f"must be in [0, {MAX_BASELINES}], not {{value}}"),
                  "--replicates": Range(lambda v: v < 1, "must be at least 1, not {value}"),
                  "--seed": Range(lambda v: v < 0, "must be at least 0, not {value}")}
 

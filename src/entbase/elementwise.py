@@ -19,6 +19,9 @@ same bits as the array path; a float result is a Python float either way.
   and the CPU; only the ufunc itself is sure to give the array's bits.
   (Rates measured with numpy 2.4.6 on an AVX-512 Xeon.) A scalar ufunc call
   costs ~0.25 us for sin and ~1.4 us for the two-argument ones.
+- overflow_to_inf: a Python float operator for a float; for an array, the
+  operator under np.errstate(over="ignore"), ~2 us that a float would pay
+  per call. Both give the same +-inf; numpy alone warns of it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,15 @@ def exp(x):
     if isinstance(x, np.ndarray):
         return np.fromiter(map(math.exp, x.tolist()), float, x.size)
     return math.exp(x)
+
+
+def overflow_to_inf(op, a, b):
+    """op(a, b), for op an operator-module function (add, mul, truediv): an array result
+    overflows to +-inf as a float's does, without numpy's RuntimeWarning."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        with np.errstate(over="ignore"):
+            return op(a, b)
+    return op(a, b)
 
 
 def _float_or_array(out):

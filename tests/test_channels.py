@@ -198,6 +198,27 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+# each call's array arithmetic overflows at 1e308, and at every nonzero element where the
+# divisor is subnormal: -L / L0, beta L, -t / tau_c, t1 + t2, B / (2 L0) and 2 L0
+OVERFLOW_CALLS = {
+    "fiber_loss_prob": lambda v: fiber_loss_prob(v, 1e-320),
+    "depol_prob": lambda v: depol_prob(v, 1e308),
+    "memory_xstate": lambda v: memory_xstate(v, 1e-320).w_a,
+    "swap_memories": lambda v: swap_memories(v, 1e308, 1.0).w_a,
+    "log_rate_fiber": lambda v: log_rate_fiber(v, 1e-320, RateModel(1.0, 1.0)),
+    "log_rate_fiber-L0": lambda v: log_rate_fiber(1.0, 1e-300 + v, RateModel(1.0, 1.0)),
+    "log_rate_depol_approx": lambda v: log_rate_depol_approx(v, 1e308, RateModel(1.0, 1.0))[0],
+}
+
+
+@pytest.mark.parametrize("call", list(OVERFLOW_CALLS.values()), ids=list(OVERFLOW_CALLS))
+def test_array_overflow_is_the_float_limit(call):
+    """An array whose arithmetic overflows gives, bit for bit, each element's float result
+    (the overflow's exact limit), and no RuntimeWarning, which tier-1 makes an error."""
+    values = np.array([0.0, 0.5, 1.0, 1e308])
+    assert np.array_equal(_bits(call(values)), _bits([call(v) for v in values.tolist()]))
+
+
 @pytest.mark.parametrize("kind, params, name", SWEPT_CASES, ids=SWEPT_IDS)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)

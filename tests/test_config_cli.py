@@ -967,7 +967,9 @@ class TestArgumentErrorsExit1:
 # a study option out of its range or malformed exits 1 with a message that names it,
 # before any file is written
 BAD_STUDY_ARGUMENTS = [
-    ("rates", ["--points", "-1"], "--points: must be nonnegative, not -1"),
+    ("rates", ["--points", "-1"], "--points: must be in [0, 1000000], not -1"),
+    # numpy would ask for petabytes of baselines
+    ("rates", ["--points", str(10 ** 15)], f"--points: must be in [0, 1000000], not {10 ** 15}"),
     ("rates", ["--B-max", "-5"], "--B-max: baseline must be nonnegative"),
     ("rates", ["--B-max", "inf"], "--B-max: expected a finite number"),
     ("rates", ["--L0", "0"], "--L0: value 0.0 must be positive"),
@@ -1235,11 +1237,13 @@ class TestSweptNRange:
 
 
 def reference_cell(x) -> str:
-    """The per-cell rule the CSV writers followed before their %-templates."""
+    """The per-cell rule the CSV writers followed before their %-templates (text is itself)."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     return format(float(x), ".17g")
 
 
@@ -1247,16 +1251,19 @@ CELL_FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 1e308, -1e308, 
                2.0 ** 53 + 2.0, 12.0, np.float64(0.1), np.float64(-math.inf), np.float64(math.nan),
                np.float64(5e-324), np.float64(-0.0), np.float64(1e308)]
 CELL_INTS = [0, 1, 2 ** 53 + 1, 2 ** 63 - 1, np.int64(2 ** 63 - 1)]
-CELL_RMSE = [None, 0.0017907626565792964, None, np.float64(math.nan), math.inf]
+CELL_RMSE = [None, 0.0017907626565792964, None, np.float64(math.nan), math.inf, "5%"]
+# row counts on and beside the edges of write_csv's blocks
+EDGE_ROWS = [0, 1, cli.CSV_BLOCK_ROWS - 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
+             2 * cli.CSV_BLOCK_ROWS + 1]
 
 
 def rendered(name: str, column):
     """column as cmd_sweep passes it: an RMSE cell as text, empty for None."""
-    if not name.startswith("rmse"):
+    if not name.startswith("rmse") or isinstance(column, str):
         return column
     if column is None or isinstance(column, float):
         return "" if column is None else "%.17g" % column
-    return ["" if v is None else "%.17g" % v for v in column]
+    return ["" if v is None else v if isinstance(v, str) else "%.17g" % v for v in column]
 
 
 ROWS = 20
@@ -1276,7 +1283,17 @@ def constant_except(n_rows: int, row: int) -> np.ndarray:
     return column
 
 
+def edge_columns(n_rows: int) -> list:
+    """EDGE's columns over n_rows rows: varying floats (both zeros, nan, the
+    infinities), an N above 2**53 and text holding %, beside a constant array and scalars."""
+    k = np.arange(n_rows)
+    return [np.resize(np.array(CELL_FLOATS), n_rows), np.where(k % 3, 0.0, -0.0),
+            np.full(n_rows, 0.5), -math.inf, 2 ** 53 + 1 + k, [f"{r}%" for r in range(n_rows)],
+            "100%"]
+
+
 SWEEP = (cli.SWEEP_HEADER, cli.SWEEP_FORMATS)
+EDGE = (("value", "xi", "C", "D", "N", "note", "tag"), {"N": "%d", "note": "%s", "tag": "%s"})
 COLUMN_CASES = {
     "minus-zero": (*SWEEP, sweep_columns(ROWS, xi=np.full(ROWS, -0.0)), ROWS),
     # a column mixing the two zeros has two bit patterns, so it stays per cell
@@ -1299,6 +1316,10 @@ COLUMN_CASES = {
     "zero-rows": (*SWEEP, sweep_columns(0), 0),
     "zero-rows-beside-scalars": (*SWEEP, sweep_columns(0, xi=0.5, C=0.25, R_M_norm=0.25,
                                                        ln_R_M=-1.0, log10_R_M=-0.5), 0),
+    **{f"block-edge-{n}": (*EDGE, edge_columns(n), n) for n in EDGE_ROWS},
+    # a sweep whose every column holds one value, over more rows than one block
+    "all-constant-blocks": (*SWEEP, sweep_columns(2 * cli.CSV_BLOCK_ROWS + 1, value=0.5),
+                            2 * cli.CSV_BLOCK_ROWS + 1),
 }
 
 
@@ -1310,15 +1331,24 @@ class TestCsvTemplates:
         (cli.INTENSITY_HEADER, None),
         (cli.SWEEP_HEADER, cli.SWEEP_FORMATS),
     ], ids=["visibility", "intensity", "sweep"])
-    def test_rows_match_the_cell_rule(self, tmp_path, header, formats):
+    @pytest.mark.parametrize("n_rows", [2 * len(CELL_FLOATS), *EDGE_ROWS])
+    @pytest.mark.parametrize("given", ["mixed", "zip"])
+    def test_rows_match_the_cell_rule(self, tmp_path, header, formats, n_rows, given):
+        """Each pool's cells over n_rows rows, its columns given as arrays, lists and map
+        iterators (mixed) or all as the tuples of one zip over the rows (as study errors)."""
         pools = {"N": CELL_INTS, "rmse_V_a": CELL_RMSE, "rmse_V_p": CELL_RMSE}
         columns = []
         for j, name in enumerate(header):
             pool = pools.get(name, CELL_FLOATS)
-            columns.append([pool[(k + j) % len(pool)] for k in range(2 * len(CELL_FLOATS))])
+            columns.append(rendered(name, [pool[(k + j) % len(pool)] for k in range(n_rows)]))
         reference_rows = list(zip(*columns))
-        cli.write_csv(tmp_path / "out.csv", header,
-                      [rendered(name, column) for name, column in zip(header, columns)], formats)
+        if given == "zip":
+            columns = zip(*reference_rows)
+        else:  # one column in three an array (one value is a constant column), one a map
+            columns = [np.array(column) if j % 3 == 0 and not name.startswith("rmse")
+                       else map(lambda v: v, column) if j % 3 == 1 else column
+                       for j, (name, column) in enumerate(zip(header, columns))]
+        cli.write_csv(tmp_path / "out.csv", header, columns, formats)
         expected = ",".join(header) + "\n" + "".join(
             ",".join(map(reference_cell, row)) + "\n" for row in reference_rows)
         assert (tmp_path / "out.csv").read_bytes() == expected.encode()
@@ -1329,7 +1359,7 @@ class TestCsvTemplates:
         """A scalar or constant array column, formatted once, writes each row's cells."""
         cli.write_csv(tmp_path / "out.csv", header,
                       [rendered(name, column) for name, column in zip(header, columns)], formats)
-        cells = [[column] * n_rows if column is None or isinstance(column, (int, float))
+        cells = [[column] * n_rows if column is None or isinstance(column, (int, float, str))
                  else list(column) for column in columns]
         expected = [",".join(header)] + [",".join(map(reference_cell, row)) for row in zip(*cells)]
         assert (tmp_path / "out.csv").read_text(encoding="utf-8").split("\n") == [*expected, ""]

@@ -7,8 +7,9 @@ sweep of the memory-swap config over t1, the
 CSV of `entbase study rates` at its default arguments and both CSVs of
 `entbase study errors` at the sizes tests/test_config_cli.py runs it with
 (all three were recorded when the studies were stand-alone scripts, and the
-study's before its tables moved into entbase.validation). A refactor must
-keep them; an intended change to these bytes (for example a new seed scheme)
+study's before its tables moved into entbase.validation), and three commands
+whose array arithmetic overflows (recorded when numpy still warned of it). A
+refactor must keep them; an intended change to these bytes (for example a new seed scheme)
 is declared in docs/schema.md and CHANGES.md and updates the digests in the
 same change.
 `intensity.csv` is left out: its dirty map is a BLAS matrix product whose last
@@ -76,6 +77,17 @@ SWEEP_DIGESTS = {
 
 RATE_SCRIPT_DIGEST = "bd00403528498c0a081887111c8d3e2407e412ae4c0f4d6147867fa23b685eee"
 
+# arguments whose array arithmetic overflows (-L / L0 at a subnormal L0, beta L at
+# beta = 1e308): each file holds the overflow's exact limit, written with no RuntimeWarning
+OVERFLOW_DIGESTS = {
+    ("sweep", "fiber_two_source", "--param", "L0", "--values", "1e-320"):
+        "9a714b4ced796d690c67a60a74d311473914c356b89bcec6fe8dd11900ce93e8",
+    ("study", "rates", "--L0", "1e-320"):
+        "a2d40a7c63b8915e0556cb1b8a27e27bf1c14e74a0dd7974c213a980721ba64a",
+    ("study", "rates", "--beta", "1e308"):
+        "c61c2e35a20fffd25877aa7bdd390c14e73806d39b57e5bdf5df55f5307b8d96",
+}
+
 # the numpy the digests were recorded with; a ufunc's last bits may differ on another
 # numpy build or CPU, so a failure names both versions
 RECORDED_NUMPY = "2.4.6"
@@ -126,3 +138,15 @@ def test_study_script_outputs_are_pinned(tmp_path, capsys):
     assert main(["study", "errors", *STUDY_ARGS, "--out", str(tmp_path)]) == 0
     for name, expected in STUDY_DIGESTS.items():
         assert digest(tmp_path / name) == expected, f"{name} ({NUMPY_NOTE})"
+
+
+@pytest.mark.parametrize("key", list(OVERFLOW_DIGESTS), ids=[
+    "sweep-L0", "study-rates-L0", "study-rates-beta"])
+def test_overflowing_arguments_write_their_limits(tmp_path, capsys, key):
+    if key[0] == "sweep":
+        verb, name, *args = key
+        argv, out = [verb, bundled_config(tmp_path, name), *args], tmp_path / "out" / "sweep.csv"
+    else:
+        argv, out = [*key, "--out", str(tmp_path)], tmp_path / "rate_vs_baseline.csv"
+    assert main(argv) == 0
+    assert digest(out) == OVERFLOW_DIGESTS[key], NUMPY_NOTE

@@ -39,8 +39,8 @@ MUTANTS = [
     ("error-bars-cramer-rao", protocol, "_invert_batch",
      "ew.sin(v_p_hat - ph.w1) * d2", "ew.sin(v_p_hat - ph.w2) * d2"),
     ("memory-swap-composition", channels, "swap_memories",
-     "p = 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))",
-     "p = 1.0 - 0.5 * (1.0 + _coherence_survival(t1 + t2, tau_c))"),
+     "p = 0.5 * (1.0 + _coherence_survival(ew.overflow_to_inf(add, t1, t2), tau_c))",
+     "p = 1.0 - 0.5 * (1.0 + _coherence_survival(ew.overflow_to_inf(add, t1, t2), tau_c))"),
     ("depol-x-bound", channels, "depol_x_param", "kappa_R / 9.0", "kappa_R / 3.0"),
     ("fiber-rate-line", config, "_fiber_xstate",
      "fiber_loss_prob(B / 2.0, L0)", "fiber_loss_prob(B, L0)"),
