@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -60,13 +61,6 @@ class TestConfigParsing:
         assert cfg.rates.R_E == 1.0 and cfg.rates.R_T == 1.0
         assert cfg.output_dir == "out"
 
-    @pytest.mark.parametrize("wavelength", [0.0, -1.0])
-    def test_top_level_range_fault_names_the_bare_key(self, wavelength):
-        with pytest.raises(ConfigError, match=rf"^wavelength: value {wavelength} must be "
-                                              r"positive$") as exc:
-            parse_config(base_config(wavelength=wavelength))
-        assert exc.value.key == "wavelength"
-
     def test_theta_grid_is_built_where_read(self, monkeypatch):
         def built(*args):
             raise AssertionError("theta grid built")
@@ -81,37 +75,6 @@ class TestConfigParsing:
     def test_baseline_list_form(self):
         cfg = parse_config(base_config(baselines=[1.0, 2.0, 5.0]))
         assert cfg.plan.baselines == (1.0, 2.0, 5.0)
-
-    @pytest.mark.parametrize("count", [0, config.MAX_BASELINES + 1, 2 ** 64])
-    def test_baseline_count_is_bounded(self, count):
-        # a config must not ask for an unbounded plan, such as 2**64 baselines
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(baselines={"B_max": 40.0, "count": count}))
-        assert err.value.key == "baselines.count"
-
-    @pytest.mark.parametrize("b_max", [1e308, 5e-324])
-    def test_baseline_plan_is_finite_and_increasing(self, b_max):
-        # 1e308 x count overflows to an inf baseline; a subnormal B_max rounds the
-        # baselines together
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(baselines={"B_max": b_max, "count": 12}))
-        assert err.value.key == "baselines.B_max"
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(bogus=1))
-        assert "bogus" in str(err.value)
-
-    def test_unknown_channel_key_rejected(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(channel={"kind": "ideal", "mu_L": 0.1}))
-        assert "mu_L" in str(err.value)
-
-    def test_out_of_range_named(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(
-                channel={"kind": "depolarizing", "kappa_L": 1.5, "kappa_R": 0.1}))
-        assert "kappa_L" in str(err.value)
 
     def test_channel_kinds(self):
         for channel in ({"kind": "amplitude_damping", "L0": 5.0},
@@ -131,42 +94,36 @@ class TestConfigParsing:
                                                 "tau_c": 1.0, "sign": sign}))
         assert cfg.channel.resource_factory()(10.0).w_p == w_p
 
-    @pytest.mark.parametrize("sign", [1.0, True, 0, "plus"])
-    def test_memory_swap_sign_rejected(self, sign):
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(channel={"kind": "memory_swap", "t1": 0.1, "t2": 0.2,
-                                              "tau_c": 1.0, "sign": sign}))
-        assert err.value.key == "channel.sign"
 
-    def test_custom_rate_table_validation(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(channel={"kind": "custom_rate",
-                                              "table": [[0.0, 0.6], [1.0, 0.3]]}))
-        assert "table" in str(err.value)
+# Malformed inputs: every command line that must exit 1, one row each in MALFORMED, and
+# the one harness that runs them all (test_malformed_input_exits_1).
 
-    def test_degenerate_phase_settings(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(phase_settings={"w1": 0.2, "w2": 0.2}))
-        assert "phase_settings" in str(err.value)
+RUN = ("run", "cfg.json")
 
-    @pytest.mark.parametrize("sources, fragment", [
-        ([{"theta": 0.01, "flux": 1.0}, {"theta": -0.25, "flux": 1.0}],
-         "source 1: offset -0.25 outside the small-angle regime (|theta| <= 0.1)"),
-        ([{"theta": 0.01, "flux": 1.0}, {"theta": 0.02, "flux": -0.5}],
-         "source 1: flux -0.5 must be nonnegative"),
-        ([{"theta": 0.01, "flux": 0.0}], "total flux must be positive"),
-        ([{"theta": -0.01, "flux": 1e308}, {"theta": 0.01, "flux": 1e308}],
-         "total flux overflows"),
-    ], ids=["offset", "negative-flux", "zero-total-flux", "overflowing-total-flux"])
-    def test_sky_rules(self, sources, fragment):
-        with pytest.raises(ConfigError) as err:
-            parse_config(base_config(sky={"sources": sources}))
-        assert err.value.key == "sky.sources"
-        assert fragment in str(err.value)
 
-    def test_load_missing_file(self):
-        with pytest.raises(ConfigError):
-            load_config("/nonexistent/path.json")
+def sweep(param, values, *more) -> tuple:
+    """The command line of a sweep of cfg.json's param over values, more arguments after."""
+    return ("sweep", "cfg.json", "--param", param, "--values", values, *more)
+
+
+class Malformed(NamedTuple):
+    """main(argv), run in a directory that holds config as cfg.json, exits 1 with stderr."""
+    id: str
+    argv: tuple
+    stderr: str  # all of stderr; with prefix, the JSON decoder's own words go before its \n
+    # overrides on base_config, an (old, new) text replacement in fiber_two_source.json,
+    # or the file's raw bytes
+    config: dict | tuple | bytes = {}
+    prefix: bool = False
+    marks: tuple = ()
+
+
+def bad_config(id, argv, message, config={}, **more) -> Malformed:
+    return Malformed(id, argv, f"invalid config: {message}\n", config, **more)
+
+
+def bad_arguments(id, argv, message) -> Malformed:
+    return Malformed(id, argv, f"invalid arguments: {message}\n")
 
 
 KINDS_MESSAGE = ("channel.kind: must be one of ideal, amplitude_damping, dephasing, "
@@ -232,28 +189,345 @@ CHANNEL_MESSAGES = [
 ]
 
 
-@pytest.mark.parametrize("channel, message", CHANNEL_MESSAGES,
-                         ids=[f"{i}-{message.split(':')[0]}"
-                              for i, (_, message) in enumerate(CHANNEL_MESSAGES)])
-def test_channel_error_message(tmp_path, capsys, channel, message):
-    cfg = base_config(channel=channel, output_dir=str(tmp_path / "out"))
-    assert main(["run", write_config(tmp_path, cfg)]) == 1
-    assert capsys.readouterr().err == f"invalid config: {message}\n"
-    assert not (tmp_path / "out").exists()
+# For each CHANNEL_PARAMS key: a channel form that takes it, a valid value,
+# an invalid one, and the message that names it.
+BAD_SWEPT_VALUES = [
+    ("lambda_L", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, "0.4", "1.5",
+     "channel.lambda_L: value 1.5 outside [0, 1]"),
+    ("lambda_R", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, "0.4", "-0.1",
+     "channel.lambda_R: value -0.1 outside [0, 1]"),
+    ("mu_L", {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "0.3", "1.5",
+     "channel.mu_L: value 1.5 outside [0, 1]"),
+    ("mu_R", {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "0.3", "-1",
+     "channel.mu_R: value -1.0 outside [0, 1]"),
+    ("kappa_L", {"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.2}, "0.3", "1.1",
+     "channel.kappa_L: value 1.1 outside [0, 1]"),
+    ("kappa_R", {"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.2}, "0.3", "-0.2",
+     "channel.kappa_R: value -0.2 outside [0, 1]"),
+    ("L0", {"kind": "amplitude_damping", "L0": 5.0}, "12", "0",
+     "channel.L0: value 0.0 must be positive"),
+    ("beta", {"kind": "depolarizing", "beta": 0.3}, "0.1", "-1",
+     "channel.beta: value -1.0 must be positive"),
+    ("t1", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "0.5", "-1",
+     "channel.t1: storage time must be nonnegative"),
+    ("t2", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "0.5", "-0.5",
+     "channel.t2: storage time must be nonnegative"),
+    ("tau_c", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "3", "0",
+     "channel.tau_c: value 0.0 must be positive"),
+]
+
+# A theta grid or a phase 2 pi B theta / lambda beyond the float range, a grid step that
+# underflows and a phase past MAX_PHASE, each naming its key with no numpy warning
+OVERFLOW_CASES = [
+    ("half-span-span", dict(theta_grid={"half_span": 1e308, "count": 3}), RUN,
+     "theta_grid.half_span: theta grid span overflows at half-span 1e+308"),
+    ("half-span-phase", dict(theta_grid={"half_span": 8.9e307, "count": 5}), RUN,
+     "theta_grid.half_span: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid "
+     "of half-span 8.9e+307"),
+    ("B_max-span", dict(baselines={"B_max": 1e-308, "count": 2}), RUN,
+     "baselines.B_max: theta grid span overflows at half-span 1.5e+308"),
+    ("B_max-beam", dict(baselines={"B_max": 5e-309, "count": 2}), RUN,
+     "baselines.B_max: theta grid span overflows at half-span inf"),
+    ("list-span", dict(baselines=[5e-309, 1e-308]), RUN,
+     "baselines: theta grid span overflows at half-span 1.5e+308"),
+    ("wavelength-phase", dict(wavelength=1e-307), RUN,
+     "wavelength: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid of "
+     "half-span 0.015"),
+    ("wavelength-reciprocal", dict(wavelength=1e-310), RUN,
+     "wavelength: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid of "
+     "half-span 0.015"),
+    ("list-B-phase", dict(baselines=[1.0, 1e308]), RUN,
+     "wavelength: phase 2 pi B theta / lambda overflows at B = 1e+308 on the grid of "
+     "half-span 0.015"),
+    ("sweep-B", {}, sweep("B", "10,1e308", "--mc-replicates", "3"),
+     "sweep.B: value 1e+308: phase 2 pi B theta / lambda overflows"),
+    ("sweep-L", {}, sweep("L", "3e307,10", "--mc-replicates", "3"),
+     "sweep.L: value 3e+307: phase 2 pi B theta / lambda overflows"),
+    # a grid step below the smallest normal double, whose points round together
+    ("half-span-step", dict(sky={"sources": [{"theta": 0, "flux": 1}]},
+                            theta_grid={"half_span": 5e-324, "count": 5}), RUN,
+     "theta_grid.half_span: theta grid step underflows at half-span 5e-324 and count 5"),
+    # finite phases past MAX_PHASE, where cos and sin lose their digits
+    ("wavelength-unresolved", dict(wavelength=2.94e-286, baselines=[1.55e16, 4.66e16]), RUN,
+     "wavelength: phase 2 pi B theta / lambda reaches 2.9877187276996805e+301 rad at "
+     "B = 4.66e+16 on the grid of half-span 0.015, beyond the 1073741824 rad that cos and "
+     "sin resolve"),
+    ("half-span-unresolved", dict(theta_grid={"half_span": 1e8, "count": 5}), RUN,
+     "theta_grid.half_span: phase 2 pi B theta / lambda reaches 50265482457.43669 rad at "
+     "B = 40.0 on the grid of half-span 100000000.0, beyond the 1073741824 rad that cos and "
+     "sin resolve"),
+    ("sweep-B-unresolved", {}, sweep("B", "10,1e12", "--mc-replicates", "3"),
+     "sweep.B: value 1000000000000.0: phase 2 pi B theta / lambda reaches "
+     "62831853071.79586 rad, beyond the 1073741824 rad that cos and sin resolve"),
+    ("sweep-L-unresolved", {}, sweep("L", "10,1e12", "--mc-replicates", "3"),
+     "sweep.L: value 1000000000000.0: phase 2 pi B theta / lambda reaches "
+     "62831853071.79586 rad, beyond the 1073741824 rad that cos and sin resolve"),
+]
+
+# a study option out of its range or malformed names it
+BAD_STUDY_ARGUMENTS = [
+    ("rates", ["--points", "-1"], "--points: must be in [0, 1000000], not -1"),
+    # numpy would ask for petabytes of baselines
+    ("rates", ["--points", str(10 ** 15)], f"--points: must be in [0, 1000000], not {10 ** 15}"),
+    ("rates", ["--B-max", "-5"], "--B-max: baseline must be nonnegative"),
+    ("rates", ["--B-max", "inf"], "--B-max: expected a finite number"),
+    ("rates", ["--L0", "0"], "--L0: value 0.0 must be positive"),
+    ("rates", ["--beta", "nan"], "--beta: expected a finite number"),
+    ("rates", ["--points", "abc"], "argument --points: invalid int value: 'abc'"),
+    ("errors", ["--replicates", "0"], "--replicates: must be at least 1, not 0"),
+    ("errors", ["--seed", "-1"], "--seed: must be at least 0, not -1"),
+    ("errors", ["--budget", "1e5"], "argument --budget: invalid int value: '1e5'"),
+    # N_post = round(3 * 0.3 / 2) = 0 at xi = 0.3, and 10**19 / 2 > 2**63 - 1 at xi = 1;
+    # no cell of a negative budget has a trial, and 10**400 xi is no float
+    *(("errors", ["--replicates", "2", "--budget", budget],
+       f"--budget: {budget} gives a cell N_post = round(budget xi / 2) outside [1, 2**63 - 1]")
+      for budget in ("3", str(10 ** 20), "-5", str(10 ** 400))),
+]
 
 
-# every multi-key form of config.CHANNEL_TABLE, as (kind, required keys)
-MULTI_KEY_FORMS = [(kind, keys) for kind, forms in config.CHANNEL_TABLE.items()
-                   for keys in forms if len(keys) > 1]
+def with_literal(key: str, text: str, prefix: bytes = b"") -> bytes:
+    """prefix, then base_config as JSON with the value at key written as the raw JSON text."""
+    return prefix + json.dumps(base_config(**{key: "LITERAL"})).replace('"LITERAL"', text).encode()
 
 
-@pytest.mark.parametrize("kind, keys", MULTI_KEY_FORMS,
-                         ids=[f"{kind}-{keys[-1]}" for kind, keys in MULTI_KEY_FORMS])
-def test_missing_key_is_named_before_a_bad_value(kind, keys):
-    # as in every other section: all of a form's keys are checked before any value
-    with pytest.raises(ConfigError) as err:
-        parse_config(base_config(channel={"kind": kind, **{key: "x" for key in keys[:-1]}}))
-    assert str(err.value) == f"channel.{keys[-1]}: missing required key"
+N_RANGE = "N_per_setting: must be an integer in [1, 9223372036854775807]"
+NOT_A_LIST = "sweep.values: not a comma-separated number list: "
+DEPHASING = {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}
+
+# `run` of base_config with overrides, (id, overrides, message); a top-level key is bare
+RUN_CASES = [
+    ("wavelength-zero", dict(wavelength=0.0), "wavelength: value 0.0 must be positive"),
+    ("wavelength-negative", dict(wavelength=-1.0), "wavelength: value -1.0 must be positive"),
+    ("unknown-key", dict(bogus=1), "bogus: unknown key"),
+    ("kappa_L-outside-range",
+     dict(channel={"kind": "depolarizing", "kappa_L": 1.5, "kappa_R": 0.0}),
+     "channel.kappa_L: value 1.5 outside [0, 1]"),
+    *((f"sign-{sign}", dict(channel={"kind": "memory_swap", **SWAP, "sign": sign}),
+       "channel.sign: must be '+', '-', 1 or -1") for sign in (True, 0)),
+    # a config must not ask for an unbounded plan, such as 2**64 baselines
+    *((f"baseline-count-{count}", dict(baselines={"B_max": 40.0, "count": count}),
+       "baselines.count: must be an integer in [1, 1000000]")
+      for count in (0, config.MAX_BASELINES + 1, 2 ** 64)),
+    # 1e308 x count overflows to an inf baseline; a subnormal B_max rounds the baselines to 0
+    ("B_max-1e308", dict(baselines={"B_max": 1e308, "count": 12}),
+     "baselines.B_max: value 1e+308 times count 12 overflows"),
+    ("B_max-5e-324", dict(baselines={"B_max": 5e-324, "count": 12}),
+     "baselines.B_max: value 5e-324: baselines must be positive"),
+    *((f"sky-{id}", dict(sky={"sources": sources}), f"sky.sources: {message}")
+      for id, sources, message in [
+          ("offset", [{"theta": 0.01, "flux": 1.0}, {"theta": -0.25, "flux": 1.0}],
+           "source 1: offset -0.25 outside the small-angle regime (|theta| <= 0.1)"),
+          ("negative-flux", [{"theta": 0.01, "flux": 1.0}, {"theta": 0.02, "flux": -0.5}],
+           "source 1: flux -0.5 must be nonnegative"),
+          ("zero-total-flux", [{"theta": 0.01, "flux": 0.0}], "total flux must be positive"),
+          ("overflowing-total-flux", [{"theta": -0.01, "flux": 1e308},
+                                      {"theta": 0.01, "flux": 1e308}], "total flux overflows"),
+          ("no-sources", [], "expected a nonempty list")]),
+    # non-finite, boolean and out-of-range numbers
+    ("nan-baseline", dict(baselines=[1.0, math.nan, 5.0]),
+     "baselines[1]: expected a finite number"),
+    ("inf-baseline", dict(baselines=[1.0, 2.0, math.inf]),
+     "baselines[2]: expected a finite number"),
+    ("nan-table",
+     dict(channel={"kind": "custom_rate", "table": [[0.0, 0.5], [math.nan, 0.3]]}),
+     "channel.table[1]: expected a pair of finite numbers"),
+    ("bool-table",
+     dict(channel={"kind": "custom_rate", "table": [[0.0, 0.5], [10.0, True]]}),
+     "channel.table[1]: expected a pair of finite numbers"),
+    ("huge-N", dict(N_per_setting=2 ** 63), N_RANGE),
+    ("huge-theta-grid", dict(theta_grid={"half_span": 0.05, "count": 1_000_001}),
+     "theta_grid.count: must be an integer in [2, 1000000]"),
+    ("one-baseline-count", dict(baselines={"B_max": 40.0, "count": 1}),
+     "baselines: run needs at least two baselines to image"),
+    ("one-baseline-list", dict(baselines=[40.0]),
+     "baselines: run needs at least two baselines to image"),
+    ("narrow-theta-grid", dict(theta_grid={"half_span": 1e-4, "count": 11}),
+     "theta_grid.half_span: value 0.0001 does not cover the source at |theta| = 0.01"),
+    # a key each, that no row above names
+    ("key-sky", dict(sky=[]), "sky: expected an object"),
+    ("key-sky.sources.flux", dict(sky={"sources": [{"theta": 0.01, "flux": "1"}]}),
+     "sky.sources[0].flux: expected a finite number"),
+    ("key-baselines.spacing", dict(baselines={"B_max": 40.0, "count": 12, "spacing": "log"}),
+     "baselines.spacing: only 'linear' spacing is supported"),
+    ("key-phase_settings", dict(phase_settings={"w1": 0.2, "w2": 0.2}),
+     "phase_settings: settings 0.2, 0.2 are degenerate (|sin(w2-w1)| < 1e-06)"),
+    ("key-phase_settings.w1", dict(phase_settings={"w1": "0", "w2": 0.2}),
+     "phase_settings.w1: expected a finite number"),
+    ("key-phase_settings.w2", dict(phase_settings={"w1": 0.0, "w2": math.inf}),
+     "phase_settings.w2: expected a finite number"),
+    ("key-rates", dict(rates=[]), "rates: expected an object"),
+    ("key-rates.R_T", dict(rates={"R_E": 1.0, "R_T": -1.0}),
+     "rates.R_T: value -1.0 must be positive"),
+    ("key-output_dir", dict(output_dir=""), "output_dir: expected a nonempty string"),
+    ("key-theta_grid", dict(theta_grid=[]), "theta_grid: expected an object"),
+]
+
+MALFORMED = [
+    *(bad_config(f"channel-{i}-{message.split(':')[0]}", RUN, message, {"channel": channel})
+      for i, (channel, message) in enumerate(CHANNEL_MESSAGES)),
+    # as in every other section, all of a multi-key channel form's keys are checked before
+    # any value
+    *(bad_config(f"channel-missing-before-bad-{kind}-{keys[-1]}", RUN,
+                 f"channel.{keys[-1]}: missing required key",
+                 {"channel": {"kind": kind, **{key: "x" for key in keys[:-1]}}})
+      for kind, forms in config.CHANNEL_TABLE.items() for keys in forms if len(keys) > 1),
+    *(bad_config(f"run-{id}", RUN, message, overrides) for id, overrides, message in RUN_CASES),
+    bad_config("run-missing-file", ("run", "missing.json"), "config: cannot read missing.json: "
+               "[Errno 2] No such file or directory: 'missing.json'"),
+    # every swept value is checked before any row is computed, and a bad one gets the key
+    # and message that a config holding it gets
+    *(bad_config(f"swept-late-{name}", sweep(name, ",".join([good, good, good, bad, good])),
+                 message, {"channel": channel})
+      for name, channel, good, bad, message in BAD_SWEPT_VALUES),
+    bad_config("swept-structural-lambda_L-on-fiber", sweep("lambda_L", "0.1,0.2,0.3"),
+               "channel.L0: give either L0 or lambda_L/lambda_R, not both",
+               {"channel": {"kind": "amplitude_damping", "L0": 5.0}}),
+    bad_config("swept-structural-mu_L-on-ideal", sweep("mu_L", "0.1,0.2,0.3"),
+               "channel.mu_L: unknown key"),
+    # the config is checked whole, as run checks it, before the swept values
+    bad_config("swept-base-first-bad-rates-before-bad-value", sweep("mu_L", "0.1,1.5"),
+               "rates.R_E: value 2.0 outside [0, 1]",
+               {"channel": DEPHASING, "rates": {"R_E": 2.0, "R_T": 1.0}}),
+    bad_config("swept-base-first-bad-configured-value-under-good-ones", sweep("mu_L", "0.1,0.2"),
+               "channel.mu_L: value 1.5 outside [0, 1]", {"channel": {**DEPHASING, "mu_L": 1.5}}),
+    bad_config("swept-value-validated", sweep("mu_L", "0.2,1.5"),
+               "channel.mu_L: value 1.5 outside [0, 1]", {"channel": {**DEPHASING, "mu_L": 0.0}}),
+    # row 1 (lambda_L = 1.0 with lambda_R = 0.3) is computable; row 2 is not a config
+    bad_config("swept-later-value-before-any-row",
+               sweep("lambda_L", "0.1,1.0,1.5", "--mc-replicates", "10"),
+               "channel.lambda_L: value 1.5 outside [0, 1]",
+               {"channel": {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.3}}),
+    bad_config("swept-unknown-param", sweep("nope", "1,2"),
+               "sweep.param.nope: not a sweepable parameter"),
+    # a swept N is taken exactly as int(value): no rounding at the top of the range
+    *(bad_config(f"swept-N-{id}", sweep("N", f"1000,{value},2000"), message)
+      for id, value, message in [
+          ("2**63", "9.223372036854776e18", N_RANGE), ("1e20", "1e20", N_RANGE),
+          ("fraction", "1.5", "sweep.N_per_setting: value 1.5 is not a positive integer"),
+          ("zero", "0", "sweep.N_per_setting: value 0.0 is not a positive integer")]),
+    *(bad_config(f"sweep-{id}", sweep(param, values, "--mc-replicates", "5"), message)
+      for id, param, values, message in [
+          ("nan-value", "B", "10,nan", "sweep.values: values must be finite: '10,nan'"),
+          ("huge-N", "N", "1000,1e20", N_RANGE),
+          ("empty-values", "nope", ",", f"{NOT_A_LIST}','"),
+          ("unknown-param", "nope", "1,2", "sweep.param.nope: not a sweepable parameter"),
+          ("negative-L", "L", "10,-1", "sweep.L: baseline must be nonnegative"),
+          ("empty-inner-value", "B", "10,,20", f"{NOT_A_LIST}'10,,20'"),
+          ("empty-last-value", "B", "10,20,", f"{NOT_A_LIST}'10,20,'")]),
+    bad_config("sweep-negative-replicates-before-values",
+               sweep("B", "10,nan", "--mc-replicates", "-1"),
+               "sweep.mc_replicates: must be nonnegative"),
+    # a list that starts with a negative number, which argparse took for an option
+    *(bad_config(f"sweep-negative-first-value-{id}",
+                 ("sweep", "cfg.json", "--param", "B", *values),
+                 "sweep.B: baseline must be nonnegative")
+      for id, values in [("spaced", ["--values", "-1,0"]), ("joined", ["--values=-1,0"]),
+                         ("abbreviated", ["--val", "-1,0"]),
+                         ("abbreviated-joined", ["--val=-1,0"])]),
+    # sweep never reads the grid, but a bad theta_grid is still a config error
+    *(bad_config(f"sweep-checks-{id}", sweep("B", "10,20"), message,
+                 {"theta_grid": theta_grid}) for id, theta_grid, message in [
+        ("huge-theta-grid", {"half_span": 0.05, "count": 1_000_001},
+         "theta_grid.count: must be an integer in [2, 1000000]"),
+        ("narrow-theta-grid", {"half_span": 1e-4, "count": 11},
+         "theta_grid.half_span: value 0.0001 does not cover the source at |theta| = 0.01"),
+        ("theta-grid-without-count", {"half_span": 0.05},
+         "theta_grid.count: missing required key")]),
+    *(bad_config(f"overflow-{id}", argv, message, overrides)
+      for id, overrides, argv, message in OVERFLOW_CASES),
+    # a name given twice in one JSON object names its dotted key
+    *(bad_config(f"duplicate-{id}-{argv[0]}", argv, f"{key}: duplicate key", (old, new))
+      for id, old, new, key in [
+          ("top-level", '"seed": 11,', '"seed": 11, "seed": 12,', "seed"),
+          ("nested", '"L0": 10.0', '"L0": 10.0, "L0": 10.0', "channel.L0"),
+          ("in-a-list", '{"theta": 0.01, "flux": 1.0}',
+           '{"theta": 0.01, "flux": 1.0, "theta": 0.02}', "sky.sources[1].theta")]
+      for argv in (RUN, sweep("N", "100,200"))),
+    # a file json.load cannot decode names the file, whatever the decoder raises: not
+    # UTF-8, nested past its recursion limit, or an integer past Python's digit limit.
+    # The decoder's words differ between Python versions, so these rows fix the start
+    *(bad_config(f"json-{argv[0]}-{id}", argv, "config: cfg.json is not valid JSON: ", raw,
+                 prefix=True, marks=marks)
+      for id, raw, marks in [
+          ("not-utf8", with_literal("seed", "3", b"\xff\xfe"), ()),
+          ("nested-100000-deep", with_literal("sky", "[" * 100_000 + "]" * 100_000), ()),
+          ("5000-digit-integer", with_literal("seed", "1" + "0" * 4999), pytest.mark.skipif(
+              not hasattr(sys, "get_int_max_str_digits"), reason="no int-digit limit"))]
+      for argv in (RUN, sweep("N", "100"))),
+    # usage errors name the argument, in argparse's words, the same in Python 3.10 to 3.13
+    *(bad_arguments(f"arguments-{id}", argv, message) for id, argv, message in [
+        ("unknown-verb", ("frob", "cfg.json"), "argument verb: invalid choice: 'frob' (choose "
+         "from 'run', 'sweep', 'validate', 'study')"),
+        ("missing-param", ("sweep", "cfg.json", "--values", "1,2"),
+         "the following arguments are required: --param"),
+        ("missing-values", ("sweep", "cfg.json", "--param", "B"),
+         "the following arguments are required: --values"),
+        ("non-integer-replicates", sweep("B", "1,2", "--mc-replicates", "2.5"),
+         "argument --mc-replicates: invalid int value: '2.5'"),
+        ("missing-study", ("study",), "the following arguments are required: study"),
+        ("option-without-value", ("study", "rates", "--L0"),
+         "argument --L0: expected one argument")]),
+    # the ids are cut at 66 characters: one budget has 401 digits
+    *(bad_arguments(f"study-{verb} {' '.join(argv)}"[:66], ("study", verb, *argv), message)
+      for verb, argv, message in BAD_STUDY_ARGUMENTS),
+]
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=row.id, marks=row.marks)
+                                 for row in MALFORMED])
+def test_malformed_input_exits_1(tmp_path, monkeypatch, capsys, row):
+    """Exit 1 with all of the row's stderr, no file written and no warning raised."""
+    monkeypatch.chdir(tmp_path)  # where the default output_dir and study --out would be
+    if isinstance(row.config, tuple):
+        text = (CONFIG_DIR / "fiber_two_source.json").read_text(encoding="utf-8")
+        assert text.count(row.config[0]) == 1
+        raw = text.replace(*row.config).encode()
+    else:
+        raw = row.config if isinstance(row.config, bytes) else json.dumps(
+            base_config(**row.config)).encode()
+    (tmp_path / "cfg.json").write_bytes(raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(list(row.argv)) == 1
+    err = capsys.readouterr().err
+    if row.prefix:  # the row's text, then the decoder's own words on the same one line
+        assert re.fullmatch(re.escape(row.stderr[:-1]) + r".+\n", err)
+    else:
+        assert err == row.stderr
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+    assert not caught
+
+
+def named_key(row: Malformed) -> str | None:
+    """The key or option row's stderr names, list indices dropped and sweep.param.<name>
+    read as sweep.param; None for argparse's own words."""
+    match = re.match(r"invalid (?:config|arguments): ((?:--)?[A-Za-z_][\w.\[\]-]*): ", row.stderr)
+    return match and re.sub(r"\[\d+\]|(?<=^sweep\.param)\.\w+", "", match[1])
+
+
+def config_keys(obj: dict, context: str = ""):
+    """The dotted key of every value in obj and in the objects it holds, indices dropped."""
+    for key, value in obj.items():
+        name = f"{context}.{key}" if context else key
+        yield name
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, dict):
+                yield from config_keys(item, name)
+
+
+def test_every_key_has_a_row():
+    """A row names each key config can name in an exit 1: each key of a config with every
+    section, each channel key, the sweep's own keys, the file and each study option; and a
+    sweep row names each channel parameter."""
+    full = base_config(phase_settings={"w1": 0.0, "w2": 1.0}, rates={"R_E": 1.0, "R_T": 1.0},
+                       output_dir="out", theta_grid={"half_span": 0.05, "count": 11})
+    keys = {*config_keys(full), *(f"channel.{key}" for key in (*CHANNEL_PARAMS, "table", "sign")),
+            *(f"sweep.{key}" for key in ("values", "param", "mc_replicates", "N_per_setting",
+                                         "B", "L")),
+            "config", *config.STUDY_OPTIONS}
+    assert keys - {named_key(row) for row in MALFORMED} == set()
+    swept = {named_key(row) for row in MALFORMED if row.argv[0] == "sweep"}
+    assert {f"channel.{key}" for key in CHANNEL_PARAMS} - swept == set()
 
 
 def test_every_table_form_has_example_params():
@@ -279,12 +553,6 @@ class TestRunCommand:
         # matrices serialize as nested [re, im] pairs
         ent = summary["resource_state"]
         assert ent[1][2] == [0.5, 0.0]
-
-    def test_invalid_config_exit_1(self, tmp_path, capsys):
-        cfg = base_config(channel={"kind": "depolarizing", "kappa_L": 1.5, "kappa_R": 0.0})
-        code = main(["run", write_config(tmp_path, cfg)])
-        assert code == 1
-        assert "kappa_L" in capsys.readouterr().err
 
     def test_dead_resource_exit_2(self, tmp_path, capsys):
         cfg = base_config(channel={"kind": "amplitude_damping",
@@ -477,20 +745,6 @@ class TestSweepCommand:
         r_norm = [float(r.split(",")[3]) for r in rows[1:]]
         assert r_norm == [0.5, 0.45, 0.4, 0.35]
 
-    def test_unknown_param_exit_1(self, tmp_path, capsys):
-        cfg = base_config()
-        code = main(["sweep", write_config(tmp_path, cfg), "--param", "nope",
-                     "--values", "1,2"])
-        assert code == 1
-        assert "nope" in capsys.readouterr().err
-
-    def test_sweep_value_validated(self, tmp_path, capsys):
-        cfg = base_config(channel={"kind": "dephasing", "mu_L": 0.0, "mu_R": 0.0})
-        code = main(["sweep", write_config(tmp_path, cfg), "--param", "mu_L",
-                     "--values", "0.2,1.5"])
-        assert code == 1
-        assert "mu_L" in capsys.readouterr().err
-
     @pytest.mark.parametrize("channel, param, values, dead", [
         ({"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "mu_L", "0.5,1.0", {1}),
         # lambda_R = 1 leaves no coherence (row 0) and with lambda_L = 1 no weight (row 1)
@@ -512,18 +766,6 @@ class TestSweepCommand:
                 assert mc[6:] == ["", ""]
             else:
                 assert float(mc[6]) > 0.0 and float(mc[7]) > 0.0
-
-    def test_later_malformed_value_exits_1_before_any_row(self, tmp_path, capsys):
-        # row 1 (lambda_L = 1.0 with lambda_R = 0.3) is computable; row 2 is not a config
-        cfg = base_config(channel={"kind": "amplitude_damping", "lambda_L": 0.1,
-                                   "lambda_R": 0.3},
-                          output_dir=str(tmp_path / "out"))
-        code = main(["sweep", write_config(tmp_path, cfg), "--param", "lambda_L",
-                     "--values", "0.1,1.0,1.5", "--mc-replicates", "10"])
-        assert code == 1
-        assert "channel.lambda_L" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
 
 def reference_log_rates(r_abs) -> tuple[float, float]:
     """The ln_R_M and log10_R_M cells of one rate, as the per-row writer computed them."""
@@ -607,34 +849,6 @@ def test_sweep_warns_of_a_fold_once(tmp_path):
     assert len(caught) == 1
 
 
-# For each CHANNEL_PARAMS key: a channel form that takes it, a valid value,
-# an invalid one, and the message that names it.
-BAD_SWEPT_VALUES = [
-    ("lambda_L", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, "0.4", "1.5",
-     "channel.lambda_L: value 1.5 outside [0, 1]"),
-    ("lambda_R", {"kind": "amplitude_damping", "lambda_L": 0.1, "lambda_R": 0.2}, "0.4", "-0.1",
-     "channel.lambda_R: value -0.1 outside [0, 1]"),
-    ("mu_L", {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "0.3", "1.5",
-     "channel.mu_L: value 1.5 outside [0, 1]"),
-    ("mu_R", {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2}, "0.3", "-1",
-     "channel.mu_R: value -1.0 outside [0, 1]"),
-    ("kappa_L", {"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.2}, "0.3", "1.1",
-     "channel.kappa_L: value 1.1 outside [0, 1]"),
-    ("kappa_R", {"kind": "depolarizing", "kappa_L": 0.1, "kappa_R": 0.2}, "0.3", "-0.2",
-     "channel.kappa_R: value -0.2 outside [0, 1]"),
-    ("L0", {"kind": "amplitude_damping", "L0": 5.0}, "12", "0",
-     "channel.L0: value 0.0 must be positive"),
-    ("beta", {"kind": "depolarizing", "beta": 0.3}, "0.1", "-1",
-     "channel.beta: value -1.0 must be positive"),
-    ("t1", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "0.5", "-1",
-     "channel.t1: storage time must be nonnegative"),
-    ("t2", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "0.5", "-0.5",
-     "channel.t2: storage time must be nonnegative"),
-    ("tau_c", {"kind": "memory_swap", "t1": 0.1, "t2": 0.2, "tau_c": 1.0}, "3", "0",
-     "channel.tau_c: value 0.0 must be positive"),
-]
-
-
 # each channel parameter's first form in CHANNEL_FORMS, with valid values for the rest
 PARAM_FORMS = {name: next((kind, params) for kind, params in CHANNEL_FORMS if name in params)
                for name in CHANNEL_PARAMS}
@@ -665,235 +879,9 @@ def test_config_and_builder_agree_on_each_value(name, value):
     assert config_fault == library_fault
 
 
-class TestSweepValidation:
-    """Every swept value is checked before any row is computed, and a bad one exits 1
-    with the key and message that a config holding it gets."""
-
-    def test_every_rule_is_covered(self):
-        assert {case[0] for case in BAD_SWEPT_VALUES} == set(CHANNEL_PARAMS)
-
-    @pytest.mark.parametrize("name, channel, good, bad, message", BAD_SWEPT_VALUES,
-                             ids=[case[0] for case in BAD_SWEPT_VALUES])
-    def test_late_bad_value(self, tmp_path, capsys, name, channel, good, bad, message):
-        cfg = base_config(channel=channel, output_dir=str(tmp_path / "out"))
-        values = ",".join([good, good, good, bad, good])
-        assert main(["sweep", write_config(tmp_path, cfg), "--param", name,
-                     "--values", values]) == 1
-        assert capsys.readouterr().err == f"invalid config: {message}\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("name, channel, message", [
-        ("lambda_L", {"kind": "amplitude_damping", "L0": 5.0},
-         "channel.L0: give either L0 or lambda_L/lambda_R, not both"),
-        ("mu_L", {"kind": "ideal"}, "channel.mu_L: unknown key"),
-    ], ids=["lambda_L-on-fiber", "mu_L-on-ideal"])
-    def test_structural_error_is_named_once(self, tmp_path, capsys, name, channel, message):
-        cfg = base_config(channel=channel, output_dir=str(tmp_path / "out"))
-        assert main(["sweep", write_config(tmp_path, cfg), "--param", name,
-                     "--values", "0.1,0.2,0.3"]) == 1
-        assert capsys.readouterr().err == f"invalid config: {message}\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("overrides, values, message", [
-        (dict(rates={"R_E": 2.0, "R_T": 1.0}), "0.1,1.5", "rates.R_E: value 2.0 outside [0, 1]"),
-        (dict(channel={"kind": "dephasing", "mu_L": 1.5, "mu_R": 0.2}), "0.1,0.2",
-         "channel.mu_L: value 1.5 outside [0, 1]"),
-    ], ids=["bad-rates-before-bad-value", "bad-configured-value-under-good-ones"])
-    def test_base_config_is_checked_first(self, tmp_path, capsys, overrides, values, message):
-        # the config is checked whole, as run checks it, before the swept values
-        cfg = base_config(**{"channel": {"kind": "dephasing", "mu_L": 0.1, "mu_R": 0.2},
-                             "output_dir": str(tmp_path / "out"), **overrides})
-        assert main(["sweep", write_config(tmp_path, cfg), "--param", "mu_L",
-                     "--values", values]) == 1
-        assert capsys.readouterr().err == f"invalid config: {message}\n"
-        assert not (tmp_path / "out").exists()
-
-
-class TestMalformedNumbersExit1:
-    """Non-finite, boolean and out-of-range numbers are config errors naming their key."""
-
-    @pytest.mark.parametrize("overrides, key", [
-        (dict(baselines=[1.0, math.nan, 5.0]), "baselines[1]"),
-        (dict(baselines=[1.0, 2.0, math.inf]), "baselines[2]"),
-        (dict(channel={"kind": "custom_rate", "table": [[0.0, 0.5], [math.nan, 0.3]]}),
-         "channel.table[1]"),
-        (dict(channel={"kind": "custom_rate", "table": [[0.0, 0.5], [10.0, True]]}),
-         "channel.table[1]"),
-        (dict(N_per_setting=2 ** 63), "N_per_setting"),
-        (dict(theta_grid={"half_span": 0.05, "count": 1_000_001}), "theta_grid.count"),
-        (dict(baselines={"B_max": 40.0, "count": 1}), "baselines"),
-        (dict(baselines=[40.0]), "baselines"),
-        (dict(theta_grid={"half_span": 1e-4, "count": 11}), "theta_grid.half_span"),
-    ], ids=["nan-baseline", "inf-baseline", "nan-table", "bool-table", "huge-N",
-            "huge-theta-grid", "one-baseline-count", "one-baseline-list",
-            "narrow-theta-grid"])
-    def test_run(self, tmp_path, capsys, overrides, key):
-        cfg = base_config(output_dir=str(tmp_path / "out"), **overrides)
-        assert main(["run", write_config(tmp_path, cfg)]) == 1
-        assert key in capsys.readouterr().err
-
-    @pytest.mark.parametrize("param, values, key", [
-        ("B", "10,nan", "sweep.values"),
-        ("N", "1000,1e20", "N_per_setting"),
-        ("nope", ",", "sweep.values"),
-        ("nope", "1,2", "sweep.param.nope"),
-        ("L", "10,-1", "sweep.L"),
-        ("B", "10,,20", "sweep.values"),
-        ("B", "10,20,", "sweep.values"),
-    ], ids=["nan-value", "huge-N", "empty-values", "unknown-param", "negative-L",
-            "empty-inner-value", "empty-last-value"])
-    def test_sweep(self, tmp_path, capsys, param, values, key):
-        cfg = base_config(output_dir=str(tmp_path / "out"))
-        code = main(["sweep", write_config(tmp_path, cfg), "--param", param,
-                     "--values", values, "--mc-replicates", "5"])
-        assert code == 1
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_negative_replicates_are_named_before_the_values(self, tmp_path, capsys):
-        cfg = base_config(output_dir=str(tmp_path / "out"))
-        assert main(["sweep", write_config(tmp_path, cfg), "--param", "B", "--values", "10,nan",
-                     "--mc-replicates", "-1"]) == 1
-        assert capsys.readouterr().err == \
-            "invalid config: sweep.mc_replicates: must be nonnegative\n"
-
-    # a list that starts with a negative number, which argparse took for an option
-    @pytest.mark.parametrize("values_args", [["--values", "-1,0"], ["--values=-1,0"],
-                                             ["--val", "-1,0"], ["--val=-1,0"]],
-                             ids=["spaced", "joined", "abbreviated", "abbreviated-joined"])
-    def test_negative_first_value_in_any_form(self, tmp_path, capsys, values_args):
-        cfg = base_config(output_dir=str(tmp_path / "out"))
-        assert main(["sweep", write_config(tmp_path, cfg), "--param", "B", *values_args]) == 1
-        assert capsys.readouterr().err == \
-            "invalid config: sweep.B: baseline must be nonnegative\n"
-
-    @pytest.mark.parametrize("theta_grid, key", [
-        ({"half_span": 0.05, "count": 1_000_001}, "theta_grid.count"),
-        ({"half_span": 1e-4, "count": 11}, "theta_grid.half_span"),
-        ({"half_span": 0.05}, "theta_grid"),
-    ], ids=["huge-theta-grid", "narrow-theta-grid", "theta-grid-without-count"])
-    def test_sweep_checks_theta_grid(self, tmp_path, capsys, theta_grid, key):
-        # sweep never reads the grid, but a bad theta_grid is still a config error
-        cfg = base_config(output_dir=str(tmp_path / "out"), theta_grid=theta_grid)
-        code = main(["sweep", write_config(tmp_path, cfg), "--param", "B",
-                     "--values", "10,20"])
-        assert code == 1
-        assert key in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-
-class TestDuplicateKeysExit1:
-    """A name given twice in one JSON object is a config error naming its dotted key."""
-
-    @pytest.mark.parametrize("old, new, key", [
-        ('"seed": 11,', '"seed": 11, "seed": 12,', "seed"),
-        ('"L0": 10.0', '"L0": 10.0, "L0": 10.0', "channel.L0"),
-        ('{"theta": 0.01, "flux": 1.0}', '{"theta": 0.01, "flux": 1.0, "theta": 0.02}',
-         "sky.sources[1].theta"),
-    ], ids=["top-level", "nested", "in-a-list"])
-    def test_exit_1_names_the_key(self, tmp_path, capsys, old, new, key):
-        text = (CONFIG_DIR / "fiber_two_source.json").read_text(encoding="utf-8")
-        assert text.count(old) == 1
-        text = text.replace(old, new).replace('"out/fiber_two_source"',
-                                              json.dumps(str(tmp_path / "out")))
-        path = tmp_path / "cfg.json"
-        path.write_text(text, encoding="utf-8")
-        for command in (["run"], ["sweep", "--param", "N", "--values", "100,200"]):
-            assert main([command[0], str(path), *command[1:]]) == 1
-            assert capsys.readouterr().err == f"invalid config: {key}: duplicate key\n"
-        assert not (tmp_path / "out").exists()
-
-
-class TestUnreadableJsonExit1:
-    """A file that json.load cannot decode is a config error naming the file, whatever
-    the decoder raises: not UTF-8, nested past its recursion limit, or an integer literal
-    past Python's int-digit limit."""
-
-    @pytest.mark.parametrize("prefix, key, literal", [
-        (b"\xff\xfe", "seed", "3"),
-        (b"", "sky", "[" * 100_000 + "]" * 100_000),
-        pytest.param(b"", "seed", "1" + "0" * 4999, marks=pytest.mark.skipif(
-            not hasattr(sys, "get_int_max_str_digits"), reason="no int-digit limit")),
-    ], ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
-    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "N", "--values", "100"]],
-                             ids=["run", "sweep"])
-    def test_exit_1_names_the_file(self, tmp_path, capsys, prefix, key, literal, command):
-        # the config, with the value at key written as the raw JSON text literal
-        text = json.dumps(base_config(output_dir=str(tmp_path / "out"), **{key: "LITERAL"}))
-        path = tmp_path / "cfg.json"
-        path.write_bytes(prefix + text.replace('"LITERAL"', literal).encode("utf-8"))
-        assert main([command[0], str(path), *command[1:]]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"invalid config: config: {path} is not valid JSON: ")
-        assert not (tmp_path / "out").exists()
-
-
-OVERFLOW_CASES = [
-    (dict(theta_grid={"half_span": 1e308, "count": 3}), ["run"],
-     "theta_grid.half_span: theta grid span overflows at half-span 1e+308"),
-    (dict(theta_grid={"half_span": 8.9e307, "count": 5}), ["run"],
-     "theta_grid.half_span: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid "
-     "of half-span 8.9e+307"),
-    (dict(baselines={"B_max": 1e-308, "count": 2}), ["run"],
-     "baselines.B_max: theta grid span overflows at half-span 1.5e+308"),
-    (dict(baselines={"B_max": 5e-309, "count": 2}), ["run"],
-     "baselines.B_max: theta grid span overflows at half-span inf"),
-    (dict(baselines=[5e-309, 1e-308]), ["run"],
-     "baselines: theta grid span overflows at half-span 1.5e+308"),
-    (dict(wavelength=1e-307), ["run"],
-     "wavelength: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid of "
-     "half-span 0.015"),
-    (dict(wavelength=1e-310), ["run"],
-     "wavelength: phase 2 pi B theta / lambda overflows at B = 40.0 on the grid of "
-     "half-span 0.015"),
-    (dict(baselines=[1.0, 1e308]), ["run"],
-     "wavelength: phase 2 pi B theta / lambda overflows at B = 1e+308 on the grid of "
-     "half-span 0.015"),
-    ({}, ["sweep", "--param", "B", "--values", "10,1e308", "--mc-replicates", "3"],
-     "sweep.B: value 1e+308: phase 2 pi B theta / lambda overflows"),
-    ({}, ["sweep", "--param", "L", "--values", "3e307,10", "--mc-replicates", "3"],
-     "sweep.L: value 3e+307: phase 2 pi B theta / lambda overflows"),
-    # a grid step below the smallest normal double, whose points round together
-    (dict(sky={"sources": [{"theta": 0, "flux": 1}]},
-          theta_grid={"half_span": 5e-324, "count": 5}), ["run"],
-     "theta_grid.half_span: theta grid step underflows at half-span 5e-324 and count 5"),
-    # finite phases past MAX_PHASE, where cos and sin lose their digits
-    (dict(wavelength=2.94e-286, baselines=[1.55e16, 4.66e16]), ["run"],
-     "wavelength: phase 2 pi B theta / lambda reaches 2.9877187276996805e+301 rad at "
-     "B = 4.66e+16 on the grid of half-span 0.015, beyond the 1073741824 rad that cos and "
-     "sin resolve"),
-    (dict(theta_grid={"half_span": 1e8, "count": 5}), ["run"],
-     "theta_grid.half_span: phase 2 pi B theta / lambda reaches 50265482457.43669 rad at "
-     "B = 40.0 on the grid of half-span 100000000.0, beyond the 1073741824 rad that cos and "
-     "sin resolve"),
-    ({}, ["sweep", "--param", "B", "--values", "10,1e12", "--mc-replicates", "3"],
-     "sweep.B: value 1000000000000.0: phase 2 pi B theta / lambda reaches "
-     "62831853071.79586 rad, beyond the 1073741824 rad that cos and sin resolve"),
-    ({}, ["sweep", "--param", "L", "--values", "10,1e12", "--mc-replicates", "3"],
-     "sweep.L: value 1000000000000.0: phase 2 pi B theta / lambda reaches "
-     "62831853071.79586 rad, beyond the 1073741824 rad that cos and sin resolve"),
-]
-
-
 class TestOverflowingPhasesExit1:
-    """A theta grid or a phase 2 pi B theta / lambda beyond the float range, a grid step
-    that underflows and a phase past MAX_PHASE are config errors naming their key, with
-    no numpy warning on the way."""
-
-    @pytest.mark.parametrize("overrides, command, message", OVERFLOW_CASES, ids=[
-        "half-span-span", "half-span-phase", "B_max-span", "B_max-beam", "list-span",
-        "wavelength-phase", "wavelength-reciprocal", "list-B-phase", "sweep-B", "sweep-L",
-        "half-span-step", "wavelength-unresolved", "half-span-unresolved", "sweep-B-unresolved",
-        "sweep-L-unresolved"])
-    def test_exit_1_names_the_key(self, tmp_path, capsys, overrides, command, message):
-        path = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out"),
-                                                  **overrides))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main([command[0], path, *command[1:]]) == 1
-        assert capsys.readouterr().err == f"invalid config: {message}\n"
-        assert not caught
-        assert not (tmp_path / "out").exists()
+    """The phase and grid-step limits of MALFORMED's overflow rows, just inside and just
+    past, and the configs that run clear of them."""
 
     def test_phase_bound_is_max_phase(self):
         # the grid's phase 2 pi B (2 half_span) / lambda just under MAX_PHASE and just past
@@ -938,52 +926,13 @@ class TestOverflowingPhasesExit1:
 
 
 class TestArgumentErrorsExit1:
-    """Usage errors exit 1 naming the argument, like config errors; --help still exits 0."""
-
-    @pytest.mark.parametrize("argv, name", [
-        (["frob", "{cfg}"], "frob"),
-        (["sweep", "{cfg}", "--values", "1,2"], "--param"),
-        (["sweep", "{cfg}", "--param", "B"], "--values"),
-        (["sweep", "{cfg}", "--param", "B", "--values", "1,2", "--mc-replicates", "2.5"],
-         "--mc-replicates"),
-        (["study"], "study"),
-        (["study", "rates", "--L0"], "--L0"),
-    ], ids=["unknown-verb", "missing-param", "missing-values", "non-integer-replicates",
-            "missing-study", "option-without-value"])
-    def test_exit_1(self, tmp_path, capsys, argv, name):
-        cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "out")))
-        assert main([arg.replace("{cfg}", cfg) for arg in argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("invalid arguments: ") and name in err
-        assert not (tmp_path / "out").exists()
+    """--help exits 0; every usage error is a MALFORMED row, exiting 1."""
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--help"])
         assert exc.value.code == 0
         assert "--mc-replicates" in capsys.readouterr().out
-
-
-# a study option out of its range or malformed exits 1 with a message that names it,
-# before any file is written
-BAD_STUDY_ARGUMENTS = [
-    ("rates", ["--points", "-1"], "--points: must be in [0, 1000000], not -1"),
-    # numpy would ask for petabytes of baselines
-    ("rates", ["--points", str(10 ** 15)], f"--points: must be in [0, 1000000], not {10 ** 15}"),
-    ("rates", ["--B-max", "-5"], "--B-max: baseline must be nonnegative"),
-    ("rates", ["--B-max", "inf"], "--B-max: expected a finite number"),
-    ("rates", ["--L0", "0"], "--L0: value 0.0 must be positive"),
-    ("rates", ["--beta", "nan"], "--beta: expected a finite number"),
-    ("rates", ["--points", "abc"], "argument --points: invalid int value: 'abc'"),
-    ("errors", ["--replicates", "0"], "--replicates: must be at least 1, not 0"),
-    ("errors", ["--seed", "-1"], "--seed: must be at least 0, not -1"),
-    ("errors", ["--budget", "1e5"], "argument --budget: invalid int value: '1e5'"),
-    # N_post = round(3 * 0.3 / 2) = 0 at xi = 0.3, and 10**19 / 2 > 2**63 - 1 at xi = 1;
-    # no cell of a negative budget has a trial, and 10**400 xi is no float
-    *(("errors", ["--replicates", "2", "--budget", budget],
-       f"--budget: {budget} gives a cell N_post = round(budget xi / 2) outside [1, 2**63 - 1]")
-      for budget in ("3", str(10 ** 20), "-5", str(10 ** 400))),
-]
 
 
 class TestStudyCommand:
@@ -1007,14 +956,6 @@ class TestStudyCommand:
         assert main(["study", "rates", "--points", "0", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "rate_vs_baseline.csv").read_text() == (
             "B,R_fiber_norm,R_depol_norm,R_ideal_norm,ln_R_depol_approx\n")
-
-    # the ids are cut at 60 characters: one budget has 401 digits
-    @pytest.mark.parametrize("verb, argv, message", BAD_STUDY_ARGUMENTS, ids=[
-        f"{verb} {' '.join(argv)}"[:60] for verb, argv, _ in BAD_STUDY_ARGUMENTS])
-    def test_out_of_range_argument_exits_1(self, tmp_path, capsys, verb, argv, message):
-        assert main(["study", verb, *argv, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"invalid arguments: {message}\n"
-        assert not any(tmp_path.iterdir())
 
     def test_error_scaling_study(self, tmp_path, capsys):
         assert main(["study", "errors", "--replicates", "25", "--budget", "20000",
@@ -1210,19 +1151,6 @@ def test_swept_config_is_the_full_parse_of_each_value(name, kind, params, fixed,
 
 class TestSweptNRange:
     """A swept N is taken exactly as int(value): no rounding at the top of the range."""
-
-    @pytest.mark.parametrize("value, message", [
-        ("9.223372036854776e18", "N_per_setting: must be an integer in [1, 9223372036854775807]"),
-        ("1e20", "N_per_setting: must be an integer in [1, 9223372036854775807]"),
-        ("1.5", "sweep.N_per_setting: value 1.5 is not a positive integer"),
-        ("0", "sweep.N_per_setting: value 0.0 is not a positive integer"),
-    ], ids=["2**63", "1e20", "fraction", "zero"])
-    def test_rejected(self, tmp_path, capsys, value, message):
-        cfg = base_config(output_dir=str(tmp_path / "out"))
-        assert main(["sweep", write_config(tmp_path, cfg), "--param", "N",
-                     "--values", f"1000,{value},2000"]) == 1
-        assert capsys.readouterr().err == f"invalid config: {message}\n"
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value, n", [(2.0 ** 62, 4611686018427387904),
                                           (2.0 ** 63 - 1024, 9223372036854774784)],

@@ -1,4 +1,4 @@
-"""Every backticked `module.name` of an entbase module in the docs names what exists."""
+"""The docs state what exists: each backticked `module.name` and each quoted exit-1 message."""
 
 import importlib
 import re
@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import pytest
+from test_config_cli import MALFORMED
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "docs/schema.md")
@@ -46,3 +47,13 @@ def test_the_docs_hold_references():
                          ids=[f"{where}:{dotted}" for where, dotted in REFERENCES])
 def test_reference_resolves(where, dotted):
     resolve(dotted)
+
+
+def test_quoted_exit_1_messages_are_malformed_rows():
+    """Each `<key>: <message>` that the `1` item of docs/schema.md's "Exit codes" section
+    quotes, line breaks read as spaces, is the stderr of a test_config_cli.MALFORMED row."""
+    text = (ROOT / "docs/schema.md").read_text(encoding="utf-8").split("\n## Exit codes\n")[1]
+    item = " ".join(text.split("\n- `1` ")[1].split("\n- `2` ")[0].split())
+    quoted = re.findall(r"`((?:--)?[A-Za-z_][\w.\[\]-]*: [^`]+)`", item)
+    bodies = {row.stderr.split(": ", 1)[1][:-1] for row in MALFORMED if not row.prefix}
+    assert quoted and [message for message in quoted if message not in bodies] == []

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -197,7 +198,7 @@ def test_mutated_config_exits_cleanly(case):
         err = err.getvalue()
         assert code in (0, 1, 2), err
         if code == 1:
-            assert err.startswith(("invalid config: ", "invalid arguments: ")), err
+            assert re.fullmatch(r"invalid (config: [A-Za-z_][\w.\[\]]*|arguments): .+\n", err), err
             # a sweep always gives its list, in either form: only its value check may refuse it
             assert "argument --values" not in err, err
         elif code == 2:
