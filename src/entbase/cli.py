@@ -26,8 +26,8 @@ from .channels import RateModel, log_rate_depol_approx
 from .config import (ChannelConfig, ConfigError, check_phase, check_study_option, load_config,
                      parse_sweep_args, swept_config)
 from .imaging import observe_and_image, resolution, true_visibility
-# parse_config and run_observation are unused here but stay bound: the benchmark
-# tracer rebinds them by name
+# parse_config, run_observation and derive_seed are unused here but stay bound: the
+# benchmark tracer rebinds them by name
 from .config import parse_config  # noqa: F401
 from .protocol import (  # noqa: F401
     derive_seed, replicate_rmse, run_observation, scaling_laws)
@@ -207,17 +207,16 @@ def cmd_sweep(config_path: str, param: str, values, mc_replicates: int = 0,
     if live:
         rmse_a, rmse_p = [""] * n, [""] * n
         # the sky at each row's evaluation baseline, once its phase passes check_phase
-        # (the base config's B_max has passed it); each row draws from its own
-        # generator, and one replicate_rmse call inverts them all
+        # (the base config's B_max has passed it); one replicate_rmse call draws and
+        # inverts every row, row r tagged r
         observations = []
         for r in live:
             b = ew.item(b_eval, r)
             check_phase(f"sweep.{param}", b, (cfg.sky.max_phase(b),))
             v_c = true_visibility(cfg.sky, b)
             observations.append((AstroVisibility(abs(v_c), cmath.phase(v_c)), resource.row(r),
-                                 cfg.settings.row(r), ew.item(cfg.n_per_setting, r),
-                                 np.random.default_rng(derive_seed(cfg.seed, r))))
-        va, vp = replicate_rmse(observations, mc_replicates)
+                                 cfg.settings.row(r), ew.item(cfg.n_per_setting, r), r))
+        va, vp = replicate_rmse(observations, mc_replicates, cfg.seed)
         for r, a, p in zip(live, va.tolist(), vp.tolist()):
             rmse_a[r], rmse_p[r] = "%.17g" % a, "%.17g" % p
 

@@ -304,8 +304,9 @@ def _parse_baselines(obj) -> BaselinePlan:
         raise ConfigError(f"{ctx}.B_max", f"value {b_max} times count {count} overflows")
     try:
         return BaselinePlan.linear(b_max, count)
-    except ValueError as exc:  # a subnormal B_max rounds baselines together
-        raise ConfigError(f"{ctx}.B_max", f"value {b_max}: {exc}") from exc
+    except ValueError as exc:  # a subnormal B_max rounds baselines to 0 or together
+        raise ConfigError(f"{ctx}.B_max", f"value {b_max} over count {count} rounds "
+                          "baselines B_max k / count to 0 or together") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -309,34 +309,32 @@ def run_observation(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
     return _observe(v_true, x, ph, N_per_setting, rng, None)
 
 
-def replicate_rmse(rows, replicates: int) -> tuple[np.ndarray, np.ndarray]:
+def replicate_rmse(rows, replicates: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Root-mean-square errors of (V_a_hat, V_p_hat) over Monte Carlo replicates, per row.
 
-    rows holds one observation (v_true, x, ph, N_per_setting, rng) per row,
-    and each gets `replicates` replicates. A row's counts are drawn one
-    setting at a time, REPLICATE_CHUNK replicates at a time (sweep seed
-    scheme v3): setting 1's from its rng, setting 2's from that rng's first
-    spawned child, rng.spawn(1)[0]. Each draw keeps one p, so numpy sets its
-    binomial sampler up once per column; run_replicates' (K, 2) draw
-    alternates p and sets it up again on every count. The fringes of a
-    block of rows are then inverted together, estimates only, by _estimate,
-    and each row's squared errors are summed chunk by chunk. A block holds
-    at most REPLICATE_CHUNK row-replicate cells of counts per setting (or
-    one row's chunk), so memory stays flat however many rows or replicates
-    are asked for. Each setting's stream is the row's own, so chunk
-    boundaries do not change it and a row's RMSE is that of its one-row
-    call; rows sharing a generator draw from it in row order, as
-    consecutive one-row calls would. Phase errors are wrapped to (-pi, pi].
-    Returns two (rows,) arrays.
+    rows holds one observation (v_true, x, ph, N_per_setting, tag) per row,
+    and each gets `replicates` replicates. Under sweep seed scheme v3, stated
+    here alone, a row's counts are drawn one setting at a time, REPLICATE_CHUNK
+    replicates at a time: setting 1's from rng = default_rng(derive_seed(seed,
+    tag)), setting 2's from its first spawned child, rng.spawn(1)[0]. Each draw
+    keeps one p, so numpy sets its binomial sampler up once per column;
+    run_replicates' (K, 2) draw alternates p and sets it up again on every
+    count. The fringes of a block of rows are then inverted together, estimates
+    only, by _estimate, and each row's squared errors are summed chunk by chunk.
+    A block holds at most REPLICATE_CHUNK row-replicate cells of counts per
+    setting (or one row's chunk), so memory stays flat however many rows or
+    replicates are asked for. Each setting's stream is the row's own, so chunk
+    boundaries do not change it and a row's RMSE is that of its one-row call.
+    Phase errors are wrapped to (-pi, pi]. Returns two (rows,) arrays.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     streams, draws, columns = [], [], []
-    for v_true, x, ph, n, rng in rows:
+    for v_true, x, ph, n, tag in rows:
         if n < 1:
             raise ValueError("need at least one trial")
         conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
-        # spawning leaves rng's own stream where it is
+        rng = np.random.default_rng(derive_seed(seed, tag))
         streams.append((rng, rng.spawn(1)[0]))
         draws.append((n, p_cs))
         columns.append((*_setting_trig(effective), conc, v_true.V_a, v_true.V_p))

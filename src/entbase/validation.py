@@ -429,12 +429,11 @@ _STUDY_GRID = (0.3, 0.6, 1.0)
 
 
 def rmse_vs_n(seed: int, replicates: int) -> list:
-    """(N, rmse_V_a, rmse_V_p) of the ideal resource per N, row N seeded derive_seed(seed, N)."""
+    """(N, rmse_V_a, rmse_V_p) of the ideal resource per N; row N's replicate_rmse tag is N."""
     v, x = qcore.AstroVisibility(0.7, 0.9), channels.ideal_bell_xstate()
     ns = (10 ** 3, 10 ** 4, 10 ** 5)
-    rmse_a, rmse_p = protocol.replicate_rmse(
-        [(v, x, _SETTINGS, n, np.random.default_rng(protocol.derive_seed(seed, n)))
-         for n in ns], replicates)
+    rmse_a, rmse_p = protocol.replicate_rmse([(v, x, _SETTINGS, n, n) for n in ns],
+                                             replicates, seed)
     return list(zip(ns, rmse_a.tolist(), rmse_p.tolist()))
 
 
@@ -458,8 +457,8 @@ def rmse_vs_resource(seed: int, replicates: int, budget: int) -> list:
 
     The dephasing-form state of each (C, xi) of a 3 x 3 grid, C outer, gets the
     postselected share N_post = round(budget xi / 2) of the budget of modes per
-    setting; V_a C = 0.21 holds the fringe fixed. Cell (C, xi) is seeded
-    derive_seed(seed, int(1000 C + 10 xi)). A budget budget_fault refuses raises ValueError.
+    setting; V_a C = 0.21 holds the fringe fixed. Cell (C, xi)'s replicate_rmse
+    tag is int(1000 C + 10 xi). A budget budget_fault refuses raises ValueError.
     """
     if (fault := budget_fault(budget)) is not None:
         raise ValueError(f"budget: {fault}")
@@ -468,8 +467,8 @@ def rmse_vs_resource(seed: int, replicates: int, budget: int) -> list:
     rmse_a, rmse_p = protocol.replicate_rmse(
         [(qcore.AstroVisibility(0.21 / conc, 0.9),
           qcore.XState(a=1.0 - xi, g=xi / 2, f=xi / 2, h=0.0, w_a=conc * xi / 2), _SETTINGS,
-          n_post, np.random.default_rng(protocol.derive_seed(seed, int(1000 * conc + 10 * xi))))
-         for conc, xi, n_post in cells], replicates)
+          n_post, int(1000 * conc + 10 * xi))
+         for conc, xi, n_post in cells], replicates, seed)
     return [(conc, xi, n_post, r_a, r_p, r_a * conc * math.sqrt(xi), r_p * math.sqrt(xi))
             for (conc, xi, n_post), r_a, r_p in zip(cells, rmse_a.tolist(), rmse_p.tolist())]
 

@@ -308,11 +308,13 @@ RUN_CASES = [
     *((f"baseline-count-{count}", dict(baselines={"B_max": 40.0, "count": count}),
        "baselines.count: must be an integer in [1, 1000000]")
       for count in (0, config.MAX_BASELINES + 1, 2 ** 64)),
-    # 1e308 x count overflows to an inf baseline; a subnormal B_max rounds the baselines to 0
+    # 1e308 x count overflows to an inf baseline; a subnormal B_max rounds the baselines
+    # B_max k / count to 0 (5e-324 / 12) or two of them together (4e-323 k / 12)
     ("B_max-1e308", dict(baselines={"B_max": 1e308, "count": 12}),
      "baselines.B_max: value 1e+308 times count 12 overflows"),
-    ("B_max-5e-324", dict(baselines={"B_max": 5e-324, "count": 12}),
-     "baselines.B_max: value 5e-324: baselines must be positive"),
+    *((f"B_max-{b_max}", dict(baselines={"B_max": b_max, "count": 12}),
+       f"baselines.B_max: value {b_max} over count 12 rounds baselines B_max k / count to 0 "
+       "or together") for b_max in (5e-324, 4e-323)),
     *((f"sky-{id}", dict(sky={"sources": sources}), f"sky.sources: {message}")
       for id, sources, message in [
           ("offset", [{"theta": 0.01, "flux": 1.0}, {"theta": -0.25, "flux": 1.0}],

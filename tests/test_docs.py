@@ -1,6 +1,8 @@
-"""The docs state what exists: each backticked `module.name` and each quoted exit-1 message."""
+"""The docs state what exists: each backticked `module.name`, each quoted exit-1 message and
+each seed scheme's home."""
 
 import importlib
+import inspect
 import re
 import types
 from pathlib import Path
@@ -36,6 +38,12 @@ def resolve(dotted: str):
     return obj
 
 
+def section(doc: str, heading: str) -> str:
+    """The text of doc's `## heading` section, up to the next `## ` heading."""
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n")[1].split("\n## ")[0]
+
+
 REFERENCES = references()
 
 
@@ -52,8 +60,23 @@ def test_reference_resolves(where, dotted):
 def test_quoted_exit_1_messages_are_malformed_rows():
     """Each `<key>: <message>` that the `1` item of docs/schema.md's "Exit codes" section
     quotes, line breaks read as spaces, is the stderr of a test_config_cli.MALFORMED row."""
-    text = (ROOT / "docs/schema.md").read_text(encoding="utf-8").split("\n## Exit codes\n")[1]
+    text = section("docs/schema.md", "Exit codes")
     item = " ".join(text.split("\n- `1` ")[1].split("\n- `2` ")[0].split())
     quoted = re.findall(r"`((?:--)?[A-Za-z_][\w.\[\]-]*: [^`]+)`", item)
     bodies = {row.stderr.split(": ", 1)[1][:-1] for row in MALFORMED if not row.prefix}
     assert quoted and [message for message in quoted if message not in bodies] == []
+
+
+# "(<kind> seed scheme v<n>, `module.function`)": a scheme and the one function that states it
+SCHEME_HOME = re.compile(r"\((\w+ seed scheme v\d+), `(\w+\.\w+)`\)")
+SCHEME = re.compile(r"\b\w+ seed scheme v\d+")
+
+
+def test_each_seed_scheme_names_its_home():
+    """Each `<kind> seed scheme v<n>` that docs/schema.md's "Seeding" section names is
+    paired there with a function whose docstring names that scheme."""
+    text = " ".join(section("docs/schema.md", "Seeding").split())
+    homes = dict(SCHEME_HOME.findall(text))
+    assert len(homes) >= 2 and set(SCHEME.findall(text)) == set(homes)
+    for scheme, dotted in homes.items():
+        assert scheme in " ".join(inspect.getdoc(resolve(dotted)).split()), (scheme, dotted)

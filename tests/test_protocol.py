@@ -317,7 +317,7 @@ class TestRunObservation:
 
     @pytest.mark.parametrize("observe", [
         lambda v, x, rng: run_replicates(v, x, DEFAULT, 100, 3, rng),
-        lambda v, x, rng: replicate_rmse([(v, x, DEFAULT, 100, rng)], 3),
+        lambda v, x, rng: replicate_rmse([(v, x, DEFAULT, 100, 0)], 3, 0),
     ], ids=["run_replicates", "replicate_rmse"])
     def test_dead_resource_in_batch_paths(self, observe):
         # concurrence_subspace gives a dead state nan; the protocol still refuses it
@@ -405,11 +405,11 @@ class TestRunReplicates:
             joined = np.concatenate([getattr(p, field) for p in parts])
             assert np.array_equal(getattr(whole, field), joined)
 
-        unchunked = replicate_rmse([(v, x, DEFAULT, 3000, np.random.default_rng(11))], 8)
+        unchunked = replicate_rmse([(v, x, DEFAULT, 3000, 0)], 8, 11)
         monkeypatch.setattr(protocol, "REPLICATE_CHUNK", 3)
-        chunked = replicate_rmse([(v, x, DEFAULT, 3000, np.random.default_rng(11))], 8)
+        chunked = replicate_rmse([(v, x, DEFAULT, 3000, 0)], 8, 11)
         assert np.concatenate(chunked) == pytest.approx(np.concatenate(unchunked), rel=1e-13)
-        gen = np.random.default_rng(11)
+        gen = np.random.default_rng(derive_seed(11, 0))
         eff = PhaseSettings(x.w_p + DEFAULT.w1, x.w_p + DEFAULT.w2)
         errs = [solve_visibility((3000 - 2 * int(c1)) / 3000, (3000 - 2 * int(c2)) / 3000, eff,
                                  concurrence_subspace(x))[1] - v.V_p
@@ -446,16 +446,16 @@ class TestRunReplicates:
         with pytest.raises(DegenerateResourceError):
             run_replicates(v, XState(a=1.0, g=0.0, f=0.0, h=0.0, w_a=0.0), DEFAULT, 100, 5, gen)
         with pytest.raises(ValueError, match="replicate"):
-            replicate_rmse([(v, ideal_bell_xstate(), DEFAULT, 100, gen)], 0)
+            replicate_rmse([(v, ideal_bell_xstate(), DEFAULT, 100, 0)], 0, 0)
         with pytest.raises(ValueError, match="at least one trial"):
-            replicate_rmse([(v, ideal_bell_xstate(), DEFAULT, 100, gen),
-                            (v, ideal_bell_xstate(), DEFAULT, 0, gen)], 5)
+            replicate_rmse([(v, ideal_bell_xstate(), DEFAULT, 100, 0),
+                            (v, ideal_bell_xstate(), DEFAULT, 0, 1)], 5, 0)
         with pytest.raises(ZeroConcurrenceError):
-            replicate_rmse([(v, xstate_dephasing(1.0, 1.0), DEFAULT, 100, gen)], 5)
+            replicate_rmse([(v, xstate_dephasing(1.0, 1.0), DEFAULT, 100, 0)], 5, 0)
 
 
-# (v_true, x, ph, N, seed): rows that differ in visibility, state, settings and N; N = 2
-# makes dead replicates (both fringes zero), N = 1 fringes of +-1 only
+# replicate_rmse rows (v_true, x, ph, N, tag) that differ in visibility, state, settings
+# and N; N = 2 makes dead replicates (both fringes zero), N = 1 fringes of +-1 only
 RMSE_ROWS = [
     (AstroVisibility(0.4, -2.0), resource_with(0.7, 0.8), DEFAULT, 3000, 11),
     (AstroVisibility(0.9, 1.1), resource_with(0.3, 0.5, w_p=0.4), PhaseSettings(0.3, 2.5),
@@ -465,16 +465,14 @@ RMSE_ROWS = [
      2 ** 53 + 1, 14),
     (AstroVisibility(0.7, 0.9), xstate_depolarizing(0.05, 0.1), PhaseSettings(0.0, 1.5), 1, 15),
 ]
+RMSE_SEED = 5  # the seed of every replicate_rmse call on RMSE_ROWS
 
 
-def observations(rows, rng=None):
-    """replicate_rmse rows, each with a generator of its own seed unless rng is given."""
-    return [(v, x, ph, n, rng or np.random.default_rng(seed)) for v, x, ph, n, seed in rows]
-
-
-def rmse_by_chunked_replicates(v, x, ph, n, replicates, rng):
-    """The reference: counts drawn a chunk at a time, setting 1's from rng and setting 2's
-    from rng.spawn(1)[0], inverted by run_replicates; each chunk's squares summed to a float."""
+def rmse_by_chunked_replicates(v, x, ph, n, replicates, seed, tag):
+    """The reference, sweep seed scheme v3: counts drawn a chunk at a time, setting 1's from
+    rng = default_rng(derive_seed(seed, tag)) and setting 2's from rng.spawn(1)[0], inverted
+    by run_replicates; each chunk's squares summed to a float."""
+    rng = np.random.default_rng(derive_seed(seed, tag))
     gens = (rng, rng.spawn(1)[0])
     sq_a = sq_p = 0.0
     for start in range(0, replicates, protocol.REPLICATE_CHUNK):
@@ -498,26 +496,12 @@ class TestReplicateRmseRows:
     def test_rows_are_their_one_row_calls(self, monkeypatch, replicates, cap):
         if cap is not None:
             monkeypatch.setattr(protocol, "REPLICATE_CHUNK", cap)
-        rows = replicate_rmse(observations(RMSE_ROWS), replicates)
+        rows = replicate_rmse(RMSE_ROWS, replicates, RMSE_SEED)
         for i, row in enumerate(RMSE_ROWS):
-            one = replicate_rmse(observations([row]), replicates)
-            want = rmse_by_chunked_replicates(*row[:4], replicates,
-                                              np.random.default_rng(row[4]))
+            one = replicate_rmse([row], replicates, RMSE_SEED)
+            want = rmse_by_chunked_replicates(*row[:4], replicates, RMSE_SEED, row[4])
             for k in (0, 1):
                 assert bits(rows[k][i]) == bits(one[k][0]) == bits(want[k]), (i, k)
-
-    @pytest.mark.parametrize("replicates, cap", ROW_BLOCKINGS[1:],
-                             ids=["one-block", "chunk-crossing", "blocks-of-two",
-                                  "blocks-of-one"])
-    def test_rows_sharing_a_generator_draw_in_row_order(self, monkeypatch, replicates, cap):
-        if cap is not None:
-            monkeypatch.setattr(protocol, "REPLICATE_CHUNK", cap)
-        rows = replicate_rmse(observations(RMSE_ROWS, np.random.default_rng(5)), replicates)
-        gen = np.random.default_rng(5)
-        for i, row in enumerate(RMSE_ROWS):
-            one = replicate_rmse(observations([row], gen), replicates)
-            assert bits([rows[0][i], rows[1][i]]).tolist() == bits(
-                [one[0][0], one[1][0]]).tolist(), i
 
     def test_inverts_estimates_only_in_bounded_blocks(self, monkeypatch):
         shapes = []
@@ -533,10 +517,10 @@ class TestReplicateRmseRows:
         monkeypatch.setattr(protocol, "_estimate", recorded)
         monkeypatch.setattr(protocol, "_fringe_error", no_error_bars)
         monkeypatch.setattr(protocol, "REPLICATE_CHUNK", 20)
-        replicate_rmse(observations(RMSE_ROWS), 8)
+        replicate_rmse(RMSE_ROWS, 8, RMSE_SEED)
         assert shapes == [(2, 8), (2, 8), (1, 8)]
         shapes.clear()
-        replicate_rmse(observations(RMSE_ROWS[:2]), 45)
+        replicate_rmse(RMSE_ROWS[:2], 45, RMSE_SEED)
         assert shapes == [(1, 20), (1, 20), (1, 5)] * 2
 
 
@@ -547,7 +531,7 @@ class TestReplicateRmseRows:
 def test_sweep_rows_beside_dead_rows_are_one_row_calls(tmp_path, channel, param, values,
                                                       dead):
     # a dead row (C = 0, or nan with no coincidence weight) keeps empty RMSE cells; a
-    # live row r gets the one-row call on default_rng(derive_seed(seed, r))
+    # live row r gets the one-row call with tag r
     raw = {"sky": {"sources": [{"theta": -0.01, "flux": 1.0}, {"theta": 0.01, "flux": 0.6}]},
            "wavelength": 1.0, "baselines": {"B_max": 40.0, "count": 12},
            "channel": channel, "phase_settings": {"w1": 0.2, "w2": 1.4},
@@ -567,8 +551,7 @@ def test_sweep_rows_beside_dead_rows_are_one_row_calls(tmp_path, channel, param,
         v_c = true_visibility(cfg.sky, b)
         one = replicate_rmse([(AstroVisibility(abs(v_c), cmath.phase(v_c)),
                                cfg.channel.resource_factory()(b), cfg.settings,
-                               cfg.n_per_setting,
-                               np.random.default_rng(derive_seed(cfg.seed, r)))], 40)
+                               cfg.n_per_setting, r)], 40, cfg.seed)
         assert row[6:] == ["%.17g" % one[0][0], "%.17g" % one[1][0]], r
 
 
