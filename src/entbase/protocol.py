@@ -163,18 +163,17 @@ def scaling_laws(x: XState, R_X: float) -> ScalingLaws:
 
 
 def _setting_probabilities(v_true: AstroVisibility, x: XState,
-                           ph: PhaseSettings) -> tuple[float, PhaseSettings, list]:
-    """(C, effective settings, (p_c1, p_c2)) of one observation of v_true with x.
+                           ph: PhaseSettings) -> tuple[float, tuple[float, float], list]:
+    """(C, (w1, w2), (p_c1, p_c2)) of one observation of v_true with x.
 
-    The effective settings add the resource's own phase to ph; p_ci is the
-    postselected correlated-click probability at setting i.
+    The effective phases (w1, w2) add the resource's own phase to ph; p_ci is
+    the postselected correlated-click probability at setting i.
     """
     if subspace_weight(x) <= 0.0:
         raise DegenerateResourceError("g + f = 0: the resource never produces coincidences")
     conc = concurrence_subspace(x)
     if conc <= 0.0:
         raise ZeroConcurrenceError("resource concurrence is zero")
-    effective = PhaseSettings(x.w_p + ph.w1, x.w_p + ph.w2)
     p_cs = []
     for offset in (ph.w1, ph.w2):
         q_c, q_ac = raw_probabilities(v_true, x.with_phase_offset(offset))
@@ -184,7 +183,7 @@ def _setting_probabilities(v_true: AstroVisibility, x: XState,
                 raise ValueError(f"p_c = {p_c} outside [0, 1]")
             p_c = min(max(p_c, 0.0), 1.0)
         p_cs.append(p_c)
-    return conc, effective, p_cs
+    return conc, (x.w_p + ph.w1, x.w_p + ph.w2), p_cs
 
 
 def _wrap_phases(phi: np.ndarray) -> np.ndarray:
@@ -205,17 +204,17 @@ def _fringe_error(dp, N: int):
     return ew.sqrt(p_smooth * (1.0 - p_smooth)) / (0.5 * math.sqrt(N))
 
 
-def _setting_trig(ph: PhaseSettings) -> tuple[float, float, float, float, float]:
-    """(sin w1, cos w1, sin w2, cos w2, det = sin(w2 - w1)) of the settings ph, by libm."""
-    return (math.sin(ph.w1), math.cos(ph.w1), math.sin(ph.w2), math.cos(ph.w2),
-            math.sin(ph.w2 - ph.w1))
+def _setting_trig(w1: float, w2: float) -> tuple[float, float, float, float, float]:
+    """(sin w1, cos w1, sin w2, cos w2, det = sin(w2 - w1)) by libm, of effective phases:
+    a checked PhaseSettings' settings plus a checked state's w_p, not checked again."""
+    return math.sin(w1), math.cos(w1), math.sin(w2), math.cos(w2), math.sin(w2 - w1)
 
 
 def _estimate(dp1, dp2, trig, C):
     """The point estimates (V_a, V_p) of fringes dp1, dp2, and c^2 + s^2, elementwise.
 
     The one statement of the estimates, for _invert_batch and replicate_rmse.
-    trig is _setting_trig of the settings: floats, or (m, 1) columns beside
+    trig is _setting_trig of the phases: floats, or (m, 1) columns beside
     (m, K) fringes, one row per observation, as C is too. The formulas and
     branch choices are those of the scalar reference.solve_visibility.
     """
@@ -230,8 +229,8 @@ def _estimate(dp1, dp2, trig, C):
     return ew.hypot(c, s) / C, ew.where(phase == -math.pi, math.pi, phase), amp_sq
 
 
-def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
-    """Invert fringes dp1, dp2 into (V_a, V_p, dV_a, dV_p), elementwise.
+def _invert_batch(dp1, dp2, N: int, w1: float, w2: float, C: float):
+    """Invert fringes dp1, dp2 at phases w1, w2 into (V_a, V_p, dV_a, dV_p), elementwise.
 
     One statement serves (n,) arrays and Python floats, through the
     entbase.elementwise helpers: floats give Python floats with the bits of
@@ -243,10 +242,10 @@ def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
         dV_a = hypot(sin(w2 - phi) D1, sin(phi - w1) D2) / (C |sin(w2 - w1)|).
 
     The formulas are those of the scalar reference.propagate_errors, which
-    derives them. Needs C > 0; PhaseSettings already rejects degenerate
-    settings.
+    derives them. Needs C > 0; w1, w2 are a checked PhaseSettings' settings plus
+    a checked state's w_p, whose gap (to rounding) PhaseSettings found not degenerate.
     """
-    trig = _setting_trig(ph)
+    trig = _setting_trig(w1, w2)
     v_a_hat, v_p_hat, amp_sq = _estimate(dp1, dp2, trig, C)
     det = trig[4]
     d1, d2 = _fringe_error(dp1, N), _fringe_error(dp2, N)
@@ -255,7 +254,7 @@ def _invert_batch(dp1, dp2, N: int, ph: PhaseSettings, C: float):
     dv_p = (ew.hypot(dp2 * d1, dp1 * d2)
             / (ew.where(amp_sq == 0.0, math.nan, amp_sq) * abs(det)))
     dv_p = ew.where(dv_p < math.pi, dv_p, math.pi)
-    dv_a = (ew.hypot(ew.sin(ph.w2 - v_p_hat) * d1, ew.sin(v_p_hat - ph.w1) * d2)
+    dv_a = (ew.hypot(ew.sin(w2 - v_p_hat) * d1, ew.sin(v_p_hat - w1) * d2)
             / (C * abs(det)))
     return v_a_hat, v_p_hat, dv_a, dv_p
 
@@ -271,20 +270,21 @@ def _observe(v_true: AstroVisibility, x: XState, ph: PhaseSettings, N_per_settin
     """
     if N_per_setting < 1:
         raise ValueError("need at least one trial")
-    conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
+    conc, (w1, w2), p_cs = _setting_probabilities(v_true, x, ph)
     if size is None:
-        # two scalar draws take the same stream values as one row of a (k, 2)
-        # draw, without a list-p draw's broadcasting. Each count is a Python
-        # int: its (n_ac - n_c) is exact, and float() of it rounds as the array
-        # path's int64-to-double division does, so dp has the same bits at any N
-        dp1, dp2 = (float((N_per_setting - n) - n) / N_per_setting
-                    for n in (rng.binomial(N_per_setting, p) for p in p_cs))
+        # two scalar draws take the same stream values as one row of a (k, 2) draw, without a
+        # list-p draw's broadcasting. A Python int count's (n_ac - n_c) is exact, and float()
+        # of it rounds as the array path's int64-to-double division does: the same dp at any N
+        n1 = rng.binomial(N_per_setting, p_cs[0])
+        n2 = rng.binomial(N_per_setting, p_cs[1])
+        dp1 = float((N_per_setting - n1) - n1) / N_per_setting
+        dp2 = float((N_per_setting - n2) - n2) / N_per_setting
     else:
         n_c = rng.binomial(N_per_setting, p_cs, size=size)
         # (n_ac - n_c) / N, no int64 overflow
         dp1, dp2 = (((N_per_setting - n) - n) / N_per_setting
                     for n in (n_c[..., 0], n_c[..., 1]))
-    return VisibilityEstimate(*_invert_batch(dp1, dp2, N_per_setting, effective, conc))
+    return VisibilityEstimate(*_invert_batch(dp1, dp2, N_per_setting, w1, w2, conc))
 
 
 def run_replicates(v_true: AstroVisibility, x: XState, ph: PhaseSettings,
@@ -333,11 +333,11 @@ def replicate_rmse(rows, replicates: int, seed: int) -> tuple[np.ndarray, np.nda
     for v_true, x, ph, n, tag in rows:
         if n < 1:
             raise ValueError("need at least one trial")
-        conc, effective, p_cs = _setting_probabilities(v_true, x, ph)
+        conc, phases, p_cs = _setting_probabilities(v_true, x, ph)
         rng = np.random.default_rng(derive_seed(seed, tag))
         streams.append((rng, rng.spawn(1)[0]))
         draws.append((n, p_cs))
-        columns.append((*_setting_trig(effective), conc, v_true.V_a, v_true.V_p))
+        columns.append((*_setting_trig(*phases), conc, v_true.V_a, v_true.V_p))
     n_col = np.array([n for n, _ in draws], dtype=np.int64)[:, None]
     columns = np.array(columns).T[..., None]  # each an (m, 1) column
     chunk = min(replicates, REPLICATE_CHUNK)

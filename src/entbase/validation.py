@@ -252,15 +252,15 @@ def check_error_bars_cramer_rao():
     n = 10 ** 10
     for _ in range(50):
         w1 = rng.uniform(-math.pi, math.pi)
-        ph = protocol.PhaseSettings(w1, w1 + rng.uniform(0.2, math.pi - 0.2))
+        w2 = w1 + rng.uniform(0.2, math.pi - 0.2)
         v_a, v_p = rng.uniform(0.05, 0.95), rng.uniform(-math.pi, math.pi)
         conc = rng.uniform(0.1, 1.0)
-        offsets = v_p - np.array([ph.w1, ph.w2])
+        offsets = v_p - np.array([w1, w2])
         dp = v_a * conc * np.cos(offsets)
         grad = conc * np.stack([np.cos(offsets), -v_a * np.sin(offsets)], axis=1)
         fisher = (grad.T * (n / (1.0 - dp ** 2))) @ grad
         bound = np.sqrt(np.diag(np.linalg.inv(fisher)))
-        _, _, dv_a, dv_p = protocol._invert_batch(dp[0], dp[1], n, ph, conc)
+        _, _, dv_a, dv_p = protocol._invert_batch(dp[0], dp[1], n, w1, w2, conc)
         gap = np.max(np.abs(np.array([dv_a, dv_p]) / bound - 1.0))
         assert gap <= 1e-7, f"error bars off the Cramer-Rao bound by {gap:.3e}"
 

@@ -2,9 +2,10 @@
 
 The digests pin `run` on the three bundled configs, five sweeps of the fiber
 config (over B, over N with Monte Carlo replicates, once with more replicates
-than one chunk, over the channel's L0 with replicates, and over R_E), one
-sweep of the memory-swap config over t1, the
-CSV of `entbase study rates` at its default arguments and both CSVs of
+than one chunk, over the channel's L0 with replicates, and over R_E), two
+sweeps of the memory-swap config (over t1, and over the phase setting w2 with
+replicates, whose rows invert at differing effective phases), the CSV of
+`entbase study rates` at its default arguments and both CSVs of
 `entbase study errors` at the sizes tests/test_config_cli.py runs it with
 (all three were recorded when the studies were stand-alone scripts, and the
 study's before its tables moved into entbase.validation), and three commands
@@ -28,7 +29,7 @@ the `dI` of `summary.json` (docs/schema.md#Error bars); the sweep and
 rate-script digests are unchanged. The three Monte Carlo sweep digests and
 both study digests were re-recorded under sweep seed scheme v3, which draws
 each row's replicates by setting column and so changed only the RMSE
-columns (docs/schema.md#Seeding).
+columns (docs/schema.md#Seeding); the w2 sweep digest was recorded under it.
 """
 
 import hashlib
@@ -73,6 +74,10 @@ SWEEP_DIGESTS = {
     # xi, R_M_norm and both log-rates are the same in every row, C is not
     ("memory_swap_two_source", "--param", "t1", "--values", "0,0.25,0.5,1,2"):
         "dc31483c020a0e7043a0f1efed9109164e840a3261b9024e51d04b70fa365e90",
+    # each row's settings, and so its effective phases, differ
+    ("memory_swap_two_source", "--param", "w2", "--values", "0.5,1,1.5707963267948966,2.5",
+     "--mc-replicates", "50"):
+        "30890cb34a5e9b5c3a40c43e3662e74d0f903607742d9bd6691d5816501406c0",
 }
 
 RATE_SCRIPT_DIGEST = "bd00403528498c0a081887111c8d3e2407e412ae4c0f4d6147867fa23b685eee"
@@ -122,7 +127,7 @@ def test_run_outputs_are_pinned(tmp_path, name):
 
 
 @pytest.mark.parametrize("key", list(SWEEP_DIGESTS), ids=[
-    "B", "N-mc", "L0-mc", "R_E", "N-mc-chunk-crossing", "memory-swap-t1"])
+    "B", "N-mc", "L0-mc", "R_E", "N-mc-chunk-crossing", "memory-swap-t1", "memory-swap-w2-mc"])
 def test_sweep_outputs_are_pinned(tmp_path, key):
     name, *args = key  # the bundled config, then the sweep's arguments
     assert main(["sweep", bundled_config(tmp_path, name), *args]) == 0

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from entbase import imaging, protocol
-from entbase.channels import (
-    RateModel, fiber_loss_prob, ideal_bell_xstate, resource_figures, xstate_amplitude_damping)
+from entbase.channels import RateModel, ideal_bell_xstate, resource_figures
 from entbase.imaging import (
     BaselinePlan,
     SkyModel,
@@ -267,16 +266,6 @@ class TestResourceFigures:
         assert xi.tolist() == [0.0, 1.0] and math.isnan(conc[0]) and conc[1] == 1.0
         assert r_norm.tolist() == [0.0, 0.5] and r_abs.tolist() == [0.0, 0.125]
 
-    def test_fiber_rates_follow_line(self):
-        # over a baseline array, the route `run` and `sweep` take
-        l0, rates = 10.0, RateModel(0.8, 1e6)
-        baselines = np.array(BaselinePlan.linear(6 * l0, 12).baselines)
-        loss = fiber_loss_prob(baselines / 2, l0)
-        r_abs = resource_figures(xstate_amplitude_damping(loss, loss), baselines, rates, None)[3]
-        for b, r in zip(baselines, r_abs):
-            expected = math.log(rates.max_rate) - b / (2 * l0)
-            assert abs(math.log(r) - expected) <= 1e-12
-
 
 class TestObserveAndImage:
     def test_end_to_end_ideal(self):
@@ -328,13 +317,13 @@ class TestObserveAndImage:
         probs = []
         for b in plan.baselines:
             v_c = true_visibility(sky, b)
-            conc, effective, p_cs = protocol._setting_probabilities(
+            conc, (w1, w2), p_cs = protocol._setting_probabilities(
                 AstroVisibility(abs(v_c), cmath.phase(v_c)), ideal_bell_xstate(), SETTINGS)
             probs.append(p_cs)
         rng = np.random.default_rng(protocol.derive_seed(4))
         n_c = rng.binomial(n, np.array(probs), size=(len(probs), 2))
         dp = ((n - n_c) - n_c) / n
-        batch = protocol._invert_batch(dp[:, 0], dp[:, 1], n, effective, conc)
+        batch = protocol._invert_batch(dp[:, 0], dp[:, 1], n, w1, w2, conc)
         est = report.estimates
         for got, want in zip((est.V_a_hat, est.V_p_hat, est.dV_a, est.dV_p), batch):
             assert np.array_equal(got, want)

@@ -14,10 +14,10 @@ from entbase.channels import (
     xstate_depolarizing,
 )
 from entbase import elementwise as ew
-from entbase import protocol
+from entbase import cli, protocol
 from entbase.cli import main
-from entbase.config import parse_config
-from entbase.imaging import true_visibility
+from entbase.config import load_config, parse_config
+from entbase.imaging import observe_and_image, true_visibility
 from entbase.protocol import (
     DegeneratePhasesError,
     PhaseSettings,
@@ -371,14 +371,14 @@ class TestRunReplicates:
             for n in (1, 7, 1000, 10 ** 6):
                 conc = rng.uniform(0.05, 1.0)
                 dp1, dp2 = rng.uniform(-1.0, 1.0, size=(2, 50))
-                batch = protocol._invert_batch(dp1, dp2, n, ph, conc)
+                batch = protocol._invert_batch(dp1, dp2, n, ph.w1, ph.w2, conc)
                 assert_matches_scalar(batch, dp1, dp2, n, ph, conc)
 
     def test_both_fringes_zero(self):
         zero = np.zeros(3)
         # at (2.0, -2.0) the zero fringes give c = -0.0, whose arctan2 is pi
         for ph in (DEFAULT, PhaseSettings(-0.4, 0.4), PhaseSettings(2.0, -2.0)):
-            batch = protocol._invert_batch(zero, zero, 100, ph, 0.6)
+            batch = protocol._invert_batch(zero, zero, 100, ph.w1, ph.w2, 0.6)
             assert_matches_scalar(batch, zero, zero, 100, ph, 0.6)
             assert np.all(batch[1] == 0.0) and np.all(batch[3] == math.pi)
 
@@ -575,6 +575,47 @@ def test_a_live_rows_rmse_cells_are_its_own(tmp_path):
     assert cells[0][1] == cells[1][1] == cells[2][1] != ["", ""]
 
 
+def test_phase_settings_are_checked_where_they_enter(tmp_path, monkeypatch):
+    # the config's settings are checked once, by load_config: an observation inverts at
+    # its effective phases as two numbers and builds no PhaseSettings of them
+    raw = {"sky": {"sources": [{"theta": -0.01, "flux": 1.0}, {"theta": 0.01, "flux": 0.6}]},
+           "wavelength": 1.0, "baselines": {"B_max": 50.0, "count": 40},
+           "channel": {"kind": "memory_swap", "t1": 0.4, "t2": 0.6, "tau_c": 2.0},
+           "phase_settings": {"w1": 0.2, "w2": 1.4}, "N_per_setting": 2000, "seed": 9,
+           "output_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = load_config(str(path))
+    built, check = [], PhaseSettings.__post_init__  # the (w1, w2) of each one checked from here
+
+    def counted(self):
+        built.append((self.w1, self.w2))
+        check(self)
+
+    monkeypatch.setattr(PhaseSettings, "__post_init__", counted)
+    report = observe_and_image(cfg.sky, cfg.plan, cfg.channel.resource_factory(), cfg.settings,
+                               cfg.n_per_setting, cfg.seed, np.linspace(-0.03, 0.03, 61))
+    assert report.baselines.size == 40 and built == []
+    v, x = AstroVisibility(0.7, 0.9), cfg.channel.resource_factory()(cfg.plan.B_m)
+    run_replicates(v, x, cfg.settings, 2000, 50, np.random.default_rng(0))
+    assert built == []
+    replicate_rmse([(v, x, cfg.settings, 2000, tag) for tag in range(8)], 50, cfg.seed)
+    assert built == []
+    # a sweep checks its swept settings in swept_config; then each Monte Carlo row
+    # builds one PhaseSettings, its settings.row(r), and its observation none
+    parse = cli.swept_config
+
+    def parsed(*args):
+        swept = parse(*args)
+        built.clear()
+        return swept
+
+    monkeypatch.setattr(cli, "swept_config", parsed)
+    assert main(["sweep", str(path), "--param", "w2", "--values", "0.5,1,2.5",
+                 "--mc-replicates", "5"]) == 0
+    assert built == [(0.2, 0.5), (0.2, 1.0), (0.2, 2.5)]
+
+
 # an (n,) call of this length runs full SIMD vectors and a remainder
 ROW_COPIES = 17
 
@@ -619,12 +660,11 @@ class TestFloatInversion:
     @settings(max_examples=300, deadline=None)
     def test_float_call_matches_array_elements(self, row, conc):
         N, n1, n2, w1, w2 = row
-        ph = PhaseSettings(w1, w2)
         # the fringes as _observe forms them: int64 counts, then Python floats
         dp1, dp2 = (((N - n) - n) / N for n in (np.int64(n1), np.int64(n2)))
-        one = protocol._invert_batch(float(dp1), float(dp2), N, ph, conc)
+        one = protocol._invert_batch(float(dp1), float(dp2), N, w1, w2, conc)
         batch = protocol._invert_batch(np.full(ROW_COPIES, dp1), np.full(ROW_COPIES, dp2),
-                                       N, ph, conc)
+                                       N, w1, w2, conc)
         for got, want in zip(one, batch):
             assert type(got) is float
             assert (bits(want) == bits(got)).all(), (got, want)
@@ -633,8 +673,7 @@ class TestFloatInversion:
 
     def test_tie_examples_reach_their_phases(self):
         # equal fringes at (-2, 2): s = +0.0 / det = -0.0, so arctan2 gives -pi or -0.0
-        ph = PhaseSettings(-2.0, 2.0)
-        v_p = [protocol._invert_batch(dp, dp, 10, ph, 0.5)[1] for dp in (1.0, -0.8)]
+        v_p = [protocol._invert_batch(dp, dp, 10, -2.0, 2.0, 0.5)[1] for dp in (1.0, -0.8)]
         assert bits(v_p).tolist() == bits([math.pi, -0.0]).tolist()
 
     @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))

@@ -37,7 +37,7 @@ MUTANTS = [
     ("error-derivatives-fd", reference, "phase_ratio_derivative",
      "return -math.sin", "return math.sin"),
     ("error-bars-cramer-rao", protocol, "_invert_batch",
-     "ew.sin(v_p_hat - ph.w1) * d2", "ew.sin(v_p_hat - ph.w2) * d2"),
+     "ew.sin(v_p_hat - w1) * d2", "ew.sin(v_p_hat - w2) * d2"),
     ("memory-swap-composition", channels, "swap_memories",
      "p = 0.5 * (1.0 + _coherence_survival(ew.overflow_to_inf(add, t1, t2), tau_c))",
      "p = 1.0 - 0.5 * (1.0 + _coherence_survival(ew.overflow_to_inf(add, t1, t2), tau_c))"),
