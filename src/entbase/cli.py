@@ -134,11 +134,10 @@ def cmd_run(config_path: str, gnuplot: bool = False) -> int:
     cfg = load_config(config_path)
     if len(cfg.plan.baselines) < 2:  # sweep evaluates one baseline; the map needs two
         raise ConfigError("baselines", "run needs at least two baselines to image")
+    resource, table = cfg.channel.resource_table(np.array(cfg.plan.baselines), cfg.rates)
     report = observe_and_image(
-        sky=cfg.sky, plan=cfg.plan, resource_factory=cfg.channel.resource_factory(),
-        settings=cfg.settings, n_per_setting=cfg.n_per_setting, seed=cfg.seed,
-        theta_grid=cfg.theta_grid)
-    resource, table = cfg.channel.resource_table(report.baselines, cfg.rates)
+        sky=cfg.sky, plan=cfg.plan, resource=resource, settings=cfg.settings,
+        n_per_setting=cfg.n_per_setting, seed=cfg.seed, theta_grid=cfg.theta_grid)
     xi, conc, r_norm = table[:3]
 
     outdir = Path(cfg.output_dir)

@@ -16,7 +16,7 @@ import numpy as np
 
 # module-level names on purpose: the benchmark tracer rebinds them to time the protocol layer
 from .protocol import PhaseSettings, VisibilityEstimate, derive_seed, run_observation
-from .qcore import AstroVisibility
+from .qcore import AstroVisibility, XState
 
 __all__ = [
     "BaselinePlan",
@@ -266,27 +266,30 @@ class ObservationReport:
     intensity_est: np.ndarray
 
 
-def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource_factory,
+def observe_and_image(sky: SkyModel, plan: BaselinePlan, resource: XState,
                       settings: PhaseSettings, n_per_setting: int, seed: int,
                       theta_grid) -> ObservationReport:
     """Full pipeline: per-baseline protocol runs, then dirty-map reconstruction.
 
-    resource_factory maps a baseline to the XState supplied by the network
-    at that separation. One generator, default_rng(derive_seed(seed)), serves
-    the whole run (run seed scheme v2): baseline i's correlated-click counts
-    are row i of one rng.binomial(N, P, size=(n, 2)) draw over the settings'
-    probabilities P, whichever way the loop is split. Estimates are imaged
-    as they are, never clipped to |V| = 1.
+    resource is the XState supplied by the network: an (n,) array state whose
+    row i is at the plan's baseline i, or one float state at every baseline.
+    One generator, default_rng(derive_seed(seed)), serves the whole run (run
+    seed scheme v2): baseline i's correlated-click counts are row i of one
+    rng.binomial(N, P, size=(n, 2)) draw over the settings' probabilities P,
+    whichever way the loop is split. Estimates are imaged as they are, never
+    clipped to |V| = 1.
     """
     theta_grid = np.asarray(theta_grid, dtype=float)
     baselines = np.array(plan.baselines)
+    if isinstance(resource.w_a, np.ndarray) and resource.w_a.size != baselines.size:
+        raise ValueError(f"resource has {resource.w_a.size} rows for {baselines.size} baselines")
     v_true = np.empty(baselines.size, dtype=complex)
     rng = np.random.default_rng(derive_seed(seed))
     # rows: V_a_hat, V_p_hat, dV_a, dV_p
     columns = np.empty((4, baselines.size))
     for idx, B in enumerate(plan.baselines):
         v_c = true_visibility(sky, B)
-        x = resource_factory(B)
+        x = resource.row(idx)
         v = AstroVisibility(abs(v_c), cmath.phase(v_c))
         # raises DegenerateResourceError for a dead resource
         est = run_observation(v, x, settings, n_per_setting, rng)

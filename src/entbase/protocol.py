@@ -210,6 +210,10 @@ def _setting_trig(w1: float, w2: float) -> tuple[float, float, float, float, flo
     return math.sin(w1), math.cos(w1), math.sin(w2), math.cos(w2), math.sin(w2 - w1)
 
 
+# numpy's arctan2, hypot and sin on floats too, for the array call's bits: libm's atan2 and
+# hypot differ from them on 7.9% and 0.6% of 200 000 random inputs in [-1, 1]^2 (numpy 2.4.6,
+# AVX-512 Xeon), and which sin loop numpy takes depends on its build and the CPU. A float's
+# result is then a numpy float64 scalar, a float subclass.
 def _estimate(dp1, dp2, trig, C):
     """The point estimates (V_a, V_p) of fringes dp1, dp2, and c^2 + s^2, elementwise.
 
@@ -224,18 +228,17 @@ def _estimate(dp1, dp2, trig, C):
     amp_sq = c * c + s * s
     # both fringes zero (for fringes of counts, amp_sq is 0 exactly when
     # hypot(c, s) is): the phase is undefined and taken as 0
-    phase = ew.where(amp_sq == 0.0, 0.0, ew.atan2(s, c))
+    phase = ew.where(amp_sq == 0.0, 0.0, np.arctan2(s, c))
     # arctan2 lies in [-pi, pi]: wrapping to (-pi, pi] moves only -pi
-    return ew.hypot(c, s) / C, ew.where(phase == -math.pi, math.pi, phase), amp_sq
+    return np.hypot(c, s) / C, ew.where(phase == -math.pi, math.pi, phase), amp_sq
 
 
 def _invert_batch(dp1, dp2, N: int, w1: float, w2: float, C: float):
     """Invert fringes dp1, dp2 at phases w1, w2 into (V_a, V_p, dV_a, dV_p), elementwise.
 
-    One statement serves (n,) arrays and Python floats, through the
-    entbase.elementwise helpers: floats give Python floats with the bits of
-    the array call's elements, and make no numpy call but the six of
-    arctan2, hypot and sin, whose libm counterparts may give other bits.
+    One statement serves (n,) arrays and Python floats: floats give numpy
+    float64 scalars with the bits of the array call's elements, through the
+    ufuncs arctan2, hypot and sin and the entbase.elementwise helpers.
     The estimates are _estimate's. Both errors come from the Jacobian of
     (dp1, dp2) -> (V_a, V_p) and the fringe errors D1, D2; with phi = V_p,
 
@@ -251,10 +254,10 @@ def _invert_batch(dp1, dp2, N: int, w1: float, w2: float, C: float):
     d1, d2 = _fringe_error(dp1, N), _fringe_error(dp2, N)
     # a dead row (both fringes zero) divides by nan, not by 0 (which raises on
     # floats), and so gets the cap pi: nan < pi is false
-    dv_p = (ew.hypot(dp2 * d1, dp1 * d2)
+    dv_p = (np.hypot(dp2 * d1, dp1 * d2)
             / (ew.where(amp_sq == 0.0, math.nan, amp_sq) * abs(det)))
     dv_p = ew.where(dv_p < math.pi, dv_p, math.pi)
-    dv_a = (ew.hypot(ew.sin(w2 - v_p_hat) * d1, ew.sin(v_p_hat - w1) * d2)
+    dv_a = (np.hypot(np.sin(w2 - v_p_hat) * d1, np.sin(v_p_hat - w1) * d2)
             / (C * abs(det)))
     return v_a_hat, v_p_hat, dv_a, dv_p
 

@@ -165,9 +165,7 @@ class XState:
 
     def row(self, i: int) -> "XState":
         """State i of an array state, as a float state; a float state is each of its rows."""
-        if not isinstance(self.w_a, np.ndarray):
-            return self
-        return XState(*[getattr(self, name).item(i) for name in _FIELD_NAMES])
+        return XState(*[ew.item(getattr(self, name), i) for name in _FIELD_NAMES])
 
     def density_matrix(self) -> np.ndarray:
         """The 4x4 density matrix of a float state, fields placed as above; each upper

@@ -548,7 +548,7 @@ def check_imaging_peaks_mc():
     sky = imaging.SkyModel(((-sep / 2, 1.0), (sep / 2, 1.0)), wavelength=1.0)
     grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
     plan = imaging.BaselinePlan.linear(4.0 / (2 * sep), 64)
-    rep = imaging.observe_and_image(sky, plan, lambda B: channels.ideal_bell_xstate(),
+    rep = imaging.observe_and_image(sky, plan, channels.ideal_bell_xstate(),
                                     _SETTINGS, 10 ** 6, seed=1010, theta_grid=grid)
     peaks = reference.find_peaks(rep.intensity_est)
     assert len(peaks) == 2, f"{len(peaks)} peaks"

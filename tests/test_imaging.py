@@ -19,6 +19,7 @@ from entbase.imaging import (
     true_visibility,
 )
 from entbase.cli import main
+from entbase.config import ChannelConfig
 from entbase.protocol import PhaseSettings, VisibilityEstimate
 from entbase.qcore import AstroVisibility, XState
 from entbase.reference import dirty_image_complex, find_peaks
@@ -273,7 +274,7 @@ class TestObserveAndImage:
         sky = two_source_sky(sep)
         plan = BaselinePlan.linear(2.0 / (2 * sep), 32)
         grid = np.linspace(-1.5 * sep, 1.5 * sep, 121)
-        report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
+        report = observe_and_image(sky, plan, ideal_bell_xstate(),
                                    SETTINGS, 200000, seed=5, theta_grid=grid)
         exact_peaks = find_peaks(report.intensity_exact)
         est_peaks = find_peaks(report.intensity_est)
@@ -282,6 +283,32 @@ class TestObserveAndImage:
         # the plan samples the visibility null at B = 1/(2 sep) = 25, where the
         # phase is unmeasurable: its phase error is the plan's largest
         assert report.baselines[np.argmax(report.estimates.dV_p)] == 25.0
+
+    def test_run_builds_its_resource_once(self, monkeypatch, tmp_path):
+        # run observes the rows of resource_table's state: the channel's builder
+        # runs once, on all 40 baselines, and not again per baseline
+        factory, calls = ChannelConfig.resource_factory, []
+
+        def counted(self):
+            build = factory(self)
+            return lambda B: calls.append(np.size(B)) or build(B)
+
+        monkeypatch.setattr(ChannelConfig, "resource_factory", counted)
+        run_summary(tmp_path, baselines={"B_max": 60.0, "count": 40},
+                    channel={"kind": "amplitude_damping", "L0": 10.0})
+        assert calls == [40]
+
+    @pytest.mark.parametrize("rows", [39, 41], ids=["short", "long"])
+    def test_resource_rows_must_match_the_plan(self, monkeypatch, rows):
+        # a state of another length is refused before any baseline is observed
+        observed = []
+        monkeypatch.setattr(imaging, "run_observation", lambda *args: observed.append(args))
+        resource = ChannelConfig("amplitude_damping", {"L0": 10.0}).resource_factory()(
+            np.linspace(1.5, 60.0, rows))
+        with pytest.raises(ValueError, match=f"^resource has {rows} rows for 40 baselines$"):
+            observe_and_image(two_source_sky(), BaselinePlan.linear(60.0, 40), resource,
+                              SETTINGS, 1000, seed=1, theta_grid=np.linspace(-0.03, 0.03, 61))
+        assert observed == []
 
     def test_no_flag_away_from_nulls(self, tmp_path):
         summary = run_summary(tmp_path, sky={"sources": [{"theta": 0.004, "flux": 1.0}]},
@@ -312,7 +339,7 @@ class TestObserveAndImage:
         sky = two_source_sky(flux2=0.6)
         plan = BaselinePlan.linear(60.0, 50)
         n = 3000
-        report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(), SETTINGS, n,
+        report = observe_and_image(sky, plan, ideal_bell_xstate(), SETTINGS, n,
                                    seed=4, theta_grid=default_theta_grid(sky, plan.B_m))
         probs = []
         for b in plan.baselines:
@@ -337,7 +364,7 @@ class TestObserveAndImage:
         def l2_gap(n):
             gaps = []
             for seed in range(5):
-                report = observe_and_image(sky, plan, lambda B: ideal_bell_xstate(),
+                report = observe_and_image(sky, plan, ideal_bell_xstate(),
                                            SETTINGS, n, seed=seed, theta_grid=grid)
                 gaps.append(np.linalg.norm(report.intensity_est - report.intensity_exact))
             return float(np.mean(gaps))

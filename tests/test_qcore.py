@@ -241,6 +241,11 @@ class TestValidation:
             for i, row in enumerate(rows):  # row i is the float state of row i's fields
                 assert np.array_equal([getattr(x.row(i), n) for n in FIELD_NAMES], row,
                                       equal_nan=True)
+            one = XState(*rows[0])
+            for i in range(len(rows)):  # a float state is each of its rows, a new state each
+                assert one.row(i) is not one
+                assert np.array_equal([getattr(one.row(i), n) for n in FIELD_NAMES], rows[0],
+                                      equal_nan=True)
 
     # the records are plain dataclasses: read-only array fields are what keeps
     # a checked array state as it was checked

@@ -37,7 +37,7 @@ MUTANTS = [
     ("error-derivatives-fd", reference, "phase_ratio_derivative",
      "return -math.sin", "return math.sin"),
     ("error-bars-cramer-rao", protocol, "_invert_batch",
-     "ew.sin(v_p_hat - w1) * d2", "ew.sin(v_p_hat - w2) * d2"),
+     "np.sin(v_p_hat - w1) * d2", "np.sin(v_p_hat - w2) * d2"),
     ("memory-swap-composition", channels, "swap_memories",
      "p = 0.5 * (1.0 + _coherence_survival(ew.overflow_to_inf(add, t1, t2), tau_c))",
      "p = 1.0 - 0.5 * (1.0 + _coherence_survival(ew.overflow_to_inf(add, t1, t2), tau_c))"),
@@ -54,7 +54,7 @@ MUTANTS = [
     ("error-bar-coverage[mc]", protocol, "_fringe_error",
      "/ (0.5 * math.sqrt(N))", "/ math.sqrt(N)"),
     ("estimator-slope[mc]", protocol, "replicate_rmse", "- n) / n_b", "- n) / np.sqrt(n_b)"),
-    ("resource-scaling[mc]", protocol, "_estimate", "ew.hypot(c, s) / C", "ew.hypot(c, s)"),
+    ("resource-scaling[mc]", protocol, "_estimate", "np.hypot(c, s) / C", "np.hypot(c, s)"),
     ("channel-map-properties", reference, "apply_independent_channels",
      "ops.conj().transpose(0, 2, 1)", "ops.transpose(0, 2, 1)"),
     ("concurrence-monotone", channels, "xstate_dephasing",
